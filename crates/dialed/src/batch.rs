@@ -14,9 +14,13 @@
 //!   workers **steal** from the busiest tail, so a batch of wildly uneven
 //!   proofs (a livelocked log next to a two-instruction op) still saturates
 //!   every core;
-//! * gives each worker one long-lived [`EmuWorkspace`], so the 64 KiB RAM
-//!   image, the step trace and the OR snapshot are allocated once per
-//!   worker instead of once per proof;
+//! * verifies small batches (fewer than [`PARALLEL_MIN_JOBS`]) inline on
+//!   the calling thread — a lightly loaded server hands over one or two
+//!   proofs at a time, and a thread spawn costs more than they do;
+//! * keeps its [`EmuWorkspace`]s in a checkout pool across calls, so the
+//!   64 KiB RAM image, the step trace, the OR snapshot and the predecoded
+//!   instruction cache are built once per engine, not once per call — the
+//!   inline path and every scoped worker draw from the same pool;
 //! * resolves per-device keys through a shared [`KeySource`] — requests
 //!   borrow into it, so keyed batches add no per-proof allocation;
 //! * returns a [`BatchReport`] with the per-proof verdicts (identical to
@@ -35,6 +39,16 @@ use vrased::Challenge;
 /// Fewest worker threads a [`BatchVerifier`] will run with. Degenerate
 /// requests (`with_workers(0)`) are clamped up to this value.
 pub const MIN_WORKERS: usize = 1;
+
+/// Smallest batch that is spread over scoped worker threads; anything
+/// smaller verifies inline on the caller. A measured constant, not a
+/// knob: on the reference box starting and joining two scoped workers
+/// costs ≈ 125 µs, a Full-mode proof verifies in 50–130 µs and a
+/// PoX-only one in ≈ 3 µs once its MAC lanes are full. Two workers save at
+/// most half of a batch's work, so at four Full-mode proofs the spawn
+/// only breaks even, at eight it clearly pays, and PoX-only batches this
+/// small never repay it.
+pub const PARALLEL_MIN_JOBS: usize = 8;
 
 /// One unit of batch work: a proof and the challenge it must answer.
 #[derive(Clone, Debug)]
@@ -62,6 +76,10 @@ impl BatchJob {
 pub struct BatchVerifier<V> {
     verifier: V,
     workers: usize,
+    /// Warm workspaces between calls: checked out by the inline path and
+    /// by each scoped worker, handed back when they finish. Never holds
+    /// more than `workers`.
+    pool: Mutex<Vec<EmuWorkspace>>,
 }
 
 impl<V: Verifier> BatchVerifier<V> {
@@ -69,7 +87,7 @@ impl<V: Verifier> BatchVerifier<V> {
     #[must_use]
     pub fn new(verifier: V) -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        Self { verifier, workers }
+        Self { verifier, workers, pool: Mutex::new(Vec::new()) }
     }
 
     /// Overrides the worker count, clamped up to [`MIN_WORKERS`]: asking
@@ -92,6 +110,21 @@ impl<V: Verifier> BatchVerifier<V> {
         self.workers
     }
 
+    /// A workspace from the pool, or a fresh one if every pooled one is in
+    /// use (concurrent calls) or none was built yet.
+    fn checkout(&self) -> EmuWorkspace {
+        lock(&self.pool).pop().unwrap_or_default()
+    }
+
+    /// Returns a workspace for the next call to reuse. Surplus ones — more
+    /// callers ran at once than this engine has workers — are dropped.
+    fn give_back(&self, ws: EmuWorkspace) {
+        let mut pool = lock(&self.pool);
+        if pool.len() < self.workers {
+            pool.push(ws);
+        }
+    }
+
     /// Verifies every job, returning per-proof verdicts in submission order
     /// plus aggregate throughput statistics.
     ///
@@ -110,7 +143,8 @@ impl<V: Verifier> BatchVerifier<V> {
     #[must_use]
     pub fn verify_batch(&self, jobs: &[BatchJob], keys: Option<&dyn KeySource>) -> BatchReport {
         let started = Instant::now();
-        let workers = self.workers.min(jobs.len()).max(1);
+        let workers =
+            if jobs.len() < PARALLEL_MIN_JOBS { 1 } else { self.workers.min(jobs.len()).max(1) };
 
         // Lane-batched MAC pre-pass: backends with a multi-buffer path
         // tag-check the whole batch in lockstep lanes up front (one memoized
@@ -136,11 +170,11 @@ impl<V: Verifier> BatchVerifier<V> {
             self.verifier.verify_in(ws, &req)
         };
 
-        // A lone worker needs no queues, no locks and no thread spawn:
-        // verify inline on the calling thread. Small shards on small
-        // hosts hit this path on every drain.
+        // A lone worker needs no queues and no thread spawn: verify inline
+        // on the calling thread. Small batches and small hosts hit this
+        // path on every drain.
         if workers == 1 {
-            let mut ws = EmuWorkspace::new();
+            let mut ws = self.checkout();
             let outcomes: Vec<BatchOutcome> = jobs
                 .iter()
                 .enumerate()
@@ -150,6 +184,7 @@ impl<V: Verifier> BatchVerifier<V> {
                     report: verify_job(&mut ws, index),
                 })
                 .collect();
+            self.give_back(ws);
             return finish(outcomes, jobs.len(), 1, 0, started);
         }
 
@@ -168,11 +203,12 @@ impl<V: Verifier> BatchVerifier<V> {
                     let steals = &steals;
                     let verify_job = &verify_job;
                     scope.spawn(move || {
-                        let mut ws = EmuWorkspace::new();
+                        let mut ws = self.checkout();
                         let mut done: Vec<(usize, Report)> = Vec::new();
                         while let Some(idx) = next_job(queues, me, steals) {
                             done.push((idx, verify_job(&mut ws, idx)));
                         }
+                        self.give_back(ws);
                         done
                     })
                 })
@@ -237,10 +273,11 @@ fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicUsize) 
     None
 }
 
-/// Locks a queue, tolerating poison: a panicked worker cannot leave a queue
-/// logically inconsistent (every operation is a single pop).
-fn lock<'q>(q: &'q Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'q, VecDeque<usize>> {
-    q.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// Locks a job queue or the workspace pool, tolerating poison: a panicked
+/// worker cannot leave either logically inconsistent (every operation is
+/// a single push or pop).
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -326,6 +363,21 @@ mod tests {
         }
     }
 
+    /// Routes even device ids to one operation's verifier and odd ones to
+    /// another's, so a single engine — and its single pooled workspace —
+    /// serves two different images.
+    struct TwoOps {
+        even: DialedVerifier,
+        odd: DialedVerifier,
+    }
+
+    impl Verifier for TwoOps {
+        fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
+            let backend = if req.device() % 2 == 0 { &self.even } else { &self.odd };
+            backend.verify_in(ws, req)
+        }
+    }
+
     #[test]
     fn workspace_reuse_is_observationally_pure() {
         // One workspace pushed through clean, corrupted and clean-again
@@ -334,13 +386,40 @@ mod tests {
         let ks = KeyStore::from_seed(23);
         let mut jobs = make_jobs(3, &ks, &op);
         jobs[1].proof.pox.or_data[5] ^= 0xFF;
-        let verifier = DialedVerifier::new(op, ks);
+        let verifier = DialedVerifier::new(op.clone(), ks.clone());
         let mut ws = EmuWorkspace::new();
         for job in &jobs {
             let req = VerifyRequest::new(&job.proof, &job.challenge);
             let reused = verifier.verify_in(&mut ws, &req);
             let fresh = verifier.verify(&req);
             assert_eq!(reused, fresh);
+        }
+
+        // The same across separate `verify_batch` calls: the engine's one
+        // pooled workspace serves op A, op B, a tampered proof and op A
+        // again, each report identical to a fresh-workspace verification.
+        const OP_B: &str = ".org 0xE000\nop:\n mov r14, &0x0060\n ret\n";
+        let op_b = InstrumentedOp::build(OP_B, "op", &BuildOptions::default()).unwrap();
+        let a = make_jobs(1, &ks, &op).remove(0);
+        let mut b = make_jobs(1, &ks, &op_b).remove(0);
+        b.device_id = 1;
+        let mut tampered = a.clone();
+        tampered.proof.pox.or_data[5] ^= 0xFF;
+        let verifier_b = DialedVerifier::new(op_b.clone(), ks.clone());
+        let calls = [(&a, &verifier), (&b, &verifier_b), (&tampered, &verifier), (&a, &verifier)];
+
+        let engine = BatchVerifier::new(TwoOps {
+            even: DialedVerifier::new(op, ks.clone()),
+            odd: DialedVerifier::new(op_b, ks),
+        })
+        .with_workers(1);
+        for (i, (job, fresh)) in calls.into_iter().enumerate() {
+            let report = engine.verify_batch(std::slice::from_ref(job), None);
+            let fresh = fresh
+                .verify(&VerifyRequest::new(&job.proof, &job.challenge).for_device(job.device_id));
+            assert_eq!(report.outcomes[0].report, fresh, "call {i} diverged on a warm workspace");
+            assert_eq!(fresh.is_clean(), i != 2, "only the tampered proof is flagged");
+            assert_eq!(lock(&engine.pool).len(), 1, "call {i} must reuse the pooled workspace");
         }
     }
 

@@ -74,6 +74,7 @@ pub use wire::{
 use crate::shard::ShardParams;
 use crate::store::Wal;
 use dialed::attest::DialedProof;
+use dialed::batch::PARALLEL_MIN_JOBS;
 use dialed::pipeline::InstrumentedOp;
 use dialed::policy::Policy;
 use std::io;
@@ -486,35 +487,59 @@ impl Fleet {
         }
     }
 
-    /// Expires overdue sessions, then drains every shard's queue through
-    /// the shared operation engines, feeding verdicts back into sessions
-    /// and registries. Shards with pending work drain **in parallel** on
-    /// scoped threads — they share no mutable state, and the engines take
-    /// `&self`. Returns the summed drain statistics plus how many
-    /// sessions expired.
+    /// Expires overdue sessions ([`Fleet::expire`]), then verifies every
+    /// queued submission ([`Fleet::verify_pending`]). Returns the summed
+    /// drain statistics plus how many sessions expired.
     pub fn drain(&mut self, now: u64) -> (DrainStats, usize) {
-        let mut expired = 0;
-        for shard in &mut self.shards {
-            expired += shard.expire(now);
-        }
+        let expired = self.expire(now);
+        (self.verify_pending(&mut Vec::new()), expired)
+    }
+
+    /// Flips every `Issued` session whose deadline lies before `now` to
+    /// `Expired`, returning how many flipped. Scans every retained
+    /// session: a frontend runs it on a clock, not per submission.
+    pub fn expire(&mut self, now: u64) -> usize {
+        self.shards.iter_mut().map(|s| s.expire(now)).sum()
+    }
+
+    /// Verifies every queued submission through the shared operation
+    /// engines, feeding verdicts back into sessions and registries, and
+    /// appends the id of each session it settled to `settled` — so a
+    /// frontend replies for exactly those without scanning its table of
+    /// outstanding requests. Touches only the queued sessions.
+    ///
+    /// With fewer than [`dialed::batch::PARALLEL_MIN_JOBS`] submissions
+    /// pending, busy shards drain one after the other on the calling
+    /// thread; from there on they drain **in parallel** on scoped threads
+    /// — they share no mutable state, and the engines take `&self`.
+    pub fn verify_pending(&mut self, settled: &mut Vec<SessionId>) -> DrainStats {
+        let pending = self.pending();
         let ops = &self.ops;
         let busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| s.pending() > 0).collect();
         let mut stats = DrainStats::default();
-        if busy.len() <= 1 {
+        if busy.len() <= 1 || pending < PARALLEL_MIN_JOBS {
             for shard in busy {
-                stats.merge(shard.drain(ops));
+                stats.merge(shard.drain(ops, settled));
             }
         } else {
-            let results: Vec<DrainStats> = std::thread::scope(|scope| {
-                let handles: Vec<_> =
-                    busy.into_iter().map(|shard| scope.spawn(move || shard.drain(ops))).collect();
+            let results: Vec<(DrainStats, Vec<SessionId>)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = busy
+                    .into_iter()
+                    .map(|shard| {
+                        scope.spawn(move || {
+                            let mut settled = Vec::new();
+                            (shard.drain(ops, &mut settled), settled)
+                        })
+                    })
+                    .collect();
                 handles.into_iter().map(|h| h.join().expect("shard drain panicked")).collect()
             });
-            for r in results {
+            for (r, mut s) in results {
                 stats.merge(r);
+                settled.append(&mut s);
             }
         }
-        (stats, expired)
+        stats
     }
 
     /// Pending (submitted, not yet drained) sessions across all shards.
@@ -524,13 +549,19 @@ impl Fleet {
     }
 
     /// Per-shard ingest queue depths, indexed like [`shards`](Self::shards).
-    /// This is the backpressure signal: a frontend compares the depth of a
-    /// submission's target shard against its shed watermark and answers
-    /// [`Overloaded`](dialed::report::RejectReason::Overloaded) instead of
-    /// accepting work it cannot drain in time.
     #[must_use]
     pub fn ingest_depths(&self) -> Vec<usize> {
         self.shards.iter().map(Shard::ingest_depth).collect()
+    }
+
+    /// Ingest queue depth of the shard that owns `session`. This is the
+    /// backpressure signal: a frontend compares it against its shed
+    /// watermark before accepting a submission and answers
+    /// [`Overloaded`](dialed::report::RejectReason::Overloaded) instead of
+    /// queueing work it cannot verify in time.
+    #[must_use]
+    pub fn ingest_depth_of(&self, session: SessionId) -> usize {
+        self.shards[self.shard_of_session(session)].ingest_depth()
     }
 
     /// Evicts resolved sessions whose deadline lies before `now` so a

@@ -20,15 +20,21 @@
 //!      │  └───────┼──┴───────┼──┴─── encoded reply frames (mpsc)
 //!      └──────────▼──────────▼────┐
 //!                 │   core thread │  owns the Fleet: issues, submits,
-//!                 │  (sole owner) │  sheds, drains, emits verdicts
+//!                 │  (sole owner) │  sheds, verifies, emits verdicts
 //!                 └───────────────┘
 //! ```
 //!
 //! * **Multiplexing.** Many devices share one connection; every request
 //!   carries a client-chosen `request` id and every reply echoes it, so
-//!   batch verdicts can return out of order (verification is batched —
-//!   a submission's verdict arrives after the *next drain*, interleaved
-//!   with other devices' traffic on the same socket).
+//!   batch verdicts can return out of order, interleaved with other
+//!   devices' traffic on the same socket.
+//! * **Work-conserving verification.** The core applies every command
+//!   already queued, then verifies as soon as the command channel runs dry
+//!   (or 512 submissions are pending) and replies for exactly the
+//!   sessions that pass settled. An idle server therefore answers a lone
+//!   submission in one round trip; a saturated one still batches, because
+//!   whatever arrives during a verify pass forms the next batch. No timer
+//!   sits between a submission and its verdict.
 //! * **Hostile-input defense.** Each connection reads through a
 //!   [`FrameReader`](crate::wire::FrameReader) with a frame-size cap
 //!   ([`NetConfig::max_frame`]) and a stalled-frame deadline
@@ -42,13 +48,15 @@
 //!   unbounded queueing.
 //! * **Wall clock → logical clock.** The fleet's deadlines are logical
 //!   ticks; the core derives `now` from elapsed wall time
-//!   ([`NetConfig::tick`]) and runs a drain at least every
-//!   [`NetConfig::drain_interval`], so sessions expire on real time even
-//!   when no traffic arrives.
+//!   ([`NetConfig::tick`]). Every [`NetConfig::drain_interval`] — traffic
+//!   or none — a housekeeping pass expires overdue challenges, answers
+//!   in-flight submissions whose device was deregistered under them, and
+//!   prunes resolved history: the work that scans every session runs on
+//!   the clock, never per verdict.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
 //!   acceptor, quiesces readers, lets the core chew through the command
-//!   backlog, runs a final [`Fleet::drain`](crate::Fleet::drain), flushes
-//!   every in-flight verdict through the writers, and only then closes —
+//!   backlog and verify what it accepted, flushes every in-flight verdict
+//!   through the writers, and only then closes —
 //!   no accepted submission loses its verdict. The `Fleet` comes back out
 //!   for inspection or reuse.
 //!
@@ -97,11 +105,9 @@ pub struct NetConfig {
     /// Per-shard ingest depth at which submissions are shed with
     /// [`Overloaded`](dialed::report::RejectReason::Overloaded).
     pub shed_watermark: usize,
-    /// Fleet-wide pending count that triggers an immediate drain instead
-    /// of waiting out [`drain_interval`](Self::drain_interval).
-    pub drain_pending: usize,
-    /// Maximum wall time between drains — the verdict-latency bound, and
-    /// the cadence of wall-clock session expiry under idle load.
+    /// Housekeeping cadence: how often the core expires overdue
+    /// challenges and prunes resolved sessions. Verdict latency does not
+    /// depend on it — verification runs whenever work is queued.
     pub drain_interval: Duration,
     /// Wall-time length of one logical tick (the unit of the fleet's
     /// challenge deadlines).
@@ -117,7 +123,6 @@ impl Default for NetConfig {
             idle_frame_timeout: Duration::from_secs(2),
             poll_interval: Duration::from_millis(5),
             shed_watermark: 4096,
-            drain_pending: 512,
             drain_interval: Duration::from_millis(20),
             tick: Duration::from_millis(50),
         }
@@ -149,17 +154,18 @@ pub struct NetStats {
     /// undecodable frames, stalled slow-loris frames, unexpected message
     /// types) — each answered with a structured reject, then closed.
     pub protocol_errors: u64,
-    /// Verdict frames emitted after drains.
+    /// Verdict frames emitted by verify passes.
     pub verdicts: u64,
-    /// In-flight submissions whose session expired before a drain
+    /// In-flight submissions whose session expired before a verify pass
     /// resolved them (answered with an expiry reject).
     pub expired: u64,
-    /// Drain passes run by the core.
+    /// Passes run by the core: verify passes plus housekeeping passes (at
+    /// least one per [`NetConfig::drain_interval`], even when idle).
     pub drains: u64,
     /// Every rejection this server produced, bucketed by
     /// [`RejectClass`] (indexed by [`RejectClass::index`]). Counts both
     /// pre-verification rejects (session violations, shed submissions,
-    /// protocol errors, expiry) and post-drain verifier rejections, so a
+    /// protocol errors, expiry) and verifier rejections, so a
     /// corpus replay over the network can account for every expected
     /// reject class exactly.
     pub rejects_by_class: [u64; RejectClass::ALL.len()],

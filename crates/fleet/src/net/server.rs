@@ -112,6 +112,11 @@ fn shed_connection(mut sock: TcpStream, active: u64, shared: &Arc<Shared>) {
     }
 }
 
+/// Most submissions one verify pass takes on. Past this the core stops
+/// applying queued commands and verifies, so a saturated server still
+/// answers in bounded batches; what arrived meanwhile forms the next one.
+const BATCH_CAP: usize = 512;
+
 /// The core: sole owner of the [`Fleet`], fed by every reader thread.
 struct Core {
     fleet: Fleet,
@@ -141,16 +146,29 @@ impl Core {
         u64::try_from(self.start.elapsed().as_nanos() / tick).unwrap_or(u64::MAX)
     }
 
-    /// Processes commands until every sender is gone, draining on a wall
-    /// clock; then runs the final drain and flushes in-flight verdicts.
-    /// Returns the fleet to the shutdown path.
+    /// Processes commands until every sender is gone, then flushes what
+    /// is still owed and returns the fleet to the shutdown path.
+    ///
+    /// Work-conserving: after a command arrives, everything already queued
+    /// behind it is applied too (up to [`BATCH_CAP`] pending submissions)
+    /// and then a verify pass runs — an idle server answers a lone
+    /// submission at once, a busy one batches whatever piled up during the
+    /// previous pass. The `drain_interval` clock drives housekeeping only.
     fn run(mut self, rx: &Receiver<CoreMsg>) -> Fleet {
-        let mut last_drain = Instant::now();
+        let interval = self.shared.cfg.drain_interval;
+        let mut housekeeping_due = Instant::now() + interval;
         loop {
-            match rx.recv_timeout(self.shared.cfg.drain_interval) {
+            match rx.recv_timeout(housekeeping_due.saturating_duration_since(Instant::now())) {
                 Ok(msg) => {
                     let now = self.now();
                     self.handle(msg, now);
+                    while self.fleet.pending() < BATCH_CAP {
+                        let Ok(msg) = rx.try_recv() else { break };
+                        self.handle(msg, now);
+                    }
+                    if self.fleet.pending() > 0 {
+                        self.verify_pass();
+                    }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 // All senders gone: the acceptor, every reader, and the
@@ -158,16 +176,16 @@ impl Core {
                 // so the whole backlog has been applied. Shut down.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
-            let due = last_drain.elapsed() >= self.shared.cfg.drain_interval;
-            if due || self.fleet.pending() >= self.shared.cfg.drain_pending {
-                self.drain();
-                last_drain = Instant::now();
+            if Instant::now() >= housekeeping_due {
+                self.housekeeping();
+                housekeeping_due = Instant::now() + interval;
             }
         }
-        // Final drain: resolve everything accepted, emit every verdict.
-        // Dropping `replies` afterwards lets the writers flush and exit.
-        self.drain();
-        debug_assert!(self.inflight.is_empty(), "final drain left verdicts unemitted");
+        // Every accepted submission was verified by the pass that followed
+        // its command; what can still be owed is an expiry reject. Dropping
+        // `replies` afterwards lets the writers flush and exit.
+        self.housekeeping();
+        debug_assert!(self.inflight.is_empty(), "shutdown left verdicts unemitted");
         self.fleet
     }
 
@@ -197,17 +215,15 @@ impl Core {
             CoreMsg::Submit { conn, request, body } => {
                 // Backpressure before acceptance: if the target shard is
                 // already past the watermark, shedding now (with the
-                // observed depth) beats queueing work the drain cannot
-                // chew through in time.
-                let shard =
-                    usize::try_from(body.session).unwrap_or(usize::MAX) % self.fleet.shards().len();
-                let depth = self.fleet.shards()[shard].ingest_depth();
+                // observed depth) beats queueing work the next pass
+                // cannot chew through in time.
+                let (session, device) = (SessionId(body.session), DeviceId(body.device));
+                let depth = self.fleet.ingest_depth_of(session);
                 if depth >= self.shared.cfg.shed_watermark {
                     bump(&self.shared.stats.shed);
                     self.reject(conn, request, RejectReason::Overloaded { pending: depth as u64 });
                     return;
                 }
-                let (session, device) = (SessionId(body.session), DeviceId(body.device));
                 match self.fleet.submit(session, device, body.proof, now) {
                     Ok(()) => {
                         bump(&self.shared.stats.submitted);
@@ -222,66 +238,82 @@ impl Core {
         }
     }
 
-    /// One verification pass: expire + drain the fleet, then resolve the
-    /// in-flight table — verdict frames for sessions the batch engines
-    /// settled, expiry rejects for sessions the clock killed first.
-    fn drain(&mut self) {
-        let now = self.now();
-        let _ = self.fleet.drain(now);
+    /// Verifies every queued submission and replies for exactly the
+    /// sessions that settled — work proportional to the batch, not to the
+    /// session store or the in-flight table.
+    fn verify_pass(&mut self) {
+        let mut settled = Vec::new();
+        let _ = self.fleet.verify_pending(&mut settled);
         bump(&self.shared.stats.drains);
-
-        let fleet = &self.fleet;
-        let replies = &self.replies;
-        let stats = &self.shared.stats;
-        self.inflight.retain(|&session, &mut (conn, request)| {
-            let Some(s) = fleet.session(SessionId(session)) else {
-                return false; // pruned — nothing left to report
-            };
-            match s.state {
-                // Still queued (a shed-heavy drain can leave work; the
-                // next pass picks it up).
-                SessionState::Issued | SessionState::Submitted => true,
-                SessionState::Verified | SessionState::Rejected => {
-                    if let Some(body) = fleet.report_msg(SessionId(session)) {
-                        bump(&stats.verdicts);
-                        // A rejected verdict is a reject the server
-                        // produced: bucket it under the verifier's own
-                        // reason class so network replays can account
-                        // for every expected rejection exactly.
-                        if s.state == SessionState::Rejected {
-                            if let Some(reason) =
-                                body.report.findings.iter().find_map(|f| match f {
-                                    dialed::report::Finding::PoxRejected { reason } => Some(reason),
-                                    _ => None,
-                                })
-                            {
-                                stats.note_reject(reason);
-                            }
-                        }
-                        send_to(
-                            replies,
-                            stats,
-                            conn,
-                            &Message::Verdict(VerdictMsg { request, body }),
-                        );
-                    }
-                    false
-                }
-                SessionState::Expired => {
-                    bump(&stats.expired);
-                    let reason =
-                        RejectReason::from(crate::SessionError::Expired { deadline: s.deadline });
-                    stats.note_reject(&reason);
-                    send_to(replies, stats, conn, &Message::Reject(RejectMsg { request, reason }));
-                    false
-                }
+        for session in settled {
+            if let Some((conn, request)) = self.inflight.remove(&session.0) {
+                self.resolve(session, conn, request);
             }
-        });
-        self.fleet.prune_resolved(now);
+        }
     }
 
+    /// The O(sessions) chores, on the `drain_interval` clock: expire
+    /// overdue challenges, answer in-flight submissions that can no longer
+    /// get a verdict (device deregistered under them), prune resolved
+    /// history.
+    fn housekeeping(&mut self) {
+        let now = self.now();
+        self.fleet.expire(now);
+        let mut inflight = std::mem::take(&mut self.inflight);
+        inflight.retain(|&session, &mut (conn, request)| {
+            !self.resolve(SessionId(session), conn, request)
+        });
+        self.inflight = inflight;
+        self.fleet.prune_resolved(now);
+        bump(&self.shared.stats.drains);
+    }
+
+    /// Sends the one reply an in-flight submission is owed, if its session
+    /// has resolved: a verdict frame if the batch engines settled it, an
+    /// expiry reject if it was expired first. Returns whether the entry is
+    /// finished (replied to, or pruned with nothing left to report).
+    fn resolve(&self, session: SessionId, conn: u64, request: u64) -> bool {
+        let stats = &self.shared.stats;
+        let Some(s) = self.fleet.session(session) else {
+            return true;
+        };
+        match s.state {
+            SessionState::Issued | SessionState::Submitted => false,
+            SessionState::Verified | SessionState::Rejected => {
+                if let Some(body) = self.fleet.report_msg(session) {
+                    bump(&stats.verdicts);
+                    // A rejected verdict is a reject the server produced:
+                    // bucket it under the verifier's own reason class so
+                    // network replays can account for every expected
+                    // rejection exactly.
+                    if s.state == SessionState::Rejected {
+                        if let Some(reason) = body.report.findings.iter().find_map(|f| match f {
+                            dialed::report::Finding::PoxRejected { reason } => Some(reason),
+                            _ => None,
+                        }) {
+                            stats.note_reject(reason);
+                        }
+                    }
+                    self.send(conn, &Message::Verdict(VerdictMsg { request, body }));
+                }
+                true
+            }
+            SessionState::Expired => {
+                bump(&stats.expired);
+                let reason =
+                    RejectReason::from(crate::SessionError::Expired { deadline: s.deadline });
+                self.reject(conn, request, reason);
+                true
+            }
+        }
+    }
+
+    /// Hands an encoded frame to a connection's writer; a vanished writer
+    /// (peer already gone) just drops the frame.
     fn send(&self, conn: u64, msg: &Message) {
-        send_to(&self.replies, &self.shared.stats, conn, msg);
+        if let Some(tx) = self.replies.get(&conn) {
+            let _ = tx.send(wire::encode(msg));
+        }
     }
 
     fn reject(&self, conn: u64, request: u64, reason: RejectReason) {
@@ -290,15 +322,61 @@ impl Core {
     }
 }
 
-/// Hands an encoded frame to a connection's writer; a vanished writer
-/// (peer already gone) just drops the frame.
-fn send_to(
-    replies: &HashMap<u64, Sender<Vec<u8>>>,
-    _stats: &super::StatsInner,
-    conn: u64,
-    msg: &Message,
-) {
-    if let Some(tx) = replies.get(&conn) {
-        let _ = tx.send(wire::encode(msg));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::ProofMsg;
+    use crate::FleetConfig;
+    use dialed::attest::DialedDevice;
+    use dialed::pipeline::{BuildOptions, InstrumentedOp};
+    use dialed::report::RejectClass;
+
+    const OP_SRC: &str = "\
+        .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
+
+    /// A submission is accepted and its device deregistered in the same
+    /// burst of commands, before any verify pass can run. No verify pass
+    /// will ever settle that session; the housekeeping pass owes the
+    /// submitter its expiry reject.
+    #[test]
+    fn deregistration_under_an_inflight_submission_is_answered_by_housekeeping() {
+        let mut fleet =
+            Fleet::new(FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() });
+        let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+        let op_id = fleet.register_op("adder", op.clone(), vec![]);
+        let dev = fleet.register_device(op_id, 1).unwrap();
+        let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
+        let chal = fleet.issue(dev, 0).unwrap();
+        device.invoke(&[0; 8]);
+        let body =
+            ProofMsg { session: chal.session, device: dev.0, proof: device.prove(&chal.challenge) };
+
+        // The whole burst is queued before the core starts, so it is
+        // applied in one piece, in this order.
+        let (tx, rx) = mpsc::channel();
+        let (reply, replies) = mpsc::channel();
+        tx.send(CoreMsg::Register { conn: 1, reply }).unwrap();
+        tx.send(CoreMsg::Submit { conn: 1, request: 7, body }).unwrap();
+        tx.send(CoreMsg::Admin(Box::new(move |f| {
+            assert_eq!(f.deregister_device(dev), Ok(1), "the in-flight session is open");
+        })))
+        .unwrap();
+        drop(tx);
+
+        let shared = Arc::new(Shared::new(NetConfig::default()));
+        let fleet = Core::new(fleet, Arc::clone(&shared)).run(&rx);
+
+        let frames: Vec<Vec<u8>> = replies.try_iter().collect();
+        assert_eq!(frames.len(), 1, "the submission is owed exactly one reply");
+        match wire::decode(&frames[0]).unwrap() {
+            Message::Reject(r) => {
+                assert_eq!(r.request, 7);
+                assert_eq!(r.reason.class(), RejectClass::Session, "{:?}", r.reason);
+            }
+            other => panic!("expected an expiry reject, got {other:?}"),
+        }
+        let stats = shared.stats.snapshot();
+        assert_eq!((stats.submitted, stats.expired, stats.verdicts), (1, 1, 0));
+        assert_eq!(fleet.pending(), 0, "deregistration purged the queued proof");
     }
 }

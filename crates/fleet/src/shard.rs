@@ -312,15 +312,17 @@ impl Shard {
     }
 
     /// Drains this shard's queue through the fleet's shared operation
-    /// engines, committing each verdict. `ops` is borrowed read-only, so
-    /// any number of shards drain concurrently.
-    pub(crate) fn drain(&mut self, ops: &OpTable) -> DrainStats {
+    /// engines, committing each verdict and appending every session it
+    /// settled to `settled`. `ops` is borrowed read-only, so any number of
+    /// shards drain concurrently.
+    pub(crate) fn drain(&mut self, ops: &OpTable, settled: &mut Vec<SessionId>) -> DrainStats {
         let mut stats = DrainStats::default();
         for (op, sids) in self.ingest.take_all() {
+            let Ok(record) = ops.op(op) else { continue };
             // Collect the batch: each job consumes its session's held
             // proof (the durable copy lives in the WAL).
             let mut jobs: Vec<BatchJob> = Vec::with_capacity(sids.len());
-            let mut meta: Vec<(SessionId, u64)> = Vec::with_capacity(sids.len());
+            let first = settled.len();
             for sid in sids {
                 let Some(s) = self.sessions.session_mut(sid) else { continue };
                 if s.state != SessionState::Submitted {
@@ -332,12 +334,11 @@ impl Shard {
                     continue;
                 }
                 jobs.push(BatchJob::new(device.0, proof, challenge));
-                meta.push((sid, device.0));
+                settled.push(sid);
             }
             if jobs.is_empty() {
                 continue;
             }
-            let Ok(record) = ops.op(op) else { continue };
             let reports: Vec<Report> = {
                 // Per-device keys resolve by borrow out of this shard's
                 // registry for the whole batch.
@@ -347,7 +348,7 @@ impl Shard {
                 batch.outcomes.into_iter().map(|o| o.report).collect()
             };
             stats.batches += 1;
-            for ((sid, _), report) in meta.into_iter().zip(reports) {
+            for (&sid, report) in settled[first..].iter().zip(reports) {
                 stats.drained += 1;
                 if report.is_clean() {
                     stats.verified += 1;

@@ -1,7 +1,8 @@
-//! Per-shard ingest queue depths: [`Fleet::ingest_depths`] is the
-//! load-shedding signal the network frontend reads, so its accounting must
-//! track submissions exactly — one increment on the submitted session's
-//! target shard, back to zero after a drain.
+//! Per-shard ingest queue depths: [`Fleet::ingest_depth_of`] (one entry of
+//! [`Fleet::ingest_depths`]) is the load-shedding signal the network
+//! frontend reads, so its accounting must track submissions exactly — one
+//! increment on the submitted session's target shard, back to zero after a
+//! drain.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -35,8 +36,10 @@ fn ingest_depths_track_submissions_per_shard() {
         device.invoke(&[0, 0, 0, 0, 0, 0, 2, 3]);
         let proof = device.prove(&chal.challenge);
         fleet.submit(SessionId(chal.session), *id, proof, 1).unwrap();
-        expected[usize::try_from(chal.session).unwrap() % shards] += 1;
+        let shard = usize::try_from(chal.session).unwrap() % shards;
+        expected[shard] += 1;
         assert_eq!(fleet.ingest_depths(), expected);
+        assert_eq!(fleet.ingest_depth_of(SessionId(chal.session)), expected[shard]);
     }
     assert_eq!(
         fleet.ingest_depths().iter().sum::<usize>(),

@@ -1,14 +1,18 @@
 //! The TCP frontend, end to end over loopback: honest round trips with
 //! request multiplexing, load shedding at the ingest watermark, graceful
-//! drain flushing every in-flight verdict, and wall-clock session expiry.
+//! drain flushing every in-flight verdict, verdicts that do not wait for
+//! a timer, and wall-clock session expiry.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{RejectClass, RejectReason, Verdict};
 use fleet::wire::Message;
-use fleet::{DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer};
+use fleet::{
+    DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer, NetServerHandle, SessionId,
+};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -42,11 +46,7 @@ fn honest_devices_round_trip_multiplexed() {
         8,
         FleetConfig { workers: Some(2), shards: 4, ..FleetConfig::default() },
     );
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig { drain_interval: Duration::from_millis(10), ..NetConfig::default() },
-    )
-    .unwrap();
+    let handle = NetServer::spawn(fleet, NetConfig::default()).unwrap();
 
     // All eight devices share one connection; pipeline every issue, then
     // every submit, correlating replies by request id.
@@ -93,114 +93,148 @@ fn honest_devices_round_trip_multiplexed() {
     assert_eq!(fleet.pending(), 0, "graceful shutdown drains ingest");
 }
 
-#[test]
-fn submissions_past_the_watermark_are_shed() {
-    let (fleet, mut devices) = fleet_with_devices(
-        6,
-        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
-    );
-    // Tiny watermark, drains effectively disabled: the queue backs up and
-    // the shed path must answer with explicit backpressure.
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig {
-            shed_watermark: 2,
-            drain_interval: Duration::from_secs(3600),
-            drain_pending: usize::MAX,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+/// A granted challenge and the proof answering it, for every device.
+fn granted_proofs(
+    client: &mut NetClient,
+    devices: &mut [(DeviceId, DialedDevice)],
+) -> Vec<fleet::ProofMsg> {
+    devices
+        .iter_mut()
+        .map(|(id, device)| {
+            let chal = client.request_challenge(id.0).unwrap().expect("grant");
+            proof_for(device, &chal)
+        })
+        .collect()
+}
 
-    let mut client = NetClient::connect(handle.addr()).unwrap();
-    let mut accepted = Vec::new();
-    let mut shed = 0u64;
-    for (id, device) in &mut devices {
-        let chal = client.request_challenge(id.0).unwrap().expect("grant");
-        let req = client.submit(proof_for(device, &chal)).unwrap();
-        // With drains off, replies to accepted submissions never arrive
-        // mid-run — only shed rejects do. Distinguish by queue position:
-        // the first `watermark` submissions are accepted silently.
-        if accepted.len() < 2 {
-            accepted.push(req);
-        } else {
-            match client.recv().unwrap() {
-                Message::Reject(r) => {
-                    assert_eq!(r.request, req);
-                    match r.reason {
-                        RejectReason::Overloaded { pending } => {
-                            assert_eq!(pending, 2, "shed reports the observed depth");
-                        }
-                        other => panic!("expected Overloaded, got {other:?}"),
-                    }
-                    shed += 1;
-                }
-                other => panic!("expected shed reject, got {other:?}"),
-            }
+/// Runs `pipeline` while the core thread is stalled inside a blocking
+/// admin closure, and lets the core go only once the server has read
+/// every frame `pipeline` wrote — so the whole burst sits in the command
+/// channel, in order, when the core resumes.
+///
+/// `pipeline` returns how many frames it wrote. One more frame (an issue
+/// for `barrier_device`, answered by a grant some time after the release)
+/// is sent behind them: a reader counts a frame before it forwards it, so
+/// only the count *including* the barrier proves the burst was forwarded.
+fn with_core_stalled(
+    handle: &NetServerHandle,
+    client: &mut NetClient,
+    barrier_device: DeviceId,
+    pipeline: impl FnOnce(&mut NetClient) -> u64,
+) {
+    let (entered_tx, entered_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            handle.admin(move |_| {
+                let _ = entered_tx.send(());
+                let _ = release_rx.recv();
+            })
+        });
+        entered_rx.recv().expect("the stall closure runs on the core");
+        let want = handle.stats().frames_in + pipeline(client) + 1;
+        client.issue(barrier_device.0).unwrap();
+        while handle.stats().frames_in < want {
+            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-    assert_eq!(shed, 4, "every submission past the watermark is shed");
+        drop(release_tx);
+    });
+}
 
-    // Graceful shutdown still owes the accepted two their verdicts.
-    let (_, stats) = handle.shutdown().expect("no server thread may panic");
-    assert_eq!(stats.shed, 4);
-    assert_eq!(stats.submitted, 2);
-    let mut flushed = Vec::new();
+/// Every reply up to the server's orderly close.
+fn recv_until_eof(client: &mut NetClient) -> Vec<Message> {
+    let mut replies = Vec::new();
     loop {
         match client.recv() {
-            Ok(Message::Verdict(v)) => flushed.push(v.request),
-            Ok(other) => panic!("expected verdict, got {other:?}"),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
+            Ok(msg) => replies.push(msg),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return replies,
             Err(e) => panic!("client read failed: {e}"),
         }
     }
+}
+
+#[test]
+fn submissions_past_the_watermark_are_shed() {
+    let (fleet, mut devices) = fleet_with_devices(
+        7,
+        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
+    );
+    // Tiny watermark: a burst that reaches the core in one piece backs the
+    // queue up and the shed path must answer with explicit backpressure.
+    let handle =
+        NetServer::spawn(fleet, NetConfig { shed_watermark: 2, ..NetConfig::default() }).unwrap();
+
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    let (barrier, _) = devices.pop().unwrap();
+    let proofs = granted_proofs(&mut client, &mut devices);
+    let mut reqs = Vec::new();
+    with_core_stalled(&handle, &mut client, barrier, |client| {
+        reqs.extend(proofs.into_iter().map(|p| client.submit(p).unwrap()));
+        reqs.len() as u64
+    });
+    // The core applies the burst in connection order before it verifies:
+    // the first `watermark` submissions are accepted, the rest are shed.
+    let (accepted, past) = reqs.split_at(2);
+
+    // Graceful shutdown owes the accepted two their verdicts.
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.shed, 4);
+    assert_eq!(stats.submitted, 2);
+    let (mut flushed, mut shed) = (Vec::new(), Vec::new());
+    for msg in recv_until_eof(&mut client) {
+        match msg {
+            Message::Verdict(v) => flushed.push(v.request),
+            Message::Reject(r) => {
+                match r.reason {
+                    RejectReason::Overloaded { pending } => {
+                        assert_eq!(pending, 2, "shed reports the observed depth");
+                    }
+                    other => panic!("expected Overloaded, got {other:?}"),
+                }
+                shed.push(r.request);
+            }
+            Message::Grant(_) => {} // the barrier
+            other => panic!("expected verdict or shed reject, got {other:?}"),
+        }
+    }
+    assert_eq!(shed, past, "every submission past the watermark is shed");
     flushed.sort_unstable();
-    accepted.sort_unstable();
-    assert_eq!(flushed, accepted, "shutdown flushes exactly the accepted submissions");
+    assert_eq!(flushed, accepted, "exactly the accepted submissions get verdicts");
 }
 
 #[test]
 fn graceful_drain_loses_no_inflight_verdict() {
     let n = 24u64;
     let (fleet, mut devices) = fleet_with_devices(
-        n,
+        n + 1,
         FleetConfig { workers: Some(2), shards: 4, ..FleetConfig::default() },
     );
-    // Drains disabled: every verdict owed at shutdown is still queued.
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig {
-            drain_interval: Duration::from_secs(3600),
-            drain_pending: usize::MAX,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let handle = NetServer::spawn(fleet, NetConfig::default()).unwrap();
 
     let mut client = NetClient::connect(handle.addr()).unwrap();
+    let (barrier, _) = devices.pop().unwrap();
+    let proofs = granted_proofs(&mut client, &mut devices);
     let mut submit_reqs = Vec::new();
-    for (id, device) in &mut devices {
-        let chal = client.request_challenge(id.0).unwrap().expect("grant");
-        submit_reqs.push(client.submit(proof_for(device, &chal)).unwrap());
-    }
-    // Barrier: one more issue. Its grant proves the core has consumed
-    // every pipelined submit ahead of it on this connection.
-    let _ = client.request_challenge(devices[0].0 .0).unwrap().expect("grant");
+    with_core_stalled(&handle, &mut client, barrier, |client| {
+        submit_reqs.extend(proofs.into_iter().map(|p| client.submit(p).unwrap()));
+        n
+    });
 
+    // Shut down with the whole burst still in the command channel (or at
+    // best mid-verification): every accepted submission is owed a verdict.
     let (fleet, stats) = handle.shutdown().expect("no server thread may panic");
     assert_eq!(stats.submitted, n, "all submissions were accepted before shutdown");
-    assert_eq!(stats.verdicts, n, "the final drain emitted every in-flight verdict");
+    assert_eq!(stats.verdicts, n, "every in-flight verdict was emitted");
 
     let mut flushed: Vec<u64> = Vec::new();
-    loop {
-        match client.recv() {
-            Ok(Message::Verdict(v)) => {
+    for msg in recv_until_eof(&mut client) {
+        match msg {
+            Message::Verdict(v) => {
                 assert_eq!(v.body.report.verdict, Verdict::Clean);
                 flushed.push(v.request);
             }
-            Ok(other) => panic!("expected verdict, got {other:?}"),
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-            Err(e) => panic!("client read failed: {e}"),
+            Message::Grant(_) => {} // the barrier
+            other => panic!("expected verdict, got {other:?}"),
         }
     }
     flushed.sort_unstable();
@@ -210,9 +244,92 @@ fn graceful_drain_loses_no_inflight_verdict() {
 }
 
 #[test]
+fn a_queued_backlog_is_verified_as_one_batch() {
+    let n = 24u64;
+    let (fleet, mut devices) = fleet_with_devices(
+        n + 1,
+        FleetConfig { workers: Some(2), shards: 4, ..FleetConfig::default() },
+    );
+    // Housekeeping an hour away: only verify passes count in `drains`.
+    let handle = NetServer::spawn(
+        fleet,
+        NetConfig { drain_interval: Duration::from_secs(3600), ..NetConfig::default() },
+    )
+    .unwrap();
+
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    let (barrier, _) = devices.pop().unwrap();
+    let proofs = granted_proofs(&mut client, &mut devices);
+    let before = handle.stats().drains;
+    with_core_stalled(&handle, &mut client, barrier, |client| {
+        for p in proofs {
+            client.submit(p).unwrap();
+        }
+        n
+    });
+    let mut verdicts = 0;
+    while verdicts < n {
+        match client.recv().unwrap() {
+            Message::Verdict(v) => {
+                assert_eq!(v.body.report.verdict, Verdict::Clean);
+                verdicts += 1;
+            }
+            Message::Grant(_) => {} // the barrier
+            other => panic!("expected verdict, got {other:?}"),
+        }
+    }
+    // Work that piled up while the core was busy is applied in one piece
+    // and verified together — not one verify pass per submission.
+    assert_eq!(handle.stats().drains - before, 1, "{n} queued submissions, one verify pass");
+    handle.shutdown().expect("no server thread may panic");
+}
+
+#[test]
+fn a_lone_submission_does_not_wait_for_the_timer() {
+    let (fleet, mut devices) = fleet_with_devices(
+        1,
+        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
+    );
+    // With housekeeping an hour away, only the work-conserving rule can
+    // produce this verdict.
+    let handle = NetServer::spawn(
+        fleet,
+        NetConfig { drain_interval: Duration::from_secs(3600), ..NetConfig::default() },
+    )
+    .unwrap();
+
+    let addr = handle.addr();
+    let (id, mut device) = devices.pop().unwrap();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut client = NetClient::connect(addr).unwrap();
+        let chal = client.request_challenge(id.0).unwrap().expect("grant");
+        let proof = proof_for(&mut device, &chal);
+        let sent = Instant::now();
+        let req = client.submit(proof).unwrap();
+        let reply = client.recv().unwrap();
+        let _ = done_tx.send((req, reply, sent.elapsed()));
+    });
+    let (req, reply, waited) = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the verdict must not wait for the housekeeping clock");
+    match reply {
+        Message::Verdict(v) => {
+            assert_eq!(v.request, req);
+            assert_eq!(v.body.report.verdict, Verdict::Clean);
+        }
+        other => panic!("expected verdict, got {other:?}"),
+    }
+    assert!(waited < Duration::from_secs(1), "submit → verdict took {waited:?}");
+
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.verdicts, 1);
+}
+
+#[test]
 fn sessions_expire_on_the_wall_clock() {
     // 5 ms ticks and the default 64-tick TTL: challenges die ~320 ms
-    // after issue, driven purely by the server's drain timer.
+    // after issue, driven purely by the server's housekeeping clock.
     let (fleet, mut devices) = fleet_with_devices(
         1,
         FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
@@ -230,6 +347,7 @@ fn sessions_expire_on_the_wall_clock() {
     let mut client = NetClient::connect(handle.addr()).unwrap();
     let (id, device) = &mut devices[0];
     let chal = client.request_challenge(id.0).unwrap().expect("grant");
+    let doomed = SessionId(chal.session);
     std::thread::sleep(Duration::from_millis(600));
     let req = client.submit(proof_for(device, &chal)).unwrap();
     match client.recv().unwrap() {
@@ -256,9 +374,10 @@ fn sessions_expire_on_the_wall_clock() {
         other => panic!("expected verdict, got {other:?}"),
     }
 
-    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    let (fleet, stats) = handle.shutdown().expect("no server thread may panic");
     assert!(stats.session_rejects >= 1);
-    assert!(stats.drains >= 2, "the wall clock must have driven idle drains");
+    assert!(stats.drains >= 10, "the wall clock must have driven idle housekeeping passes");
+    assert!(fleet.session(doomed).is_none(), "housekeeping expired and pruned the dead session");
 }
 
 #[test]

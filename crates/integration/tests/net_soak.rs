@@ -233,16 +233,9 @@ fn run_soak(n: usize, conns: usize) {
         })
         .collect();
 
-    let handle = NetServer::spawn(
-        fleet,
-        NetConfig {
-            drain_interval: Duration::from_millis(10),
-            drain_pending: 256,
-            shed_watermark: 50_000,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let handle =
+        NetServer::spawn(fleet, NetConfig { shed_watermark: 50_000, ..NetConfig::default() })
+            .unwrap();
     let addr = handle.addr();
 
     let start = Instant::now();
