@@ -145,7 +145,14 @@ impl PoxProver {
     /// Execution is dispatched superblock-at-a-time; the monitor, the
     /// peripheral clock and the trace still observe every single step via
     /// the dispatch callback, in the same order as a `step_into` loop.
+    /// The core's superblock counters are published once, on return.
     pub fn run_to(&mut self, stop_pc: u16, max_steps: usize) -> RunOutcome {
+        let outcome = self.run_blocks(stop_pc, max_steps);
+        self.cpu.publish_superblock_stats();
+        outcome
+    }
+
+    fn run_blocks(&mut self, stop_pc: u16, max_steps: usize) -> RunOutcome {
         let mut trace = Trace::new();
         // One Step reused across the run; only the trace copy survives.
         let mut step = Step::default();

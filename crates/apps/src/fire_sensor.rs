@@ -187,12 +187,8 @@ mod tests {
         let device_tx = dev.platform().uart.tx.clone();
         let proof = dev.prove(&Challenge::derive(b"fs", 1));
         let emu = DialedVerifier::new(op, ks).reconstruct(&proof.pox.or_data);
-        let emu_tx: Vec<u8> = emu
-            .trace
-            .steps()
-            .iter()
-            .flat_map(|s| s.writes().filter(|w| w.addr == 0x0067).map(|w| w.value as u8))
-            .collect();
+        let emu_tx: Vec<u8> =
+            emu.writes.iter().filter(|w| w.addr == 0x0067).map(|w| w.value as u8).collect();
         assert_eq!(emu_tx, device_tx);
     }
 

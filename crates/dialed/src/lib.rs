@@ -30,9 +30,9 @@
 //! 2. maintains a shadow call stack over the reconstructed execution
 //!    (control-flow hijacks like the paper's Fig. 1 reproduce and are
 //!    flagged);
-//! 3. evaluates application [`policy`] predicates on the reconstructed
-//!    trace (data-only attacks like the paper's Fig. 2 reproduce and are
-//!    flagged — no code annotations needed).
+//! 3. evaluates application [`policy`] predicates on the reconstruction's
+//!    data writes (data-only attacks like the paper's Fig. 2 reproduce and
+//!    are flagged — no code annotations needed).
 //!
 //! # Verification API
 //!

@@ -6,6 +6,11 @@
 //! behaviour into a verdict. Unlike OAT's source annotations, policies live
 //! entirely at the verifier — no device-side cooperation or programmer
 //! annotation is needed.
+//!
+//! A policy sees the reconstruction as an [`Emulation`]: its data writes in
+//! execution order ([`Emulation::writes`], each with the writing PC and the
+//! cycle offset it happened at), instruction and cycle totals, stack
+//! extent, shadow-stack findings and the recomputed OR.
 
 use crate::report::Finding;
 use crate::verifier::Emulation;
@@ -54,15 +59,10 @@ impl Policy for GlobalWriteBounds {
         let in_stack = |a: u16| a >= emu.min_sp && a <= emu.sp_base.wrapping_add(1);
         let in_or = |a: u16| a >= emu.pox.or_min && a <= emu.pox.or_max;
         let declared = |a: u16| self.writable.iter().any(|(lo, hi)| a >= *lo && a <= *hi);
-        for step in emu.trace.steps() {
-            // Only stores issued by the operation's code matter.
-            if !emu.pox.in_er(step.pc) {
-                continue;
-            }
-            for w in step.writes() {
-                if !(in_stack(w.addr) || in_or(w.addr) || declared(w.addr)) {
-                    findings.push(Finding::OutOfBoundsWrite { pc: step.pc, addr: w.addr });
-                }
+        // Only stores issued by the operation's code matter.
+        for w in emu.writes.iter().filter(|w| emu.pox.in_er(w.pc)) {
+            if !(in_stack(w.addr) || in_or(w.addr) || declared(w.addr)) {
+                findings.push(Finding::OutOfBoundsWrite { pc: w.pc, addr: w.addr });
             }
         }
         findings
@@ -93,24 +93,18 @@ impl ActuationPulse {
     #[must_use]
     pub fn pulses(&self, emu: &Emulation) -> Vec<u64> {
         let mut pulses = Vec::new();
-        let mut cum: u64 = 0;
         let mut started: Option<u64> = None;
-        for step in emu.trace.steps() {
-            for w in step.writes() {
-                if w.addr == self.port {
-                    if w.value != 0 && started.is_none() {
-                        started = Some(cum);
-                    } else if w.value == 0 {
-                        if let Some(s) = started.take() {
-                            pulses.push(cum - s);
-                        }
-                    }
+        for w in emu.writes.iter().filter(|w| w.addr == self.port) {
+            if w.value != 0 && started.is_none() {
+                started = Some(w.cycle);
+            } else if w.value == 0 {
+                if let Some(s) = started.take() {
+                    pulses.push(w.cycle - s);
                 }
             }
-            cum += u64::from(step.cycles);
         }
         if let Some(s) = started {
-            pulses.push(cum - s); // still on at end of run
+            pulses.push(emu.cycles - s); // still on at end of run
         }
         pulses
     }

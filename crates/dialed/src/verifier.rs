@@ -16,7 +16,11 @@
 //! span; any divergence means the device's execution did not follow its own
 //! logs. A shadow call stack over the reconstruction reproduces control-flow
 //! hijacks (Fig. 1), and application policies evaluated on the
-//! reconstructed trace expose data-only attacks (Fig. 2).
+//! reconstruction's data writes expose data-only attacks (Fig. 2).
+//!
+//! The reconstruction keeps no step trace: of each executed instruction it
+//! records only its data writes ([`Emulation::writes`], the one thing its
+//! consumers read) plus instruction and cycle totals.
 
 use crate::batch::BatchJob;
 use crate::pipeline::InstrumentedOp;
@@ -28,8 +32,7 @@ use msp430::cpu::{Cpu, CpuFault, Step};
 use msp430::isa::{Insn, Op1, Op2, Operand};
 use msp430::mem::{Bus, Ram};
 use msp430::regs::Reg;
-use msp430::trace::Trace;
-use msp430::BlockBreaks;
+use msp430::{BlockBreaks, SuperblockStats};
 use std::sync::Arc;
 use tinycfa::OrStack;
 use vrased::KeyStore;
@@ -45,11 +48,36 @@ pub enum EmuOutcome {
     Fault,
 }
 
+/// One data write performed during abstract execution.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DataWrite {
+    /// Address of the instruction that wrote.
+    pub pc: u16,
+    /// Written address.
+    pub addr: u16,
+    /// Written value (a byte write's value is its low byte).
+    pub value: u16,
+    /// Word (`true`) or byte write.
+    pub word: bool,
+    /// CPU cycles executed before the writing instruction.
+    pub cycle: u64,
+}
+
 /// The result of abstractly executing an operation against a device log.
+///
+/// What policies see of the reconstructed run: its data writes in
+/// execution order, with the writing PC and cycle offset, and the
+/// instruction and cycle totals. The buffer is reused across proofs of a
+/// workspace (see [`EmuWorkspace::reclaim`]).
 #[derive(Clone, Debug)]
 pub struct Emulation {
-    /// Reconstructed execution trace (instrumented program, device inputs).
-    pub trace: Trace,
+    /// Every data write of the reconstruction (instrumented program,
+    /// device inputs), in execution order.
+    pub writes: Vec<DataWrite>,
+    /// Instructions executed.
+    pub insns: usize,
+    /// CPU cycles executed.
+    pub cycles: u64,
     /// Shadow-stack findings discovered during reconstruction.
     pub findings: Vec<Finding>,
     /// Termination.
@@ -123,11 +151,22 @@ impl SiteIndex {
     fn is_arg(&self, addr: u16) -> bool {
         self.args[usize::from(addr >> 3)] & (1 << (addr & 7)) != 0
     }
+
+    /// The kind of log entry an OR write issued at `pc` is.
+    fn log_class(&self, pc: u16) -> SlotClass {
+        if self.is_input(pc) {
+            SlotClass::Input
+        } else if self.is_arg(pc) {
+            SlotClass::Head
+        } else {
+            SlotClass::ControlFlow
+        }
+    }
 }
 
 /// Reusable per-verifier (or per-worker) emulation buffers.
 ///
-/// Abstract execution needs a 64 KiB RAM image, a step trace and an OR
+/// Abstract execution needs a 64 KiB RAM image, a write log and an OR
 /// snapshot per proof. Allocating those per proof dominates the fixed cost
 /// of verifying small operations, so batch verification keeps one workspace
 /// per worker thread and recycles the allocations across proofs (see
@@ -143,7 +182,7 @@ pub struct EmuWorkspace {
     cpu: Cpu,
     /// Scratch [`Step`] for the allocation-free `step_into` loop.
     step: Step,
-    trace: Trace,
+    writes: Vec<DataWrite>,
     shadow: Vec<u16>,
     or_emulated: Vec<u8>,
 }
@@ -158,7 +197,7 @@ impl EmuWorkspace {
     /// Returns an [`Emulation`]'s large buffers to the workspace so the
     /// next proof reuses their allocations.
     pub fn reclaim(&mut self, emu: Emulation) {
-        self.trace = emu.trace;
+        self.writes = emu.writes;
         self.or_emulated = emu.or_emulated;
     }
 
@@ -172,6 +211,14 @@ impl EmuWorkspace {
         self.cpu.set_icache_enabled(icache);
         self.cpu.set_superblocks_enabled(superblocks);
     }
+
+    /// The superblock counters of this workspace's core since it was
+    /// built; each abstract execution publishes its share to
+    /// [`msp430::process_superblock_stats`] before it returns.
+    #[must_use]
+    pub fn superblock_stats(&self) -> SuperblockStats {
+        self.cpu.superblock_stats()
+    }
 }
 
 /// Abstractly executes `op` against the device's attested OR bytes.
@@ -184,7 +231,7 @@ pub fn abstract_execute(op: &InstrumentedOp, device_or: &[u8], budget: usize) ->
 
 /// [`abstract_execute`] reusing `ws`'s buffers instead of allocating.
 ///
-/// The returned [`Emulation`] owns the workspace's trace and OR buffers;
+/// The returned [`Emulation`] owns the workspace's write-log and OR buffers;
 /// hand them back with [`EmuWorkspace::reclaim`] once the emulation has
 /// been consumed.
 #[must_use]
@@ -232,20 +279,20 @@ fn abstract_execute_indexed(
     // warm across proofs instead of restitching every block.
     ram.reset_to(sites.image_runs.iter().map(|(start, bytes)| (*start, bytes.as_slice())));
 
-    let mut trace = std::mem::take(&mut ws.trace);
-    trace.clear();
+    let mut writes = std::mem::take(&mut ws.writes);
+    writes.clear();
+    let mut cycles = 0u64;
     let mut findings = Vec::new();
     let shadow = &mut ws.shadow;
     shadow.clear();
     let mut min_sp = cpu.reg(Reg::SP);
     let mut outcome = EmuOutcome::Budget;
-    let (mut cf_n, mut in_n, mut arg_n) = (0usize, 0usize, 0usize);
 
     // Superblock dispatch: every input-log site is a block break, so a
     // marked PC only ever executes as a block *entry* — the `is_input`
     // probe (and the injection it guards) runs per block, not per step.
-    // The per-step work below (shadow stack, write classification, trace
-    // copy) observes every step through the dispatch callback, unchanged.
+    // The per-step work below (shadow stack, write log, cycle count)
+    // observes every step through the dispatch callback.
     cpu.set_block_breaks(Some(sites.breaks.clone()));
     let step = &mut ws.step;
     let mut remaining = budget;
@@ -262,8 +309,8 @@ fn abstract_execute_indexed(
             inject(cpu, ram, &or_stack, pox.or_min);
         }
 
-        // Allocation-free: the scratch Step is refilled in place; only the
-        // flat copy appended to the trace below touches the trace buffer.
+        // Allocation-free once warm: the scratch Step is refilled in place
+        // and only its data writes are copied, into the reused write log.
         let r = cpu.step_block_into(&mut *ram, op.return_addr, remaining, step, |_, regs, step| {
             min_sp = min_sp.min(regs.sp());
 
@@ -294,20 +341,16 @@ fn abstract_execute_indexed(
                 }
             }
 
-            // Classify OR log writes for the statistics.
             for w in step.writes() {
-                if w.addr >= pox.or_min && w.addr <= pox.or_max {
-                    if sites.is_input(step.pc) {
-                        in_n += 1;
-                    } else if sites.is_arg(step.pc) {
-                        arg_n += 1;
-                    } else {
-                        cf_n += 1;
-                    }
-                }
+                writes.push(DataWrite {
+                    pc: step.pc,
+                    addr: w.addr,
+                    value: w.value,
+                    word: w.word,
+                    cycle: cycles,
+                });
             }
-
-            trace.push(*step);
+            cycles += u64::from(step.cycles);
         });
         match r {
             Ok(n) => remaining -= n,
@@ -315,6 +358,17 @@ fn abstract_execute_indexed(
                 outcome = EmuOutcome::Fault;
                 break;
             }
+        }
+    }
+    cpu.publish_superblock_stats();
+
+    // Classify the OR log writes for the statistics.
+    let (mut cf_n, mut in_n, mut arg_n) = (0usize, 0usize, 0usize);
+    for w in writes.iter().filter(|w| w.addr >= pox.or_min && w.addr <= pox.or_max) {
+        match sites.log_class(w.pc) {
+            SlotClass::Input => in_n += 1,
+            SlotClass::Head => arg_n += 1,
+            _ => cf_n += 1,
         }
     }
 
@@ -325,7 +379,11 @@ fn abstract_execute_indexed(
         .extend_from_slice(&ram.as_slice()[usize::from(pox.or_min)..=usize::from(pox.or_max)]);
 
     Emulation {
-        trace,
+        writes,
+        // Nothing raises an interrupt during abstract execution, so every
+        // executed step is an instruction.
+        insns: budget - remaining,
+        cycles,
         findings,
         outcome,
         sp_base,
@@ -460,19 +518,8 @@ impl DialedVerifier {
         let emu = self.reconstruct(device_or);
         let pox = self.op.pox;
         let mut classes = vec![SlotClass::Unused; pox.or_len() / 2];
-        for step in emu.trace.steps() {
-            for w in step.writes() {
-                if w.addr >= pox.or_min && w.addr <= pox.or_max {
-                    let idx = usize::from(w.addr - pox.or_min) / 2;
-                    classes[idx] = if self.sites.is_input(step.pc) {
-                        SlotClass::Input
-                    } else if self.sites.is_arg(step.pc) {
-                        SlotClass::Head
-                    } else {
-                        SlotClass::ControlFlow
-                    };
-                }
-            }
+        for w in emu.writes.iter().filter(|w| w.addr >= pox.or_min && w.addr <= pox.or_max) {
+            classes[usize::from(w.addr - pox.or_min) / 2] = self.sites.log_class(w.pc);
         }
         classes
     }
@@ -570,7 +617,7 @@ impl Verifier for DialedVerifier {
 
         let (cf_entries, input_entries, arg_entries) = emu.log_counts;
         let stats = VerifyStats {
-            emulated_insns: emu.trace.insn_count(),
+            emulated_insns: emu.insns,
             log_bytes_used: usize::from(r_top.saturating_sub(emu.final_r4)),
             cf_entries,
             input_entries,
@@ -676,12 +723,8 @@ mod tests {
         let report = verifier.verify(&VerifyRequest::new(&proof, &chal));
         assert!(report.is_clean(), "{report}");
         let emu = verifier.reconstruct(&proof.pox.or_data);
-        // The reconstructed trace contains the store of 0xA7 to 0x0300.
-        let wrote = emu
-            .trace
-            .steps()
-            .iter()
-            .any(|s| s.writes().any(|w| w.addr == 0x0300 && w.value == 0xA7));
+        // The reconstruction's write log contains the store of 0xA7 to 0x0300.
+        let wrote = emu.writes.iter().any(|w| w.addr == 0x0300 && w.value == 0xA7);
         assert!(wrote, "verifier must reconstruct the device's data flow");
     }
 

@@ -36,12 +36,8 @@ proptest! {
 
         // Reconstructed UART traffic equals the device's.
         let emu = verifier.reconstruct(&proof.pox.or_data);
-        let emu_tx: Vec<u8> = emu
-            .trace
-            .steps()
-            .iter()
-            .flat_map(|s| s.writes().filter(|w| w.addr == 0x0067).map(|w| w.value as u8))
-            .collect();
+        let emu_tx: Vec<u8> =
+            emu.writes.iter().filter(|w| w.addr == 0x0067).map(|w| w.value as u8).collect();
         prop_assert_eq!(emu_tx, dev.platform().uart.tx.clone());
     }
 
@@ -80,9 +76,7 @@ proptest! {
         prop_assert!(report.is_clean(), "{report}");
         let emu = verifier.reconstruct(&proof.pox.or_data);
         let expect = args[0].wrapping_add(args[1]) ^ args[4];
-        let wrote = emu.trace.steps().iter().any(|s| {
-            s.writes().any(|w| w.addr == 0x0300 && w.value == expect)
-        });
+        let wrote = emu.writes.iter().any(|w| w.addr == 0x0300 && w.value == expect);
         prop_assert!(wrote, "verifier must recover the argument-derived result");
     }
 }

@@ -19,13 +19,20 @@
 //! explicit invalidation hooks.
 //!
 //! One level further up, [`Cpu::step_block_into`] dispatches *superblocks*:
-//! straight-line runs of predecoded instructions ending at control flow,
-//! SR writes, log-site break addresses or page boundaries, validated for
-//! reuse by the bus's per-page write-generations. The steady-state block
-//! loop touches no per-step metadata at all; per-step observers still see
-//! every [`Step`] through a callback. `MSP430_FORCE_STEP=1` in the
-//! environment disables block dispatch process-wide
-//! ([`superblocks_forced_off`]).
+//! straight-line runs of predecoded instructions ending at unconditional
+//! control flow (jumps, calls, returns, PC writes), SR writes, log-site
+//! break addresses, page boundaries or the length cap, validated for reuse
+//! by the bus's per-page write-generations. Conditional jumps do not end a
+//! block: it is stitched along their fall-through, and dispatch takes a
+//! *side exit* right after a jump that is taken (its `next_pc` differs
+//! from the stitched fall-through). The steady-state block loop touches no
+//! per-step metadata at all; per-step observers still see every [`Step`]
+//! through a callback. `MSP430_FORCE_STEP=1` in the environment disables
+//! block dispatch process-wide ([`superblocks_forced_off`]).
+//!
+//! Block hit/miss/re-stitch counts stay on the core during dispatch; run
+//! loops publish them to [`crate::process_superblock_stats`] once per run
+//! ([`Cpu::publish_superblock_stats`]).
 
 use crate::cycles::{insn_cycles, IRQ_CYCLES};
 use crate::flags;
@@ -210,6 +217,15 @@ impl Cpu {
         self.sblocks.stats()
     }
 
+    /// Adds the superblock counts gathered since the previous call to the
+    /// process-wide totals ([`crate::process_superblock_stats`]).
+    ///
+    /// Dispatch never touches the shared totals; run loops call this once
+    /// when they return, so concurrent cores do not contend on them.
+    pub fn publish_superblock_stats(&mut self) {
+        self.sblocks.publish();
+    }
+
     /// Drops every stitched superblock (the table allocation is kept for
     /// the pages' slots; never required for correctness — blocks are
     /// generation-validated on every dispatch).
@@ -375,11 +391,13 @@ impl Cpu {
     ///
     /// The block ends early at `stop_pc` (tested before each instruction
     /// after the first; the entry instruction always executes, matching a
-    /// `step_into` call at that PC), after a store into one of the block's
-    /// own code pages (possible self-modification of a later instruction),
-    /// or at `limit`. Halt, pending-interrupt entry, disabled dispatch and
-    /// unstitchable entries (odd PC, untracked page, undecodable opcode)
-    /// all fall back to a single `step_into` with identical semantics.
+    /// `step_into` call at that PC), after a taken conditional jump (a side
+    /// exit: the block was stitched along the fall-through), after a store
+    /// into one of the block's own code pages (possible self-modification
+    /// of a later instruction), or at `limit`. Halt, pending-interrupt
+    /// entry, disabled dispatch and unstitchable entries (odd PC, untracked
+    /// page, undecodable opcode) all fall back to a single `step_into` with
+    /// identical semantics.
     ///
     /// `on_step` receives the bus and the post-step register file; it must
     /// not execute instructions on this core (it cannot — the core is
@@ -434,6 +452,11 @@ impl Cpu {
                     step.next_pc = self.regs.pc();
                     executed += 1;
                     on_step(bus, &self.regs, step);
+                    // Side exit: a taken conditional jump left the stitched
+                    // fall-through path.
+                    if step.next_pc != bi.next_pc {
+                        break;
+                    }
                     // A store into one of the block's own code pages may
                     // have patched an instruction we are about to run:
                     // leave the block; the next dispatch re-validates.
@@ -900,8 +923,12 @@ impl Cpu {
     }
 }
 
-/// True when `insn` must terminate a superblock: it may redirect control
-/// flow, or write SR.
+/// True when `insn` must terminate a superblock: it unconditionally
+/// redirects control flow (or may, through a PC write), or writes SR.
+///
+/// Conditional jumps do not: stitching continues along their fall-through
+/// and [`Cpu::step_block_into`] takes a side exit where one is taken. They
+/// never write SR, so they cannot flip CPUOFF or GIE.
 ///
 /// SR writes matter because `step_into` samples CPUOFF (halt) and GIE
 /// (interrupt window) only at step boundaries, and a block skips those
@@ -914,17 +941,15 @@ impl Cpu {
 /// here too: they redirect control flow but predate
 /// [`Insn::alters_control_flow`]'s Format-I-only PC check.
 fn ends_block(insn: &Insn) -> bool {
-    if insn.alters_control_flow() {
-        return true;
-    }
     match *insn {
+        Insn::Jump { cond, .. } => cond == Cond::Always,
         Insn::One {
             op: Op1::Rrc | Op1::Rra | Op1::Swpb | Op1::Sxt,
             sd: Operand::Reg(Reg::R0 | Reg::R2),
             ..
         } => true,
         Insn::Two { op, dst: Operand::Reg(Reg::R2), .. } => op.writes_dst(),
-        _ => false,
+        _ => insn.alters_control_flow(),
     }
 }
 
@@ -1591,6 +1616,118 @@ mod tests {
         assert_eq!(n, 2, "dispatch must stop before the stop_pc instruction");
         assert_eq!(cpu.pc(), 0xE004);
         assert_eq!(cpu.reg(Reg::R7), 0, "the stop_pc instruction must not execute");
+    }
+
+    /// Like [`drive_blocks`], but also returns how many steps each
+    /// dispatch executed.
+    fn drive_counted(cpu: &mut Cpu, ram: &mut Ram, steps: usize) -> (Vec<Step>, Vec<usize>) {
+        let (mut out, mut per_dispatch) = (Vec::new(), Vec::new());
+        let mut step = Step::default();
+        let mut left = steps;
+        while left > 0 {
+            let n = cpu
+                .step_block_into(ram, 0xFFFF, left, &mut step, |_, _, s| out.push(*s))
+                .expect("block step ok");
+            per_dispatch.push(n);
+            left -= n;
+        }
+        (out, per_dispatch)
+    }
+
+    /// Runs `steps` plain `step_into` steps from `cpu`'s state.
+    fn drive_single(cpu: &mut Cpu, ram: &mut Ram, steps: usize) -> Vec<Step> {
+        (0..steps).map(|_| cpu.step(ram).expect("step ok")).collect()
+    }
+
+    #[test]
+    fn not_taken_conditional_jump_stays_in_the_block() {
+        if superblocks_forced_off() {
+            return;
+        }
+        let mut ram = Ram::new();
+        // mov #1, r5 ; cmp #0, r5 ; jz +2 (not taken) ; mov #2, r6 ;
+        // mov #4, r7 ; jmp $
+        ram.load_words(0xE000, &[0x4315, 0x9305, 0x2402, 0x4326, 0x4227, 0x3FFF]);
+        let mut cpu = Cpu::new();
+        cpu.set_pc(0xE000);
+        let mut step = Step::default();
+        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        assert_eq!(n, 6, "the fall-through past jz runs in the same dispatch");
+        assert_eq!(cpu.pc(), 0xE00A);
+        assert_eq!((cpu.reg(Reg::R6), cpu.reg(Reg::R7)), (2, 4));
+    }
+
+    #[test]
+    fn taken_conditional_jump_takes_a_side_exit() {
+        // loop: xor #1, r5 ; jz skip ; add r5, r6 ; skip: add #1, r7 ; jmp loop
+        // r5 alternates 1, 0: jz falls through, then is taken, and so on.
+        let words = [0xE315, 0x2401, 0x5506, 0x5317, 0x3FFB];
+        let mut ram_a = Ram::new();
+        ram_a.load_words(0xE000, &words);
+        let mut ram_b = ram_a.clone();
+        let mut a = Cpu::new();
+        let mut b = Cpu::new();
+        a.set_pc(0xE000);
+        b.set_pc(0xE000);
+        let (blocked, per_dispatch) = drive_counted(&mut a, &mut ram_a, 27);
+        assert_eq!(blocked, drive_single(&mut b, &mut ram_b, 27), "same Step stream");
+        assert_eq!(a.regs, b.regs);
+        if superblocks_forced_off() {
+            return;
+        }
+        // Block at 0xE000 runs whole (5), then exits at the taken jz (2);
+        // the taken path enters at 0xE006 (2).
+        assert_eq!(per_dispatch, [5, 2, 2, 5, 2, 2, 5, 2, 2]);
+        assert_eq!(blocked[6].pc, 0xE002, "the side exit is the jump itself");
+        assert_eq!(blocked[6].next_pc, 0xE006);
+        let st = a.superblock_stats();
+        assert_eq!((st.misses, st.restitches), (2, 0), "the warm block served both paths");
+    }
+
+    #[test]
+    fn jn_self_loop_exhausts_the_budget_like_step_into() {
+        // mov #-1, r5 ; tst r5 ; jn $ (taken forever) ; nop
+        let words = [0x4335, 0x9305, 0x33FF, 0x4303];
+        let mut ram_a = Ram::new();
+        ram_a.load_words(0xE000, &words);
+        let mut ram_b = ram_a.clone();
+        let mut a = Cpu::new();
+        let mut b = Cpu::new();
+        a.set_pc(0xE000);
+        b.set_pc(0xE000);
+        let (blocked, per_dispatch) = drive_counted(&mut a, &mut ram_a, 100);
+        assert_eq!(blocked.len(), 100);
+        assert_eq!(blocked, drive_single(&mut b, &mut ram_b, 100));
+        assert_eq!((a.pc(), b.pc()), (0xE004, 0xE004));
+        assert_eq!(a.regs, b.regs);
+        if !superblocks_forced_off() {
+            // Entry block up to the first jn, then one step per dispatch.
+            assert_eq!(per_dispatch[0], 3);
+            assert!(per_dispatch[1..].iter().all(|&n| n == 1), "{per_dispatch:?}");
+        }
+    }
+
+    #[test]
+    fn fall_through_onto_a_break_ends_the_block_there() {
+        if superblocks_forced_off() {
+            return;
+        }
+        // mov #1, r5 ; cmp #0, r5 ; jz +1 (not taken) ; 0xE006: mov #2, r6 ; jmp $
+        let mut ram = Ram::new();
+        ram.load_words(0xE000, &[0x4315, 0x9305, 0x2401, 0x4326, 0x3FFF]);
+        let mut breaks = BlockBreaks::new();
+        breaks.insert(0xE006);
+        let mut cpu = Cpu::new();
+        cpu.set_block_breaks(Some(Arc::new(breaks)));
+        cpu.set_pc(0xE000);
+        let mut step = Step::default();
+        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        assert_eq!(n, 3, "the block ends before the break on the fall-through");
+        assert_eq!(cpu.pc(), 0xE006);
+        assert_eq!(cpu.reg(Reg::R6), 0);
+        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        assert_eq!(n, 2);
+        assert_eq!(cpu.reg(Reg::R6), 2);
     }
 
     #[test]

@@ -30,6 +30,17 @@
 //! Operations occupy a few KiB of code, so a cold verifier materialises a
 //! handful of pages instead of a megabyte-sized dense table — keeping
 //! one-shot verification as cheap as it was before the cache existed.
+//!
+//! # Superblocks
+//!
+//! The second half of this module caches straight-line [`Block`]s for
+//! [`crate::cpu::Cpu::step_block_into`]. A block ends at unconditional
+//! control flow, an SR write, a break address, the end of its entry page
+//! or [`MAX_BLOCK_INSNS`]; conditional jumps stay inside it, and dispatch
+//! takes a side exit where one is taken. Each [`SuperCache`] counts its
+//! own hits, misses and re-stitches and adds them to the process-wide
+//! [`process_superblock_stats`] only when its core's run loop publishes
+//! them, once per run.
 
 use crate::isa::Insn;
 use crate::mem::{Bus, GEN_PAGE_BYTES};
@@ -174,6 +185,12 @@ impl ICache {
 // idea from emulator literature) dispatched block-at-a-time so the
 // steady-state loop pays the cache probe, the log-site test and the
 // halt/IRQ checks once per block instead of once per step.
+//
+// A block runs straight through not-taken conditional jumps and is left
+// at a taken one (a *side exit*), so the `jn $` / `jhs` guards DIALED's
+// instrumentation places every few instructions do not split blocks.
+// Hit/miss/re-stitch counts are kept per core and published to the
+// process-wide totals once per run, never on the dispatch path.
 
 /// Maximum instructions stitched into one superblock. Long enough to cover
 /// the straight-line body between log sites of instrumented operations,
@@ -203,8 +220,10 @@ pub(crate) struct BlockInsn {
 }
 
 /// A straight-line superblock: predecoded instructions from the entry PC up
-/// to the first control-flow instruction, SR write, break (log-site)
-/// address, page-boundary crossing, or the [`MAX_BLOCK_INSNS`] cap.
+/// to the first unconditional control-flow instruction, SR write, break
+/// (log-site) address, page-boundary crossing, or the [`MAX_BLOCK_INSNS`]
+/// cap. Conditional jumps stay inside: each is stitched on its
+/// fall-through path, and dispatch leaves the block where one is taken.
 ///
 /// Reuse is validated by comparing the live write-generations of every code
 /// page the block was stitched from ([`Block::is_fresh`]); any mismatch
@@ -284,12 +303,17 @@ static PROC_HITS: AtomicU64 = AtomicU64::new(0);
 static PROC_MISSES: AtomicU64 = AtomicU64::new(0);
 static PROC_RESTITCHES: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide aggregate of every core's superblock counters.
+/// Process-wide aggregate of every core's *published* superblock counters.
 ///
-/// Fleet workloads create short-lived per-worker cores whose local stats
-/// die with them; this aggregate is what the fleet throughput harness
-/// reports. Counters are bumped once per block *dispatch*, not per step,
-/// so the relaxed atomics stay off the per-instruction path.
+/// Fleet workloads verify on pooled per-worker cores; this aggregate is
+/// what the fleet and end-to-end harnesses report. Dispatch only bumps the
+/// core's own counters; a core adds its unpublished delta here once per
+/// run, when [`crate::Cpu::publish_superblock_stats`] is called — the
+/// DIALED verifier's abstract execution and APEX's `PoxProver::run_to` do
+/// so before they return. The contract: once every run loop has returned,
+/// this value equals the sum of [`crate::Cpu::superblock_stats`] over all
+/// cores, exactly — with no shared cache line touched on the dispatch
+/// path, so parallel verifiers do not contend on it.
 #[must_use]
 pub fn process_superblock_stats() -> SuperblockStats {
     SuperblockStats {
@@ -346,6 +370,8 @@ type BlockPage = Box<[Option<Box<Block>>; PAGE_SLOTS]>;
 pub(crate) struct SuperCache {
     pages: [Option<BlockPage>; PAGES],
     stats: SuperblockStats,
+    /// The part of `stats` already added to the process-wide totals.
+    published: SuperblockStats,
     breaks: Option<Arc<BlockBreaks>>,
 }
 
@@ -354,6 +380,7 @@ impl Default for SuperCache {
         Self {
             pages: std::array::from_fn(|_| None),
             stats: SuperblockStats::default(),
+            published: SuperblockStats::default(),
             breaks: None,
         }
     }
@@ -363,11 +390,7 @@ impl Default for SuperCache {
 /// is configuration, not cached state, and is carried over.
 impl Clone for SuperCache {
     fn clone(&self) -> Self {
-        Self {
-            pages: std::array::from_fn(|_| None),
-            stats: SuperblockStats::default(),
-            breaks: self.breaks.clone(),
-        }
+        Self { breaks: self.breaks.clone(), ..Self::default() }
     }
 }
 
@@ -425,21 +448,34 @@ impl SuperCache {
 
     pub(crate) fn note_hit(&mut self) {
         self.stats.hits += 1;
-        PROC_HITS.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_miss(&mut self) {
         self.stats.misses += 1;
-        PROC_MISSES.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn note_restitch(&mut self) {
         self.stats.restitches += 1;
-        PROC_RESTITCHES.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn stats(&self) -> SuperblockStats {
         self.stats
+    }
+
+    /// Adds the counts gathered since the last call to the process-wide
+    /// totals ([`process_superblock_stats`]).
+    pub(crate) fn publish(&mut self) {
+        let (now, then) = (self.stats, self.published);
+        for (total, delta) in [
+            (&PROC_HITS, now.hits - then.hits),
+            (&PROC_MISSES, now.misses - then.misses),
+            (&PROC_RESTITCHES, now.restitches - then.restitches),
+        ] {
+            if delta > 0 {
+                total.fetch_add(delta, Ordering::Relaxed);
+            }
+        }
+        self.published = now;
     }
 }
 
