@@ -5,7 +5,7 @@ use crate::metadata::PoxConfig;
 use crate::monitor::ApexMonitor;
 use crate::violation::Violation;
 use hacl::{sha256_mb, Digest, Sha256};
-use msp430::cpu::{Cpu, CpuFault, Step};
+use msp430::cpu::{Cpu, CpuFault, Observe, Step};
 use msp430::platform::Platform;
 use msp430::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -167,15 +167,16 @@ impl PoxProver {
                 &mut self.platform,
                 stop_pc,
                 remaining,
+                Observe::EveryStep,
                 &mut step,
-                |platform, _regs, s| {
+                |platform, _regs, s, _| {
                     monitor.observe_step(s);
                     platform.advance(s.cycles);
                     trace_ref.push(*s);
                 },
             );
             match r {
-                Ok(n) => remaining -= n,
+                Ok((n, _)) => remaining -= n,
                 Err(fault) => {
                     if let CpuFault::Decode { at, .. } = fault {
                         self.monitor.observe_fault(at);

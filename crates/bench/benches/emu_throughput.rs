@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hacl::sha256_mb::{backend, digest_lanes};
 use hacl::{Digest, HmacKey, HmacSha256, Sha256};
-use msp430::cpu::{Cpu, Step};
+use msp430::cpu::{Cpu, Observe, Step};
 use msp430::mem::Ram;
 use msp430::regs::Reg;
 use vrased::{check_tags_lanes, Challenge, KeyStore, RaVerifier, SwAtt, TagLane};
@@ -42,7 +42,10 @@ fn straight_line_ram() -> (Ram, u16) {
 fn run_block_steps(cpu: &mut Cpu, ram: &mut Ram, step: &mut Step, steps: usize) {
     let mut done = 0usize;
     while done < steps {
-        done += cpu.step_block_into(ram, 0xFFFF, steps - done, step, |_, _, _| {}).unwrap();
+        done += cpu
+            .step_block_into(ram, 0xFFFF, steps - done, Observe::EveryStep, step, |_, _, _, _| {})
+            .unwrap()
+            .0;
     }
 }
 
@@ -164,7 +167,15 @@ fn bench_steps(c: &mut Criterion) {
             cpu.set_pc(0xA000);
             cpu.set_reg(Reg::R10, 1);
             while cpu.pc() != stop {
-                cpu.step_block_into(&mut ram, stop, 4096, &mut step, |_, _, _| {}).unwrap();
+                cpu.step_block_into(
+                    &mut ram,
+                    stop,
+                    4096,
+                    Observe::EveryStep,
+                    &mut step,
+                    |_, _, _, _| {},
+                )
+                .unwrap();
             }
             std::hint::black_box(cpu.reg(Reg::R10));
         });

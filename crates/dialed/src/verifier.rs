@@ -20,7 +20,11 @@
 //!
 //! The reconstruction keeps no step trace: of each executed instruction it
 //! records only its data writes ([`Emulation::writes`], the one thing its
-//! consumers read) plus instruction and cycle totals.
+//! consumers read) plus instruction and cycle totals. It dispatches in
+//! [`Observe::Effects`] mode, so the per-step callback runs only for the
+//! instructions that write memory, SP or PC, or push, call or return —
+//! the rest (≈ 75 % of an instrumented op, most of them Tiny-CFA's log
+//! append tail) are counted, not observed.
 
 use crate::batch::BatchJob;
 use crate::pipeline::InstrumentedOp;
@@ -28,11 +32,12 @@ use crate::policy::Policy;
 use crate::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
 use crate::request::{KeySource, Verifier, VerifyRequest, MIN_EMU_BUDGET};
 use apex::{ErDigestCache, PoxConfig, PoxVerifier};
-use msp430::cpu::{Cpu, CpuFault, Step};
+use msp430::cpu::{Cpu, CpuFault, Observe, Step};
 use msp430::isa::{Insn, Op1, Op2, Operand};
 use msp430::mem::{Bus, Ram};
 use msp430::regs::Reg;
 use msp430::{BlockBreaks, SuperblockStats};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tinycfa::OrStack;
 use vrased::KeyStore;
@@ -67,8 +72,12 @@ pub struct DataWrite {
 ///
 /// What policies see of the reconstructed run: its data writes in
 /// execution order, with the writing PC and cycle offset, and the
-/// instruction and cycle totals. The buffer is reused across proofs of a
-/// workspace (see [`EmuWorkspace::reclaim`]).
+/// instruction and cycle totals, plus the stack extent, the shadow-stack
+/// findings and the recomputed OR. Nothing here depends on how the run
+/// was dispatched: instructions that write nothing the verifier records
+/// run unobserved, and cycle offsets and totals come from each
+/// instruction's static cycle count. The buffers are reused across proofs
+/// of a workspace (see [`EmuWorkspace::reclaim`]).
 #[derive(Clone, Debug)]
 pub struct Emulation {
     /// Every data write of the reconstruction (instrumented program,
@@ -125,7 +134,13 @@ pub(crate) struct SiteIndex {
     /// The operation image as contiguous runs, so per-proof re-imaging is
     /// a handful of bulk copies instead of a walk over the sparse byte map.
     image_runs: Vec<(u16, Vec<u8>)>,
+    /// Process-unique name of `image_runs` for [`Ram::reset_to`]: a
+    /// workspace that last reset to this image rewrites only dirty pages.
+    image_tag: u64,
 }
+
+/// Source of [`SiteIndex::image_tag`]s.
+static NEXT_IMAGE_TAG: AtomicU64 = AtomicU64::new(1);
 
 impl SiteIndex {
     pub(crate) fn new(op: &InstrumentedOp) -> Self {
@@ -139,7 +154,13 @@ impl SiteIndex {
         for &a in &op.sites.args {
             args[usize::from(a >> 3)] |= 1 << (a & 7);
         }
-        Self { input, args, breaks: Arc::new(breaks), image_runs: op.image.runs() }
+        Self {
+            input,
+            args,
+            breaks: Arc::new(breaks),
+            image_runs: op.image.runs(),
+            image_tag: NEXT_IMAGE_TAG.fetch_add(1, Ordering::Relaxed),
+        }
     }
 
     #[inline]
@@ -185,6 +206,23 @@ pub struct EmuWorkspace {
     writes: Vec<DataWrite>,
     shadow: Vec<u16>,
     or_emulated: Vec<u8>,
+    counts: EmuCounts,
+}
+
+/// Exact cost counts of one abstract execution (see
+/// [`EmuWorkspace::last_counts`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EmuCounts {
+    /// Instructions executed.
+    pub insns: usize,
+    /// Block dispatches (`Cpu::step_block_into` calls).
+    pub dispatches: usize,
+    /// Instructions the verifier's callback observed; the rest were quiet.
+    pub observed: usize,
+    /// Log appends whose three-instruction tail ran as one step.
+    pub fused_appends: u64,
+    /// RAM pages the reset before the run rewrote.
+    pub pages_restored: usize,
 }
 
 impl EmuWorkspace {
@@ -212,6 +250,12 @@ impl EmuWorkspace {
         self.cpu.set_superblocks_enabled(superblocks);
     }
 
+    /// The cost counts of this workspace's most recent abstract execution.
+    #[must_use]
+    pub fn last_counts(&self) -> EmuCounts {
+        self.counts
+    }
+
     /// The superblock counters of this workspace's core since it was
     /// built; each abstract execution publishes its share to
     /// [`msp430::process_superblock_stats`] before it returns.
@@ -221,33 +265,13 @@ impl EmuWorkspace {
     }
 }
 
-/// Abstractly executes `op` against the device's attested OR bytes.
-///
-/// `device_or` must span exactly `or_min..=or_max`.
-#[must_use]
-pub fn abstract_execute(op: &InstrumentedOp, device_or: &[u8], budget: usize) -> Emulation {
-    abstract_execute_in(&mut EmuWorkspace::new(), op, device_or, budget)
-}
-
-/// [`abstract_execute`] reusing `ws`'s buffers instead of allocating.
+/// Abstractly executes `op` against the device's attested OR bytes
+/// (spanning exactly `or_min..=or_max`) on `ws`; `sites` is prebuilt by the
+/// verifier so repeated proofs of one operation share it.
 ///
 /// The returned [`Emulation`] owns the workspace's write-log and OR buffers;
-/// hand them back with [`EmuWorkspace::reclaim`] once the emulation has
-/// been consumed.
-#[must_use]
-pub fn abstract_execute_in(
-    ws: &mut EmuWorkspace,
-    op: &InstrumentedOp,
-    device_or: &[u8],
-    budget: usize,
-) -> Emulation {
-    let sites = SiteIndex::new(op);
-    abstract_execute_indexed(ws, op, &sites, device_or, budget)
-}
-
-/// The innermost emulation loop; `sites` is prebuilt by the verifier so
-/// repeated proofs of one operation share it.
-fn abstract_execute_indexed(
+/// hand them back with [`EmuWorkspace::reclaim`] once it has been consumed.
+fn abstract_execute(
     ws: &mut EmuWorkspace,
     op: &InstrumentedOp,
     sites: &SiteIndex,
@@ -276,23 +300,30 @@ fn abstract_execute_indexed(
     // Generation-preserving reset: pages whose content is unchanged from
     // the previous proof (the code image, when replaying one operation)
     // keep their write generation, so the CPU's superblock cache stays
-    // warm across proofs instead of restitching every block.
-    ram.reset_to(sites.image_runs.iter().map(|(start, bytes)| (*start, bytes.as_slice())));
+    // warm across proofs instead of restitching every block. Under the
+    // same image tag only the pages the previous proof dirtied are
+    // recomposed at all.
+    let pages_restored = ram.reset_to(
+        sites.image_tag,
+        sites.image_runs.iter().map(|(start, bytes)| (*start, bytes.as_slice())),
+    );
 
     let mut writes = std::mem::take(&mut ws.writes);
     writes.clear();
-    let mut cycles = 0u64;
+    let (mut cycles, mut observed, mut dispatches) = (0u64, 0usize, 0usize);
     let mut findings = Vec::new();
     let shadow = &mut ws.shadow;
     shadow.clear();
     let mut min_sp = cpu.reg(Reg::SP);
     let mut outcome = EmuOutcome::Budget;
+    let fused_before = cpu.fused_appends();
 
     // Superblock dispatch: every input-log site is a block break, so a
     // marked PC only ever executes as a block *entry* — the `is_input`
     // probe (and the injection it guards) runs per block, not per step.
-    // The per-step work below (shadow stack, write log, cycle count)
-    // observes every step through the dispatch callback.
+    // The per-step work below (shadow stack, write log) only needs the
+    // steps with effects; quiet ones count towards the step and cycle
+    // totals the dispatch returns.
     cpu.set_block_breaks(Some(sites.breaks.clone()));
     let step = &mut ws.step;
     let mut remaining = budget;
@@ -311,49 +342,60 @@ fn abstract_execute_indexed(
 
         // Allocation-free once warm: the scratch Step is refilled in place
         // and only its data writes are copied, into the reused write log.
-        let r = cpu.step_block_into(&mut *ram, op.return_addr, remaining, step, |_, regs, step| {
-            min_sp = min_sp.min(regs.sp());
+        dispatches += 1;
+        let r = cpu.step_block_into(
+            &mut *ram,
+            op.return_addr,
+            remaining,
+            Observe::Effects,
+            step,
+            |_, regs, step, at| {
+                observed += 1;
+                min_sp = min_sp.min(regs.sp());
 
-            // Shadow call stack over *original* control flow.
-            if let Some(insn) = &step.insn {
-                match insn {
-                    Insn::One { op: Op1::Call, .. } => {
-                        if let Some(w) = step.writes().next() {
-                            shadow.push(w.value);
+                // Shadow call stack over *original* control flow.
+                if let Some(insn) = &step.insn {
+                    match insn {
+                        Insn::One { op: Op1::Call, .. } => {
+                            if let Some(w) = step.writes().next() {
+                                shadow.push(w.value);
+                            }
                         }
-                    }
-                    Insn::Two {
-                        op: Op2::Mov,
-                        src: Operand::IndirectInc(Reg::R1),
-                        dst: Operand::Reg(Reg::R0),
-                        ..
-                    } => {
-                        let expected = shadow.pop().unwrap_or(op.return_addr);
-                        if step.next_pc != expected {
-                            findings.push(Finding::ReturnHijack {
-                                at: step.pc,
-                                expected,
-                                actual: step.next_pc,
-                            });
+                        Insn::Two {
+                            op: Op2::Mov,
+                            src: Operand::IndirectInc(Reg::R1),
+                            dst: Operand::Reg(Reg::R0),
+                            ..
+                        } => {
+                            let expected = shadow.pop().unwrap_or(op.return_addr);
+                            if step.next_pc != expected {
+                                findings.push(Finding::ReturnHijack {
+                                    at: step.pc,
+                                    expected,
+                                    actual: step.next_pc,
+                                });
+                            }
                         }
+                        _ => {}
                     }
-                    _ => {}
                 }
-            }
 
-            for w in step.writes() {
-                writes.push(DataWrite {
-                    pc: step.pc,
-                    addr: w.addr,
-                    value: w.value,
-                    word: w.word,
-                    cycle: cycles,
-                });
-            }
-            cycles += u64::from(step.cycles);
-        });
+                for w in step.writes() {
+                    writes.push(DataWrite {
+                        pc: step.pc,
+                        addr: w.addr,
+                        value: w.value,
+                        word: w.word,
+                        cycle: cycles + u64::from(at),
+                    });
+                }
+            },
+        );
         match r {
-            Ok(n) => remaining -= n,
+            Ok((n, c)) => {
+                remaining -= n;
+                cycles += u64::from(c);
+            }
             Err(CpuFault::Halted | CpuFault::Decode { .. }) => {
                 outcome = EmuOutcome::Fault;
                 break;
@@ -378,11 +420,19 @@ fn abstract_execute_indexed(
     or_emulated
         .extend_from_slice(&ram.as_slice()[usize::from(pox.or_min)..=usize::from(pox.or_max)]);
 
+    // Nothing raises an interrupt during abstract execution, so every
+    // executed step is an instruction.
+    let insns = budget - remaining;
+    ws.counts = EmuCounts {
+        insns,
+        dispatches,
+        observed,
+        fused_appends: cpu.fused_appends() - fused_before,
+        pages_restored,
+    };
     Emulation {
         writes,
-        // Nothing raises an interrupt during abstract execution, so every
-        // executed step is an instruction.
-        insns: budget - remaining,
+        insns,
         cycles,
         findings,
         outcome,
@@ -490,7 +540,7 @@ impl DialedVerifier {
     /// callers must have verified the OR's authenticity themselves.
     #[must_use]
     pub fn reconstruct(&self, device_or: &[u8]) -> Emulation {
-        abstract_execute_indexed(
+        abstract_execute(
             &mut EmuWorkspace::new(),
             &self.op,
             &self.sites,
@@ -567,7 +617,7 @@ impl Verifier for DialedVerifier {
         //    emulation until policies (which may inspect `emu.findings`)
         //    have run; verification-stage findings accumulate separately.
         let budget = req.emu_budget().unwrap_or(self.emu_budget);
-        let mut emu = abstract_execute_indexed(ws, &self.op, &self.sites, or, budget);
+        let mut emu = abstract_execute(ws, &self.op, &self.sites, or, budget);
         let mut extra = Vec::new();
 
         if emu.outcome != EmuOutcome::Completed {

@@ -30,6 +30,29 @@
 //! through a callback. `MSP430_FORCE_STEP=1` in the environment disables
 //! block dispatch process-wide ([`superblocks_forced_off`]).
 //!
+//! # Observation modes
+//!
+//! A block dispatch reports its instructions as its caller asks
+//! ([`Observe`]). Device-side callers — the APEX monitor, peripheral time,
+//! the device trace — take [`Observe::EveryStep`]: every instruction fills
+//! the [`Step`] and runs the callback. The DIALED verifier reads only
+//! memory writes, SP changes and calls and returns, so it takes
+//! [`Observe::Effects`]. When a block is stitched, each instruction gets a
+//! *quiet* bit: it writes no memory, SP or PC (a jump aside), and is not
+//! push, call or reti. In effects mode a quiet instruction executes
+//! without the `Step` refill or the callback, and its static cycle count
+//! still adds to the dispatch's totals; the callback gets the cycle offset
+//! of each step it does see.
+//!
+//! Effects mode also *fuses* Tiny-CFA's log append
+//! (`mov.w <src>, 0(r4) ; decd r4 ; cmp #or_min, r4 ; jn $`, over half of
+//! all instructions an instrumented operation executes): the `mov` runs as
+//! an observed step, and its three quiet followers are applied as one
+//! register update with the same step count, cycles, R4, SR and PC as
+//! executing them. Dispatch never fuses across a `stop_pc` or `limit` cut,
+//! after a store into the block's own code, or on the single-step
+//! fallback, so `MSP430_FORCE_STEP=1` observes every step in either mode.
+//!
 //! Block hit/miss/re-stitch counts stay on the core during dispatch; run
 //! loops publish them to [`crate::process_superblock_stats`] once per run
 //! ([`Cpu::publish_superblock_stats`]).
@@ -37,8 +60,8 @@
 use crate::cycles::{insn_cycles, IRQ_CYCLES};
 use crate::flags;
 use crate::icache::{
-    page_base, Block, BlockBreaks, BlockInsn, ICache, ICacheStats, Stamp, SuperCache,
-    SuperblockStats, MAX_BLOCK_INSNS, MAX_INSN_WORDS,
+    mark_log_appends, page_base, Block, BlockBreaks, BlockInsn, ICache, ICacheStats, Stamp,
+    SuperCache, SuperblockStats, MAX_BLOCK_INSNS, MAX_INSN_WORDS,
 };
 use crate::isa::{Cond, DecodeError, Insn, Op1, Op2, Operand, Size};
 use crate::layout::RESET_VECTOR;
@@ -133,6 +156,20 @@ pub fn superblocks_forced_off() -> bool {
     })
 }
 
+/// Which executed instructions a [`Cpu::step_block_into`] caller observes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Observe {
+    /// Every instruction fills the [`Step`] and runs the callback — what
+    /// per-step hardware models (the APEX monitor, peripheral time, the
+    /// device trace) need.
+    EveryStep,
+    /// Only instructions with an effect beyond plain registers and flags
+    /// are reported: memory writes, SP or PC writes, push, call and reti.
+    /// Quiet instructions still count towards the returned step and cycle
+    /// totals. What the DIALED verifier needs.
+    Effects,
+}
+
 /// The MSP430 CPU core.
 #[derive(Clone, Debug)]
 pub struct Cpu {
@@ -143,6 +180,7 @@ pub struct Cpu {
     icache_enabled: bool,
     sblocks: SuperCache,
     sblocks_enabled: bool,
+    fused_appends: u64,
 }
 
 impl Default for Cpu {
@@ -154,6 +192,7 @@ impl Default for Cpu {
             icache_enabled: true,
             sblocks: SuperCache::default(),
             sblocks_enabled: !superblocks_forced_off(),
+            fused_appends: 0,
         }
     }
 }
@@ -215,6 +254,13 @@ impl Cpu {
     #[must_use]
     pub fn superblock_stats(&self) -> SuperblockStats {
         self.sblocks.stats()
+    }
+
+    /// Log appends whose three-instruction tail [`Observe::Effects`]
+    /// dispatch applied as one step, since construction.
+    #[must_use]
+    pub fn fused_appends(&self) -> u64 {
+        self.fused_appends
     }
 
     /// Adds the superblock counts gathered since the previous call to the
@@ -378,33 +424,42 @@ impl Cpu {
     }
 
     /// Executes up to one superblock of instructions (at most `limit`),
-    /// invoking `on_step` after each one — the block-at-a-time dispatch
-    /// path beside [`Cpu::step_into`].
+    /// reporting them to `on_step` as `observe` asks — the block-at-a-time
+    /// dispatch path beside [`Cpu::step_into`].
     ///
-    /// Each executed instruction fills `step` exactly as `step_into` would
+    /// Each observed instruction fills `step` exactly as `step_into` would
     /// (same PCs, decoded instruction, cycle count and inline access
-    /// buffer) before `on_step(bus, regs, step)` runs, so per-step
-    /// observers — the APEX monitor, trace recording, peripheral time —
-    /// see an identical stream. What a block *skips* is the per-step
-    /// metadata: one cache probe, one halt/IRQ test and one log-site check
-    /// per block instead of per step.
+    /// buffer) before `on_step(bus, regs, step, at)` runs, where `at` is the
+    /// number of cycles this dispatch executed before the step. Under
+    /// [`Observe::EveryStep`] every instruction is observed, so per-step
+    /// observers — the APEX monitor, trace recording, peripheral time — see
+    /// an identical stream. Under [`Observe::Effects`] quiet instructions
+    /// (no memory, SP or PC write; not push, call or reti — marked when the
+    /// block is stitched) run without the `Step` refill or the callback,
+    /// and the three quiet instructions after a Tiny-CFA log append
+    /// (`decd r4 ; cmp #imm, r4 ; jn $`) are applied as one step. Either
+    /// way a block also skips the per-step metadata: one cache probe, one
+    /// halt/IRQ test and one log-site check per block instead of per step.
     ///
     /// The block ends early at `stop_pc` (tested before each instruction
     /// after the first; the entry instruction always executes, matching a
     /// `step_into` call at that PC), after a taken conditional jump (a side
     /// exit: the block was stitched along the fall-through), after a store
     /// into one of the block's own code pages (possible self-modification
-    /// of a later instruction), or at `limit`. Halt, pending-interrupt
-    /// entry, disabled dispatch and unstitchable entries (odd PC, untracked
-    /// page, undecodable opcode) all fall back to a single `step_into` with
-    /// identical semantics.
+    /// of a later instruction), or at `limit`. A log-append tail is applied
+    /// as one step only when `stop_pc` and `limit` both fall outside it and
+    /// the append's store left the block's code pages alone. Halt,
+    /// pending-interrupt entry, disabled dispatch and unstitchable entries
+    /// (odd PC, untracked page, undecodable opcode) all fall back to a
+    /// single, always observed `step_into` with identical semantics.
     ///
     /// `on_step` receives the bus and the post-step register file; it must
     /// not execute instructions on this core (it cannot — the core is
     /// borrowed) and any bus writes it performs into the block's code pages
     /// take effect at the next block boundary.
     ///
-    /// Returns the number of steps executed (≥ 1 unless `limit == 0`).
+    /// Returns the number of steps executed (≥ 1 unless `limit == 0`) and
+    /// their total cycles — the same totals under either mode.
     ///
     /// # Errors
     ///
@@ -416,11 +471,12 @@ impl Cpu {
         bus: &mut B,
         stop_pc: u16,
         limit: usize,
+        observe: Observe,
         step: &mut Step,
-        mut on_step: impl FnMut(&mut B, &RegFile, &Step),
-    ) -> Result<usize, CpuFault> {
+        mut on_step: impl FnMut(&mut B, &RegFile, &Step, u32),
+    ) -> Result<(usize, u32), CpuFault> {
         if limit == 0 {
-            return Ok(0);
+            return Ok((0, 0));
         }
         // Halt, interrupt entry and disabled dispatch funnel through the
         // single-step path so fault and IRQ semantics stay byte-identical
@@ -434,43 +490,77 @@ impl Cpu {
         if !single {
             let entry = self.regs.pc();
             if let Some(block) = self.obtain_block(bus, entry) {
-                let n = block.insns.len().min(limit);
-                let mut executed = 0usize;
-                for bi in &block.insns[..n] {
-                    if executed > 0 && bi.pc == stop_pc {
+                let insns = &block.insns[..block.insns.len().min(limit)];
+                let effects = observe == Observe::Effects;
+                // `i` counts both the stitched instructions consumed and the
+                // steps executed: a fused tail advances it by three.
+                let (mut i, mut cycles) = (0usize, 0u32);
+                while let Some(bi) = insns.get(i) {
+                    if i > 0 && bi.pc == stop_pc {
                         break;
                     }
                     step.accesses.clear();
-                    step.irq = None;
-                    step.pc = bi.pc;
-                    step.insn = Some(bi.insn);
-                    step.cycles = bi.cycles;
                     // PC advances past the instruction before it executes,
                     // exactly as fetch_decode does (PC-operand semantics).
                     self.regs.set(Reg::PC, bi.next_pc);
                     self.execute(bus, &bi.insn, &mut step.accesses);
-                    step.next_pc = self.regs.pc();
-                    executed += 1;
-                    on_step(bus, &self.regs, step);
+                    let at = cycles;
+                    (i, cycles) = (i + 1, cycles + bi.cycles);
+                    let mut last = bi;
+                    if !(effects && bi.quiet) {
+                        step.irq = None;
+                        step.pc = bi.pc;
+                        step.insn = Some(bi.insn);
+                        step.cycles = bi.cycles;
+                        step.next_pc = self.regs.pc();
+                        on_step(bus, &self.regs, step, at);
+                        // A store into one of the block's own code pages
+                        // may have patched an instruction we are about to
+                        // run: leave the block; the next dispatch
+                        // re-validates.
+                        if !step.accesses.is_empty() && step.writes().any(|w| block.covers(w.addr))
+                        {
+                            break;
+                        }
+                        if let (true, Some(tail)) = (effects && bi.append, insns.get(i..i + 3)) {
+                            if tail.iter().all(|t| t.pc != stop_pc) {
+                                self.apply_log_append_tail(tail);
+                                self.fused_appends += 1;
+                                cycles += tail.iter().map(|t| t.cycles).sum::<u32>();
+                                i += 3;
+                                last = &tail[2];
+                            }
+                        }
+                    }
                     // Side exit: a taken conditional jump left the stitched
                     // fall-through path.
-                    if step.next_pc != bi.next_pc {
-                        break;
-                    }
-                    // A store into one of the block's own code pages may
-                    // have patched an instruction we are about to run:
-                    // leave the block; the next dispatch re-validates.
-                    if !step.accesses.is_empty() && step.writes().any(|w| block.covers(w.addr)) {
+                    if self.regs.pc() != last.next_pc {
                         break;
                     }
                 }
                 self.sblocks.put(entry, block);
-                return Ok(executed);
+                return Ok((i, cycles));
             }
         }
         self.step_into(bus, step)?;
-        on_step(bus, &self.regs, step);
-        Ok(1)
+        on_step(bus, &self.regs, step, 0);
+        Ok((1, step.cycles))
+    }
+
+    /// Applies a log append's tail `decd r4 ; cmp #imm, r4 ; jn $` (the
+    /// three instructions in `tail`) as one step: R4 drops by 2, SR takes
+    /// the flags of the `cmp` (which overwrites every flag the `sub` set),
+    /// and a taken `jn` leaves PC on the jump itself.
+    fn apply_log_append_tail(&mut self, tail: &[BlockInsn]) {
+        let Insn::Two { src: Operand::Imm(min), .. } = tail[1].insn else {
+            unreachable!("stitched log-append tails compare against an immediate")
+        };
+        let r4 = self.regs.get(Reg::R4).wrapping_sub(2);
+        self.regs.set(Reg::R4, r4);
+        let out = flags::sub(r4, min, true, Size::Word);
+        self.regs.set(Reg::SR, flags::apply(self.regs.sr(), &out, false));
+        let jn = &tail[2];
+        self.regs.set(Reg::PC, if out.n { jn.pc } else { jn.next_pc });
     }
 
     /// Returns a validated superblock entered at `entry`: a cached block
@@ -555,12 +645,13 @@ impl Cpu {
                 }
             }
             let next_pc = pc.wrapping_add(len * 2);
-            block.insns.push(BlockInsn { pc, next_pc, insn, cycles: insn_cycles(&insn) });
+            block.insns.push(BlockInsn::new(pc, next_pc, insn));
             if ends_block(&insn) {
                 break;
             }
             pc = next_pc;
         }
+        mark_log_appends(&mut block.insns);
         if block.insns.is_empty() {
             None
         } else {
@@ -1418,6 +1509,14 @@ mod tests {
         assert_eq!(fork.icache_stats().hits, 0, "clone starts with a cold cache");
     }
 
+    /// One every-step block dispatch; returns the steps it executed.
+    fn dispatch(cpu: &mut Cpu, ram: &mut Ram, stop_pc: u16, limit: usize) -> usize {
+        let mut step = Step::default();
+        cpu.step_block_into(ram, stop_pc, limit, Observe::EveryStep, &mut step, |_, _, _, _| {})
+            .expect("block step ok")
+            .0
+    }
+
     /// Drives `cpu` for exactly `steps` instructions through the block
     /// dispatcher, collecting every observed step.
     fn drive_blocks(cpu: &mut Cpu, ram: &mut Ram, steps: usize) -> Vec<Step> {
@@ -1426,8 +1525,11 @@ mod tests {
         let mut left = steps;
         while left > 0 {
             let n = cpu
-                .step_block_into(ram, 0xFFFF, left, &mut step, |_, _, s| out.push(*s))
-                .expect("block step ok");
+                .step_block_into(ram, 0xFFFF, left, Observe::EveryStep, &mut step, |_, _, s, _| {
+                    out.push(*s);
+                })
+                .expect("block step ok")
+                .0;
             left -= n;
         }
         out
@@ -1501,11 +1603,10 @@ mod tests {
         ram.load_words(0xE008, &[0x4303]); // nop
         let mut cpu = Cpu::new();
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        let n = cpu.step_block_into(&mut ram, 0xFFFF, 10, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 10);
         assert_eq!(n, 1, "block must exit right after the self-patching store");
         assert_eq!(cpu.pc(), 0xE006);
-        let n = cpu.step_block_into(&mut ram, 0xFFFF, 10, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 10);
         assert!(n >= 1);
         assert_eq!(cpu.reg(Reg::R5), 0, "stitched-but-stale insn must not run");
         assert_eq!(cpu.reg(Reg::R6), 2, "patched insn must run");
@@ -1527,11 +1628,10 @@ mod tests {
         let mut cpu = Cpu::new();
         cpu.set_block_breaks(Some(Arc::new(breaks)));
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        let n1 = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        let n1 = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
         assert_eq!(n1, 2, "block must end before the 0xE004 break");
         assert_eq!(cpu.pc(), 0xE004);
-        let n2 = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        let n2 = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
         assert_eq!(n2, 2, "a break on the entry PC itself does not shrink the block");
         assert_eq!(cpu.pc(), 0xE000);
         assert_eq!((cpu.reg(Reg::R5), cpu.reg(Reg::R6), cpu.reg(Reg::R7)), (1, 2, 1));
@@ -1565,9 +1665,8 @@ mod tests {
         cpu.set_superblocks_enabled(false);
         assert!(!cpu.superblocks_enabled());
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
         for _ in 0..10 {
-            let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+            let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
             assert_eq!(n, 1, "disabled dispatch degrades to one step per call");
         }
         assert_eq!(cpu.superblock_stats(), SuperblockStats::default());
@@ -1611,8 +1710,7 @@ mod tests {
         ram.load_words(0xE000, &[0x4315, 0x4326, 0x4337, 0x4303]); // 4 straight movs
         let mut cpu = Cpu::new();
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        let n = cpu.step_block_into(&mut ram, 0xE004, 100, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xE004, 100);
         assert_eq!(n, 2, "dispatch must stop before the stop_pc instruction");
         assert_eq!(cpu.pc(), 0xE004);
         assert_eq!(cpu.reg(Reg::R7), 0, "the stop_pc instruction must not execute");
@@ -1626,8 +1724,11 @@ mod tests {
         let mut left = steps;
         while left > 0 {
             let n = cpu
-                .step_block_into(ram, 0xFFFF, left, &mut step, |_, _, s| out.push(*s))
-                .expect("block step ok");
+                .step_block_into(ram, 0xFFFF, left, Observe::EveryStep, &mut step, |_, _, s, _| {
+                    out.push(*s);
+                })
+                .expect("block step ok")
+                .0;
             per_dispatch.push(n);
             left -= n;
         }
@@ -1650,8 +1751,7 @@ mod tests {
         ram.load_words(0xE000, &[0x4315, 0x9305, 0x2402, 0x4326, 0x4227, 0x3FFF]);
         let mut cpu = Cpu::new();
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
         assert_eq!(n, 6, "the fall-through past jz runs in the same dispatch");
         assert_eq!(cpu.pc(), 0xE00A);
         assert_eq!((cpu.reg(Reg::R6), cpu.reg(Reg::R7)), (2, 4));
@@ -1720,14 +1820,101 @@ mod tests {
         let mut cpu = Cpu::new();
         cpu.set_block_breaks(Some(Arc::new(breaks)));
         cpu.set_pc(0xE000);
-        let mut step = Step::default();
-        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
         assert_eq!(n, 3, "the block ends before the break on the fall-through");
         assert_eq!(cpu.pc(), 0xE006);
         assert_eq!(cpu.reg(Reg::R6), 0);
-        let n = cpu.step_block_into(&mut ram, 0xFFFF, 100, &mut step, |_, _, _| {}).unwrap();
+        let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
         assert_eq!(n, 2);
         assert_eq!(cpu.reg(Reg::R6), 2);
+    }
+
+    /// `mov #0x1234, 0(r4) ; decd r4 ; cmp #0x0600, r4 ; jn $ ;
+    /// mov #5, r5 ; jmp $` at 0xE000, with R4 set to `r4`.
+    fn log_append_program(r4: u16) -> (Cpu, Ram) {
+        let (word, reg4) = (Size::Word, Operand::Reg(Reg::R4));
+        let insns = [
+            Insn::Two {
+                op: Op2::Mov,
+                size: word,
+                src: Operand::Imm(0x1234),
+                dst: Operand::Indexed(Reg::R4, 0),
+            },
+            Insn::Two { op: Op2::Sub, size: word, src: Operand::Imm(2), dst: reg4 },
+            Insn::Two { op: Op2::Cmp, size: word, src: Operand::Imm(0x0600), dst: reg4 },
+            Insn::Jump { cond: Cond::N, offset: -1 },
+            Insn::Two {
+                op: Op2::Mov,
+                size: word,
+                src: Operand::Imm(5),
+                dst: Operand::Reg(Reg::R5),
+            },
+            Insn::Jump { cond: Cond::Always, offset: -1 },
+        ];
+        let mut ram = Ram::new();
+        let mut at = 0xE000u16;
+        for insn in insns {
+            let words = insn.encode(at).unwrap();
+            ram.load_words(at, &words);
+            at += 2 * words.len() as u16;
+        }
+        let mut cpu = Cpu::new();
+        cpu.set_pc(0xE000);
+        cpu.set_reg(Reg::R4, r4);
+        (cpu, ram)
+    }
+
+    /// One effects-mode dispatch; returns (steps, cycles) and the
+    /// observed (pc, cycle offset) pairs.
+    fn dispatch_effects(
+        cpu: &mut Cpu,
+        ram: &mut Ram,
+        stop_pc: u16,
+        limit: usize,
+    ) -> ((usize, u32), Vec<(u16, u32)>) {
+        let (mut step, mut seen) = (Step::default(), Vec::new());
+        let totals = cpu
+            .step_block_into(ram, stop_pc, limit, Observe::Effects, &mut step, |_, _, s, at| {
+                seen.push((s.pc, at));
+            })
+            .expect("block step ok");
+        (totals, seen)
+    }
+
+    #[test]
+    fn effects_dispatch_fuses_a_log_append_tail() {
+        if superblocks_forced_off() {
+            return;
+        }
+        let (mut cpu, mut ram) = log_append_program(0x0700);
+        let (mut reference, mut ram_ref) = (cpu.clone(), ram.clone());
+        let (totals, seen) = dispatch_effects(&mut cpu, &mut ram, 0xFFFF, 100);
+        let steps = drive_single(&mut reference, &mut ram_ref, 6);
+        let cycles = steps.iter().map(|s| s.cycles).sum();
+        assert_eq!(totals, (6, cycles), "same steps and cycles as six single steps");
+        assert_eq!(cpu.regs, reference.regs);
+        assert_eq!(ram.as_slice(), ram_ref.as_slice());
+        assert_eq!(cpu.reg(Reg::R4), 0x06FE);
+        assert_eq!(seen, [(0xE000, 0)], "only the store is observed");
+        assert_eq!(cpu.fused_appends(), 1);
+    }
+
+    #[test]
+    fn a_cut_inside_an_append_tail_is_not_fused() {
+        if superblocks_forced_off() {
+            return;
+        }
+        // A budget ending inside the tail, then a stop address on the cmp.
+        for (stop_pc, limit, steps) in [(0xFFFF, 3, 3), (0xE008, 100, 2)] {
+            let (mut cpu, mut ram) = log_append_program(0x0700);
+            let ((n, _), seen) = dispatch_effects(&mut cpu, &mut ram, stop_pc, limit);
+            assert_eq!(n, steps);
+            assert_eq!(seen.len(), 1);
+            assert_eq!(cpu.fused_appends(), 0);
+            let ((rest, _), _) = dispatch_effects(&mut cpu, &mut ram, 0xFFFF, 100);
+            assert_eq!(n + rest, 6, "the rest of the block still runs");
+            assert_eq!(cpu.reg(Reg::R4), 0x06FE);
+        }
     }
 
     #[test]

@@ -41,9 +41,18 @@
 //! own hits, misses and re-stitches and adds them to the process-wide
 //! [`process_superblock_stats`] only when its core's run loop publishes
 //! them, once per run.
+//!
+//! Stitching also decides, once per block instead of once per step, what
+//! an effects-only observer needs ([`crate::cpu::Observe`]): each
+//! [`BlockInsn`] carries its static cycle count, a *quiet* bit (no memory,
+//! SP or PC write; not push, call or reti) and, on the `mov` of a Tiny-CFA
+//! log append whose `decd r4 ; cmp #imm, r4 ; jn $` tail sits in the same
+//! block, an *append* bit that lets dispatch apply the tail in one step.
 
-use crate::isa::Insn;
+use crate::cycles::insn_cycles;
+use crate::isa::{Cond, Insn, Op1, Op2, Operand, Size};
 use crate::mem::{Bus, GEN_PAGE_BYTES};
+use crate::regs::Reg;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -209,14 +218,77 @@ pub(crate) fn page_base(addr: u16) -> u16 {
 }
 
 /// One predecoded instruction inside a superblock: the decoded form plus
-/// its precomputed fall-through PC and cycle count, so dispatch never
-/// recomputes lengths or timings.
+/// its precomputed fall-through PC, static cycle count and observer mask,
+/// so dispatch never recomputes lengths, timings or what to report.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BlockInsn {
     pub(crate) pc: u16,
     pub(crate) next_pc: u16,
     pub(crate) insn: Insn,
     pub(crate) cycles: u32,
+    /// No effects-mode observer needs this step ([`is_quiet`]).
+    pub(crate) quiet: bool,
+    /// A Tiny-CFA log append `mov.w <src>, 0(r4)` whose three quiet tail
+    /// instructions follow in this block ([`mark_log_appends`]).
+    pub(crate) append: bool,
+}
+
+impl BlockInsn {
+    pub(crate) fn new(pc: u16, next_pc: u16, insn: Insn) -> Self {
+        let (cycles, quiet) = (insn_cycles(&insn), is_quiet(&insn));
+        Self { pc, next_pc, insn, cycles, quiet, append: false }
+    }
+}
+
+/// True when an effects-only observer never needs to see `insn`: it writes
+/// no memory, SP or PC (other than a jump's PC), and is not push, call or
+/// reti. Such a step changes only registers other than SP, the flags and
+/// (for a jump) the PC — none of which the DIALED verifier records — and
+/// its cycles are known statically.
+fn is_quiet(insn: &Insn) -> bool {
+    let free_reg = |o: Operand| matches!(o, Operand::Reg(r) if !matches!(r, Reg::R0 | Reg::R1));
+    match *insn {
+        Insn::Jump { .. } => true,
+        Insn::Two { op, src, dst, .. } => {
+            src != Operand::IndirectInc(Reg::R1) && (!op.writes_dst() || free_reg(dst))
+        }
+        Insn::One { op: Op1::Rrc | Op1::Rra | Op1::Swpb | Op1::Sxt, sd, .. } => {
+            matches!(sd, Operand::Imm(_)) || free_reg(sd)
+        }
+        Insn::One { .. } => false,
+    }
+}
+
+/// Marks each log append of Tiny-CFA's log block
+/// (`mov.w <src>, 0(r4) ; decd r4 ; cmp #or_min, r4 ; jn $`) whose three
+/// tail instructions were stitched into the same block, so effects-mode
+/// dispatch can apply the tail in one step. Sources that read r4 or PC, or
+/// auto-increment a register, are left unmarked.
+pub(crate) fn mark_log_appends(insns: &mut [BlockInsn]) {
+    let r4 = Operand::Reg(Reg::R4);
+    for i in 0..insns.len().saturating_sub(3) {
+        let head = match insns[i].insn {
+            Insn::Two {
+                op: Op2::Mov,
+                size: Size::Word,
+                src,
+                dst: Operand::Indexed(Reg::R4, 0),
+            } => match src {
+                Operand::Reg(r) | Operand::Indexed(r, _) | Operand::Indirect(r) => {
+                    !matches!(r, Reg::R0 | Reg::R4)
+                }
+                Operand::IndirectInc(_) => false,
+                _ => true,
+            },
+            _ => false,
+        };
+        let decd = Insn::Two { op: Op2::Sub, size: Size::Word, src: Operand::Imm(2), dst: r4 };
+        let tail = insns[i + 1].insn == decd
+            && matches!(insns[i + 2].insn,
+                Insn::Two { op: Op2::Cmp, size: Size::Word, src: Operand::Imm(_), dst } if dst == r4)
+            && insns[i + 3].insn == (Insn::Jump { cond: Cond::N, offset: -1 });
+        insns[i].append = head && tail;
+    }
 }
 
 /// A straight-line superblock: predecoded instructions from the entry PC up

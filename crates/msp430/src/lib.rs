@@ -59,7 +59,7 @@ pub mod platform;
 pub mod regs;
 pub mod trace;
 
-pub use cpu::{superblocks_forced_off, Cpu, CpuFault, Step};
+pub use cpu::{superblocks_forced_off, Cpu, CpuFault, Observe, Step};
 pub use icache::{process_superblock_stats, BlockBreaks, ICacheStats, SuperblockStats};
 pub use isa::{Insn, Operand};
 pub use mem::{Access, AccessBuf, AccessKind, Bus, Ram};

@@ -7,6 +7,12 @@
 //! mirroring the wires the real monitor taps on the openMSP430.
 //! Instruction fetches are implied by `Step::pc`/`Step::insn` and are not
 //! recorded individually.
+//!
+//! [`Ram`] tracks a write generation per 1 KiB page, bumped by every
+//! mutation. Caches validate against it, and [`Ram::reset_to`] uses it to
+//! reload an image cheaply: given the same image tag as the previous reset,
+//! it recomposes only the pages written since, so re-imaging between proofs
+//! of one operation costs the pages a proof dirtied, not 64 KiB.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -202,14 +208,23 @@ pub struct Ram {
     gens: Box<[u64; GEN_PAGES]>,
     /// Process-unique bus identity; a clone is a *different* bus.
     id: u64,
+    /// The image tag of the last [`Ram::reset_to`] and every page's
+    /// generation right after it.
+    last_reset: Option<(u64, Box<[u64; GEN_PAGES]>)>,
 }
 
 /// A cloned RAM is an independent bus: it copies the bytes but gets a
 /// fresh identity, so generation stamps taken against the original can
-/// never validate mutated pages of the clone (or vice versa).
+/// never validate mutated pages of the clone (or vice versa). It also
+/// forgets the last reset, so its first [`Ram::reset_to`] is a full one.
 impl Clone for Ram {
     fn clone(&self) -> Self {
-        Self { bytes: self.bytes.clone(), gens: self.gens.clone(), id: fresh_bus_id() }
+        Self {
+            bytes: self.bytes.clone(),
+            gens: self.gens.clone(),
+            id: fresh_bus_id(),
+            last_reset: None,
+        }
     }
 }
 
@@ -236,7 +251,12 @@ impl Ram {
     /// All-zero memory.
     #[must_use]
     pub fn new() -> Self {
-        Self { bytes: Box::new([0; 0x1_0000]), gens: Box::new([0; GEN_PAGES]), id: fresh_bus_id() }
+        Self {
+            bytes: Box::new([0; 0x1_0000]),
+            gens: Box::new([0; GEN_PAGES]),
+            id: fresh_bus_id(),
+            last_reset: None,
+        }
     }
 
     #[inline]
@@ -295,23 +315,41 @@ impl Ram {
     }
 
     /// Resets memory to zeros overlaid with `runs` — equivalent to
-    /// [`Self::clear`] followed by [`Self::load_bytes`] per run — but
-    /// bumps the write generation only of pages whose content actually
-    /// changes. Callers that reload the *same* image between runs (batch
+    /// [`Self::clear`] followed by [`Self::load_bytes`] per run — and
+    /// returns how many pages it rewrote.
+    ///
+    /// `tag` names the image `runs` describe: callers must never pass the
+    /// same tag with different runs. When `tag` matches the previous reset,
+    /// only pages whose write generation moved since then are recomposed —
+    /// every other page still holds exactly that image, because every
+    /// mutation of a page bumps its generation (the
+    /// [`Bus::page_generation`] contract). Any other tag, and the first
+    /// reset of a new or cloned `Ram`, recomposes every page.
+    ///
+    /// Either way, only pages whose content actually changes get a new
+    /// generation. Callers that reload the *same* image between runs (batch
     /// verification replaying one operation) keep their code pages'
     /// generations stable, so generation-validated caches stay warm.
     ///
     /// Runs must not wrap the top of memory.
-    pub fn reset_to<'a, I>(&mut self, runs: I)
+    pub fn reset_to<'a, I>(&mut self, tag: u64, runs: I) -> usize
     where
         I: IntoIterator<Item = (u16, &'a [u8])>,
         I::IntoIter: Clone,
     {
+        let since = match &self.last_reset {
+            Some((last, gens)) if *last == tag => Some(gens),
+            _ => None,
+        };
         // Compose the desired content page by page on the stack and diff
         // against the live page, so an unchanged page is never stamped.
         let runs = runs.into_iter();
         let mut desired = [0u8; GEN_PAGE_BYTES];
+        let mut rewritten = 0;
         for page in 0..GEN_PAGES {
+            if since.is_some_and(|gens| gens[page] == self.gens[page]) {
+                continue;
+            }
             let base = page * GEN_PAGE_BYTES;
             desired.fill(0);
             for (start, bytes) in runs.clone() {
@@ -327,8 +365,17 @@ impl Ram {
             if cur != desired {
                 cur.copy_from_slice(&desired);
                 self.gens[page] += 1;
+                rewritten += 1;
             }
         }
+        match &mut self.last_reset {
+            Some((last, gens)) => {
+                *last = tag;
+                gens.copy_from_slice(&self.gens[..]);
+            }
+            None => self.last_reset = Some((tag, self.gens.clone())),
+        }
+        rewritten
     }
 }
 
@@ -409,7 +456,7 @@ mod tests {
     fn reset_to_preserves_generations_of_unchanged_pages() {
         let image: [(u16, &[u8]); 2] = [(0xE000, &[0x0A, 0x5A, 0xFA, 0x3F]), (0x0200, &[7, 7])];
         let mut r = Ram::new();
-        r.reset_to(image.iter().copied());
+        r.reset_to(1, image.iter().copied());
         let code_gen = r.page_generation(0xE000).unwrap();
         let data_gen = r.page_generation(0x0200).unwrap();
 
@@ -417,7 +464,7 @@ mod tests {
         // the data page's content changes back, so its generation moves; the
         // untouched code page keeps its stamp.
         r.write_word(0x0210, 0xBEEF);
-        r.reset_to(image.iter().copied());
+        r.reset_to(1, image.iter().copied());
         assert_eq!(r.page_generation(0xE000).unwrap(), code_gen, "unchanged page restamped");
         assert_ne!(r.page_generation(0x0200).unwrap(), data_gen, "changed page kept its stamp");
         assert_eq!(r.read_word(0x0210), 0, "reset must clear dirtied bytes");
@@ -426,7 +473,7 @@ mod tests {
 
         // Self-modified *code* is restored and restamped.
         r.write_word(0xE000, 0x4343);
-        r.reset_to(image.iter().copied());
+        r.reset_to(1, image.iter().copied());
         assert_ne!(r.page_generation(0xE000).unwrap(), code_gen);
         assert_eq!(r.read_word(0xE000), 0x5A0A);
 
@@ -437,5 +484,78 @@ mod tests {
             fresh.load_bytes(start, bytes);
         }
         assert_eq!(r.as_slice(), fresh.as_slice());
+    }
+
+    const IMAGE: [(u16, &[u8]); 3] =
+        [(0x0200, &[7, 7, 7]), (0xE000, &[0x0A, 0x5A, 0xFA, 0x3F]), (0xE3FE, &[1, 2, 3, 4])];
+
+    /// What a reset to `image` must produce: `clear` + `load_bytes`.
+    fn composed(image: &[(u16, &[u8])]) -> Ram {
+        let mut fresh = Ram::new();
+        fresh.clear();
+        for (start, bytes) in image {
+            fresh.load_bytes(*start, bytes);
+        }
+        fresh
+    }
+
+    type Mutation = fn(&mut Ram);
+
+    #[test]
+    fn tagged_reset_restores_every_mutation_path() {
+        let mutations: [(&str, Mutation); 7] = [
+            ("write_byte", |r| r.write_byte(0x0901, 0xAA)),
+            ("write_word", |r| r.write_word(0x0200, 0xBEEF)),
+            ("load_bytes", |r| r.load_bytes(0x03FE, &[9; 6])),
+            ("load_words", |r| r.load_words(0xFFFE, &[0x1234, 0x5678])),
+            ("clear", Ram::clear),
+            // The verifier's input injection: a store into a code page.
+            ("code store", |r| r.write_word(0xE002, 0x4303)),
+            ("nothing", |_| {}),
+        ];
+        let want = composed(&IMAGE);
+        for (label, mutate) in mutations {
+            let mut r = Ram::new();
+            r.reset_to(1, IMAGE);
+            assert_eq!(r.as_slice(), want.as_slice(), "{label}: first reset");
+            for _ in 0..2 {
+                mutate(&mut r);
+                r.reset_to(1, IMAGE);
+                assert_eq!(r.as_slice(), want.as_slice(), "{label}: tagged reset");
+            }
+        }
+    }
+
+    #[test]
+    fn tagged_reset_skips_only_untouched_pages() {
+        let mut r = Ram::new();
+        assert_eq!(r.reset_to(1, IMAGE), 3, "image pages written on a fresh RAM");
+        assert_eq!(r.reset_to(1, IMAGE), 0);
+        r.write_word(0x0202, 0);
+        r.write_byte(0x7000, 1);
+        assert_eq!(r.reset_to(1, IMAGE), 2, "exactly the two dirtied pages");
+    }
+
+    #[test]
+    fn a_different_tag_resets_in_full() {
+        // Tag 2 names a different image: a page untouched since the tag-1
+        // reset must still be recomposed.
+        let other: [(u16, &[u8]); 1] = [(0xE000, &[0x03, 0x43])];
+        let mut r = Ram::new();
+        r.reset_to(1, IMAGE);
+        r.reset_to(2, other);
+        assert_eq!(r.as_slice(), composed(&other).as_slice());
+    }
+
+    #[test]
+    fn a_cloned_ram_never_skips() {
+        // Reusing the original's tag for a different image would leave the
+        // untouched pages stale if the clone inherited the reset record.
+        let other: [(u16, &[u8]); 1] = [(0xE000, &[0x03, 0x43])];
+        let mut r = Ram::new();
+        r.reset_to(1, IMAGE);
+        let mut c = r.clone();
+        c.reset_to(1, other);
+        assert_eq!(c.as_slice(), composed(&other).as_slice());
     }
 }

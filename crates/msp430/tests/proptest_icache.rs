@@ -35,11 +35,11 @@
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
 
-use msp430::cpu::{Cpu, Step};
+use msp430::cpu::{Cpu, Observe, Step};
 use msp430::flags;
 use msp430::isa::{Cond, Insn, Op1, Op2, Operand, Size};
 use msp430::mem::Ram;
-use msp430::regs::Reg;
+use msp430::regs::{Reg, RegFile};
 use msp430::superblocks_forced_off;
 use msp430::CpuFault;
 use proptest::prelude::*;
@@ -65,6 +65,7 @@ fn src_operand() -> impl Strategy<Value = Operand> {
     prop_oneof![
         gp_reg().prop_map(Operand::Reg),
         Just(Operand::Reg(Reg::SP)),
+        Just(Operand::IndirectInc(Reg::SP)),
         (gp_reg(), any::<u16>()).prop_map(|(r, x)| Operand::Indexed(r, x)),
         mem_addr().prop_map(Operand::Symbolic),
         mem_addr().prop_map(Operand::Absolute),
@@ -77,6 +78,7 @@ fn src_operand() -> impl Strategy<Value = Operand> {
 fn dst_operand() -> impl Strategy<Value = Operand> {
     prop_oneof![
         gp_reg().prop_map(Operand::Reg),
+        Just(Operand::Reg(Reg::SP)),
         (gp_reg(), any::<u16>()).prop_map(|(r, x)| Operand::Indexed(r, x)),
         mem_addr().prop_map(Operand::Symbolic),
         mem_addr().prop_map(Operand::Absolute),
@@ -130,11 +132,13 @@ fn any_insn() -> impl Strategy<Value = Insn> {
 }
 
 /// Encodes a random instruction list at `BASE`, closed by a jump back to
-/// `BASE` so re-execution exercises cache hits.
-fn build_program(insns: &[Insn]) -> Vec<u16> {
-    let mut words = Vec::new();
+/// `BASE` so re-execution exercises cache hits. Also returns the address
+/// each instruction was placed at (an unencodable one is skipped).
+fn build_program(insns: &[Insn]) -> (Vec<u16>, Vec<u16>) {
+    let (mut words, mut addrs) = (Vec::new(), Vec::new());
     let mut at = BASE;
     for insn in insns {
+        addrs.push(at);
         if let Ok(w) = insn.encode(at) {
             at = at.wrapping_add(2 * w.len() as u16);
             words.extend(w);
@@ -143,7 +147,7 @@ fn build_program(insns: &[Insn]) -> Vec<u16> {
     if let Ok(j) = Insn::jump_to(Cond::Always, at, BASE) {
         words.extend(j.encode(at).expect("loop jump encodes"));
     }
-    words
+    (words, addrs)
 }
 
 /// A PC-shaped value no program counter can hold (word writes to PC clear
@@ -216,7 +220,7 @@ fn lockstep(
     // Half the cases reload the pristine image mid-run; the other half
     // never reload (the vendored proptest has no `option::of`).
     let reload_at = (reload_raw < 480).then(|| reload_raw.max(1));
-    let words = build_program(insns);
+    let (words, _) = build_program(insns);
     prop_assume!(!words.is_empty());
 
     let mut ram_fast = Ram::new();
@@ -273,10 +277,11 @@ fn lockstep(
                         &mut ram_block,
                         NO_STOP,
                         limit,
+                        Observe::EveryStep,
                         &mut block_scratch,
-                        |_, _, s| block_queue.push_back(*s),
+                        |_, _, s, _| block_queue.push_back(*s),
                     )
-                    .map(|executed| {
+                    .map(|(executed, _)| {
                         assert!(executed > 0, "dispatch with budget must execute");
                         note_side_exits(&block_queue, &mut ran_past, &mut exits);
                         block_queue.pop_front().expect("executed steps are queued")
@@ -326,4 +331,222 @@ fn lockstep(
         }
     }
     Ok(exits.iter().filter(|e| ran_past.contains(e)).count())
+}
+
+// ------------------------------------------------- effects-mode observers
+
+/// Lowest OR byte of the generated programs' log region.
+const OR_MIN: u16 = 0x0600;
+
+/// One element of a generated program: a random instruction, or a
+/// Tiny-CFA log append `mov <src>, 0(r4) ; decd r4 ; cmp #OR_MIN, r4 ; jn $`.
+#[derive(Clone, Debug)]
+enum Piece {
+    Insn(Insn),
+    Append(Operand),
+}
+
+/// Append sources: fusable ones, and `@rn+` / r4 sources that never fuse.
+fn append_src() -> impl Strategy<Value = Operand> {
+    prop_oneof![
+        gp_reg().prop_map(Operand::Reg),
+        any::<u16>().prop_map(Operand::Imm),
+        (0x0200u16..0x0400).prop_map(Operand::Absolute),
+        (gp_reg(), 0u16..8).prop_map(|(r, x)| Operand::Indexed(r, x)),
+        gp_reg().prop_map(Operand::IndirectInc),
+    ]
+}
+
+fn piece() -> impl Strategy<Value = Piece> {
+    prop_oneof![
+        any_insn().prop_map(Piece::Insn),
+        append_src().prop_map(Piece::Append),
+        append_src().prop_map(Piece::Append),
+    ]
+}
+
+/// Flattens `pieces` into instructions; also returns the indices of every
+/// append's three tail instructions (where dispatch cuts are aimed).
+fn flatten(pieces: &[Piece]) -> (Vec<Insn>, Vec<usize>) {
+    let (mut insns, mut tails) = (Vec::new(), Vec::new());
+    let (word, r4) = (Size::Word, Operand::Reg(Reg::R4));
+    for piece in pieces {
+        match *piece {
+            Piece::Insn(insn) => insns.push(insn),
+            Piece::Append(src) => {
+                let dst = Operand::Indexed(Reg::R4, 0);
+                insns.push(Insn::Two { op: Op2::Mov, size: word, src, dst });
+                tails.extend(insns.len()..insns.len() + 3);
+                insns.push(Insn::Two { op: Op2::Sub, size: word, src: Operand::Imm(2), dst: r4 });
+                insns.push(Insn::Two {
+                    op: Op2::Cmp,
+                    size: word,
+                    src: Operand::Imm(OR_MIN),
+                    dst: r4,
+                });
+                insns.push(Insn::Jump { cond: Cond::N, offset: -1 });
+            }
+        }
+    }
+    (insns, tails)
+}
+
+/// What the DIALED verifier reads of a run: data writes (pc, addr, value,
+/// width, cycle), the SP minimum, call/return events (pc, target), and the
+/// step and cycle totals.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct Seen {
+    writes: Vec<(u16, u16, u16, bool, u64)>,
+    min_sp: u16,
+    flow: Vec<(u16, u16)>,
+    steps: usize,
+    cycles: u64,
+}
+
+impl Seen {
+    fn note(&mut self, regs: &RegFile, s: &Step, cycle: u64) {
+        self.min_sp = self.min_sp.min(regs.sp());
+        for w in s.writes() {
+            self.writes.push((s.pc, w.addr, w.value, w.word, cycle));
+        }
+        if let Some(
+            Insn::One { op: Op1::Call | Op1::Reti, .. }
+            | Insn::Two { dst: Operand::Reg(Reg::R0), .. },
+        ) = s.insn
+        {
+            self.flow.push((s.pc, s.next_pc));
+        }
+    }
+}
+
+/// An effects-mode observer sees exactly the every-step observer's data
+/// writes, SP minimum, call/return events and step and cycle totals on
+/// random programs full of log appends, with R4 near `OR_MIN` so some
+/// appends overflow into the `jn $` spin, and with dispatch budgets and
+/// stop addresses cutting into append groups. Over all cases some append
+/// tails must have been fused and some logs must have overflowed.
+#[test]
+fn effects_observer_sees_exactly_the_every_step_effects() {
+    let strategy = (
+        proptest::collection::vec(piece(), 1..10),
+        proptest::array::uniform8(any::<u16>()),
+        0u16..12,
+        proptest::collection::vec((0usize..12, 0usize..4), 1..8),
+        0u16..0x0200,
+    );
+    let (fused, overflows) = (Cell::new(0u64), Cell::new(0usize));
+    proptest::test_runner::TestRunner::new(ProptestConfig::default()).run(
+        "effects_observer_sees_exactly_the_every_step_effects",
+        &strategy,
+        |(pieces, seed_regs, r4_slots, cuts, sr)| {
+            let (f, o) = effects_lockstep(&pieces, seed_regs, r4_slots, &cuts, sr)?;
+            fused.set(fused.get() + f);
+            overflows.set(overflows.get() + o);
+            Ok(())
+        },
+    );
+    if !superblocks_forced_off() {
+        assert!(fused.get() > 0, "no generated log append was fused");
+    }
+    assert!(overflows.get() > 0, "no generated log overflowed into its jn $ spin");
+}
+
+/// Runs one generated case on an every-step core and an effects core;
+/// returns the effects core's fused appends and the overflow spins seen.
+fn effects_lockstep(
+    pieces: &[Piece],
+    seed_regs: [u16; 8],
+    r4_slots: u16,
+    cuts: &[(usize, usize)],
+    sr: u16,
+) -> Result<(u64, usize), TestCaseError> {
+    let (insns, tails) = flatten(pieces);
+    let (words, addrs) = build_program(&insns);
+    prop_assume!(!words.is_empty());
+    let tail_pcs: Vec<u16> = tails.iter().map(|&i| addrs[i]).collect();
+
+    let mut ram_every = Ram::new();
+    ram_every.load_words(BASE, &words);
+    let mut ram_effects = ram_every.clone();
+    let (mut every, mut effects) = (Cpu::new(), Cpu::new());
+    for cpu in [&mut every, &mut effects] {
+        cpu.set_pc(BASE);
+        cpu.set_reg(Reg::SP, 0x0A00);
+        cpu.set_reg(Reg::R4, OR_MIN + 2 * r4_slots);
+        cpu.set_reg(Reg::SR, sr & (flags::C | flags::Z | flags::N | flags::V));
+        for (i, v) in seed_regs.iter().enumerate() {
+            cpu.set_reg(Reg::from_index(8 + i as u16), *v);
+        }
+    }
+    let mut seen_every = Seen { min_sp: 0x0A00, ..Seen::default() };
+    let mut seen_effects = seen_every.clone();
+    let (mut step_every, mut step_effects) = (Step::default(), Step::default());
+    let mut overflows = 0;
+    for k in 0.. {
+        let left = STEPS - seen_every.steps;
+        if left == 0 {
+            break;
+        }
+        // A short budget or a stop address on an append tail cuts groups.
+        let (limit_raw, stop_sel) = cuts[k % cuts.len()];
+        let limit = if limit_raw < 8 { (limit_raw + 1).min(left) } else { left };
+        let stop_pc = match tail_pcs.get(k % tail_pcs.len().max(1)) {
+            Some(&pc) if stop_sel >= 2 => pc,
+            _ => NO_STOP,
+        };
+
+        let base = seen_every.cycles;
+        let (mut calls, mut within) = (0usize, 0u32);
+        let r_every = every.step_block_into(
+            &mut ram_every,
+            stop_pc,
+            limit,
+            Observe::EveryStep,
+            &mut step_every,
+            |_, regs, s, at| {
+                assert_eq!(at, within, "cycle offset is the dispatch's cycles so far");
+                within += s.cycles;
+                calls += 1;
+                if matches!(s.insn, Some(Insn::Jump { cond: Cond::N, offset: -1 }))
+                    && s.next_pc == s.pc
+                {
+                    overflows += 1;
+                }
+                seen_every.note(regs, s, base + u64::from(at));
+            },
+        );
+        let base = seen_effects.cycles;
+        let r_effects = effects.step_block_into(
+            &mut ram_effects,
+            stop_pc,
+            limit,
+            Observe::Effects,
+            &mut step_effects,
+            |_, regs, s, at| seen_effects.note(regs, s, base + u64::from(at)),
+        );
+        match (r_every, r_effects) {
+            (Ok((n, c)), Ok(totals)) => {
+                prop_assert_eq!((n, c), totals, "dispatch {} totals diverged", k);
+                prop_assert_eq!((n, c), (calls, within), "every-step totals are its steps'");
+                seen_every.steps += n;
+                seen_every.cycles += u64::from(c);
+                seen_effects.steps += totals.0;
+                seen_effects.cycles += u64::from(totals.1);
+            }
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b, "faults diverged at dispatch {}", k);
+                break;
+            }
+            (a, b) => {
+                return Err(TestCaseError::fail(format!(
+                    "dispatch {k}: every-step {a:?} vs effects {b:?}"
+                )));
+            }
+        }
+        prop_assert_eq!(&seen_effects, &seen_every, "observers diverged at dispatch {}", k);
+    }
+    prop_assert_eq!(effects.regs, every.regs);
+    prop_assert_eq!(ram_effects.as_slice(), ram_every.as_slice());
+    prop_assert_eq!(every.fused_appends(), 0, "every-step dispatch never fuses");
+    Ok((effects.fused_appends(), overflows))
 }

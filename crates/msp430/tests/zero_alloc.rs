@@ -10,7 +10,7 @@
 
 #![allow(unsafe_code)]
 
-use msp430::cpu::{Cpu, Step};
+use msp430::cpu::{Cpu, Observe, Step};
 use msp430::mem::Ram;
 use msp430::regs::Reg;
 
@@ -89,16 +89,32 @@ fn steady_state_superblock_dispatch_is_allocation_free() {
     let mut warmed = 0usize;
     while warmed < 64 {
         warmed += cpu
-            .step_block_into(&mut ram, 0xFFFF, 64 - warmed, &mut step, |_, _, _| {})
-            .expect("warm-up dispatch");
+            .step_block_into(
+                &mut ram,
+                0xFFFF,
+                64 - warmed,
+                Observe::EveryStep,
+                &mut step,
+                |_, _, _, _| {},
+            )
+            .expect("warm-up dispatch")
+            .0;
     }
 
     let before = allocations();
     let mut steps = 0usize;
     while steps < 100_000 {
         steps += cpu
-            .step_block_into(&mut ram, 0xFFFF, 100_000 - steps, &mut step, |_, _, _| {})
-            .expect("steady-state dispatch");
+            .step_block_into(
+                &mut ram,
+                0xFFFF,
+                100_000 - steps,
+                Observe::EveryStep,
+                &mut step,
+                |_, _, _, _| {},
+            )
+            .expect("steady-state dispatch")
+            .0;
     }
     assert_eq!(allocations() - before, 0, "superblock block reuse must not allocate");
     let stats = cpu.superblock_stats();
