@@ -98,10 +98,6 @@ pub struct FleetConfig {
     /// count from the meta log, not this field, because re-sharding would
     /// re-route devices away from their logged state.
     pub shards: usize,
-    /// Durable mode: committed events between snapshots on each shard.
-    /// Smaller values bound WAL segment length (and recovery replay time)
-    /// at the cost of more frequent snapshot writes.
-    pub snapshot_every: usize,
 }
 
 impl Default for FleetConfig {
@@ -112,7 +108,6 @@ impl Default for FleetConfig {
             replay_window: 32,
             workers: None,
             shards: 4,
-            snapshot_every: 4096,
         }
     }
 }
@@ -123,7 +118,6 @@ impl FleetConfig {
             label: self.label.clone(),
             ttl: self.challenge_ttl,
             window_cap: self.replay_window,
-            snapshot_every: self.snapshot_every,
         }
     }
 }
@@ -207,7 +201,8 @@ impl Fleet {
     ///
     /// [`RecoverError::MissingLayout`] if the meta log exists but pins no
     /// shard layout, [`RecoverError::UnknownOp`] if the catalog cannot
-    /// rebuild a logged operation, or an I/O failure.
+    /// rebuild a logged operation, [`RecoverError::Format`] if a log or
+    /// snapshot is of another format version, or an I/O failure.
     pub fn recover(
         dir: &Path,
         config: FleetConfig,
@@ -223,7 +218,7 @@ impl Fleet {
     ) -> Result<Self, RecoverError> {
         std::fs::create_dir_all(dir)?;
         let meta_path = dir.join("meta.log");
-        let events = store::read_events(&meta_path)?;
+        let (events, meta_len) = store::read_events(&meta_path)?;
         let n = match events.first() {
             Some(StateEvent::ShardLayout { shards }) => (*shards as usize).max(1),
             Some(_) => return Err(RecoverError::MissingLayout),
@@ -271,7 +266,7 @@ impl Fleet {
             }
         }
 
-        let mut meta = Wal::open(&meta_path)?;
+        let mut meta = Wal::open(&meta_path, meta_len)?;
         if fresh {
             meta.append(&StateEvent::ShardLayout { shards: n as u32 })?;
         }
@@ -571,9 +566,10 @@ impl Fleet {
         self.shards.iter_mut().map(|s| s.prune(now)).sum()
     }
 
-    /// Forces a snapshot + WAL rotation on every shard (they also happen
-    /// automatically every [`FleetConfig::snapshot_every`] events). A
-    /// no-op for in-memory fleets.
+    /// Forces a snapshot + WAL rotation on every shard. They also happen
+    /// automatically, once a shard's live segment outgrows its last
+    /// snapshot (see [`shard`]'s durability layout). A no-op for in-memory
+    /// fleets.
     ///
     /// # Errors
     ///
@@ -938,5 +934,69 @@ mod tests {
         let (stats, _) = fleet.drain(12);
         assert_eq!(stats.verified, 1);
         assert_eq!(fleet.device(dev).unwrap().last_verified, Some(1));
+    }
+
+    /// A WAL file whose records carry event-format `version`.
+    fn log_of_version(events: &[StateEvent], version: u8) -> Vec<u8> {
+        let mut bytes = [&store::WAL_MAGIC[..], &[store::WAL_VERSION]].concat();
+        for ev in events {
+            let mut payload = store::encode_event(ev);
+            payload[0] = version;
+            bytes.extend((payload.len() as u32).to_le_bytes());
+            bytes.extend(store::record_sum(&payload).to_le_bytes());
+            bytes.extend(payload);
+        }
+        bytes
+    }
+
+    /// Recovers `dir` expecting a `Format` error naming `file` and version
+    /// 1; returns the version the error says this build reads.
+    fn refused_as_v1(dir: &Path, file: &str) -> u8 {
+        let config = FleetConfig { shards: 1, ..FleetConfig::default() };
+        match Fleet::recover(dir, config, &CatalogFn(|_: &str| None)) {
+            Err(RecoverError::Format { file: f, found: 1, expected }) => {
+                assert_eq!(f, dir.join(file));
+                expected
+            }
+            other => panic!("{file}: expected a format error, got {other:?}"),
+        }
+    }
+
+    /// A fresh one-shard durable directory (current format throughout).
+    fn fresh_durable(name: &str) -> PathBuf {
+        let dir = tmp_dir(name);
+        drop(Fleet::durable(&dir, FleetConfig { shards: 1, ..FleetConfig::default() }).unwrap());
+        dir
+    }
+
+    #[test]
+    fn v1_meta_log_is_refused_not_recovered_empty() {
+        let dir = fresh_durable("v1-meta");
+        let v1 = log_of_version(&[StateEvent::ShardLayout { shards: 1 }], 1);
+        std::fs::write(dir.join("meta.log"), v1).unwrap();
+        assert_eq!(refused_as_v1(&dir, "meta.log"), store::EVENT_VERSION);
+    }
+
+    #[test]
+    fn v1_shard_segment_is_refused_not_recovered_empty() {
+        let dir = fresh_durable("v1-segment");
+        let ev = StateEvent::DeviceRegistered {
+            device: DeviceId(0),
+            op: OpId(0),
+            key_seed: 1,
+            epoch: 0,
+        };
+        std::fs::write(dir.join("shard-0").join("wal-0.log"), log_of_version(&[ev], 1)).unwrap();
+        assert_eq!(refused_as_v1(&dir, "shard-0/wal-0.log"), store::EVENT_VERSION);
+    }
+
+    #[test]
+    fn v1_snapshot_is_refused_not_recovered_empty() {
+        // Recovering the empty state here would silently drop every nonce
+        // and replay window the snapshot holds.
+        let dir = fresh_durable("v1-snapshot");
+        let v1 = [&b"DSNP"[..], &[1], &1u64.to_le_bytes()].concat();
+        std::fs::write(dir.join("shard-0").join("snapshot.bin"), v1).unwrap();
+        assert_eq!(refused_as_v1(&dir, "shard-0/snapshot.bin"), shard::SNAP_VERSION);
     }
 }

@@ -21,19 +21,26 @@
 //! <dir>/shard-<i>/wal-<g>.log    events since that snapshot
 //! ```
 //!
-//! Every `snapshot_every` committed events the shard writes a new
-//! snapshot (tmp + rename, so readers never see a torn file), rotates to
-//! a fresh WAL segment named for the new generation, and deletes stale
-//! segments. Because segment names carry the generation, a crash between
-//! "snapshot written" and "old segment deleted" cannot double-apply: a
-//! snapshot at generation `g` replays only `wal-<g>.log`.
+//! Once a commit leaves the live segment holding at least as many bytes as
+//! the last snapshot — and at least [`ROTATE_FLOOR`] — the shard writes a
+//! new snapshot (tmp + fsync + rename, so readers never see a torn file),
+//! rotates to a fresh WAL segment named for the new generation, and
+//! deletes stale segments. Because segment names carry the generation, a
+//! crash between "snapshot written" and "old segment deleted" cannot
+//! double-apply: a snapshot at generation `g` replays only `wal-<g>.log`.
+//!
+//! Sizing rotation by bytes rather than by event count keeps the work in
+//! proportion: a snapshot rewrites the whole state, so it is written once
+//! the log has grown by about that much, and snapshot bytes never exceed
+//! log bytes whatever the fleet size or event mix. Recovery reads one
+//! snapshot plus at most about one snapshot's worth of log (or 1 MiB).
+//! Both lengths are re-read from disk at recovery, so the rule carries
+//! across restarts.
 
 use crate::ingest::{DrainStats, IngestQueue};
 use crate::registry::{DeviceId, OpId, OpTable, Registry};
 use crate::session::{Session, SessionId, SessionManager, SessionState};
-use crate::store::{
-    read_events, write_atomic, RecoverError, StateEvent, Wal, WAL_MAGIC, WAL_VERSION,
-};
+use crate::store::{read_events, write_atomic, RecoverError, StateEvent, Wal};
 use crate::wire::{
     decode_dialed_proof, decode_report_fields, encode_dialed_proof, encode_report_fields, Reader,
     WireError, Writer,
@@ -44,6 +51,10 @@ use dialed::BatchJob;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Live-segment bytes below which a shard never rotates, however small its
+/// last snapshot: below this, replay is cheap and a snapshot is not.
+pub const ROTATE_FLOOR: u64 = 1 << 20;
 
 /// Virtual nodes each shard projects onto the ring. More points smooth
 /// the split of the device space between shards.
@@ -113,8 +124,6 @@ pub(crate) struct ShardParams {
     pub ttl: u64,
     /// Anti-replay window depth per device.
     pub window_cap: usize,
-    /// Committed events between snapshots (durable mode).
-    pub snapshot_every: usize,
 }
 
 /// One independent slice of fleet state. See the module docs.
@@ -127,8 +136,8 @@ pub struct Shard {
     wal: Option<Wal>,
     dir: Option<PathBuf>,
     generation: u64,
-    events_since_snapshot: usize,
-    snapshot_every: usize,
+    /// Size of the last snapshot written or loaded (0 if none).
+    snapshot_bytes: u64,
 }
 
 impl Shard {
@@ -148,8 +157,7 @@ impl Shard {
             wal: None,
             dir: None,
             generation: 0,
-            events_since_snapshot: 0,
-            snapshot_every: params.snapshot_every,
+            snapshot_bytes: 0,
         }
     }
 
@@ -167,7 +175,8 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// Only genuine I/O failures are returned.
+    /// [`RecoverError::Format`] if the snapshot or the segment is of
+    /// another format version; otherwise only genuine I/O failures.
     pub(crate) fn recover(
         dir: &Path,
         index: usize,
@@ -178,16 +187,31 @@ impl Shard {
         let mut shard = Self::in_memory(index, stride, params);
         shard.dir = Some(dir.to_path_buf());
 
-        if let Ok(bytes) = std::fs::read(dir.join("snapshot.bin")) {
-            if let Ok(generation) = shard.load_snapshot(&bytes) {
-                shard.generation = generation;
+        let snapshot = dir.join("snapshot.bin");
+        if let Ok(bytes) = std::fs::read(&snapshot) {
+            match shard.load_snapshot(&bytes) {
+                Ok(generation) => {
+                    shard.generation = generation;
+                    shard.snapshot_bytes = bytes.len() as u64;
+                }
+                // Only the header check yields this: a complete snapshot
+                // header of another version.
+                Err(WireError::UnsupportedVersion(found)) => {
+                    return Err(RecoverError::Format {
+                        file: snapshot,
+                        found,
+                        expected: SNAP_VERSION,
+                    });
+                }
+                Err(_) => {}
             }
         }
         let segment = dir.join(format!("wal-{}.log", shard.generation));
-        for ev in read_events(&segment)? {
+        let (events, valid) = read_events(&segment)?;
+        for ev in events {
             shard.apply(ev);
         }
-        shard.wal = Some(Wal::open(&segment)?);
+        shard.wal = Some(Wal::open(&segment, valid)?);
         Ok(shard)
     }
 
@@ -222,9 +246,10 @@ impl Shard {
         self.ingest.depth()
     }
 
-    /// Makes `ev` durable, then applies it. Fail-stop on a WAL append
-    /// error: a mutation that cannot be persisted must not happen, or
-    /// anti-replay state would silently regress at the next recovery.
+    /// Makes `ev` durable with one `write`, then applies it. Fail-stop on
+    /// a WAL append error: a mutation that cannot be persisted must not
+    /// happen, or anti-replay state would silently regress at the next
+    /// recovery.
     ///
     /// # Panics
     ///
@@ -232,10 +257,35 @@ impl Shard {
     pub(crate) fn commit(&mut self, ev: StateEvent) {
         if let Some(wal) = &mut self.wal {
             wal.append(&ev).expect("WAL append failed: refusing to mutate non-durable state");
-            self.events_since_snapshot += 1;
         }
         self.apply(ev);
-        if self.wal.is_some() && self.events_since_snapshot >= self.snapshot_every.max(1) {
+        self.rotate_if_due();
+    }
+
+    /// [`Shard::commit`] for a whole batch: every event is staged, the
+    /// batch reaches the WAL in one `write`, then each is applied in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the WAL write fails (durable mode only).
+    fn commit_batch(&mut self, events: Vec<StateEvent>) {
+        if let Some(wal) = &mut self.wal {
+            for ev in &events {
+                wal.stage(ev);
+            }
+            wal.flush().expect("WAL append failed: refusing to mutate non-durable state");
+        }
+        for ev in events {
+            self.apply(ev);
+        }
+        self.rotate_if_due();
+    }
+
+    /// Snapshots and rotates once the live segment holds at least
+    /// `max(last snapshot's bytes, ROTATE_FLOOR)` (see the module docs).
+    fn rotate_if_due(&mut self) {
+        let Some(wal) = &self.wal else { return };
+        if wal.size() >= self.snapshot_bytes.max(ROTATE_FLOOR) {
             // Snapshot failure is not fatal: the WAL segment keeps
             // growing and still replays the same state.
             let _ = self.snapshot();
@@ -348,15 +398,20 @@ impl Shard {
                 batch.outcomes.into_iter().map(|o| o.report).collect()
             };
             stats.batches += 1;
-            for (&sid, report) in settled[first..].iter().zip(reports) {
-                stats.drained += 1;
-                if report.is_clean() {
-                    stats.verified += 1;
-                } else {
-                    stats.rejected += 1;
-                }
-                self.commit(StateEvent::VerdictRecorded { session: sid, report });
-            }
+            let verdicts = settled[first..]
+                .iter()
+                .zip(reports)
+                .map(|(&sid, report)| {
+                    stats.drained += 1;
+                    if report.is_clean() {
+                        stats.verified += 1;
+                    } else {
+                        stats.rejected += 1;
+                    }
+                    StateEvent::VerdictRecorded { session: sid, report }
+                })
+                .collect();
+            self.commit_batch(verdicts);
         }
         if stats.drained > 0 {
             stats.shards = 1;
@@ -376,10 +431,11 @@ impl Shard {
     pub(crate) fn snapshot(&mut self) -> io::Result<()> {
         let Some(dir) = self.dir.clone() else { return Ok(()) };
         let next = self.generation + 1;
-        write_atomic(&dir.join("snapshot.bin"), &self.encode_snapshot(next))?;
-        self.wal = Some(Wal::open(&dir.join(format!("wal-{next}.log")))?);
+        let bytes = self.encode_snapshot(next);
+        write_atomic(&dir.join("snapshot.bin"), &bytes)?;
+        self.wal = Some(Wal::open(&dir.join(format!("wal-{next}.log")), 0)?);
         self.generation = next;
-        self.events_since_snapshot = 0;
+        self.snapshot_bytes = bytes.len() as u64;
         // Older segments are now dead weight (their state is inside the
         // snapshot); sweep them, tolerating crash-left strays.
         if let Ok(entries) = std::fs::read_dir(&dir) {
@@ -468,7 +524,8 @@ impl Shard {
 
     /// Restores state from snapshot bytes, returning the generation the
     /// snapshot was taken at. Total decode: any malformation yields an
-    /// error (and the caller falls back to the empty state).
+    /// error (and the caller falls back to the empty state, unless the
+    /// error is the header's [`WireError::UnsupportedVersion`]).
     fn load_snapshot(&mut self, bytes: &[u8]) -> Result<u64, WireError> {
         let mut r = Reader::new(bytes);
         if r.take(SNAP_MAGIC.len())? != SNAP_MAGIC {
@@ -565,8 +622,9 @@ impl Shard {
 
 /// Snapshot file magic: "Dialed SNaPshot".
 const SNAP_MAGIC: [u8; 4] = *b"DSNP";
-/// Current snapshot-format version.
-const SNAP_VERSION: u8 = 1;
+/// Current snapshot-format version. Version 2 carries held proofs in the
+/// wire's version-4 proof body.
+pub(crate) const SNAP_VERSION: u8 = 2;
 
 fn encode_state(s: SessionState) -> u8 {
     match s {
@@ -589,13 +647,6 @@ fn decode_state(tag: u8) -> Result<SessionState, WireError> {
     }
 }
 
-// Compile-time check that the WAL constants shared with `store` stay in
-// scope — shard directories mix both file kinds.
-const _: () = {
-    assert!(WAL_MAGIC.len() == 4);
-    assert!(WAL_VERSION == 1);
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,14 +655,63 @@ mod tests {
     use std::collections::HashMap;
 
     fn params() -> ShardParams {
-        ShardParams { label: b"shard-test".to_vec(), ttl: 64, window_cap: 8, snapshot_every: 1024 }
+        ShardParams { label: b"shard-test".to_vec(), ttl: 64, window_cap: 8 }
+    }
+
+    fn proof_with_or(tag_byte: u8, or_byte: u8) -> DialedProof {
+        let cfg = PoxConfig::new(0xE000, 0xE00F, 0xE00E, 0x0600, 0x06FF).unwrap();
+        DialedProof {
+            pox: PoxProof {
+                cfg,
+                exec: true,
+                or_data: vec![or_byte; cfg.or_len()],
+                tag: [tag_byte; 32],
+            },
+        }
     }
 
     fn dummy_proof(tag_byte: u8) -> DialedProof {
-        let cfg = PoxConfig::new(0xE000, 0xE00F, 0xE00E, 0x0600, 0x06FF).unwrap();
-        DialedProof {
-            pox: PoxProof { cfg, exec: true, or_data: vec![0; cfg.or_len()], tag: [tag_byte; 32] },
-        }
+        proof_with_or(tag_byte, 0)
+    }
+
+    /// The shard's whole state, as its snapshot encodes it.
+    fn state_of(shard: &Shard) -> Vec<u8> {
+        shard.encode_snapshot(0)
+    }
+
+    /// Commits the issue and the accepted proof of session `sid`.
+    fn accept(shard: &mut Shard, dev: DeviceId, sid: u64, nonce: u64, proof: DialedProof) {
+        let session = SessionId(sid);
+        shard.commit(StateEvent::ChallengeIssued {
+            session,
+            device: dev,
+            op: OpId(0),
+            nonce,
+            issued_at: nonce,
+            deadline: nonce + 64,
+        });
+        shard.commit(StateEvent::ProofAccepted { session, device: dev, proof });
+    }
+
+    /// Commits a clean verdict for session `sid`.
+    fn settle(shard: &mut Shard, sid: u64) {
+        let report = Report::clean(Default::default());
+        shard.commit(StateEvent::VerdictRecorded { session: SessionId(sid), report });
+    }
+
+    /// Commits one issue → accept → verdict round for session `sid`.
+    fn round(shard: &mut Shard, dev: DeviceId, sid: u64, nonce: u64, proof: DialedProof) {
+        accept(shard, dev, sid, nonce, proof);
+        settle(shard, sid);
+    }
+
+    /// The WAL segments in `dir`.
+    fn segments(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+            .count()
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -691,47 +791,36 @@ mod tests {
     #[test]
     fn snapshot_rotation_preserves_state_and_bounds_segments() {
         let dir = tmp_dir("rotate");
-        let mut p = params();
-        p.snapshot_every = 4; // force rotations
         let dev = DeviceId(5);
-        {
-            let mut shard = Shard::recover(&dir, 1, 3, &p).unwrap();
+        let before = {
+            let mut shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
             shard.commit(StateEvent::DeviceRegistered {
                 device: dev,
                 op: OpId(0),
                 key_seed: 9,
                 epoch: 2,
             });
-            for round in 0..6u64 {
-                shard.commit(StateEvent::ChallengeIssued {
-                    session: SessionId(1 + 3 * round),
-                    device: dev,
-                    op: OpId(0),
-                    nonce: round,
-                    issued_at: round,
-                    deadline: round + 64,
-                });
-                shard.commit(StateEvent::ProofAccepted {
-                    session: SessionId(1 + 3 * round),
-                    device: dev,
-                    proof: dummy_proof(round as u8),
-                });
-                shard.commit(StateEvent::VerdictRecorded {
-                    session: SessionId(1 + 3 * round),
-                    report: Report::clean(Default::default()),
-                });
+            // Snapshots after rounds 1 and 4, and one between an accepted
+            // proof and its verdict, which must carry the held proof.
+            for r in 0..6u64 {
+                let sid = 1 + 3 * r;
+                accept(&mut shard, dev, sid, r, dummy_proof(r as u8));
+                if r == 3 {
+                    shard.snapshot().unwrap();
+                }
+                settle(&mut shard, sid);
+                if r == 1 || r == 4 {
+                    shard.snapshot().unwrap();
+                }
             }
-            assert!(shard.generation > 0, "snapshot_every=4 must have rotated");
-        }
+            assert_eq!(shard.generation, 3);
+            state_of(&shard)
+        };
         // Exactly one WAL segment remains after rotations.
-        let wal_files: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
-            .collect();
-        assert_eq!(wal_files.len(), 1);
+        assert_eq!(segments(&dir), 1);
 
-        let shard = Shard::recover(&dir, 1, 3, &p).unwrap();
+        let shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
+        assert_eq!(state_of(&shard), before);
         let rec = shard.registry().device(dev).unwrap();
         assert_eq!(rec.verified, 6);
         assert_eq!(rec.last_verified, Some(5));
@@ -742,6 +831,40 @@ mod tests {
         // The replay window survived the snapshot: an old accepted tag is
         // still refused.
         assert!(shard.sessions.check_submit(SessionId(100), dev, &[5; 32], 7).is_err());
+    }
+
+    #[test]
+    fn segment_past_the_floor_rotates_by_itself() {
+        let dir = tmp_dir("floor");
+        let dev = DeviceId(2);
+        let mut shard = Shard::recover(&dir, 0, 1, &params()).unwrap();
+        shard.commit(StateEvent::DeviceRegistered {
+            device: dev,
+            op: OpId(0),
+            key_seed: 1,
+            epoch: 0,
+        });
+        // A full output region keeps every accepted proof ≈ 330 bytes.
+        let mut nonce = 0;
+        while shard.generation == 0 {
+            assert!(nonce < 10_000, "1 MiB of log never rotated");
+            round(&mut shard, dev, nonce, nonce, proof_with_or(nonce as u8, 0xC3));
+            nonce += 1;
+        }
+        let wal = shard.wal.as_ref().unwrap();
+        assert!(wal.size() < ROTATE_FLOOR, "the rotating commit starts a fresh segment");
+        assert!(shard.snapshot_bytes > 0 && shard.snapshot_bytes < ROTATE_FLOOR);
+        // A few more rounds land in the new segment, then the shard
+        // recovers to the same state from snapshot + segment.
+        for _ in 0..3 {
+            round(&mut shard, dev, nonce, nonce, proof_with_or(nonce as u8, 0xC3));
+            nonce += 1;
+        }
+        assert_eq!(segments(&dir), 1);
+        let recovered = Shard::recover(&dir, 0, 1, &params()).unwrap();
+        assert_eq!(state_of(&recovered), state_of(&shard));
+        assert_eq!(recovered.snapshot_bytes, shard.snapshot_bytes);
+        assert_eq!(recovered.wal.as_ref().unwrap().size(), shard.wal.as_ref().unwrap().size());
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //!
 //! Events are encoded with the same total-decode, length-prefixed
 //! discipline as the wire codec in [`crate::wire`] (they share its
-//! `Writer`/`Reader` internals): little-endian integers, `u32`
-//! length-prefixed byte strings, and no announced length able to drive an
-//! allocation past the input size. A log file is:
+//! `Writer`/`Reader` internals and its proof-body encoding, so an accepted
+//! proof's unwritten output region costs 8 bytes, not 2 KiB): little-endian
+//! integers, `u32` length-prefixed byte strings, and no announced length
+//! able to drive an allocation past the input size plus one 64 KiB output
+//! region. A log file is:
 //!
 //! ```text
 //! [ b"DWAL" ][ version u8 ]            file header
@@ -26,15 +28,33 @@
 //! and each payload is one versioned event
 //! (`[EVENT_VERSION][tag][fields…]`).
 //!
+//! # Durability model
+//!
+//! Process-crash consistency: every record reaches the kernel with
+//! `write` before the mutation it describes is applied, and no record is
+//! ever held in user space across an API call. `issue`, `submit` and the
+//! other single mutations cost one `write` each; a verify pass stages the
+//! verdict records of one batch in the log's reusable buffer and hands
+//! them over in **one** `write` ([`Wal::stage`] + [`Wal::flush`]). There is
+//! no per-record `fsync`: power loss may rewind to the last snapshot's
+//! `fsync` point.
+//!
 //! # Corruption tolerance
 //!
 //! A crash can tear the final record (partial write) or leave trailing
 //! garbage. [`read_events`] therefore stops at the first record that is
 //! short, fails its checksum, or does not decode — returning the valid
-//! prefix and **never panicking**. Anti-replay soundness only requires
-//! that accepted history is not *lost*; a torn suffix is by definition a
-//! mutation that never completed, so dropping it recovers a consistent
-//! earlier state.
+//! prefix and **never panicking** — and [`Wal::open`] cuts the file back
+//! to that prefix, so later appends are not stranded behind the torn
+//! bytes. Anti-replay soundness only requires that accepted history is
+//! not *lost*; a torn suffix is by definition a mutation that never
+//! completed, so dropping it recovers a consistent earlier state. A torn
+//! verify-pass write therefore recovers a prefix of that batch's
+//! verdicts; the rest are still queued and verify again.
+//!
+//! A complete header or checksummed record of **another version** is not
+//! corruption but a foreign format, and fails recovery with
+//! [`RecoverError::Format`] rather than reading as an empty log.
 
 use crate::registry::{DeviceId, OpId};
 use crate::session::SessionId;
@@ -51,13 +71,17 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Current event-encoding version, bumped on any incompatible change.
-pub const EVENT_VERSION: u8 = 1;
+/// Version 2 carries proofs in the wire's version-4 proof body.
+pub const EVENT_VERSION: u8 = 2;
 
 /// WAL file magic: "Dialed WAL".
 pub const WAL_MAGIC: [u8; 4] = *b"DWAL";
 
 /// Current WAL file-format version.
 pub const WAL_VERSION: u8 = 1;
+
+/// Bytes of the file header: magic plus version.
+const WAL_HEADER_LEN: usize = WAL_MAGIC.len() + 1;
 
 /// One durable state mutation. Fleet-level events (layout, operations,
 /// epoch) live in the meta log; everything else is per-shard.
@@ -333,28 +357,36 @@ pub(crate) fn record_sum(bytes: &[u8]) -> u32 {
 pub struct Wal {
     file: File,
     path: PathBuf,
-    /// Reusable record buffer so appends do not allocate per event.
-    scratch: Vec<u8>,
+    /// Records staged for the next write; reused so appends do not
+    /// allocate per event.
+    staged: Vec<u8>,
+    /// Bytes in the file, header included.
+    len: u64,
 }
 
 impl Wal {
-    /// Opens `path` for appending, writing the file header if the log is
-    /// new (or empty).
+    /// Opens `path` for appending after its first `valid` bytes — the
+    /// prefix length [`read_events`] reported — cutting off any torn tail
+    /// past them. With `valid` 0 the log starts over with a fresh header.
     ///
     /// # Errors
     ///
     /// Propagates file-system errors.
-    pub fn open(path: &Path) -> io::Result<Self> {
+    pub fn open(path: &Path, valid: u64) -> io::Result<Self> {
         let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-        if file.metadata()?.len() == 0 {
-            // No fsync: like appends, the header rides the page cache.
-            // The durability model is process-crash consistency; power
-            // loss may rewind to the last snapshot's fsync point, and a
-            // headerless segment reads as empty — a valid prefix.
+        if file.metadata()?.len() != valid {
+            file.set_len(valid)?;
+        }
+        let mut len = valid;
+        if valid == 0 {
+            // No fsync: like appends, the header rides the page cache
+            // (see the module docs), and a headerless segment reads as
+            // empty — a valid prefix.
             file.write_all(&WAL_MAGIC)?;
             file.write_all(&[WAL_VERSION])?;
+            len = WAL_HEADER_LEN as u64;
         }
-        Ok(Self { file, path: path.to_path_buf(), scratch: Vec::new() })
+        Ok(Self { file, path: path.to_path_buf(), staged: Vec::new(), len })
     }
 
     /// The log's path.
@@ -363,27 +395,54 @@ impl Wal {
         &self.path
     }
 
-    /// Appends one event as a `[len][crc][payload]` record.
+    /// Bytes in the log file, header included.
+    #[must_use]
+    pub fn size(&self) -> u64 {
+        self.len
+    }
+
+    /// Encodes `ev` as one `[len][crc][payload]` record at the end of the
+    /// staging buffer. Nothing reaches the file until [`Wal::flush`].
+    pub fn stage(&mut self, ev: &StateEvent) {
+        // Encode the payload in place after an 8-byte frame placeholder,
+        // then back-fill length and checksum: one buffer, zero copies.
+        let start = self.staged.len();
+        self.staged.extend_from_slice(&[0u8; 8]);
+        let mut w = Writer(std::mem::take(&mut self.staged));
+        encode_event_into(&mut w, ev);
+        self.staged = w.0;
+        let payload = &self.staged[start + 8..];
+        let len = u32::try_from(payload.len()).expect("event longer than u32::MAX");
+        let crc = record_sum(payload);
+        self.staged[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.staged[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Hands every staged record to the kernel in one `write` and empties
+    /// the staging buffer.
     ///
     /// # Errors
     ///
-    /// Propagates write errors. Callers treat an append failure as
-    /// fail-stop: a mutation whose event cannot be made durable must not
-    /// be applied, or anti-replay state could silently regress on the
-    /// next restart.
+    /// Propagates write errors. Callers treat a failure as fail-stop: a
+    /// mutation whose event cannot be made durable must not be applied,
+    /// or anti-replay state could silently regress on the next restart.
+    pub fn flush(&mut self) -> io::Result<()> {
+        let written = self.file.write_all(&self.staged);
+        if written.is_ok() {
+            self.len += self.staged.len() as u64;
+        }
+        self.staged.clear();
+        written
+    }
+
+    /// Appends one event: [`Wal::stage`] then [`Wal::flush`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Wal::flush`].
     pub fn append(&mut self, ev: &StateEvent) -> io::Result<()> {
-        // Encode the payload in place after an 8-byte frame placeholder,
-        // then back-fill length and checksum: one buffer, zero copies.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; 8]);
-        let mut w = Writer(std::mem::take(&mut self.scratch));
-        encode_event_into(&mut w, ev);
-        self.scratch = w.0;
-        let len = u32::try_from(self.scratch.len() - 8).expect("event longer than u32::MAX");
-        let crc = record_sum(&self.scratch[8..]);
-        self.scratch[..4].copy_from_slice(&len.to_le_bytes());
-        self.scratch[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.file.write_all(&self.scratch)
+        self.stage(ev);
+        self.flush()
     }
 
     /// Forces appended records to stable storage.
@@ -396,7 +455,9 @@ impl Wal {
     }
 }
 
-/// Reads the valid event prefix of the log at `path`.
+/// Reads the valid event prefix of the log at `path`, returning its
+/// events and its length in bytes (header included; 0 when there is no
+/// complete header) — the length [`Wal::open`] resumes appending at.
 ///
 /// A missing file, a short or corrupt header, and any torn / checksum-
 /// failing / undecodable record all terminate the read *gracefully*: the
@@ -405,28 +466,30 @@ impl Wal {
 ///
 /// # Errors
 ///
-/// Only genuine I/O failures (permissions, device errors) are returned;
-/// corruption is not an error.
-pub fn read_events(path: &Path) -> io::Result<Vec<StateEvent>> {
+/// [`RecoverError::Format`] for a complete header, or a record whose
+/// checksum holds, that carries another version; otherwise only genuine
+/// I/O failures (permissions, device errors). Corruption is not an error.
+pub fn read_events(path: &Path) -> Result<(Vec<StateEvent>, u64), RecoverError> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)?;
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
+        Err(e) => return Err(e.into()),
     }
-    let header_len = WAL_MAGIC.len() + 1;
-    if bytes.len() < header_len
-        || bytes[..WAL_MAGIC.len()] != WAL_MAGIC
-        || bytes[WAL_MAGIC.len()] != WAL_VERSION
-    {
+    if bytes.len() < WAL_HEADER_LEN || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
         // A header that never finished writing (or was overwritten) means
         // the valid prefix is empty.
-        return Ok(Vec::new());
+        return Ok((Vec::new(), 0));
+    }
+    let format =
+        |found, expected| RecoverError::Format { file: path.to_path_buf(), found, expected };
+    if bytes[WAL_MAGIC.len()] != WAL_VERSION {
+        return Err(format(bytes[WAL_MAGIC.len()], WAL_VERSION));
     }
     let mut events = Vec::new();
-    let mut pos = header_len;
+    let mut pos = WAL_HEADER_LEN;
     loop {
         let rest = &bytes[pos..];
         if rest.len() < 8 {
@@ -441,11 +504,16 @@ pub fn read_events(path: &Path) -> io::Result<Vec<StateEvent>> {
         if record_sum(payload) != crc {
             break;
         }
-        let Ok(ev) = decode_event(payload) else { break };
-        events.push(ev);
+        match decode_event(payload) {
+            Ok(ev) => events.push(ev),
+            Err(WireError::UnsupportedVersion(found)) => {
+                return Err(format(found, EVENT_VERSION));
+            }
+            Err(_) => break,
+        }
         pos += 8 + len;
     }
-    Ok(events)
+    Ok((events, pos as u64))
 }
 
 /// Writes `bytes` to `path` atomically: write to a sibling temp file,
@@ -479,12 +547,29 @@ pub enum RecoverError {
     /// The meta log references an operation the supplied catalog cannot
     /// rebuild (operations are code artifacts, not persisted state).
     UnknownOp(String),
+    /// A complete file header or checksummed record carries a format
+    /// version this build does not read. There is no migration: the
+    /// directory was written by another format and is refused rather than
+    /// recovered as empty.
+    Format {
+        /// The log or snapshot file.
+        file: PathBuf,
+        /// Version found in it.
+        found: u8,
+        /// Version this build reads.
+        expected: u8,
+    },
 }
 
 impl fmt::Display for RecoverError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecoverError::Io(e) => write!(f, "recovery I/O failure: {e}"),
+            RecoverError::Format { file, found, expected } => write!(
+                f,
+                "{} is format version {found}, this build reads version {expected}",
+                file.display()
+            ),
             RecoverError::MissingLayout => {
                 write!(f, "meta log holds no shard layout — not a recoverable state directory")
             }
@@ -583,44 +668,85 @@ mod tests {
         }
     }
 
+    /// The events of the log's valid prefix.
+    fn events_of(path: &Path) -> Vec<StateEvent> {
+        read_events(path).unwrap().0
+    }
+
+    /// A fresh log at `path` holding `events`.
+    fn write_log(path: &Path, events: &[StateEvent]) -> Wal {
+        let _ = std::fs::remove_file(path);
+        let mut wal = Wal::open(path, 0).unwrap();
+        for ev in events {
+            wal.append(ev).unwrap();
+        }
+        wal
+    }
+
     #[test]
     fn wal_appends_and_reads_back() {
         let path = tmp_path("round-trip");
-        let _ = std::fs::remove_file(&path);
         let events = sample_events();
-        let mut wal = Wal::open(&path).unwrap();
-        for ev in &events {
-            wal.append(ev).unwrap();
-        }
+        let mut wal = write_log(&path, &events);
         wal.sync().unwrap();
-        assert_eq!(read_events(&path).unwrap(), events);
+        assert_eq!(wal.size(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(read_events(&path).unwrap(), (events.clone(), wal.size()));
         // Reopening appends after the existing records.
         drop(wal);
-        let mut wal = Wal::open(&path).unwrap();
+        let mut wal = Wal::open(&path, read_events(&path).unwrap().1).unwrap();
         wal.append(&StateEvent::PruneSweep { now: 999 }).unwrap();
         drop(wal);
-        let read = read_events(&path).unwrap();
+        let read = events_of(&path);
         assert_eq!(read.len(), events.len() + 1);
         assert_eq!(read.last(), Some(&StateEvent::PruneSweep { now: 999 }));
     }
 
     #[test]
+    fn staged_records_reach_the_file_in_one_flush() {
+        let path = tmp_path("staged");
+        let events = sample_events();
+        let mut wal = write_log(&path, &[]);
+        for ev in &events {
+            wal.stage(ev);
+        }
+        assert_eq!(events_of(&path), Vec::new(), "staging writes nothing");
+        wal.flush().unwrap();
+        assert_eq!(events_of(&path), events);
+        wal.flush().unwrap();
+        assert_eq!(events_of(&path), events, "a flush empties the stage");
+    }
+
+    #[test]
+    fn reopening_cuts_a_torn_tail() {
+        // A record appended after recovery from a torn write must not be
+        // stranded behind the torn bytes, where the next read stops.
+        let path = tmp_path("reopen-torn");
+        let events = sample_events();
+        drop(write_log(&path, &events));
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 3]).unwrap();
+        let (kept, valid) = read_events(&path).unwrap();
+        assert_eq!(kept, events[..events.len() - 1]);
+        let mut wal = Wal::open(&path, valid).unwrap();
+        wal.append(&StateEvent::EpochBumped { epoch: 9 }).unwrap();
+        assert_eq!(wal.size(), std::fs::metadata(&path).unwrap().len());
+        let mut expect = kept;
+        expect.push(StateEvent::EpochBumped { epoch: 9 });
+        assert_eq!(events_of(&path), expect);
+    }
+
+    #[test]
     fn torn_tail_yields_valid_prefix() {
         let path = tmp_path("torn");
-        let _ = std::fs::remove_file(&path);
         let events = sample_events();
-        let mut wal = Wal::open(&path).unwrap();
-        for ev in &events {
-            wal.append(ev).unwrap();
-        }
-        drop(wal);
+        drop(write_log(&path, &events));
         let full = std::fs::read(&path).unwrap();
         // Every truncation point recovers some prefix of the events,
         // without panicking.
         let mut last_len = 0usize;
         for cut in 0..full.len() {
             std::fs::write(&path, &full[..cut]).unwrap();
-            let got = read_events(&path).unwrap();
+            let got = events_of(&path);
             assert_eq!(got.as_slice(), &events[..got.len()], "cut at {cut}");
             assert!(got.len() >= last_len.saturating_sub(1));
             last_len = got.len();
@@ -630,13 +756,8 @@ mod tests {
     #[test]
     fn corrupt_record_stops_the_read_at_the_prefix() {
         let path = tmp_path("corrupt");
-        let _ = std::fs::remove_file(&path);
         let events = sample_events();
-        let mut wal = Wal::open(&path).unwrap();
-        for ev in &events {
-            wal.append(ev).unwrap();
-        }
-        drop(wal);
+        drop(write_log(&path, &events));
         let full = std::fs::read(&path).unwrap();
         // Flip one payload byte somewhere in the middle of the file: the
         // checksum catches it and the read stops before that record.
@@ -644,32 +765,29 @@ mod tests {
         let mut bad = full.clone();
         bad[mid] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        let got = read_events(&path).unwrap();
+        let got = events_of(&path);
         assert!(got.len() < events.len());
         assert_eq!(got.as_slice(), &events[..got.len()]);
         // Destroying the header recovers the empty prefix.
         let mut bad = full;
         bad[0] ^= 0xFF;
         std::fs::write(&path, &bad).unwrap();
-        assert_eq!(read_events(&path).unwrap(), Vec::new());
+        assert_eq!(read_events(&path).unwrap(), (Vec::new(), 0));
         // A missing file is an empty log, not an error.
         let _ = std::fs::remove_file(&path);
-        assert_eq!(read_events(&path).unwrap(), Vec::new());
+        assert_eq!(read_events(&path).unwrap(), (Vec::new(), 0));
     }
 
     #[test]
     fn hostile_length_cannot_overallocate() {
         let path = tmp_path("hostile-len");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&StateEvent::EpochBumped { epoch: 1 }).unwrap();
-        drop(wal);
+        drop(write_log(&path, &[StateEvent::EpochBumped { epoch: 1 }]));
         let mut bytes = std::fs::read(&path).unwrap();
         // Claim a 4 GiB record: the reader must stop, not allocate.
-        let header = WAL_MAGIC.len() + 1;
+        let header = WAL_HEADER_LEN;
         bytes[header..header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(read_events(&path).unwrap(), Vec::new());
+        assert_eq!(read_events(&path).unwrap(), (Vec::new(), header as u64));
     }
 
     #[test]

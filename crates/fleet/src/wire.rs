@@ -11,9 +11,28 @@
 //! | 4 | 4 | payload length `n` |
 //! | 8 | `n` | payload |
 //!
+//! A proof body (inside `Proof` and `Submit` frames, and shared with the
+//! durable store's events and snapshots) is:
+//!
+//! | size | field |
+//! |---|---|
+//! | 10 | region metadata (`er_min, er_max, er_exit, or_min, or_max`) |
+//! | 1 | `EXEC` flag (0 or 1) |
+//! | 4 | OR length `len` (at most [`MAX_OR_LEN`]) |
+//! | 4 | zero prefix `z` (`z <= len`) |
+//! | `len - z` | OR tail: bytes `z..len`; its first byte is non-zero |
+//! | 32 | MAC tag |
+//!
+//! The output region is a log filled downward from `or_max`, so its
+//! unwritten low end is zero and travels as a count, not as bytes. The
+//! encoding is canonical: `z` is the whole leading zero run, so a tail
+//! starting with 0 is refused and `encode(decode(b)) == b` for every
+//! accepted `b`.
+//!
 //! Every decode path is **total**: malformed, truncated, corrupted or
 //! hostile input yields a [`WireError`], never a panic, and no length
-//! field can drive an allocation larger than the input itself. Decoding
+//! field can drive an allocation larger than the input plus
+//! [`MAX_OR_LEN`] per proof (a zero prefix expands on decode). Decoding
 //! also re-validates embedded [`PoxConfig`] bounds, so a region that the
 //! verifier would crash on (e.g. an even `or_max`) is rejected at the
 //! wire boundary.
@@ -30,8 +49,13 @@ use vrased::Challenge;
 /// [`RejectReason`] encoding; version 3 added the request-correlated
 /// networking envelope ([`IssueMsg`], [`GrantMsg`], [`SubmitMsg`],
 /// [`VerdictMsg`], [`RejectMsg`]) and the
-/// [`Overloaded`](RejectReason::Overloaded) backpressure reason.
-pub const WIRE_VERSION: u8 = 3;
+/// [`Overloaded`](RejectReason::Overloaded) backpressure reason; version 4
+/// sends a proof's output region as a zero-prefix count plus its tail.
+pub const WIRE_VERSION: u8 = 4;
+
+/// Longest output region a proof body may announce: the MSP430's whole
+/// 64 KiB address space.
+pub const MAX_OR_LEN: usize = 1 << 16;
 
 /// Frame magic: "Dialed Wire".
 pub const MAGIC: [u8; 2] = *b"DW";
@@ -76,6 +100,8 @@ pub enum WireError {
     BadBool(u8),
     /// Embedded region metadata failed [`PoxConfig`] validation.
     BadConfig(&'static str),
+    /// A proof's output-region encoding is out of bounds or not canonical.
+    BadOutputRegion(&'static str),
     /// A counted field does not fit this platform's `usize`.
     Overflow(&'static str),
     /// A well-formed frame of the wrong kind arrived where a specific
@@ -112,6 +138,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadBool(b) => write!(f, "boolean field holds {b:#04x}"),
             WireError::BadConfig(m) => write!(f, "embedded PoX config invalid: {m}"),
+            WireError::BadOutputRegion(m) => write!(f, "output region encoding invalid: {m}"),
             WireError::Overflow(what) => write!(f, "{what} does not fit usize"),
             WireError::UnexpectedMessage { expected } => {
                 write!(f, "frame decoded but is not a {expected} message")
@@ -368,13 +395,34 @@ fn encode_challenge(w: &mut Writer, m: &ChallengeMsg) {
     w.bytes(m.challenge.as_bytes());
 }
 
-/// Encodes the proof body alone — shared with the durable store, which
-/// persists accepted proofs inside `ProofAccepted` events.
+/// Length of the leading run of zero bytes. Whole 64-byte blocks are
+/// tested with a branch-free OR, which the compiler can vectorise; only
+/// the block holding the first non-zero byte is searched byte by byte.
+fn zero_prefix(bytes: &[u8]) -> usize {
+    const BLOCK: usize = 64;
+    let zero_blocks =
+        bytes.chunks_exact(BLOCK).take_while(|b| b.iter().fold(0, |acc, &x| acc | x) == 0).count();
+    let start = zero_blocks * BLOCK;
+    start + bytes[start..].iter().take_while(|&&b| b == 0).count()
+}
+
+/// Encodes the proof body alone (see the module docs for its layout) —
+/// shared with the durable store, which persists accepted proofs inside
+/// `ProofAccepted` events and snapshots.
+///
+/// # Panics
+///
+/// Panics if the output region is longer than [`MAX_OR_LEN`]: no decoder
+/// would accept it back. Decoded proofs never are.
 pub(crate) fn encode_dialed_proof(w: &mut Writer, proof: &DialedProof) {
     let pox = &proof.pox;
+    assert!(pox.or_data.len() <= MAX_OR_LEN, "output region longer than the address space");
     w.bytes(&pox.cfg.to_metadata_bytes());
     w.u8(u8::from(pox.exec));
-    w.lp_bytes(&pox.or_data);
+    let zeros = zero_prefix(&pox.or_data);
+    w.u32(pox.or_data.len() as u32);
+    w.u32(zeros as u32);
+    w.bytes(&pox.or_data[zeros..]);
     w.bytes(&pox.tag);
 }
 
@@ -510,58 +558,60 @@ fn encode_batch_summary(w: &mut Writer, m: &BatchSummary) {
 /// Encodes a message as one framed byte string.
 #[must_use]
 pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut payload = Writer(Vec::new());
+    // The payload is written straight after a header whose tag and length
+    // are back-filled: one buffer, no copy.
+    let mut w = Writer(Vec::with_capacity(128));
+    w.bytes(&MAGIC);
+    w.u8(WIRE_VERSION);
+    w.bytes(&[0; 5]);
     let tag = match msg {
         Message::Challenge(m) => {
-            encode_challenge(&mut payload, m);
+            encode_challenge(&mut w, m);
             TAG_CHALLENGE
         }
         Message::Proof(m) => {
-            encode_proof(&mut payload, m);
+            encode_proof(&mut w, m);
             TAG_PROOF
         }
         Message::Report(m) => {
-            encode_report(&mut payload, m);
+            encode_report(&mut w, m);
             TAG_REPORT
         }
         Message::BatchSummary(m) => {
-            encode_batch_summary(&mut payload, m);
+            encode_batch_summary(&mut w, m);
             TAG_BATCH_SUMMARY
         }
         Message::Issue(m) => {
-            payload.u64(m.request);
-            payload.u64(m.device);
+            w.u64(m.request);
+            w.u64(m.device);
             TAG_ISSUE
         }
         Message::Grant(m) => {
-            payload.u64(m.request);
-            encode_challenge(&mut payload, &m.body);
+            w.u64(m.request);
+            encode_challenge(&mut w, &m.body);
             TAG_GRANT
         }
         Message::Submit(m) => {
-            payload.u64(m.request);
-            encode_proof(&mut payload, &m.body);
+            w.u64(m.request);
+            encode_proof(&mut w, &m.body);
             TAG_SUBMIT
         }
         Message::Verdict(m) => {
-            payload.u64(m.request);
-            encode_report(&mut payload, &m.body);
+            w.u64(m.request);
+            encode_report(&mut w, &m.body);
             TAG_VERDICT
         }
         Message::Reject(m) => {
-            payload.u64(m.request);
-            encode_reject_reason(&mut payload, &m.reason);
+            w.u64(m.request);
+            encode_reject_reason(&mut w, &m.reason);
             TAG_REJECT
         }
     };
-    let payload = payload.0;
-    let mut out = Writer(Vec::with_capacity(HEADER_LEN + payload.len()));
-    out.bytes(&MAGIC);
-    out.u8(WIRE_VERSION);
-    out.u8(tag);
-    out.u32(u32::try_from(payload.len()).expect("payload longer than u32::MAX"));
-    out.bytes(&payload);
-    out.0
+    let mut out = w.0;
+    let len = u32::try_from(out.len() - HEADER_LEN).expect("payload longer than u32::MAX");
+    out[3] = tag;
+    out[4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -569,7 +619,8 @@ pub fn encode(msg: &Message) -> Vec<u8> {
 
 /// Total-decode cursor shared by the wire codec and the durable store —
 /// every read is bounds-checked and no announced length can drive an
-/// allocation larger than the input itself.
+/// allocation larger than the input itself (a proof's zero prefix, capped
+/// at [`MAX_OR_LEN`], is the one count that expands).
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -660,10 +711,24 @@ fn decode_config(r: &mut Reader<'_>) -> Result<PoxConfig, WireError> {
 
 /// Decodes a proof body alone (the inverse of [`encode_dialed_proof`]),
 /// re-validating the embedded [`PoxConfig`] exactly as the wire path does.
+/// Both counts are bounded before anything is allocated.
 pub(crate) fn decode_dialed_proof(r: &mut Reader<'_>) -> Result<DialedProof, WireError> {
     let cfg = decode_config(r)?;
     let exec = r.bool()?;
-    let or_data = r.lp_bytes()?;
+    let (len, zeros) = (r.u32()? as usize, r.u32()? as usize);
+    if len > MAX_OR_LEN {
+        return Err(WireError::BadOutputRegion("length past the 64 KiB address space"));
+    }
+    if zeros > len {
+        return Err(WireError::BadOutputRegion("zero prefix longer than the region"));
+    }
+    let tail = r.take(len - zeros)?;
+    if tail.first() == Some(&0) {
+        return Err(WireError::BadOutputRegion("zero prefix not maximal"));
+    }
+    let mut or_data = Vec::with_capacity(len);
+    or_data.resize(zeros, 0);
+    or_data.extend_from_slice(tail);
     let tag = r.digest()?;
     Ok(DialedProof { pox: PoxProof { cfg, exec, or_data, tag } })
 }
@@ -1072,14 +1137,94 @@ mod tests {
         assert!(matches!(decode(&bad), Err(WireError::LengthMismatch { .. })));
     }
 
+    /// Offset of a `Proof` frame's OR length field: after the header,
+    /// session, device, region metadata and `EXEC` byte. The zero prefix
+    /// follows it, then the tail.
+    const OR_LEN_OFF: usize = HEADER_LEN + 8 + 8 + 10 + 1;
+
+    fn proof_with_or(or_data: Vec<u8>) -> Message {
+        let mut msg = sample_proof();
+        msg.proof.pox.or_data = or_data;
+        Message::Proof(msg)
+    }
+
+    /// `bytes`, a proof frame, with its two OR counts overwritten.
+    fn with_or_counts(mut bytes: Vec<u8>, len: u32, zeros: u32) -> Vec<u8> {
+        bytes[OR_LEN_OFF..OR_LEN_OFF + 4].copy_from_slice(&len.to_le_bytes());
+        bytes[OR_LEN_OFF + 4..OR_LEN_OFF + 8].copy_from_slice(&zeros.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn hostile_length_cannot_force_allocation() {
-        // A proof frame whose or_data length claims 4 GiB must fail fast.
-        let mut bytes = encode(&Message::Proof(sample_proof()));
-        // or_data length field sits after session+device+cfg+exec.
-        let off = HEADER_LEN + 8 + 8 + 10 + 1;
-        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode(&bytes), Err(WireError::Truncated { .. })));
+    fn or_shapes_round_trip_canonically() {
+        let n = sample_proof().proof.pox.cfg.or_len();
+        let one_at = |i: usize| {
+            let mut or = vec![0; n];
+            or[i] = 0x80;
+            or
+        };
+        let shapes = [
+            Vec::new(),
+            vec![0; n],
+            vec![0xFF; n],
+            one_at(0),
+            one_at(n - 1),
+            // The `MutantForge` OR truncate/extend mutants' lengths.
+            vec![0; n - 2],
+            [vec![0; n], vec![7, 7]].concat(),
+        ];
+        for or in shapes {
+            let zeros = or.iter().take_while(|&&b| b == 0).count();
+            let msg = proof_with_or(or.clone());
+            let bytes = encode(&msg);
+            assert_eq!(bytes.len(), OR_LEN_OFF + 8 + (or.len() - zeros) + DIGEST_LEN);
+            assert_eq!(bytes[OR_LEN_OFF + 4..OR_LEN_OFF + 8], (zeros as u32).to_le_bytes());
+            assert_eq!(decode(&bytes).as_ref(), Ok(&msg), "OR {or:?}");
+            for cut in 0..bytes.len() {
+                assert!(decode(&bytes[..cut]).is_err(), "prefix {cut} of OR {or:?} decoded");
+            }
+        }
+    }
+
+    #[test]
+    fn non_canonical_tail_rejected() {
+        // Announce one zero fewer than the OR starts with: the tail then
+        // begins with a 0 byte, a second spelling of the same region.
+        let mut or = vec![0; 16];
+        or[9] = 1;
+        let bytes = encode(&proof_with_or(or));
+        let mut bad = with_or_counts(bytes.clone(), 16, 8);
+        bad.insert(OR_LEN_OFF + 8, 0);
+        let payload = (bad.len() - HEADER_LEN) as u32;
+        bad[4..8].copy_from_slice(&payload.to_le_bytes());
+        assert_eq!(decode(&bad), Err(WireError::BadOutputRegion("zero prefix not maximal")));
+        assert!(decode(&bytes).is_ok());
+    }
+
+    #[test]
+    fn or_length_past_64k_fails_before_allocating() {
+        // An all-zero region costs 8 bytes on the wire whatever its
+        // length, so the counts are bounded before the region is built.
+        let empty = encode(&proof_with_or(Vec::new()));
+        let past = (MAX_OR_LEN + 1) as u32;
+        for (len, zeros) in [(past, past), (u32::MAX, u32::MAX), (u32::MAX, 0)] {
+            assert_eq!(
+                decode(&with_or_counts(empty.clone(), len, zeros)),
+                Err(WireError::BadOutputRegion("length past the 64 KiB address space"))
+            );
+        }
+        for zeros in [17, past, u32::MAX] {
+            assert_eq!(
+                decode(&with_or_counts(empty.clone(), 16, zeros)),
+                Err(WireError::BadOutputRegion("zero prefix longer than the region"))
+            );
+        }
+        // The bound itself is a legal (all-zero) region.
+        let max = MAX_OR_LEN as u32;
+        let Ok(Message::Proof(m)) = decode(&with_or_counts(empty, max, max)) else {
+            panic!("a 64 KiB all-zero region decodes");
+        };
+        assert_eq!(m.proof.pox.or_data, vec![0; MAX_OR_LEN]);
     }
 
     #[test]

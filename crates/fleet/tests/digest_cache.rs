@@ -20,7 +20,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn config() -> FleetConfig {
-    FleetConfig { workers: Some(1), shards: 2, snapshot_every: 8, ..FleetConfig::default() }
+    FleetConfig { workers: Some(1), shards: 2, ..FleetConfig::default() }
 }
 
 fn catalog() -> impl fleet::OpCatalog {
@@ -68,6 +68,8 @@ fn er_digest_is_computed_once_per_invalidation_cycle() {
     // Further drains never recompute: misses stay pinned at 1 while the
     // hit counter absorbs every new batch.
     for r in 1..3u64 {
+        // Snapshots between drains do not touch the memo.
+        fleet.snapshot().unwrap();
         round(&mut fleet, &mut devices, r * 10);
         let stats = fleet.digest_cache_stats();
         assert_eq!(stats.misses, 1, "drain {r} must be served from the memo: {stats:?}");
@@ -84,9 +86,11 @@ fn er_digest_is_computed_once_per_invalidation_cycle() {
     let rotated = fleet.digest_cache_stats();
     assert_eq!(rotated.misses, 2, "rotation invalidates the memo once: {rotated:?}");
 
-    // Cycle 3 (crash + WAL recovery): the rebuilt engines start cold —
-    // fresh counters — and the first post-recovery drain computes the
-    // digest exactly once again.
+    // Cycle 3 (crash + recovery from snapshot + WAL): the rebuilt engines
+    // start cold — fresh counters — and the first post-recovery drain
+    // computes the digest exactly once again.
+    fleet.snapshot().unwrap();
+    round(&mut fleet, &mut devices, 150);
     drop(fleet);
     let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
     let cold = fleet.digest_cache_stats();

@@ -2,7 +2,8 @@
 //! at an arbitrary byte offset must never panic recovery. Recovery
 //! always yields a fleet representing some valid prefix of the committed
 //! history — counters never exceed what was committed — and that fleet
-//! keeps serving.
+//! keeps serving. Each case snapshots its history at generated points, so
+//! mutations hit snapshots and live WAL segments in varying proportions.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -10,7 +11,6 @@ use fleet::{CatalogFn, Fleet, FleetConfig, SessionId};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -19,9 +19,7 @@ const DEVICES: u64 = 3;
 const ROUNDS: u64 = 3;
 
 fn config() -> FleetConfig {
-    // snapshot_every=6 makes the base state span snapshots AND live WAL
-    // tails, so mutations hit both kinds of file.
-    FleetConfig { workers: Some(1), shards: 2, snapshot_every: 6, ..FleetConfig::default() }
+    FleetConfig { workers: Some(1), shards: 2, ..FleetConfig::default() }
 }
 
 fn catalog() -> impl fleet::OpCatalog {
@@ -32,37 +30,49 @@ fn catalog() -> impl fleet::OpCatalog {
     })
 }
 
-/// Builds the canonical durable state directory once: 3 devices, 3
-/// verified rounds each, plus one accepted-but-undrained submission.
-fn base_dir() -> &'static Path {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("dialed-walprop-base-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut fleet = Fleet::durable(&dir, config()).unwrap();
-        let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
-        let op_id = fleet.register_op("adder", op.clone(), vec![]);
-        let devs: Vec<_> =
-            (0..DEVICES).map(|seed| fleet.register_device(op_id, seed).unwrap()).collect();
-        let mut sims: Vec<_> = devs
-            .iter()
-            .map(|&d| DialedDevice::new(op.clone(), fleet.device_keystore(d).unwrap()))
-            .collect();
-        for round in 0..ROUNDS {
-            for (i, &dev) in devs.iter().enumerate() {
-                let chal = fleet.issue(dev, round * 10).unwrap();
-                sims[i].invoke(&[0; 8]);
-                let proof = sims[i].prove(&chal.challenge);
-                fleet.submit(SessionId(chal.session), dev, proof, round * 10 + 1).unwrap();
-            }
-            fleet.drain(round * 10 + 2);
+/// Builds the canonical durable state in a fresh per-case directory: 3
+/// devices, 3 verified rounds each, plus one accepted-but-undrained
+/// submission. Bit `i` of `snaps` snapshots every shard at the `i`-th of
+/// the history's 13 points (after each submission and each drain).
+fn build_state(name: &str, snaps: u16) -> PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("dialed-walprop-{}-{name}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut fleet = Fleet::durable(&dir, config()).unwrap();
+    let mut point = 0;
+    let mut maybe_snapshot = |fleet: &mut Fleet| {
+        if snaps & (1 << point) != 0 {
+            fleet.snapshot().unwrap();
         }
-        // One in-flight submission left undrained at "crash" time.
-        let chal = fleet.issue(devs[0], 100).unwrap();
-        let proof = sims[0].prove(&chal.challenge);
-        fleet.submit(SessionId(chal.session), devs[0], proof, 101).unwrap();
-        dir
-    })
+        point += 1;
+    };
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    let op_id = fleet.register_op("adder", op.clone(), vec![]);
+    let devs: Vec<_> =
+        (0..DEVICES).map(|seed| fleet.register_device(op_id, seed).unwrap()).collect();
+    let mut sims: Vec<_> = devs
+        .iter()
+        .map(|&d| DialedDevice::new(op.clone(), fleet.device_keystore(d).unwrap()))
+        .collect();
+    for round in 0..ROUNDS {
+        for (i, &dev) in devs.iter().enumerate() {
+            let chal = fleet.issue(dev, round * 10).unwrap();
+            sims[i].invoke(&[0; 8]);
+            let proof = sims[i].prove(&chal.challenge);
+            fleet.submit(SessionId(chal.session), dev, proof, round * 10 + 1).unwrap();
+            maybe_snapshot(&mut fleet);
+        }
+        fleet.drain(round * 10 + 2);
+        maybe_snapshot(&mut fleet);
+    }
+    // One in-flight submission left undrained at "crash" time.
+    let chal = fleet.issue(devs[0], 100).unwrap();
+    let proof = sims[0].prove(&chal.challenge);
+    fleet.submit(SessionId(chal.session), devs[0], proof, 101).unwrap();
+    maybe_snapshot(&mut fleet);
+    dir
 }
 
 /// Every durable file under the state dir, relative to it, in a stable
@@ -82,22 +92,6 @@ fn state_files(dir: &Path) -> Vec<PathBuf> {
     }
     files.sort();
     files
-}
-
-/// Copies the base state into a fresh per-case directory.
-fn clone_state(name: &str) -> PathBuf {
-    static CASE: AtomicUsize = AtomicUsize::new(0);
-    let base = base_dir();
-    let case = CASE.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("dialed-walprop-{}-{name}-{case}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    for rel in state_files(base) {
-        let dst = dir.join(&rel);
-        std::fs::create_dir_all(dst.parent().unwrap()).unwrap();
-        std::fs::copy(base.join(&rel), dst).unwrap();
-    }
-    dir
 }
 
 /// Total committed verified count in the base state.
@@ -155,10 +149,11 @@ proptest! {
     /// panics and yields a valid prefix state.
     #[test]
     fn truncated_tail_recovers_to_a_valid_prefix(
+        snaps in any::<u16>(),
         file_sel in 0usize..1024,
         cut_sel in 0usize..10_000,
     ) {
-        let dir = clone_state("trunc");
+        let dir = build_state("trunc", snaps);
         let files = state_files(&dir);
         let target = dir.join(&files[file_sel % files.len()]);
         let bytes = std::fs::read(&target).unwrap();
@@ -176,11 +171,12 @@ proptest! {
     /// reports a structured error — never garbage state.
     #[test]
     fn corrupted_byte_never_panics_recovery(
+        snaps in any::<u16>(),
         file_sel in 0usize..1024,
         pos_sel in 0usize..10_000,
         mask in 1u8..=255,
     ) {
-        let dir = clone_state("corrupt");
+        let dir = build_state("corrupt", snaps);
         let files = state_files(&dir);
         let target = dir.join(&files[file_sel % files.len()]);
         let mut bytes = std::fs::read(&target).unwrap();

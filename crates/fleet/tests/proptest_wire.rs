@@ -55,6 +55,29 @@ fn config_from(er_len: u16, or_len: u16, exit_off: u16) -> PoxConfig {
     PoxConfig::new(er_min, er_max, er_exit, or_min, or_max).unwrap()
 }
 
+/// An output region of `len` bytes: `zeros` leading zero bytes (clamped
+/// to `len`), then bytes drawn from `fill` — which may themselves be zero,
+/// so the encoded zero prefix can run past `zeros`.
+fn or_region(len: usize, zeros: usize, fill: &[u8]) -> Vec<u8> {
+    let zeros = zeros.min(len);
+    let mut or = vec![0; len];
+    for (i, b) in or[zeros..].iter_mut().enumerate() {
+        *b = fill[i % fill.len()];
+    }
+    or
+}
+
+/// A proof frame carrying `or_data` over a config whose region is
+/// `or_len` bytes — lengths may disagree, as truncate/extend mutants do.
+fn proof_frame(or_len: u16, or_data: Vec<u8>) -> Message {
+    let cfg = config_from(64, or_len, 0);
+    Message::Proof(ProofMsg {
+        session: 5,
+        device: 6,
+        proof: DialedProof { pox: PoxProof { cfg, exec: true, or_data, tag: [7; 32] } },
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -184,6 +207,50 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         if let Ok(decoded) = wire::decode(&bytes) {
             prop_assert_ne!(decoded, msg, "flipped bit at {} unnoticed", pos);
+        }
+    }
+
+    /// Every OR shape round-trips — including lengths that disagree with
+    /// the config (the truncate/extend mutants) — and costs only its tail
+    /// past the zero prefix; every truncation of the frame errors.
+    #[test]
+    fn or_shapes_round_trip_and_truncate_cleanly(
+        or_len in any::<u16>(),
+        delta in -4i32..=4,
+        zeros in 0usize..1200,
+        fill in proptest::array::uniform8(any::<u8>()),
+    ) {
+        let n = (config_from(64, or_len, 0).or_len() as i32 + delta).max(0) as usize;
+        let or = or_region(n, zeros, &fill);
+        let tail = n - or.iter().take_while(|&&b| b == 0).count();
+        let msg = proof_frame(or_len, or);
+        let bytes = wire::encode(&msg);
+        prop_assert_eq!(bytes.len(), wire::HEADER_LEN + 8 + 8 + 10 + 1 + 8 + tail + 32);
+        let decoded = wire::decode(&bytes);
+        prop_assert_eq!(decoded.as_ref(), Ok(&msg));
+        for cut in 0..bytes.len() {
+            prop_assert!(wire::decode(&bytes[..cut]).is_err(), "prefix {} decoded", cut);
+        }
+    }
+
+    /// The encoding is canonical: whatever a corrupted proof frame decodes
+    /// to re-encodes to exactly the accepted bytes.
+    #[test]
+    fn accepted_frames_re_encode_identically(
+        or_len in 0u16..64,
+        zeros in 0usize..140,
+        fill in proptest::array::uniform8(any::<u8>()),
+        pos in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let n = config_from(64, or_len, 0).or_len();
+        let mut bytes = wire::encode(&proof_frame(or_len, or_region(n, zeros, &fill)));
+        // Aim at the OR counts and tail a third of the time.
+        let or_off = wire::HEADER_LEN + 8 + 8 + 10 + 1;
+        let pos = if pos % 3 == 0 { or_off + pos / 3 % 12 } else { pos } % bytes.len();
+        bytes[pos] = byte;
+        if let Ok(decoded) = wire::decode(&bytes) {
+            prop_assert_eq!(wire::encode(&decoded), bytes);
         }
     }
 }

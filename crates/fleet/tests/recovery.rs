@@ -3,6 +3,10 @@
 //! canonical attack this guards against: capture a proof the fleet
 //! already accepted, crash the service, and replay the capture after
 //! restart hoping the replay window was lost with the process.
+//!
+//! Snapshots are taken at every subset of a few chosen points, so the
+//! crash lands with history split between snapshots and live WAL segments
+//! in every arrangement those points allow.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -20,7 +24,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 fn config() -> FleetConfig {
-    FleetConfig { workers: Some(1), shards: 3, snapshot_every: 4, ..FleetConfig::default() }
+    FleetConfig { workers: Some(1), shards: 3, ..FleetConfig::default() }
 }
 
 fn catalog() -> impl fleet::OpCatalog {
@@ -31,9 +35,25 @@ fn catalog() -> impl fleet::OpCatalog {
     })
 }
 
+/// Snapshots every shard if bit `point` of `mask` is set.
+fn snapshot_at(fleet: &mut Fleet, mask: u32, point: u32) {
+    if mask & (1 << point) != 0 {
+        fleet.snapshot().unwrap();
+    }
+}
+
 #[test]
 fn replayed_proof_is_rejected_across_a_crash() {
-    let dir = tmp_dir("replay-across-crash");
+    // Snapshot points: after registration, after the first drain, and
+    // between the second submission and the crash (the snapshot then
+    // holds the undrained proof).
+    for mask in 0..8 {
+        replay_across_crash(mask);
+    }
+}
+
+fn replay_across_crash(mask: u32) {
+    let dir = tmp_dir(&format!("replay-across-crash-{mask}"));
 
     // Phase 1: an honest round completes, then a second submission is
     // accepted — and the fleet "crashes" (is dropped) before draining it.
@@ -43,6 +63,7 @@ fn replayed_proof_is_rejected_across_a_crash() {
         let op_id = fleet.register_op("adder", op.clone(), vec![]);
         let dev = fleet.register_device(op_id, 0xC0FFEE).unwrap();
         let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
+        snapshot_at(&mut fleet, mask, 0);
 
         let chal1 = fleet.issue(dev, 0).unwrap();
         device.invoke(&[0, 0, 0, 0, 0, 0, 2, 3]);
@@ -51,11 +72,13 @@ fn replayed_proof_is_rejected_across_a_crash() {
         let (stats, _) = fleet.drain(2);
         assert_eq!(stats.verified, 1);
         assert_eq!(fleet.device(dev).unwrap().last_verified, Some(0));
+        snapshot_at(&mut fleet, mask, 1);
 
         let chal2 = fleet.issue(dev, 3).unwrap();
         let proof2 = device.prove(&chal2.challenge);
         fleet.submit(SessionId(chal2.session), dev, proof2.clone(), 4).unwrap();
         assert_eq!(fleet.pending(), 1);
+        snapshot_at(&mut fleet, mask, 2);
         // Crash: no drain, no graceful shutdown, just drop.
         (dev, proof1, proof2, SessionId(chal2.session))
     };
@@ -88,6 +111,7 @@ fn replayed_proof_is_rejected_across_a_crash() {
     let rec = fleet.device(dev).unwrap();
     assert_eq!((rec.verified, rec.last_verified), (2, Some(1)), "counters advance, never regress");
     assert_eq!(fleet.session(pending_sid).unwrap().state, SessionState::Verified);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -100,8 +124,9 @@ fn counters_stay_monotone_across_repeated_restarts() {
     }
 
     // Each generation: recover, run one honest round per device, crash.
-    // snapshot_every=4 forces snapshot+WAL rotations along the way, so
-    // the rounds cross snapshot boundaries as well as restarts.
+    // A snapshot after a different device's submission each generation,
+    // and after the drain in the middle one, puts snapshot boundaries
+    // inside rounds as well as between restarts.
     let mut device_ids = Vec::new();
     for generation in 0..3u64 {
         let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
@@ -123,9 +148,15 @@ fn counters_stay_monotone_across_repeated_restarts() {
             device.invoke(&[0; 8]);
             let proof = device.prove(&chal.challenge);
             fleet.submit(SessionId(chal.session), dev, proof, generation * 100 + 1).unwrap();
+            if dev == device_ids[generation as usize] {
+                fleet.snapshot().unwrap();
+            }
         }
         let (stats, _) = fleet.drain(generation * 100 + 2);
         assert_eq!(stats.verified, device_ids.len());
+        if generation == 1 {
+            fleet.snapshot().unwrap();
+        }
     }
 
     let fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
@@ -133,4 +164,64 @@ fn counters_stay_monotone_across_repeated_restarts() {
         let rec = fleet.device(dev).unwrap();
         assert_eq!((rec.verified, rec.last_verified), (3, Some(2)));
     }
+}
+
+#[test]
+fn torn_verdict_batch_recovers_a_prefix_of_it() {
+    // One shard, one operation: a drain writes all its verdicts with one
+    // `write`. Cutting that write at every byte offset must recover the
+    // first k verdicts of the batch and leave the rest queued — never a
+    // mixture — and the recovered fleet must finish the batch durably.
+    let config = FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() };
+    let base = tmp_dir("torn-batch-base");
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    let (order, before, after) = {
+        let mut fleet = Fleet::durable(&base, config.clone()).unwrap();
+        let op_id = fleet.register_op("adder", op.clone(), vec![]);
+        for seed in 0..4 {
+            let dev = fleet.register_device(op_id, seed).unwrap();
+            let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
+            let chal = fleet.issue(dev, 0).unwrap();
+            device.invoke(&[0; 8]);
+            let proof = device.prove(&chal.challenge);
+            fleet.submit(SessionId(chal.session), dev, proof, 1).unwrap();
+        }
+        let segment = base.join("shard-0").join("wal-0.log");
+        let before = std::fs::metadata(&segment).unwrap().len() as usize;
+        let mut order = Vec::new();
+        assert_eq!(fleet.verify_pending(&mut order).verified, 4);
+        (order, before, std::fs::read(&segment).unwrap())
+    };
+
+    for cut in before..=after.len() {
+        let dir = tmp_dir("torn-batch-cut");
+        for file in ["meta.log", "shard-0/wal-0.log"] {
+            std::fs::create_dir_all(dir.join(file).parent().unwrap()).unwrap();
+            std::fs::copy(base.join(file), dir.join(file)).unwrap();
+        }
+        std::fs::write(dir.join("shard-0").join("wal-0.log"), &after[..cut]).unwrap();
+
+        let mut fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
+        let states: Vec<_> = order.iter().map(|&sid| fleet.session(sid).unwrap().state).collect();
+        let k = states.iter().take_while(|&&s| s == SessionState::Verified).count();
+        assert!(
+            states[k..].iter().all(|&s| s == SessionState::Submitted),
+            "cut {cut}: {states:?} is not a prefix of the batch"
+        );
+        assert_eq!(fleet.pending(), order.len() - k, "cut {cut}");
+        if cut == after.len() {
+            assert_eq!(k, order.len());
+        }
+
+        // The torn bytes are cut away on recovery, so verdicts written
+        // after it survive the next restart.
+        assert_eq!(fleet.drain(2).0.verified, order.len() - k);
+        drop(fleet);
+        let fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
+        for &sid in &order {
+            assert_eq!(fleet.session(sid).unwrap().state, SessionState::Verified, "cut {cut}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
+    let _ = std::fs::remove_dir_all(tmp_dir("torn-batch-cut"));
 }

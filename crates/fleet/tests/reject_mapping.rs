@@ -20,6 +20,7 @@ fn wire_errors() -> Vec<WireError> {
         WireError::BadUtf8,
         WireError::BadBool(7),
         WireError::BadConfig("region bounds rejected"),
+        WireError::BadOutputRegion("zero prefix not maximal"),
         WireError::Overflow("payload length"),
         WireError::UnexpectedMessage { expected: "proof" },
     ]
