@@ -62,7 +62,5 @@ pub mod violation;
 
 pub use metadata::PoxConfig;
 pub use monitor::ApexMonitor;
-pub use pox::{
-    DigestCacheStats, ErDigestCache, MacCheckItem, PoxProof, PoxProver, PoxRejection, PoxVerifier,
-};
+pub use pox::{PoxProof, PoxProver, PoxRejection, PoxVerifier};
 pub use violation::Violation;

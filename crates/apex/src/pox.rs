@@ -4,15 +4,13 @@
 use crate::metadata::PoxConfig;
 use crate::monitor::ApexMonitor;
 use crate::violation::Violation;
-use hacl::{sha256_mb, Digest, Sha256};
+use hacl::{Digest, Sha256};
 use msp430::cpu::{Cpu, CpuFault, Observe, Step};
 use msp430::platform::Platform;
 use msp430::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-use vrased::{check_tags_lanes, Challenge, KeyStore, RaVerifier, SwAtt, TagLane};
+use vrased::{Challenge, KeyStore, RaVerifier, SwAtt};
 
 /// Why a [`PoxVerifier`] rejected a proof.
 ///
@@ -221,144 +219,32 @@ impl PoxProver {
     }
 }
 
-/// Hit/miss counters of an [`ErDigestCache`] at one point in time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DigestCacheStats {
-    /// Accesses served from the memoized digest.
-    pub hits: u64,
-    /// Accesses that (re)computed the digest.
-    pub misses: u64,
-}
-
-impl DigestCacheStats {
-    /// Total accesses.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of accesses served from the memo (0.0 when never accessed).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses() as f64
-        }
-    }
-
-    /// Accumulates another cache's counters (fleet-wide aggregation).
-    pub fn merge(&mut self, other: DigestCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-    }
-}
-
-/// Memoized SHA-256 digest of a verifier's expected-ER image.
-///
-/// The expected executable region is a pure function of the op image, so a
-/// long-lived verifier computes its digest once and serves every subsequent
-/// proof check (scalar or lane-batched) from the memo. The fleet layer
-/// invalidates it on op re-registration and epoch rotation; a cache
-/// rebuilt after WAL recovery simply starts cold and recomputes once.
-///
-/// Thread-safe: parallel shard drains share one cache through an `Arc`.
-/// The digest is computed under the write lock, so even racing cold
-/// accesses count exactly one miss per invalidation cycle.
-#[derive(Debug, Default)]
-pub struct ErDigestCache {
-    digest: RwLock<Option<Digest>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ErDigestCache {
-    /// The memoized digest of `bytes`, computing (and counting a miss) only
-    /// on first access after construction or [`invalidate`](Self::invalidate).
-    fn get_or_compute(&self, bytes: &[u8]) -> Digest {
-        let slot = self.digest.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(d) = *slot {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return d;
-        }
-        drop(slot);
-        let mut slot = self.digest.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(d) = *slot {
-            // Lost the cold race: another thread already filled the memo.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return d;
-        }
-        let d = Sha256::digest(bytes);
-        *slot = Some(d);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        d
-    }
-
-    /// Counters so far. Counters accumulate across invalidations (each
-    /// invalidation costs exactly one further miss).
-    #[must_use]
-    pub fn stats(&self) -> DigestCacheStats {
-        DigestCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops the memoized digest; the next access recomputes it.
-    pub fn invalidate(&self) {
-        *self.digest.write().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    }
-}
-
-/// One proof of a lane-batched MAC pre-pass
-/// ([`PoxVerifier::precheck_mac_lanes`]).
-#[derive(Clone, Copy, Debug)]
-pub struct MacCheckItem<'a> {
-    /// The proof whose tag to check.
-    pub proof: &'a PoxProof,
-    /// The challenge it must answer.
-    pub challenge: &'a Challenge,
-    /// Per-device key override — the same resolution rule as the `ra`
-    /// parameter of [`PoxVerifier::check`] (`None` = the key bound at
-    /// construction).
-    pub ra: Option<&'a RaVerifier>,
-}
-
-/// Most items one [`PoxVerifier::precheck_mac_lanes`] call accepts
-/// (= [`hacl::sha256_mb::MAX_LANES`]).
-pub const MAX_MAC_LANES: usize = sha256_mb::MAX_LANES;
-
 /// Verifier-side PoX check.
 ///
-/// Clones share the expected-ER image (`Arc<[u8]>`) and its digest memo,
-/// so registering many engines for one op costs no image copies.
+/// The MAC binds the expected ER by its digest, a pure function of the op
+/// image, so the verifier hashes the image once, when it is built, and
+/// keeps only the digest and the length. A check then hashes the proof's
+/// OR (skipping its leading zero blocks) and MACs 115 bytes.
 #[derive(Clone, Debug)]
 pub struct PoxVerifier {
     ra: RaVerifier,
-    expected_er: Arc<[u8]>,
     cfg: PoxConfig,
-    er_cache: Arc<ErDigestCache>,
+    er_digest: Digest,
+    er_len: usize,
 }
 
 impl PoxVerifier {
     /// A verifier expecting `expected_er` (the instrumented executable's
     /// bytes, `er_min..=er_max`) in the configured region.
     #[must_use]
-    pub fn new(keystore: KeyStore, cfg: PoxConfig, expected_er: impl Into<Arc<[u8]>>) -> Self {
+    pub fn new(keystore: KeyStore, cfg: PoxConfig, expected_er: impl AsRef<[u8]>) -> Self {
+        let expected_er = expected_er.as_ref();
         Self {
             ra: RaVerifier::new(keystore),
-            expected_er: expected_er.into(),
             cfg,
-            er_cache: Arc::new(ErDigestCache::default()),
+            er_digest: Sha256::digest(expected_er),
+            er_len: expected_er.len(),
         }
-    }
-
-    /// The expected-ER digest memo (shared by clones of this verifier) —
-    /// exposed so the fleet layer can read hit rates and invalidate on op
-    /// re-registration / epoch rotation.
-    #[must_use]
-    pub fn er_digest_cache(&self) -> &ErDigestCache {
-        &self.er_cache
     }
 
     /// Checks a proof: correct code, correct regions, EXEC set, and an
@@ -381,118 +267,23 @@ impl PoxVerifier {
         challenge: &Challenge,
         ra: Option<&RaVerifier>,
     ) -> Result<&'p [u8], PoxRejection> {
-        self.check_with_mac_hint(proof, challenge, ra, None)
-    }
-
-    /// [`check`](Self::check) with an optional precomputed MAC verdict.
-    ///
-    /// All structural checks run unconditionally; only the final tag
-    /// comparison is replaced when `mac_ok` is `Some` — the hint must come
-    /// from [`precheck_mac_lanes`](Self::precheck_mac_lanes) for this exact
-    /// (proof, challenge, key) triple, which computes the identical boolean,
-    /// so the verdict is the same either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns the structured [`PoxRejection`] class on failure.
-    pub fn check_with_mac_hint<'p>(
-        &self,
-        proof: &'p PoxProof,
-        challenge: &Challenge,
-        ra: Option<&RaVerifier>,
-        mac_ok: Option<bool>,
-    ) -> Result<&'p [u8], PoxRejection> {
-        let ra = ra.unwrap_or(&self.ra);
         self.check_structure(proof)?;
-        let ok = match mac_ok {
-            Some(ok) => ok,
-            None => {
-                // Memoized ER digest + fresh OR digest — kilobytes of ER
-                // hashing collapse to one 32-byte absorb per proof.
-                let er_digest = self.er_cache.get_or_compute(&self.expected_er);
-                let or_digest = Sha256::digest(&proof.or_data);
-                ra.check_region_digests(
-                    challenge,
-                    &[
-                        (self.cfg.er_min, self.cfg.er_max, &er_digest),
-                        (self.cfg.or_min, self.cfg.or_max, &or_digest),
-                    ],
-                    &self.extra_bytes(),
-                    &proof.tag,
-                )
-            }
-        };
+        // The OR is public (it travels in the clear), so its digest may
+        // skip the log's unwritten, all-zero low end.
+        let or_digest = Sha256::digest_public(&proof.or_data);
+        let ok = ra.unwrap_or(&self.ra).check_region_digests(
+            challenge,
+            &[
+                (self.cfg.er_min, self.cfg.er_max, &self.er_digest),
+                (self.cfg.or_min, self.cfg.or_max, &or_digest),
+            ],
+            &self.extra_bytes(),
+            &proof.tag,
+        );
         if ok {
             Ok(&proof.or_data)
         } else {
             Err(PoxRejection::MacMismatch)
-        }
-    }
-
-    /// Lane-batched MAC pre-pass: checks up to [`MAX_MAC_LANES`] proofs'
-    /// tags in multi-buffer HMAC lanes against the memoized expected-ER
-    /// digest.
-    ///
-    /// Per item, `out` receives `Some(mac verdict)` if the proof passed the
-    /// structural checks (so a tag was actually compared), `None` otherwise
-    /// — feed the `Some`s back through
-    /// [`check_with_mac_hint`](Self::check_with_mac_hint); `None`s take the
-    /// full path and fail structurally there. Allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` exceeds [`MAX_MAC_LANES`] or `out` is shorter than
-    /// `items`.
-    pub fn precheck_mac_lanes(&self, items: &[MacCheckItem<'_>], out: &mut [Option<bool>]) {
-        assert!(items.len() <= MAX_MAC_LANES, "at most {MAX_MAC_LANES} items per call");
-        assert!(out.len() >= items.len(), "one verdict slot per item");
-        // Structural pass: only structurally valid proofs get a MAC lane.
-        let mut lane_idx = [0usize; MAX_MAC_LANES];
-        let mut lanes = 0;
-        for (i, item) in items.iter().enumerate() {
-            out[i] = None;
-            if self.check_structure(item.proof).is_ok() {
-                lane_idx[lanes] = i;
-                lanes += 1;
-            }
-        }
-        if lanes == 0 {
-            return;
-        }
-        let er_digest = self.er_cache.get_or_compute(&self.expected_er);
-        // OR digests for the surviving lanes, hashed in lockstep
-        // (structural pass ⇒ all ORs have the op's configured length).
-        let mut or_digests = [[0u8; 32]; MAX_MAC_LANES];
-        let or_refs: [&[u8]; MAX_MAC_LANES] =
-            std::array::from_fn(|s| items[lane_idx[s.min(lanes - 1)]].proof.or_data.as_slice());
-        sha256_mb::digest_lanes(&or_refs[..lanes], &mut or_digests[..lanes]);
-        // Structural pass ⇒ every surviving proof's cfg equals ours, so the
-        // metadata bytes are shared across lanes.
-        let extra = self.extra_bytes();
-        let mut regions = [[(0u16, 0u16, &er_digest); 2]; MAX_MAC_LANES];
-        for s in 0..lanes {
-            regions[s] = [
-                (self.cfg.er_min, self.cfg.er_max, &er_digest),
-                (self.cfg.or_min, self.cfg.or_max, &or_digests[s]),
-            ];
-        }
-        // Duplicate trailing entries (index clamp) are never read: only
-        // lanes[..lanes] is passed on.
-        let tag_lanes: [TagLane<'_>; MAX_MAC_LANES] = std::array::from_fn(|s| {
-            let s = s.min(lanes - 1);
-            let item = &items[lane_idx[s]];
-            TagLane {
-                ra: item.ra.unwrap_or(&self.ra),
-                challenge: item.challenge,
-                regions: &regions[s],
-                extra: &extra,
-                tag: &item.proof.tag,
-            }
-        });
-        let mut ok = [false; MAX_MAC_LANES];
-        check_tags_lanes(&tag_lanes[..lanes], &mut ok[..lanes]);
-        for s in 0..lanes {
-            out[lane_idx[s]] = Some(ok[s]);
         }
     }
 
@@ -505,8 +296,7 @@ impl PoxVerifier {
         if !proof.exec {
             return Err(PoxRejection::ExecClear);
         }
-        let er_len = usize::from(self.cfg.er_max - self.cfg.er_min) + 1;
-        if self.expected_er.len() != er_len {
+        if self.er_len != usize::from(self.cfg.er_max - self.cfg.er_min) + 1 {
             return Err(PoxRejection::ErLengthMismatch);
         }
         if proof.or_data.len() != self.cfg.or_len() {
@@ -590,6 +380,24 @@ mod tests {
     }
 
     #[test]
+    fn forged_byte_in_the_zero_run_rejected() {
+        // The OR digest skips leading zero blocks; a byte planted in them
+        // must still break the MAC, and a block left zero must not.
+        let (mut prover, verifier, halt) =
+            build(".org 0xE000\nop: mov #0xBEEF, &0x06FE\nop_end: ret\n");
+        prover.run_to(halt, 1000);
+        let chal = Challenge::derive(b"pox", 9);
+        let mut proof = prover.prove(&chal);
+        assert!(proof.or_data[..192].iter().all(|&b| b == 0), "three zero blocks lead the OR");
+        assert!(verifier.check(&proof, &chal, None).is_ok());
+        for at in [0, 63, 64, 191] {
+            proof.or_data[at] = 1;
+            assert_eq!(verifier.check(&proof, &chal, None), Err(PoxRejection::MacMismatch));
+            proof.or_data[at] = 0;
+        }
+    }
+
+    #[test]
     fn forged_exec_flag_rejected() {
         // Run illegally (jump into middle), then claim exec=1.
         let (mut prover, verifier, halt) = build(OP);
@@ -641,55 +449,6 @@ mod tests {
         // ...and a different device's key does not.
         let wrong = RaVerifier::new(KeyStore::from_seed(43));
         assert_eq!(verifier.check(&proof, &chal, Some(&wrong)), Err(PoxRejection::MacMismatch));
-    }
-
-    #[test]
-    fn precheck_lanes_agree_with_scalar_check() {
-        // A mixed batch: honest, forged OR, wrong challenge, EXEC clear
-        // (structurally rejected → no MAC lane). The precheck verdicts must
-        // reproduce exactly what the scalar path decides.
-        let (mut prover, verifier, halt) = build(OP);
-        let unexec_proof = prover.prove(&Challenge::derive(b"pre", 9));
-        prover.run_to(halt, 1000);
-        let chals: Vec<Challenge> = (0..4).map(|i| Challenge::derive(b"pre", i)).collect();
-        let mut proofs: Vec<PoxProof> = chals.iter().map(|c| prover.prove(c)).collect();
-        proofs[1].or_data[0] ^= 1;
-        proofs.push(unexec_proof);
-        let wrong_chal = Challenge::derive(b"pre", 99);
-        let item_chals = [&chals[0], &chals[1], &wrong_chal, &chals[3], &chals[0]];
-        let items: Vec<MacCheckItem<'_>> = proofs
-            .iter()
-            .zip(item_chals)
-            .map(|(proof, challenge)| MacCheckItem { proof, challenge, ra: None })
-            .collect();
-        let mut out = [None; 5];
-        verifier.precheck_mac_lanes(&items, &mut out);
-        assert_eq!(out, [Some(true), Some(false), Some(false), Some(true), None]);
-        for (i, item) in items.iter().enumerate() {
-            let scalar = verifier.check(item.proof, item.challenge, None);
-            let hinted = verifier.check_with_mac_hint(item.proof, item.challenge, None, out[i]);
-            assert_eq!(scalar, hinted, "item {i}");
-        }
-    }
-
-    #[test]
-    fn er_digest_is_memoized_and_invalidation_recomputes_once() {
-        let (mut prover, verifier, halt) = build(OP);
-        prover.run_to(halt, 1000);
-        for i in 0..5 {
-            let chal = Challenge::derive(b"memo", i);
-            let proof = prover.prove(&chal);
-            assert!(verifier.check(&proof, &chal, None).is_ok());
-        }
-        let stats = verifier.er_digest_cache().stats();
-        assert_eq!(stats.misses, 1, "digest computed exactly once");
-        assert_eq!(stats.hits, 4);
-        assert!(stats.hit_rate() > 0.7);
-        verifier.er_digest_cache().invalidate();
-        let chal = Challenge::derive(b"memo", 9);
-        let proof = prover.prove(&chal);
-        assert!(verifier.check(&proof, &chal, None).is_ok());
-        assert_eq!(verifier.er_digest_cache().stats().misses, 2);
     }
 
     #[test]

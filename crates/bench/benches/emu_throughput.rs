@@ -4,17 +4,14 @@
 //! stay visible in the perf trajectory.
 //!
 //! Reported units: steps/sec for the simulator (superblock vs per-step
-//! cached vs forced-decode),
-//! MiB/s for hashing, MACs/sec for the keyed-context HMAC path and for the
-//! batch proof-tag path (scalar vs multi-lane, cold vs memoized ER digest).
+//! cached vs forced-decode), MiB/s for hashing on the process's kernel,
+//! and MACs/sec for the keyed-context HMAC path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hacl::sha256_mb::{backend, digest_lanes};
-use hacl::{Digest, HmacKey, HmacSha256, Sha256};
+use hacl::{HmacKey, HmacSha256, Sha256};
 use msp430::cpu::{Cpu, Observe, Step};
 use msp430::mem::Ram;
 use msp430::regs::Reg;
-use vrased::{check_tags_lanes, Challenge, KeyStore, RaVerifier, SwAtt, TagLane};
 
 const LOOP_STEPS: usize = 10_000;
 
@@ -235,171 +232,5 @@ fn bench_hashing(c: &mut Criterion) {
     group.finish();
 }
 
-// ------------------------------------------------------- batch MAC path
-
-/// Proofs per simulated batch drain — matches a busy shard's queue depth.
-const MAC_BATCH: usize = 64;
-const ER_LEN: usize = 2048;
-const OR_LEN: usize = 256;
-const ER_MIN: u16 = 0xE000;
-const ER_MAX: u16 = ER_MIN + ER_LEN as u16 - 1;
-const OR_MIN: u16 = 0x0600;
-const OR_MAX: u16 = OR_MIN + OR_LEN as u16 - 1;
-const EXTRA: [u8; 11] = [0u8; 11];
-
-/// One batch of authentic proof tags: per-device keys and challenges over
-/// a shared 2 KiB ER image and per-device 256 B ORs.
-struct MacBatch {
-    ras: Vec<RaVerifier>,
-    challenges: Vec<Challenge>,
-    ors: Vec<Vec<u8>>,
-    tags: Vec<Digest>,
-    er: Vec<u8>,
-    er_digest: Digest,
-}
-
-fn mac_batch() -> MacBatch {
-    let er = vec![0x5Au8; ER_LEN];
-    let er_digest = Sha256::digest(&er);
-    let mut batch = MacBatch {
-        ras: Vec::new(),
-        challenges: Vec::new(),
-        ors: Vec::new(),
-        tags: Vec::new(),
-        er,
-        er_digest,
-    };
-    for i in 0..MAC_BATCH {
-        let ks = KeyStore::from_seed(0xBEEF + i as u64);
-        let challenge = Challenge::derive(b"mac-bench", i as u64);
-        let or = vec![i as u8; OR_LEN];
-        let tag = SwAtt::new(ks.clone()).attest_region_bytes(
-            &challenge,
-            &[(ER_MIN, ER_MAX, batch.er.as_slice()), (OR_MIN, OR_MAX, or.as_slice())],
-            &EXTRA,
-        );
-        batch.ras.push(RaVerifier::new(ks));
-        batch.challenges.push(challenge);
-        batch.ors.push(or);
-        batch.tags.push(tag);
-    }
-    batch
-}
-
-/// Scalar path, nothing memoized: every proof re-digests the full ER image
-/// (the pre-memoization verifier's work). Returns the verified count.
-fn run_scalar_cold(b: &MacBatch) -> usize {
-    (0..MAC_BATCH)
-        .filter(|&i| {
-            b.ras[i].check_region_bytes(
-                &b.challenges[i],
-                &[(ER_MIN, ER_MAX, b.er.as_slice()), (OR_MIN, OR_MAX, b.ors[i].as_slice())],
-                &EXTRA,
-                &b.tags[i],
-            )
-        })
-        .count()
-}
-
-/// Scalar tag checks over the memoized ER digest: only the OR is digested
-/// per proof, but each HMAC still runs alone.
-fn run_scalar_memoized(b: &MacBatch) -> usize {
-    (0..MAC_BATCH)
-        .filter(|&i| {
-            let or_digest = Sha256::digest(&b.ors[i]);
-            b.ras[i].check_region_digests(
-                &b.challenges[i],
-                &[(ER_MIN, ER_MAX, &b.er_digest), (OR_MIN, OR_MAX, &or_digest)],
-                &EXTRA,
-                &b.tags[i],
-            )
-        })
-        .count()
-}
-
-/// The full fast path: memoized ER digest, OR digests and HMAC tag checks
-/// in multi-buffer lanes.
-fn run_lanes_memoized(b: &MacBatch, or_digests: &mut [Digest], ok: &mut [bool]) -> usize {
-    let or_refs: Vec<&[u8]> = b.ors.iter().map(Vec::as_slice).collect();
-    digest_lanes(&or_refs, or_digests);
-    let regions: Vec<[(u16, u16, &Digest); 2]> = (0..MAC_BATCH)
-        .map(|i| [(ER_MIN, ER_MAX, &b.er_digest), (OR_MIN, OR_MAX, &or_digests[i])])
-        .collect();
-    let lanes: Vec<TagLane<'_>> = (0..MAC_BATCH)
-        .map(|i| TagLane {
-            ra: &b.ras[i],
-            challenge: &b.challenges[i],
-            regions: &regions[i],
-            extra: &EXTRA,
-            tag: &b.tags[i],
-        })
-        .collect();
-    check_tags_lanes(&lanes, ok);
-    ok.iter().filter(|&&v| v).count()
-}
-
-/// Interleaved A/B: alternate the three variants round-robin so frequency
-/// scaling and cache state hit all of them equally, then print MACs/s and
-/// the speedup ratios (the README "Performance" table's source).
-fn mac_ab_report() {
-    use std::time::{Duration, Instant};
-    let batch = mac_batch();
-    let mut or_digests = vec![[0u8; 32]; MAC_BATCH];
-    let mut ok = vec![false; MAC_BATCH];
-    const REPS: usize = 40;
-    const ROUNDS: usize = 6; // first round is warm-up, not counted
-    let mut spent = [Duration::ZERO; 3];
-    for round in 0..ROUNDS {
-        let mut timed = [Duration::ZERO; 3];
-        for (slot, run) in [
-            (0, &mut (|| run_scalar_cold(&batch)) as &mut dyn FnMut() -> usize),
-            (1, &mut || run_scalar_memoized(&batch)),
-            (2, &mut || run_lanes_memoized(&batch, &mut or_digests, &mut ok)),
-        ] {
-            let t = Instant::now();
-            for _ in 0..REPS {
-                assert_eq!(run(), MAC_BATCH, "all bench tags are authentic");
-            }
-            timed[slot] = t.elapsed();
-        }
-        if round > 0 {
-            for (acc, d) in spent.iter_mut().zip(timed) {
-                *acc += d;
-            }
-        }
-    }
-    let macs = (MAC_BATCH * REPS * (ROUNDS - 1)) as f64;
-    let rate = |d: Duration| macs / d.as_secs_f64();
-    let (cold, memo, lanes) = (rate(spent[0]), rate(spent[1]), rate(spent[2]));
-    println!(
-        "mac_path A/B ({} backend): scalar_cold {cold:.0} MACs/s | \
-         scalar_memoized {memo:.0} MACs/s | lanes_memoized {lanes:.0} MACs/s | \
-         lanes/scalar_cold = {:.2}x | lanes/scalar_memoized = {:.2}x",
-        backend().label(),
-        lanes / cold,
-        lanes / memo,
-    );
-}
-
-fn bench_mac_path(c: &mut Criterion) {
-    mac_ab_report();
-
-    let batch = mac_batch();
-    let mut group = c.benchmark_group("emu_throughput/mac_path");
-    group.throughput(Throughput::Elements(MAC_BATCH as u64));
-    group.bench_function("scalar_cold", |b| {
-        b.iter(|| std::hint::black_box(run_scalar_cold(&batch)));
-    });
-    group.bench_function("scalar_memoized", |b| {
-        b.iter(|| std::hint::black_box(run_scalar_memoized(&batch)));
-    });
-    group.bench_function("lanes_memoized", |b| {
-        let mut or_digests = vec![[0u8; 32]; MAC_BATCH];
-        let mut ok = vec![false; MAC_BATCH];
-        b.iter(|| std::hint::black_box(run_lanes_memoized(&batch, &mut or_digests, &mut ok)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_steps, bench_hashing, bench_mac_path);
+criterion_group!(benches, bench_steps, bench_hashing);
 criterion_main!(benches);

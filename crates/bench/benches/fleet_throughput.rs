@@ -110,17 +110,6 @@ fn bench_fleet(c: &mut Criterion) {
                 });
             });
             group.finish();
-            for (kind, stats) in [
-                ("memory", p.fleet.digest_cache_stats()),
-                ("durable", durable.fleet.digest_cache_stats()),
-            ] {
-                println!(
-                    "{group_name}/{kind}: er-digest cache {} hits / {} misses ({:.1}% hit rate)",
-                    stats.hits,
-                    stats.misses,
-                    stats.hit_rate() * 100.0,
-                );
-            }
             drop(durable);
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -43,11 +43,11 @@ pub const MIN_WORKERS: usize = 1;
 /// Smallest batch that is spread over scoped worker threads; anything
 /// smaller verifies inline on the caller. A measured constant, not a
 /// knob: on the reference box starting and joining two scoped workers
-/// costs ≈ 125 µs, a Full-mode proof verifies in 50–130 µs and a
-/// PoX-only one in ≈ 3 µs once its MAC lanes are full. Two workers save at
-/// most half of a batch's work, so at four Full-mode proofs the spawn
-/// only breaks even, at eight it clearly pays, and PoX-only batches this
-/// small never repay it.
+/// costs ≈ 55 µs, a warm Full-mode proof verifies in 8–32 µs (MAC
+/// included) and a PoX-only one in ≈ 0.4 µs. Two workers save at most half
+/// of a batch's work, so at four Full-mode proofs the spawn does not pay,
+/// at eight average proofs (≈ 20 µs each) it saves ≈ 80 µs against the
+/// ≈ 55 µs spawn, and PoX-only batches this small never repay it.
 pub const PARALLEL_MIN_JOBS: usize = 8;
 
 /// One unit of batch work: a proof and the challenge it must answer.
@@ -146,26 +146,15 @@ impl<V: Verifier> BatchVerifier<V> {
         let workers =
             if jobs.len() < PARALLEL_MIN_JOBS { 1 } else { self.workers.min(jobs.len()).max(1) };
 
-        // Lane-batched MAC pre-pass: backends with a multi-buffer path
-        // tag-check the whole batch in lockstep lanes up front (one memoized
-        // expected-region digest fetch per batch), and workers then skip the
-        // per-job tag recomputation. Verdicts are unchanged — the precheck
-        // computes the identical boolean under identical key resolution.
-        let mut prechecks: Vec<Option<bool>> = Vec::new();
-        let prechecked = self.verifier.precheck_macs(jobs, keys, &mut prechecks);
-
         // One request construction shared by both schedules, so the
-        // single-worker and multi-worker paths cannot drift apart.
+        // single-worker and multi-worker paths cannot drift apart. Each
+        // proof's MAC is checked inside `verify_in`, on whichever worker
+        // verifies the proof.
         let verify_job = |ws: &mut EmuWorkspace, idx: usize| -> Report {
             let job = &jobs[idx];
             let mut req = VerifyRequest::new(&job.proof, &job.challenge).for_device(job.device_id);
             if let Some(keys) = keys {
                 req = req.keys(keys);
-            }
-            if prechecked {
-                if let Some(ok) = prechecks[idx] {
-                    req = req.with_mac_precheck(ok);
-                }
             }
             self.verifier.verify_in(ws, &req)
         };

@@ -44,11 +44,9 @@
 //! ```
 
 use crate::attest::DialedProof;
-use crate::batch::BatchJob;
 use crate::policy::Policy;
 use crate::report::{RejectReason, Report, VerifyStats};
 use crate::verifier::EmuWorkspace;
-use apex::pox::{ErDigestCache, MacCheckItem, MAX_MAC_LANES};
 use apex::PoxVerifier;
 use std::marker::PhantomData;
 use vrased::{Challenge, KeyStore, RaVerifier};
@@ -146,22 +144,13 @@ pub struct VerifyRequest<'a> {
     emu_budget: Option<usize>,
     policies: Option<&'a [Box<dyn Policy>]>,
     keys: Option<&'a dyn KeySource>,
-    mac_precheck: Option<bool>,
 }
 
 impl<'a> VerifyRequest<'a> {
     /// A request to verify `proof` against `challenge`.
     #[must_use]
     pub fn new(proof: &'a DialedProof, challenge: &'a Challenge) -> Self {
-        Self {
-            proof,
-            challenge,
-            device: 0,
-            emu_budget: None,
-            policies: None,
-            keys: None,
-            mac_precheck: None,
-        }
+        Self { proof, challenge, device: 0, emu_budget: None, policies: None, keys: None }
     }
 
     /// Sets the device identity this proof claims (resolved through the
@@ -194,19 +183,6 @@ impl<'a> VerifyRequest<'a> {
     #[must_use]
     pub fn keys(mut self, source: &'a dyn KeySource) -> Self {
         self.keys = Some(source);
-        self
-    }
-
-    /// Supplies a precomputed MAC verdict from a lane-batched pre-pass
-    /// ([`Verifier::precheck_macs`]).
-    ///
-    /// Server-internal performance contract: `ok` must be the precheck's
-    /// verdict for exactly this (proof, challenge, key) triple — the
-    /// backend then skips recomputing the identical tag comparison (all
-    /// structural checks still run). Never set it from untrusted input.
-    #[must_use]
-    pub fn with_mac_precheck(mut self, ok: bool) -> Self {
-        self.mac_precheck = Some(ok);
         self
     }
 
@@ -246,12 +222,6 @@ impl<'a> VerifyRequest<'a> {
         self.keys
     }
 
-    /// The precomputed MAC verdict, if a pre-pass supplied one.
-    #[must_use]
-    pub fn mac_precheck(&self) -> Option<bool> {
-        self.mac_precheck
-    }
-
     /// Resolves the RA verifier this request must be checked under:
     /// `Ok(None)` means "use the verifier's embedded key" (no source set),
     /// `Ok(Some(ra))` is the source's answer for this device.
@@ -278,7 +248,6 @@ impl std::fmt::Debug for VerifyRequest<'_> {
             .field("emu_budget", &self.emu_budget)
             .field("policy_overrides", &self.policies.map(<[_]>::len))
             .field("keyed", &self.keys.is_some())
-            .field("mac_precheck", &self.mac_precheck)
             .finish_non_exhaustive()
     }
 }
@@ -308,54 +277,11 @@ pub trait Verifier: Sync {
     fn verify(&self, req: &VerifyRequest<'_>) -> Report {
         self.verify_in(&mut EmuWorkspace::new(), req)
     }
-
-    /// Lane-batched MAC pre-pass over a whole batch.
-    ///
-    /// Returns `true` if the backend prechecked: `out` then holds one entry
-    /// per job — `Some(mac verdict)` for jobs whose tag was compared (feed
-    /// it back via [`VerifyRequest::with_mac_precheck`]), `None` for jobs
-    /// that must take the full path (structural failure, unknown device
-    /// key). The default (`false`, `out` untouched) means the backend has
-    /// no lane path; callers fall back to per-job verification.
-    ///
-    /// Key resolution mirrors per-job verification: `keys` when supplied,
-    /// the backend's embedded key otherwise — so hinted verdicts are
-    /// identical to unhinted ones by construction.
-    fn precheck_macs(
-        &self,
-        _jobs: &[BatchJob],
-        _keys: Option<&dyn KeySource>,
-        _out: &mut Vec<Option<bool>>,
-    ) -> bool {
-        false
-    }
-
-    /// The backend's expected-region digest memo, if it keeps one — the
-    /// fleet layer reads hit rates and invalidates through this.
-    fn er_digest_cache(&self) -> Option<&ErDigestCache> {
-        None
-    }
 }
 
-// Provided methods do NOT forward through blanket impls automatically:
-// `&V` and `Box<V>` must delegate explicitly or boxed fleet engines would
-// silently lose the precheck fast path and cache access.
 impl<V: Verifier + ?Sized> Verifier for &V {
     fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
         (**self).verify_in(ws, req)
-    }
-
-    fn precheck_macs(
-        &self,
-        jobs: &[BatchJob],
-        keys: Option<&dyn KeySource>,
-        out: &mut Vec<Option<bool>>,
-    ) -> bool {
-        (**self).precheck_macs(jobs, keys, out)
-    }
-
-    fn er_digest_cache(&self) -> Option<&ErDigestCache> {
-        (**self).er_digest_cache()
     }
 }
 
@@ -363,73 +289,6 @@ impl<V: Verifier + ?Sized> Verifier for Box<V> {
     fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
         (**self).verify_in(ws, req)
     }
-
-    fn precheck_macs(
-        &self,
-        jobs: &[BatchJob],
-        keys: Option<&dyn KeySource>,
-        out: &mut Vec<Option<bool>>,
-    ) -> bool {
-        (**self).precheck_macs(jobs, keys, out)
-    }
-
-    fn er_digest_cache(&self) -> Option<&ErDigestCache> {
-        (**self).er_digest_cache()
-    }
-}
-
-/// Lane-batched PoX MAC pre-pass shared by the [`PoxVerifier`] and
-/// [`DialedVerifier`](crate::DialedVerifier) backends: resolves each job's
-/// key exactly as per-job verification would, then tag-checks the batch in
-/// chunks of [`MAX_MAC_LANES`] multi-buffer HMAC lanes.
-///
-/// Jobs whose device the key source does not know keep `None` (the per-job
-/// path rejects them with [`RejectReason::UnknownKey`]). Steady-state
-/// allocation-free: `out` is reshaped in place and the chunk scratch lives
-/// on the stack.
-pub(crate) fn precheck_pox_macs(
-    pox: &PoxVerifier,
-    jobs: &[BatchJob],
-    keys: Option<&dyn KeySource>,
-    out: &mut Vec<Option<bool>>,
-) -> bool {
-    out.clear();
-    out.resize(jobs.len(), None);
-    let mut start = 0;
-    while start < jobs.len() {
-        let end = (start + MAX_MAC_LANES).min(jobs.len());
-        // Dense chunk: positions and resolved keys of precheckable jobs.
-        let mut pos = [0usize; MAX_MAC_LANES];
-        let mut ras: [Option<&RaVerifier>; MAX_MAC_LANES] = [None; MAX_MAC_LANES];
-        let mut n = 0;
-        for (j, job) in jobs.iter().enumerate().take(end).skip(start) {
-            let ra = match keys {
-                None => None,
-                Some(source) => match source.key_for(job.device_id) {
-                    Some(ra) => Some(ra),
-                    None => continue,
-                },
-            };
-            pos[n] = j;
-            ras[n] = ra;
-            n += 1;
-        }
-        if n > 0 {
-            // Index-clamped duplicates beyond `n` are never read.
-            let items: [MacCheckItem<'_>; MAX_MAC_LANES] = std::array::from_fn(|s| {
-                let s = s.min(n - 1);
-                let job = &jobs[pos[s]];
-                MacCheckItem { proof: &job.proof.pox, challenge: &job.challenge, ra: ras[s] }
-            });
-            let mut chunk = [None; MAX_MAC_LANES];
-            pox.precheck_mac_lanes(&items[..n], &mut chunk[..n]);
-            for s in 0..n {
-                out[pos[s]] = chunk[s];
-            }
-        }
-        start = end;
-    }
-    true
 }
 
 /// PoX-only verification: the cryptographic proof of execution (correct
@@ -443,23 +302,10 @@ impl Verifier for PoxVerifier {
             Ok(ra) => ra,
             Err(reason) => return Report::rejected(reason),
         };
-        match self.check_with_mac_hint(&req.proof().pox, req.challenge(), ra, req.mac_precheck()) {
+        match self.check(&req.proof().pox, req.challenge(), ra) {
             Ok(_) => Report::clean(VerifyStats::default()),
             Err(reason) => Report::rejected(reason),
         }
-    }
-
-    fn precheck_macs(
-        &self,
-        jobs: &[BatchJob],
-        keys: Option<&dyn KeySource>,
-        out: &mut Vec<Option<bool>>,
-    ) -> bool {
-        precheck_pox_macs(self, jobs, keys, out)
-    }
-
-    fn er_digest_cache(&self) -> Option<&ErDigestCache> {
-        Some(PoxVerifier::er_digest_cache(self))
     }
 }
 
@@ -511,7 +357,7 @@ mod tests {
     #[test]
     fn pox_verifier_is_a_request_backend() {
         let (op, proof, chal, ks) = proven(33);
-        let pox = PoxVerifier::new(ks, op.pox, op.er_bytes.clone());
+        let pox = PoxVerifier::new(ks, op.pox, &op.er_bytes);
         let report = pox.verify(&VerifyRequest::new(&proof, &chal));
         assert!(report.is_clean(), "{report}");
 

@@ -26,12 +26,11 @@
 //! the rest (≈ 75 % of an instrumented op, most of them Tiny-CFA's log
 //! append tail) are counted, not observed.
 
-use crate::batch::BatchJob;
 use crate::pipeline::InstrumentedOp;
 use crate::policy::Policy;
 use crate::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
-use crate::request::{KeySource, Verifier, VerifyRequest, MIN_EMU_BUDGET};
-use apex::{ErDigestCache, PoxConfig, PoxVerifier};
+use crate::request::{Verifier, VerifyRequest, MIN_EMU_BUDGET};
+use apex::{PoxConfig, PoxVerifier};
 use msp430::cpu::{Cpu, CpuFault, Observe, Step};
 use msp430::isa::{Insn, Op1, Op2, Operand};
 use msp430::mem::{Bus, Ram};
@@ -509,7 +508,7 @@ impl DialedVerifier {
     /// A verifier for `op` sharing `keystore` with the device.
     #[must_use]
     pub fn new(op: InstrumentedOp, keystore: KeyStore) -> Self {
-        let pox_verifier = PoxVerifier::new(keystore, op.pox, op.er_bytes.clone());
+        let pox_verifier = PoxVerifier::new(keystore, op.pox, &op.er_bytes);
         let sites = SiteIndex::new(&op);
         Self { op, pox_verifier, policies: Vec::new(), emu_budget: DEFAULT_EMU_BUDGET, sites }
     }
@@ -588,12 +587,7 @@ impl Verifier for DialedVerifier {
             Ok(ra) => ra,
             Err(reason) => return Report::rejected(reason),
         };
-        let or = match self.pox_verifier.check_with_mac_hint(
-            &proof.pox,
-            challenge,
-            ra,
-            req.mac_precheck(),
-        ) {
+        let or = match self.pox_verifier.check(&proof.pox, challenge, ra) {
             Ok(or) => or,
             Err(reason) => return Report::rejected(reason),
         };
@@ -682,19 +676,6 @@ impl Verifier for DialedVerifier {
         } else {
             Report::attack(findings, stats)
         }
-    }
-
-    fn precheck_macs(
-        &self,
-        jobs: &[BatchJob],
-        keys: Option<&dyn KeySource>,
-        out: &mut Vec<Option<bool>>,
-    ) -> bool {
-        crate::request::precheck_pox_macs(&self.pox_verifier, jobs, keys, out)
-    }
-
-    fn er_digest_cache(&self) -> Option<&ErDigestCache> {
-        Some(self.pox_verifier.er_digest_cache())
     }
 }
 

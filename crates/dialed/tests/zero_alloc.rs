@@ -12,6 +12,7 @@
 #![allow(unsafe_code)]
 
 use dialed::prelude::*;
+use vrased::RaVerifier;
 
 include!("../../msp430/tests/support/counting_alloc.rs");
 
@@ -23,7 +24,7 @@ const OP: &str = "\
 /// allocate concurrently and would pollute the counters.
 fn main() {
     steady_state_request_verification_is_allocation_free();
-    lane_precheck_batch_path_is_allocation_free();
+    per_device_mac_path_is_allocation_free();
     println!("zero_alloc: ok");
 }
 
@@ -74,56 +75,60 @@ fn steady_state_request_verification_is_allocation_free() {
     drop(boxed);
 }
 
-/// The lane-batched MAC path — `precheck_macs` over multi-buffer HMAC
-/// lanes followed by hint-carrying per-job verification — is also
-/// allocation-free once warm: the ER digest is memoized, the lane scratch
-/// lives on the stack, and the hint vector keeps its capacity.
-fn lane_precheck_batch_path_is_allocation_free() {
+/// The path that carries each proof's MAC: nine devices, each with its own
+/// key resolved through [`PerDevice`], verified with requests built the way
+/// [`BatchVerifier`] builds them (the MAC is checked inside `verify_in`).
+/// Once warm, a proof costs no allocation — neither per-request nor inside
+/// an inline `verify_batch`, whose only allocation is the outcome vector it
+/// returns.
+fn per_device_mac_path_is_allocation_free() {
     let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).expect("op builds");
-    let key = KeyStore::from_seed(0x51);
-    let mut dev = DialedDevice::new(op.clone(), key.clone());
-    dev.invoke(&[0, 0, 0, 0, 0, 0, 3, 4]);
-    let verifier = DialedVerifier::new(op, key);
-
-    // Nine jobs: one full 8-wide lane chunk plus a remainder lane.
-    let jobs: Vec<BatchJob> = (0..9)
+    let table: Vec<RaVerifier> =
+        (0..9).map(|d| RaVerifier::new(KeyStore::from_seed(0x51 + d))).collect();
+    let jobs: Vec<BatchJob> = (0..9u64)
         .map(|d| {
-            let challenge = Challenge::derive(b"zero-alloc-lanes", d);
-            let proof = dev.prove(&challenge);
-            BatchJob::new(d, proof, challenge)
+            let mut dev = DialedDevice::new(op.clone(), KeyStore::from_seed(0x51 + d));
+            dev.invoke(&[0, 0, 0, 0, 0, 0, 3, d as u16]);
+            let challenge = Challenge::derive(b"zero-alloc-keyed", d);
+            BatchJob::new(d, dev.prove(&challenge), challenge)
         })
         .collect();
-
+    let keys = PerDevice::new(|device| table.get(usize::try_from(device).ok()?));
+    // The embedded key belongs to no device: a job that fell back to it
+    // would be rejected.
+    let engine =
+        BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(0xDEAD))).with_workers(1);
     let mut ws = EmuWorkspace::new();
-    let mut hints: Vec<Option<bool>> = Vec::new();
 
-    // Warm-up: grows the workspace buffers and the hint vector, and primes
-    // the verifier's ER-digest cache. Every honest job must precheck true.
+    // Warm-up: grows the workspace buffers and the engine's pooled one.
     for _ in 0..4 {
-        assert!(verifier.precheck_macs(&jobs, None, &mut hints));
-        assert!(hints.iter().all(|h| *h == Some(true)), "{hints:?}");
-        for (job, hint) in jobs.iter().zip(&hints) {
-            let mut req = VerifyRequest::new(&job.proof, &job.challenge);
-            if let Some(ok) = *hint {
-                req = req.with_mac_precheck(ok);
-            }
-            assert!(verifier.verify_in(&mut ws, &req).is_clean());
+        assert!(engine.verify_batch(&jobs, Some(&keys)).all_clean());
+        for job in &jobs {
+            let req = VerifyRequest::new(&job.proof, &job.challenge)
+                .for_device(job.device_id)
+                .keys(&keys);
+            assert!(engine.verifier().verify_in(&mut ws, &req).is_clean());
         }
     }
 
-    // Steady state: the whole lane-batched path stays off the heap.
     let before = allocations();
     for _ in 0..100 {
-        assert!(verifier.precheck_macs(&jobs, None, &mut hints));
-        for (job, hint) in jobs.iter().zip(&hints) {
-            let mut req = VerifyRequest::new(&job.proof, &job.challenge);
-            if let Some(ok) = *hint {
-                req = req.with_mac_precheck(ok);
-            }
-            let report = verifier.verify_in(&mut ws, &req);
+        for job in &jobs {
+            let req = VerifyRequest::new(&job.proof, &job.challenge)
+                .for_device(job.device_id)
+                .keys(&keys);
+            let report = engine.verifier().verify_in(&mut ws, &req);
             assert!(report.is_clean());
             std::hint::black_box(&report);
         }
     }
-    assert_eq!(allocations() - before, 0, "lane-batched verify path must not allocate");
+    assert_eq!(allocations() - before, 0, "per-device MAC path must not allocate");
+
+    let before = allocations();
+    for _ in 0..100 {
+        let report = engine.verify_batch(&jobs, Some(&keys));
+        assert_eq!(report.stats.clean, 9);
+        std::hint::black_box(&report);
+    }
+    assert_eq!(allocations() - before, 100, "one outcome vector per batch, nothing per proof");
 }

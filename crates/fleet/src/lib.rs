@@ -59,7 +59,6 @@ pub mod shard;
 pub mod store;
 pub mod wire;
 
-pub use apex::pox::DigestCacheStats;
 pub use ingest::{DrainStats, IngestQueue};
 pub use net::{NetClient, NetConfig, NetServer, NetServerHandle, NetStats};
 pub use registry::{DeviceId, DeviceRecord, OpId, OpRecord, OpTable, Registry, RegistryError};
@@ -361,26 +360,7 @@ impl Fleet {
         self.epoch += 1;
         let epoch = self.epoch;
         self.meta_commit(&StateEvent::EpochBumped { epoch });
-        // An epoch rotation may accompany re-provisioning with fresh
-        // images, so every op's memoized expected-ER digest is dropped;
-        // the next drain of each op recomputes it exactly once.
-        for op in self.ops.ops() {
-            op.invalidate_digest_cache();
-        }
         epoch
-    }
-
-    /// Aggregated expected-ER digest-cache counters across every
-    /// registered operation (see [`OpRecord::digest_cache_stats`]).
-    #[must_use]
-    pub fn digest_cache_stats(&self) -> DigestCacheStats {
-        let mut total = DigestCacheStats::default();
-        for op in self.ops.ops() {
-            if let Some(stats) = op.digest_cache_stats() {
-                total.merge(stats);
-            }
-        }
-        total
     }
 
     /// The current provisioning-key epoch.

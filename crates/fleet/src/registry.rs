@@ -109,30 +109,6 @@ pub struct OpRecord {
     pub(crate) engine: BatchVerifier<Box<dyn Verifier + Send>>,
 }
 
-impl OpRecord {
-    /// Hit/miss counters of this operation's expected-ER digest cache, or
-    /// `None` if the backend does not memoize (it always does for the
-    /// PoX-carrying backends registered today).
-    ///
-    /// A healthy steady state shows exactly one miss per
-    /// invalidation cycle (registration, [epoch
-    /// rotation](crate::Fleet::rotate_provisioning_epoch), or recovery)
-    /// and a hit for every subsequent batch drain.
-    #[must_use]
-    pub fn digest_cache_stats(&self) -> Option<apex::pox::DigestCacheStats> {
-        self.engine.verifier().er_digest_cache().map(apex::ErDigestCache::stats)
-    }
-
-    /// Drops the memoized expected-ER digest so the next drain recomputes
-    /// it — called when the binding between this op and its image version
-    /// may have changed (re-registration, provisioning-epoch rotation).
-    pub(crate) fn invalidate_digest_cache(&self) {
-        if let Some(cache) = self.engine.verifier().er_digest_cache() {
-            cache.invalidate();
-        }
-    }
-}
-
 impl fmt::Debug for OpRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OpRecord")
@@ -187,7 +163,7 @@ impl OpTable {
             }
             Box::new(verifier)
         } else {
-            Box::new(apex::PoxVerifier::new(placeholder, op.pox, op.er_bytes.clone()))
+            Box::new(apex::PoxVerifier::new(placeholder, op.pox, &op.er_bytes))
         };
         let mut engine = BatchVerifier::new(backend);
         if let Some(w) = workers {

@@ -1,8 +1,9 @@
-//! Fleet-level expected-ER digest memoization: across any number of batch
-//! drains the digest of an op's executable region is computed exactly once
-//! per invalidation cycle — registration, provisioning-epoch rotation, and
-//! WAL recovery each start one fresh cycle, and every subsequent drain is
-//! served from the memo.
+//! The expected-ER digest an op's verifier MACs against is computed when
+//! the verifier is built: once at registration, once more when recovery
+//! rebuilds the op table, and never on a drain. These rounds pin that
+//! honest proofs keep verifying around everything that touches that
+//! lifecycle: snapshots between drains, a provisioning-epoch rotation, and
+//! a crash recovered from snapshot + WAL.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -45,8 +46,8 @@ fn round(fleet: &mut Fleet, devices: &mut [(DeviceId, DialedDevice)], now: u64) 
 }
 
 #[test]
-fn er_digest_is_computed_once_per_invalidation_cycle() {
-    let dir = tmp_dir("once-per-cycle");
+fn verifies_across_snapshots_rotation_and_recovery() {
+    let dir = tmp_dir("rotation-recovery");
     let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
 
     let mut fleet = Fleet::durable(&dir, config()).unwrap();
@@ -58,51 +59,28 @@ fn er_digest_is_computed_once_per_invalidation_cycle() {
         })
         .collect();
 
-    // Cycle 1 (registration): however many shard batches the first drain
-    // runs, the digest is computed exactly once.
     round(&mut fleet, &mut devices, 0);
-    let after_first = fleet.digest_cache_stats();
-    assert_eq!(after_first.misses, 1, "first drain computes the digest once: {after_first:?}");
-    assert!(after_first.accesses() >= 1);
-
-    // Further drains never recompute: misses stay pinned at 1 while the
-    // hit counter absorbs every new batch.
     for r in 1..3u64 {
-        // Snapshots between drains do not touch the memo.
         fleet.snapshot().unwrap();
         round(&mut fleet, &mut devices, r * 10);
-        let stats = fleet.digest_cache_stats();
-        assert_eq!(stats.misses, 1, "drain {r} must be served from the memo: {stats:?}");
-        assert!(stats.accesses() > after_first.accesses(), "each drain touches the cache");
     }
-    let warm = fleet.digest_cache_stats();
-    assert_eq!(warm.hits, warm.accesses() - 1, "every access after the first is a hit");
 
-    // Cycle 2 (epoch rotation): invalidation costs exactly one further
-    // miss on the next drain, and devices keep verifying (installed keys
-    // are untouched by rotation).
+    // Epoch rotation: devices keep verifying (installed keys are
+    // untouched by rotation).
     fleet.rotate_provisioning_epoch();
     round(&mut fleet, &mut devices, 100);
-    let rotated = fleet.digest_cache_stats();
-    assert_eq!(rotated.misses, 2, "rotation invalidates the memo once: {rotated:?}");
 
-    // Cycle 3 (crash + recovery from snapshot + WAL): the rebuilt engines
-    // start cold — fresh counters — and the first post-recovery drain
-    // computes the digest exactly once again.
+    // Crash + recovery from snapshot + WAL: the rebuilt verifiers accept
+    // the same devices' proofs.
     fleet.snapshot().unwrap();
     round(&mut fleet, &mut devices, 150);
     drop(fleet);
     let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
-    let cold = fleet.digest_cache_stats();
-    assert_eq!((cold.hits, cold.misses), (0, 0), "recovered caches start cold");
     let mut devices: Vec<(DeviceId, DialedDevice)> = devices
         .into_iter()
         .map(|(id, _)| (id, DialedDevice::new(op.clone(), fleet.device_keystore(id).unwrap())))
         .collect();
     round(&mut fleet, &mut devices, 200);
-    let recovered = fleet.digest_cache_stats();
-    assert_eq!(recovered.misses, 1, "post-recovery drain recomputes once: {recovered:?}");
-    assert_eq!(recovered.hits, recovered.accesses() - 1);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

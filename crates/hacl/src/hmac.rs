@@ -4,8 +4,9 @@
 //! extension the authenticator underlying APEX proofs of execution and the
 //! DIALED attestation reports.
 
-use crate::sha256::Sha256;
+use crate::sha256::{Kernel, Sha256};
 use crate::Digest;
+use std::fmt;
 
 const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
@@ -17,7 +18,11 @@ const OPAD: u8 = 0x5c;
 /// hash for long keys); a long-lived verifier MACing under one device key
 /// pays that once here and then [`HmacKey::begin`]s each message with a
 /// flat state copy. This is what keeps batch-verification workers from
-/// re-deriving pads on every proof.
+/// re-deriving pads on every proof. It holds only the two 32-byte chaining
+/// values (a fleet keeps one per registered device).
+///
+/// The two midstates are as good as the key: anyone holding both can MAC
+/// any message. `Debug` therefore prints neither.
 ///
 /// # Examples
 ///
@@ -26,13 +31,15 @@ const OPAD: u8 = 0x5c;
 ///
 /// let key = HmacKey::new(b"device-key");
 /// assert_eq!(key.mac(b"m"), HmacSha256::mac(b"device-key", b"m"));
+/// assert_eq!(format!("{key:?}"), "HmacKey { <protected> }");
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HmacKey {
-    /// Hash state after absorbing `key ⊕ ipad`.
-    inner: Sha256,
-    /// Hash state after absorbing `key ⊕ opad`.
-    outer: Sha256,
+    /// Chaining value after the `key ⊕ ipad` block.
+    inner: [u32; 8],
+    /// Chaining value after the `key ⊕ opad` block.
+    outer: [u32; 8],
+    kernel: Kernel,
 }
 
 impl HmacKey {
@@ -42,9 +49,22 @@ impl HmacKey {
     /// RFC 2104.
     #[must_use]
     pub fn new(key: &[u8]) -> Self {
+        Self::with_kernel(key, Kernel::detected())
+    }
+
+    /// [`HmacKey::new`] on an explicit compression kernel: every MAC begun
+    /// from this key compresses with `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU cannot run `kernel` (see [`Kernel::is_supported`]).
+    #[must_use]
+    pub fn with_kernel(key: &[u8], kernel: Kernel) -> Self {
         let mut k = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
-            k[..32].copy_from_slice(&Sha256::digest(key));
+            let mut h = Sha256::with_kernel(kernel);
+            h.update(key);
+            k[..32].copy_from_slice(&h.finalize());
         } else {
             k[..key.len()].copy_from_slice(key);
         }
@@ -54,18 +74,22 @@ impl HmacKey {
             ipad[i] = k[i] ^ IPAD;
             opad[i] = k[i] ^ OPAD;
         }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        let mut outer = Sha256::new();
-        outer.update(&opad);
-        Self { inner, outer }
+        let midstate = |pad: &[u8; BLOCK_LEN]| {
+            let mut h = Sha256::with_kernel(kernel);
+            h.update(pad);
+            h.block_state()
+        };
+        Self { inner: midstate(&ipad), outer: midstate(&opad), kernel }
     }
 
     /// Starts a MAC computation under this key (a flat state copy — no
     /// hashing happens until data arrives).
     #[must_use]
     pub fn begin(&self) -> HmacSha256 {
-        HmacSha256 { inner: self.inner.clone(), outer: self.outer.clone() }
+        HmacSha256 {
+            inner: Sha256::resume(self.inner, 1, self.kernel),
+            outer: Sha256::resume(self.outer, 1, self.kernel),
+        }
     }
 
     /// One-shot MAC of `msg` under this key.
@@ -83,15 +107,12 @@ impl HmacKey {
         h.update(msg);
         h.verify(tag)
     }
+}
 
-    /// The `key ⊕ ipad` midstate, for seeding a multi-buffer lane.
-    pub(crate) fn inner(&self) -> &Sha256 {
-        &self.inner
-    }
-
-    /// The `key ⊕ opad` midstate, for seeding a multi-buffer lane.
-    pub(crate) fn outer(&self) -> &Sha256 {
-        &self.outer
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Never print the keyed midstates.
+        f.write_str("HmacKey { <protected> }")
     }
 }
 
@@ -107,7 +128,7 @@ impl HmacKey {
 /// mac.update(b"sage");
 /// assert_eq!(mac.finalize(), HmacSha256::mac(b"key", b"message"));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     /// Outer hasher pre-loaded with `key ⊕ opad`, finished at finalize time.
@@ -158,6 +179,13 @@ impl HmacSha256 {
     #[must_use]
     pub fn verify(self, tag: &Digest) -> bool {
         crate::constant_time::eq(&self.finalize(), tag)
+    }
+}
+
+impl fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The outer hasher is the `key ⊕ opad` midstate.
+        f.write_str("HmacSha256 { <protected> }")
     }
 }
 

@@ -5,10 +5,11 @@
 //! attested memory. The offline dependency set for this reproduction contains
 //! no cryptography crate, so this crate provides:
 //!
-//! * [`sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental),
-//! * [`sha256_mb`] — multi-buffer SHA-256/HMAC: up to
-//!   [`sha256_mb::MAX_LANES`] independent equal-length messages compressed
-//!   in lockstep (the batch verifier's MAC fast path),
+//! * [`sha256`] — FIPS 180-4 SHA-256 (one-shot and incremental) on a
+//!   runtime-selected [`Kernel`]: the x86-64 SHA extensions where present,
+//!   portable scalar rounds otherwise (and under `HACL_FORCE_SCALAR`), plus
+//!   [`Sha256::digest_public`], which skips a public input's leading zero
+//!   blocks,
 //! * [`hmac`] — RFC 2104 HMAC-SHA-256,
 //! * [`constant_time`] — constant-time comparison used by verifiers.
 //!
@@ -31,18 +32,18 @@
 //! assert_eq!(tag.len(), 32);
 //! ```
 
-// `deny` (not `forbid`) so the AVX2 dispatch in `sha256_mb` can scope a
-// single `allow` around its runtime-feature-guarded `target_feature` call.
+// `deny` (not `forbid`) so the SHA-NI kernel can scope one `allow` around
+// its runtime-feature-guarded `target_feature` call.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod constant_time;
 pub mod hmac;
 pub mod sha256;
-pub mod sha256_mb;
+mod shani;
 
 pub use hmac::{HmacKey, HmacSha256};
-pub use sha256::Sha256;
+pub use sha256::{Kernel, Sha256};
 
 /// Length in bytes of a SHA-256 digest (and therefore of an HMAC-SHA-256 tag).
 pub const DIGEST_LEN: usize = 32;

@@ -4,8 +4,25 @@
 //! incremental [`Sha256::update`] / [`Sha256::finalize`] interface used by
 //! [`crate::hmac`] and by the attestation substrate when hashing large
 //! memory regions in chunks.
+//!
+//! # Kernels
+//!
+//! Blocks are compressed by the [`Kernel`] the process detected once: the
+//! x86-64 SHA extensions where the CPU has them, the portable scalar
+//! rounds otherwise. Setting `HACL_FORCE_SCALAR` (to anything but `0` or
+//! the empty string) selects the scalar kernel everywhere. Both kernels
+//! produce identical digests; [`Sha256::with_kernel`] pins one explicitly,
+//! so tests can run both in one process.
+//!
+//! # Zero blocks of public inputs
+//!
+//! [`Sha256::digest_public`] resumes from a precomputed table of states
+//! after `k` all-zero blocks (`k` ≤ [`MAX_ZERO_BLOCKS`]), so an input that
+//! starts with a run of zero blocks costs only its tail. Its time depends
+//! on the input's bytes: it is for public data only, never key material.
 
 use crate::Digest;
+use std::sync::OnceLock;
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes (FIPS 180-4 §4.2.2).
@@ -22,9 +39,62 @@ pub(crate) const K: [u32; 64] = [
 
 /// Initial hash value: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes (FIPS 180-4 §5.3.3).
-pub(crate) const H0: [u32; 8] = [
+const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// Most leading zero blocks [`Sha256::digest_public`] skips: 1024 blocks
+/// (64 KiB) covers any output region an MSP430 address space can hold.
+pub const MAX_ZERO_BLOCKS: usize = 1024;
+
+/// A SHA-256 block-compression kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kernel {
+    /// Portable scalar rounds: the fallback, the reference, and what
+    /// `HACL_FORCE_SCALAR` selects.
+    Scalar,
+    /// The x86-64 SHA extensions (`sha256rnds2`, `sha256msg1/2`).
+    ShaNi,
+}
+
+impl Kernel {
+    /// Every kernel, supported on this CPU or not.
+    pub const ALL: [Kernel; 2] = [Kernel::Scalar, Kernel::ShaNi];
+
+    /// The kernel this process hashes with, detected once: the scalar one
+    /// under `HACL_FORCE_SCALAR`, otherwise the fastest this CPU runs.
+    #[must_use]
+    pub fn detected() -> Kernel {
+        static KERNEL: OnceLock<Kernel> = OnceLock::new();
+        *KERNEL.get_or_init(|| {
+            let forced =
+                std::env::var_os("HACL_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0");
+            if !forced && Kernel::ShaNi.is_supported() {
+                Kernel::ShaNi
+            } else {
+                Kernel::Scalar
+            }
+        })
+    }
+
+    /// Whether this CPU can run the kernel.
+    #[must_use]
+    pub fn is_supported(self) -> bool {
+        match self {
+            Kernel::Scalar => true,
+            Kernel::ShaNi => crate::shani::supported(),
+        }
+    }
+
+    /// Short label for diagnostics and bench output.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Kernel::Scalar => "scalar",
+            Kernel::ShaNi => "sha-ni",
+        }
+    }
+}
 
 /// Incremental SHA-256 hasher.
 ///
@@ -45,6 +115,7 @@ pub struct Sha256 {
     len: u64,
     buf: [u8; 64],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -54,10 +125,22 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher in the FIPS 180-4 initial state.
+    /// Creates a fresh hasher in the FIPS 180-4 initial state, compressing
+    /// with [`Kernel::detected`].
     #[must_use]
     pub fn new() -> Self {
-        Self { state: H0, len: 0, buf: [0u8; 64], buf_len: 0 }
+        Self { state: H0, len: 0, buf: [0u8; 64], buf_len: 0, kernel: Kernel::detected() }
+    }
+
+    /// A fresh hasher that compresses with `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// If this CPU cannot run `kernel` (see [`Kernel::is_supported`]).
+    #[must_use]
+    pub fn with_kernel(kernel: Kernel) -> Self {
+        assert!(kernel.is_supported(), "{} kernel is not supported on this CPU", kernel.label());
+        Self { kernel, ..Self::new() }
     }
 
     /// One-shot digest of `data`.
@@ -73,6 +156,53 @@ impl Sha256 {
         let mut h = Self::new();
         h.update(data);
         h.finalize()
+    }
+
+    /// One-shot digest of a **public** input, skipping its leading
+    /// all-zero 64-byte blocks.
+    ///
+    /// Equal to [`Sha256::digest`] for every input. Instead of compressing
+    /// the first `k` blocks when they are all zero (`k` ≤
+    /// [`MAX_ZERO_BLOCKS`]), it resumes from the state after `k` zero
+    /// blocks, read from a 32 KiB table built once per process. The time
+    /// it takes therefore reveals where the input's first non-zero byte
+    /// is: use it for data the verifier receives in the clear (an attested
+    /// output region), never for key material.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hacl::Sha256;
+    ///
+    /// let mut log = vec![0u8; 2048];
+    /// log[2040] = 7;
+    /// assert_eq!(Sha256::digest_public(&log), Sha256::digest(&log));
+    /// ```
+    #[must_use]
+    pub fn digest_public(data: &[u8]) -> Digest {
+        // A branch-free OR over each block, which the compiler vectorises
+        // (≈ 30 ns for 2 KiB of zeros).
+        let zero_blocks = data
+            .chunks_exact(64)
+            .take(MAX_ZERO_BLOCKS)
+            .take_while(|block| block.iter().fold(0, |acc, &x| acc | x) == 0)
+            .count();
+        let mut h =
+            Self::resume(zero_block_states()[zero_blocks], zero_blocks as u64, Kernel::detected());
+        h.update(&data[64 * zero_blocks..]);
+        h.finalize()
+    }
+
+    /// A hasher resumed from `state`, the chaining value after `blocks`
+    /// whole 64-byte blocks (an HMAC pad midstate, a zero-run state).
+    pub(crate) fn resume(state: [u32; 8], blocks: u64, kernel: Kernel) -> Self {
+        Self { state, len: 64 * blocks, buf: [0u8; 64], buf_len: 0, kernel }
+    }
+
+    /// The chaining value; only a midstate at a block boundary.
+    pub(crate) fn block_state(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "a midstate exists only at a block boundary");
+        self.state
     }
 
     /// Absorbs `data` into the hash state.
@@ -135,27 +265,42 @@ impl Sha256 {
 
     /// Compresses a whole span of 64-byte blocks in one call.
     fn compress_blocks(&mut self, data: &[u8]) {
-        compress_blocks(&mut self.state, data);
-    }
-
-    /// Midstate snapshot `(state words, bytes absorbed)` for seeding a
-    /// multi-buffer lane from a block-aligned scalar state (the HMAC pads
-    /// absorbed by [`crate::HmacKey`] are exactly one block).
-    pub(crate) fn block_state(&self) -> ([u32; 8], u64) {
-        debug_assert_eq!(self.buf_len, 0, "midstate is only valid at a block boundary");
-        (self.state, self.len)
+        compress_blocks(self.kernel, &mut self.state, data);
     }
 }
 
-/// Compresses a whole span of 64-byte blocks into `state`.
+/// Compresses a whole span of 64-byte blocks into `state` with `kernel`.
+pub(crate) fn compress_blocks(kernel: Kernel, state: &mut [u32; 8], data: &[u8]) {
+    match kernel {
+        Kernel::Scalar => compress_blocks_scalar(state, data),
+        Kernel::ShaNi => crate::shani::compress_blocks(state, data),
+    }
+}
+
+/// `table[k]` is the state after compressing `k` all-zero blocks from the
+/// initial hash value, for `k` in `0..=MAX_ZERO_BLOCKS`.
+fn zero_block_states() -> &'static [[u32; 8]] {
+    static TABLE: OnceLock<Vec<[u32; 8]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut state = H0;
+        let mut table = Vec::with_capacity(MAX_ZERO_BLOCKS + 1);
+        table.push(state);
+        for _ in 0..MAX_ZERO_BLOCKS {
+            compress_blocks(Kernel::detected(), &mut state, &[0u8; 64]);
+            table.push(state);
+        }
+        table
+    })
+}
+
+/// The portable scalar kernel.
 ///
 /// The working variables live in registers across the entire span and
 /// the message schedule array is filled straight from the input, so
 /// hashing large regions (SW-Att attests multi-kilobyte ER images per
 /// proof) pays the state load/store once per span instead of once per
-/// block. Free function so [`crate::sha256_mb`] can drive the same scalar
-/// kernel on detached per-lane states.
-pub(crate) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+/// block.
+fn compress_blocks_scalar(state: &mut [u32; 8], data: &[u8]) {
     debug_assert_eq!(data.len() % 64, 0);
     let mut st = *state;
     for block in data.chunks_exact(64) {

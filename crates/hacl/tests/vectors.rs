@@ -4,8 +4,22 @@
 //!   short/long-message selections (including the million-`a` vector);
 //! * HMAC-SHA-256 against the complete RFC 4231 test-case set (1–7),
 //!   including the truncated-output case and the oversized-key cases.
+//!
+//! Every vector runs through each compression kernel this CPU supports,
+//! explicitly and in one process, and through the process default.
 
-use hacl::{HmacSha256, Sha256};
+use hacl::{HmacKey, HmacSha256, Kernel, Sha256};
+
+/// The kernels this CPU runs (the scalar one always).
+fn kernels() -> impl Iterator<Item = Kernel> {
+    Kernel::ALL.into_iter().filter(|k| {
+        let ok = k.is_supported();
+        if !ok {
+            eprintln!("vectors: {} kernel not supported here, skipped", k.label());
+        }
+        ok
+    })
+}
 
 fn unhex(s: &str) -> Vec<u8> {
     let s: String = s.chars().filter(|c| !c.is_whitespace()).collect();
@@ -13,8 +27,12 @@ fn unhex(s: &str) -> Vec<u8> {
     (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex")).collect()
 }
 
-fn sha256_hex(msg: &[u8]) -> String {
-    Sha256::digest(msg).iter().map(|b| format!("{b:02x}")).collect()
+fn sha256_hex(kernel: Kernel, msg: &[u8]) -> String {
+    let mut h = Sha256::with_kernel(kernel);
+    h.update(msg);
+    let digest = h.finalize();
+    assert_eq!(digest, Sha256::digest(msg), "{} kernel vs process default", kernel.label());
+    digest.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 // ---------------------------------------------------------------- SHA-256
@@ -38,33 +56,42 @@ fn sha256_nist_vectors() {
             "7abc22c0ae5af26ce93dbb94433a0e0b2e119d014f8e7f65bd56c61ccccd9504",
         ),
     ];
-    for (msg, want) in cases {
-        assert_eq!(sha256_hex(msg), *want);
+    for kernel in kernels() {
+        for (msg, want) in cases {
+            assert_eq!(sha256_hex(kernel, msg), *want, "{}", kernel.label());
+        }
     }
 }
 
 /// CAVP pseudorandomly long messages exercised through the incremental API.
 #[test]
 fn sha256_long_messages() {
-    // FIPS 180-4: one million repetitions of 'a'.
-    let mut h = Sha256::new();
-    let chunk = [b'a'; 997]; // deliberately not a multiple of the block size
-    let mut fed = 0usize;
-    while fed < 1_000_000 {
-        let n = chunk.len().min(1_000_000 - fed);
-        h.update(&chunk[..n]);
-        fed += n;
-    }
-    let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-    assert_eq!(hex, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+    for kernel in kernels() {
+        // FIPS 180-4: one million repetitions of 'a'.
+        let mut h = Sha256::with_kernel(kernel);
+        let chunk = [b'a'; 997]; // deliberately not a multiple of the block size
+        let mut fed = 0usize;
+        while fed < 1_000_000 {
+            let n = chunk.len().min(1_000_000 - fed);
+            h.update(&chunk[..n]);
+            fed += n;
+        }
+        let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            "{}",
+            kernel.label()
+        );
 
-    // 0x55 repeated 1000 times, cross-checked against CPython's hashlib
-    // (one-shot vs incremental is covered by the proptests; here the digest
-    // itself is pinned).
-    assert_eq!(
-        sha256_hex(&[0x55u8; 1000]),
-        "557b42c0fc5247464478366ecfebfb1a62707942e6fd218371e35794fca23f4e"
-    );
+        // 0x55 repeated 1000 times, cross-checked against CPython's hashlib
+        // (one-shot vs incremental is covered by the proptests; here the
+        // digest itself is pinned).
+        assert_eq!(
+            sha256_hex(kernel, &[0x55u8; 1000]),
+            "557b42c0fc5247464478366ecfebfb1a62707942e6fd218371e35794fca23f4e"
+        );
+    }
 }
 
 // ----------------------------------------------------------- RFC 4231 HMAC
@@ -146,12 +173,21 @@ const RFC4231_CASES: &[Rfc4231] = &[
 
 #[test]
 fn hmac_sha256_rfc4231_vectors() {
-    for (i, case) in RFC4231_CASES.iter().enumerate() {
-        let key = unhex(case.key);
-        let data = unhex(case.data);
-        let got = HmacSha256::mac(&key, &data);
-        let want = unhex(case.tag);
-        assert_eq!(&got[..case.truncate_to], &want[..], "RFC 4231 test case {} failed", i + 1);
+    for kernel in kernels() {
+        for (i, case) in RFC4231_CASES.iter().enumerate() {
+            let key = unhex(case.key);
+            let data = unhex(case.data);
+            let got = HmacKey::with_kernel(&key, kernel).mac(&data);
+            let want = unhex(case.tag);
+            assert_eq!(
+                &got[..case.truncate_to],
+                &want[..],
+                "RFC 4231 test case {} failed on the {} kernel",
+                i + 1,
+                kernel.label()
+            );
+            assert_eq!(got, HmacSha256::mac(&key, &data), "process default kernel");
+        }
     }
 }
 
@@ -162,13 +198,17 @@ fn hmac_verify_accepts_and_rejects() {
     let key = unhex(RFC4231_CASES[0].key);
     let data = unhex(RFC4231_CASES[0].data);
     let tag = HmacSha256::mac(&key, &data);
+    let mut bad = tag;
+    bad[31] ^= 1;
 
+    for kernel in kernels() {
+        let hk = HmacKey::with_kernel(&key, kernel);
+        assert!(hk.verify(&data, &tag), "{}", kernel.label());
+        assert!(!hk.verify(&data, &bad), "{}", kernel.label());
+    }
     let mut h = HmacSha256::new(&key);
     h.update(&data);
     assert!(h.verify(&tag));
-
-    let mut bad = tag;
-    bad[31] ^= 1;
     let mut h = HmacSha256::new(&key);
     h.update(&data);
     assert!(!h.verify(&bad));
@@ -177,13 +217,15 @@ fn hmac_verify_accepts_and_rejects() {
 /// Incremental HMAC over RFC data split at block-unaligned boundaries.
 #[test]
 fn hmac_incremental_matches_vectors() {
-    for case in RFC4231_CASES {
-        let key = unhex(case.key);
-        let data = unhex(case.data);
-        let mut h = HmacSha256::new(&key);
-        for chunk in data.chunks(7) {
-            h.update(chunk);
+    for kernel in kernels() {
+        for case in RFC4231_CASES {
+            let key = unhex(case.key);
+            let data = unhex(case.data);
+            let mut h = HmacKey::with_kernel(&key, kernel).begin();
+            for chunk in data.chunks(7) {
+                h.update(chunk);
+            }
+            assert_eq!(&h.finalize()[..case.truncate_to], &unhex(case.tag)[..]);
         }
-        assert_eq!(&h.finalize()[..case.truncate_to], &unhex(case.tag)[..]);
     }
 }

@@ -55,5 +55,5 @@ pub mod rules;
 pub mod swatt;
 
 pub use keystore::KeyStore;
-pub use protocol::{check_tags_lanes, Challenge, RaVerifier, TagLane};
+pub use protocol::{Challenge, RaVerifier};
 pub use swatt::SwAtt;

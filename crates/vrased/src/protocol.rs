@@ -2,8 +2,7 @@
 
 use crate::keystore::KeyStore;
 use crate::swatt::SwAtt;
-use hacl::sha256_mb::{self, MAX_LANES};
-use hacl::{constant_time, Digest, HmacKey, Sha256};
+use hacl::{constant_time, Digest, Sha256};
 use msp430::platform::Platform;
 
 /// A 256-bit attestation challenge (nonce).
@@ -98,9 +97,8 @@ impl RaVerifier {
     }
 
     /// Checks a response against `(start, end, content digest)` regions —
-    /// the memoized counterpart of [`RaVerifier::check_region_bytes`], for
-    /// callers holding precomputed region digests. Batched tag checks over
-    /// many devices go through [`check_tags_lanes`] instead.
+    /// the digest counterpart of [`RaVerifier::check_region_bytes`], for
+    /// callers holding precomputed region digests.
     #[must_use]
     pub fn check_region_digests(
         &self,
@@ -111,87 +109,6 @@ impl RaVerifier {
     ) -> bool {
         let want = self.swatt.attest_region_digests(challenge, regions, extra);
         constant_time::eq(&want, response)
-    }
-
-    /// The verifier's HMAC key context (shared with the device), for
-    /// multi-buffer tag checks.
-    #[must_use]
-    pub fn hmac_key(&self) -> &HmacKey {
-        self.swatt.hmac_key()
-    }
-}
-
-/// One lane of a batched tag check (see [`check_tags_lanes`]): everything
-/// needed to recompute one device's expected tag from memoized region
-/// digests.
-#[derive(Clone, Copy, Debug)]
-pub struct TagLane<'a> {
-    /// The verifier holding the key this tag must verify under.
-    pub ra: &'a RaVerifier,
-    /// The challenge the proof answers.
-    pub challenge: &'a Challenge,
-    /// Attested regions as `(start, end, content digest)`.
-    pub regions: &'a [(u16, u16, &'a Digest)],
-    /// Metadata bytes bound after the regions (APEX PoX metadata).
-    pub extra: &'a [u8],
-    /// The tag the device reported.
-    pub tag: &'a Digest,
-}
-
-/// Composed MAC-message capacity per lane: challenge (32) + up to 4 regions
-/// of `bounds (4) ‖ digest (32)` + up to 16 extra bytes.
-const MAX_LANE_MSG: usize = 32 + 4 * 36 + 16;
-
-/// Checks many independent attestation tags in multi-buffer lanes.
-///
-/// Each lane's expected MAC message is composed exactly as
-/// [`SwAtt::attest_region_digests`] would absorb it, then all messages are
-/// MACed in lockstep via [`hacl::sha256_mb::hmac_lanes`] (each under its
-/// own lane's key) and compared in constant time. `ok` is parallel to
-/// `lanes`. Allocation-free: messages are composed into fixed stack
-/// buffers.
-///
-/// # Panics
-///
-/// Panics if `lanes` and `ok` differ in length, if a lane exceeds 4 regions
-/// or 16 extra bytes, or if the lanes compose MAC messages of different
-/// lengths (lockstep requires equal lengths; per-op batches satisfy this by
-/// construction).
-pub fn check_tags_lanes(lanes: &[TagLane<'_>], ok: &mut [bool]) {
-    assert_eq!(lanes.len(), ok.len(), "one verdict slot per lane");
-    for (lanes, ok) in lanes.chunks(MAX_LANES).zip(ok.chunks_mut(MAX_LANES)) {
-        let n = lanes.len();
-        let mut bufs = [[0u8; MAX_LANE_MSG]; MAX_LANES];
-        let mut msg_len = 0;
-        for (l, lane) in lanes.iter().enumerate() {
-            let need = 32 + lane.regions.len() * 36 + lane.extra.len();
-            assert!(need <= MAX_LANE_MSG, "lane MAC message exceeds {MAX_LANE_MSG} bytes");
-            let buf = &mut bufs[l];
-            let mut w = 0;
-            buf[w..w + 32].copy_from_slice(lane.challenge.as_bytes());
-            w += 32;
-            for (start, end, digest) in lane.regions {
-                buf[w..w + 2].copy_from_slice(&start.to_le_bytes());
-                buf[w + 2..w + 4].copy_from_slice(&end.to_le_bytes());
-                buf[w + 4..w + 36].copy_from_slice(&digest[..]);
-                w += 36;
-            }
-            buf[w..w + lane.extra.len()].copy_from_slice(lane.extra);
-            w += lane.extra.len();
-            if l == 0 {
-                msg_len = w;
-            } else {
-                assert_eq!(w, msg_len, "lanes must compose equal-length MAC messages");
-            }
-        }
-        let keys: [&HmacKey; MAX_LANES] =
-            core::array::from_fn(|l| lanes[l.min(n - 1)].ra.hmac_key());
-        let msgs: [&[u8]; MAX_LANES] = core::array::from_fn(|l| &bufs[l][..msg_len]);
-        let mut tags = [[0u8; 32]; MAX_LANES];
-        sha256_mb::hmac_lanes(&keys[..n], &msgs[..n], &mut tags[..n]);
-        for (l, lane) in lanes.iter().enumerate() {
-            ok[l] = constant_time::eq(&tags[l], lane.tag);
-        }
     }
 }
 
@@ -243,39 +160,31 @@ mod tests {
     }
 
     #[test]
-    fn lane_tag_checks_match_scalar_checks() {
-        // 9 lanes (crossing the MAX_LANES chunk boundary), each its own
-        // device key and challenge; lane 4 carries a forged tag.
-        let data = [0x11u8; 16];
-        let digest = Sha256::digest(&data);
-        let extra = [0xE5u8; 11];
-        let ras: Vec<RaVerifier> =
-            (0..9).map(|i| RaVerifier::new(KeyStore::from_seed(20 + i))).collect();
-        let devices: Vec<SwAtt> = (0..9).map(|i| SwAtt::new(KeyStore::from_seed(20 + i))).collect();
-        let challenges: Vec<Challenge> = (0..9).map(|i| Challenge::derive(b"lane", i)).collect();
-        let regions = [(0xE000u16, 0xE00Fu16, &digest)];
-        let mut tags: Vec<Digest> = devices
-            .iter()
-            .zip(&challenges)
-            .map(|(dev, c)| dev.attest_region_digests(c, &regions, &extra))
-            .collect();
-        tags[4][0] ^= 1;
-        let lanes: Vec<TagLane<'_>> = (0..9)
-            .map(|i| TagLane {
-                ra: &ras[i],
-                challenge: &challenges[i],
-                regions: &regions,
-                extra: &extra,
-                tag: &tags[i],
-            })
-            .collect();
-        let mut ok = [false; 9];
-        check_tags_lanes(&lanes, &mut ok);
-        for i in 0..9 {
-            let scalar = ras[i].check_region_digests(&challenges[i], &regions, &extra, &tags[i]);
-            assert_eq!(ok[i], scalar, "lane {i}");
-            assert_eq!(ok[i], i != 4, "lane {i}");
+    fn debug_never_leaks_hmac_midstates() {
+        // The verifier holds the key as its two HMAC midstates, each as
+        // good as the key. Recompute them from the known key and look for
+        // any of their words in the verifier's `Debug` output.
+        let ra = RaVerifier::new(KeyStore::new([0xAB; 32]));
+        let printed = format!("{ra:?}");
+        for pad in [0x36u8, 0x5c] {
+            let mut midstate = Sha256::new();
+            midstate.update(&[0xAB ^ pad; 32]);
+            midstate.update(&[pad; 32]);
+            // `Sha256`'s own `Debug` lists its state words.
+            let dump = format!("{midstate:?}");
+            let words = dump.split("state: [").nth(1).and_then(|s| s.split(']').next());
+            let words: Vec<u32> = words
+                .expect("Sha256 Debug lists its state")
+                .split(", ")
+                .map(|w| w.parse().unwrap())
+                .collect();
+            assert_eq!(words.len(), 8);
+            for w in words {
+                assert!(!printed.contains(&w.to_string()), "midstate word {w} in {printed}");
+                assert!(!printed.contains(&format!("{w:x}")), "midstate word {w:#x} in {printed}");
+            }
         }
+        assert!(printed.contains("protected"), "{printed}");
     }
 
     #[test]

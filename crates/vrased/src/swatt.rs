@@ -7,12 +7,13 @@
 //! bytes exactly as strongly, and it buys the verifier two things:
 //!
 //! * the expected-region digest is a pure function of the op image, so a
-//!   fleet verifier memoizes it per `(op, image-version)` instead of
-//!   rehashing kilobytes of ER per proof;
-//! * every MAC message has a small fixed size per op, so a batch of
-//!   independent proof MACs can be checked in multi-buffer lanes
-//!   ([`hacl::sha256_mb`]) — equal lengths keep the lanes in lockstep
-//!   through padding.
+//!   verifier computes it once, when it is built, instead of rehashing
+//!   kilobytes of ER per proof;
+//! * the keyed part is small: a PoX MAC message is 115 bytes (two
+//!   compressions after the key's midstate, one for the outer hash)
+//!   however large the regions are, and the region digests themselves
+//!   hash public bytes, so a verifier may skip the leading zero blocks of
+//!   an output region ([`hacl::Sha256::digest_public`]).
 
 use crate::keystore::KeyStore;
 use crate::protocol::Challenge;
@@ -29,7 +30,8 @@ use msp430::platform::Platform;
 /// The HMAC pads are derived from the key once at construction
 /// ([`HmacKey`]); each attestation starts from a flat copy of the keyed
 /// state, so high-rate verifiers (batch workers checking thousands of
-/// proofs under one device key) skip the per-MAC key schedule.
+/// proofs under one device key) skip the per-MAC key schedule. `Debug`
+/// prints the key context as `<protected>`, never its midstates.
 #[derive(Clone, Debug)]
 pub struct SwAtt {
     key: HmacKey,
@@ -130,13 +132,6 @@ impl SwAtt {
         }
         mac.update(extra);
         mac.finalize()
-    }
-
-    /// The precomputed HMAC key context, for multi-buffer tag checks that
-    /// MAC several devices' messages in lockstep.
-    #[must_use]
-    pub fn hmac_key(&self) -> &HmacKey {
-        &self.key
     }
 }
 
