@@ -322,6 +322,12 @@ mod tests {
     use msp430_asm::assemble;
 
     fn build(src_op: &str) -> (PoxProver, PoxVerifier, u16) {
+        let (prover, verifier, halt, _) = build_with_er(src_op);
+        (prover, verifier, halt)
+    }
+
+    /// [`build`], also returning the expected-ER bytes the verifier got.
+    fn build_with_er(src_op: &str) -> (PoxProver, PoxVerifier, u16, Vec<u8>) {
         let img = assemble(src_op).unwrap();
         let (er_min, er_max) = img.extent().unwrap();
         let cfg =
@@ -344,8 +350,15 @@ mod tests {
             p.cpu.set_pc(0xF000);
             p
         };
-        let verifier = PoxVerifier::new(ks, cfg, er_bytes);
-        (prover, verifier, caller.symbol("halt").unwrap())
+        let verifier = PoxVerifier::new(ks, cfg, &er_bytes);
+        (prover, verifier, caller.symbol("halt").unwrap(), er_bytes)
+    }
+
+    /// SHA-256 of `data` on the scalar kernel, every block compressed.
+    fn scalar_digest(data: &[u8]) -> Digest {
+        let mut h = Sha256::with_kernel(hacl::Kernel::Scalar);
+        h.update(data);
+        h.finalize()
     }
 
     const OP: &str = ".org 0xE000\nop: mov #0xBEEF, &0x0600\nop_end: ret\n";
@@ -449,6 +462,71 @@ mod tests {
         // ...and a different device's key does not.
         let wrong = RaVerifier::new(KeyStore::from_seed(43));
         assert_eq!(verifier.check(&proof, &chal, Some(&wrong)), Err(PoxRejection::MacMismatch));
+    }
+
+    #[test]
+    fn precheck_lanes_agree_with_scalar_check() {
+        // A mixed batch: honest, forged OR (in the zero run), wrong
+        // challenge, honest, EXEC clear. `check` (stored ER digest, OR
+        // digest skipping its zero blocks, the process's kernel) must decide
+        // exactly what a reference decides from scratch: the structural
+        // checks, then both regions hashed in full on the scalar kernel.
+        let (mut prover, verifier, halt, er) =
+            build_with_er(".org 0xE000\nop: mov #0xBEEF, &0x06FE\nop_end: ret\n");
+        let unexec_proof = prover.prove(&Challenge::derive(b"pre", 9));
+        prover.run_to(halt, 1000);
+        let chals: Vec<Challenge> = (0..4).map(|i| Challenge::derive(b"pre", i)).collect();
+        let mut proofs: Vec<PoxProof> = chals.iter().map(|c| prover.prove(c)).collect();
+        proofs[1].or_data[0] ^= 1;
+        proofs.push(unexec_proof);
+        let wrong_chal = Challenge::derive(b"pre", 99);
+        let item_chals = [&chals[0], &chals[1], &wrong_chal, &chals[3], &chals[0]];
+        let ra = RaVerifier::new(KeyStore::from_seed(42));
+        let cfg = verifier.cfg;
+        let er_digest = scalar_digest(&er);
+        let mut extra = [1u8; 11];
+        extra[..10].copy_from_slice(&cfg.to_metadata_bytes());
+        let mut verdicts = Vec::new();
+        for (i, (proof, challenge)) in proofs.iter().zip(item_chals).enumerate() {
+            let reference = verifier.check_structure(proof).and_then(|()| {
+                let or_digest = scalar_digest(&proof.or_data);
+                let regions =
+                    [(cfg.er_min, cfg.er_max, &er_digest), (cfg.or_min, cfg.or_max, &or_digest)];
+                if ra.check_region_digests(challenge, &regions, &extra, &proof.tag) {
+                    Ok(proof.or_data.as_slice())
+                } else {
+                    Err(PoxRejection::MacMismatch)
+                }
+            });
+            let got = verifier.check(proof, challenge, None);
+            assert_eq!(got, reference, "item {i}");
+            verdicts.push(got.map(|_| ()));
+        }
+        let mac = Err(PoxRejection::MacMismatch);
+        assert_eq!(verdicts, [Ok(()), mac, mac, Ok(()), Err(PoxRejection::ExecClear)]);
+    }
+
+    #[test]
+    fn er_digest_is_memoized_and_invalidation_recomputes_once() {
+        // The verifier hashes the ER image once, when it is built, and
+        // keeps the digest by value for every check. Building a verifier
+        // over a changed image is what replaces it.
+        let (mut prover, verifier, halt, er) = build_with_er(OP);
+        assert_eq!(verifier.er_digest, scalar_digest(&er));
+        prover.run_to(halt, 1000);
+        for i in 0..5 {
+            let chal = Challenge::derive(b"memo", i);
+            let proof = prover.prove(&chal);
+            assert!(verifier.check(&proof, &chal, None).is_ok());
+        }
+        let mut patched = er.clone();
+        patched[2] ^= 0x11;
+        let rebuilt = PoxVerifier::new(KeyStore::from_seed(42), verifier.cfg, &patched);
+        assert_eq!(rebuilt.er_digest, scalar_digest(&patched));
+        let chal = Challenge::derive(b"memo", 9);
+        let proof = prover.prove(&chal);
+        assert_eq!(rebuilt.check(&proof, &chal, None), Err(PoxRejection::MacMismatch));
+        assert!(verifier.check(&proof, &chal, None).is_ok());
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn round(fleet: &mut Fleet, devices: &mut [(DeviceId, DialedDevice)], now: u64) 
 }
 
 #[test]
-fn verifies_across_snapshots_rotation_and_recovery() {
+fn er_digest_is_computed_once_per_invalidation_cycle() {
     let dir = tmp_dir("rotation-recovery");
     let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
 

@@ -160,6 +160,43 @@ mod tests {
     }
 
     #[test]
+    fn lane_tag_checks_match_scalar_checks() {
+        // 9 devices, each its own key and challenge; device 4 carries a
+        // forged tag. Each verdict of `check_region_digests` (on the
+        // process's kernel) must match a tag recomputed by hand on every
+        // kernel this CPU runs, the scalar reference included.
+        let data = [0x11u8; 16];
+        let digest = Sha256::digest(&data);
+        let extra = [0xE5u8; 11];
+        let keys: Vec<KeyStore> = (0..9).map(|i| KeyStore::from_seed(20 + i)).collect();
+        let ras: Vec<RaVerifier> = keys.iter().cloned().map(RaVerifier::new).collect();
+        let devices: Vec<SwAtt> = keys.iter().cloned().map(SwAtt::new).collect();
+        let challenges: Vec<Challenge> = (0..9).map(|i| Challenge::derive(b"lane", i)).collect();
+        let regions = [(0xE000u16, 0xE00Fu16, &digest)];
+        let mut tags: Vec<Digest> = devices
+            .iter()
+            .zip(&challenges)
+            .map(|(dev, c)| dev.attest_region_digests(c, &regions, &extra))
+            .collect();
+        tags[4][0] ^= 1;
+        let kernels = hacl::Kernel::ALL.into_iter().filter(|k| k.is_supported());
+        for kernel in kernels {
+            for i in 0..9 {
+                let mut msg = challenges[i].as_bytes().to_vec();
+                msg.extend_from_slice(&0xE000u16.to_le_bytes());
+                msg.extend_from_slice(&0xE00Fu16.to_le_bytes());
+                msg.extend_from_slice(&digest);
+                msg.extend_from_slice(&extra);
+                let key = hacl::HmacKey::with_kernel(keys[i].key_material(), kernel);
+                let reference = key.verify(&msg, &tags[i]);
+                let ok = ras[i].check_region_digests(&challenges[i], &regions, &extra, &tags[i]);
+                assert_eq!(ok, reference, "device {i}, {} kernel", kernel.label());
+                assert_eq!(ok, i != 4, "device {i}");
+            }
+        }
+    }
+
+    #[test]
     fn debug_never_leaks_hmac_midstates() {
         // The verifier holds the key as its two HMAC midstates, each as
         // good as the key. Recompute them from the known key and look for
