@@ -1,102 +1,65 @@
-//! Per-connection reader and writer threads.
+//! One thread per connection, and the core's side of every connection.
 //!
 //! The reader pulls bytes through a [`FrameReader`] (frame-size cap,
-//! fail-fast magic/version checks) and forwards decoded requests to the
-//! core; the writer serialises reply frames from an unbounded channel so
-//! the reader — and, more importantly, the core — never blocks on a slow
-//! peer's send buffer. One connection carries any number of devices.
+//! fail-fast magic/version checks) and forwards decoded requests — and any
+//! protocol violation — to the core. It never writes: the core encodes
+//! every reply straight into the connection's [`Outbox`] and hands the
+//! buffer to the socket in one `write` per pass, so no thread sits between
+//! a reply and its socket. One connection carries any number of devices.
 
-use super::{bump, CoreMsg, Shared};
-use crate::wire::{self, Message, RejectMsg};
-use dialed::report::RejectReason;
+use super::{bump, CoreMsg, Shared, StatsInner};
+use crate::wire::{self, FrameReader, Message, HEADER_LEN};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-/// Why the reader loop ended — decides whether the core should forget
-/// the connection or keep it for the final-drain verdict flush.
-enum Exit {
-    /// Peer closed, errored, or violated the protocol: the connection is
-    /// dead, its in-flight verdicts are undeliverable.
-    Peer,
-    /// Server shutdown: the socket is still healthy, the writer must stay
-    /// deliverable for the final drain.
-    Quiesce,
-}
-
-/// Spawns the reader/writer pair for one accepted connection. Returns
-/// `(reader, writer)` join handles.
+/// Spawns the reader thread for one accepted connection.
 pub(crate) fn spawn_conn(
     conn: u64,
     sock: TcpStream,
     shared: Arc<Shared>,
     core_tx: Sender<CoreMsg>,
-) -> io::Result<(JoinHandle<()>, JoinHandle<()>)> {
+) -> io::Result<JoinHandle<()>> {
     let _ = sock.set_nodelay(true);
     sock.set_read_timeout(Some(shared.cfg.poll_interval))?;
-    let wsock = sock.try_clone()?;
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-
-    // Registered before the reader exists, on the same channel the reader
-    // will use, so the core always sees Register before the first request.
-    let _ = core_tx.send(CoreMsg::Register { conn, reply: reply_tx.clone() });
-
-    let writer = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name(format!("fleet-net-wr-{conn}"))
-            .spawn(move || write_loop(wsock, &reply_rx, &shared))?
-    };
-    let reader = {
-        thread::Builder::new().name(format!("fleet-net-rd-{conn}")).spawn(move || {
-            let exit = read_loop(conn, &sock, &shared, &core_tx, &reply_tx);
-            if matches!(exit, Exit::Peer) {
-                let _ = core_tx.send(CoreMsg::ConnClosed { conn });
-            }
-            shared.active_conns.fetch_sub(1, Ordering::AcqRel);
-            // reply_tx and core_tx drop here; the writer exits once
-            // the core also lets go of its reply sender.
-        })?
-    };
-    Ok((reader, writer))
-}
-
-/// Drains encoded reply frames onto the socket until every sender is
-/// gone, then closes the write half — the orderly FIN the client's final
-/// `read` sees after its last verdict.
-fn write_loop(mut sock: TcpStream, rx: &Receiver<Vec<u8>>, shared: &Arc<Shared>) {
-    let mut healthy = true;
-    for frame in rx {
-        // Keep consuming after a write error so senders never observe a
-        // wedged channel; the frames just die.
-        if healthy && sock.write_all(&frame).is_ok() {
-            bump(&shared.stats.frames_out);
-        } else {
-            healthy = false;
+    // The core writes through a clone of this socket. It must stay
+    // blocking: `O_NONBLOCK` is a flag of the open file description both
+    // handles share, and would turn the reader's timed reads into a busy
+    // spin. `SO_SNDTIMEO` bounds the core's writes instead; only writes
+    // observe it, and the reader never writes.
+    let out = sock.try_clone()?;
+    out.set_write_timeout(Some(shared.cfg.poll_interval))?;
+    thread::Builder::new().name(format!("fleet-net-rd-{conn}")).spawn(move || {
+        // Sent from this thread, on the channel its requests use, so the
+        // core always sees Register before the first request.
+        let _ = core_tx.send(CoreMsg::Register { conn, sock: out });
+        if let Some(last) = read_loop(conn, &sock, &shared, &core_tx) {
+            let _ = core_tx.send(last);
         }
-    }
-    let _ = sock.shutdown(Shutdown::Write);
+        shared.active_conns.fetch_sub(1, Ordering::AcqRel);
+    })
 }
 
-/// The reader: poll the socket, assemble frames, dispatch requests.
-/// Every protocol violation is answered with a structured reject frame
-/// before the connection dies.
+/// The reader: poll the socket, assemble frames, forward requests.
+///
+/// Returns the message that ends the connection on the core:
+/// `ConnClosed` when the peer went away, `Violation` when it broke the
+/// protocol (the core answers with a structured reject before it closes).
+/// `None` when the server is shutting down: the connection stays
+/// registered so the final drain can still deliver.
 fn read_loop(
     conn: u64,
-    sock: &TcpStream,
-    shared: &Arc<Shared>,
+    mut sock: &TcpStream,
+    shared: &Shared,
     core_tx: &Sender<CoreMsg>,
-    reply_tx: &Sender<Vec<u8>>,
-) -> Exit {
-    let mut frames = wire::FrameReader::new(shared.cfg.max_frame);
+) -> Option<CoreMsg> {
+    let violation = |detail: String| Some(CoreMsg::Violation { conn, detail });
+    let mut frames = FrameReader::new(shared.cfg.max_frame);
     let mut buf = vec![0u8; 16 * 1024];
-    // `Read` for `&TcpStream`: the reader borrows the socket it shares
-    // with `spawn_conn`'s cleanup path.
-    let mut sock = sock;
     // Slow-loris clock: set while a frame sits incomplete, reset only by
     // frame completion — a peer trickling one byte per poll still hits
     // the deadline.
@@ -104,26 +67,36 @@ fn read_loop(
 
     loop {
         if shared.stopping() {
-            return Exit::Quiesce;
+            return None;
         }
         match sock.read(&mut buf) {
-            Ok(0) => return Exit::Peer,
+            Ok(0) => return Some(CoreMsg::ConnClosed { conn }),
             Ok(n) => {
                 frames.feed(&buf[..n]);
                 loop {
-                    match frames.poll() {
-                        Ok(Some(msg)) => {
-                            bump(&shared.stats.frames_in);
-                            if !dispatch(conn, msg, core_tx, reply_tx, shared) {
-                                return Exit::Peer;
-                            }
-                        }
+                    let msg = match frames.poll() {
+                        Ok(Some(msg)) => msg,
                         Ok(None) => break,
-                        Err(e) => {
-                            protocol_reject(reply_tx, shared, &e.to_string());
-                            return Exit::Peer;
+                        Err(e) => return violation(e.to_string()),
+                    };
+                    bump(&shared.stats.frames_in);
+                    let cmd = match msg {
+                        Message::Issue(m) => {
+                            CoreMsg::Issue { conn, request: m.request, device: m.device }
                         }
-                    }
+                        Message::Submit(m) => {
+                            CoreMsg::Submit { conn, request: m.request, body: m.body }
+                        }
+                        // Server-to-client and bare (pre-envelope) messages
+                        // are not valid requests on this frontend.
+                        other => {
+                            return violation(format!(
+                                "unexpected {} message from client",
+                                other.name()
+                            ))
+                        }
+                    };
+                    let _ = core_tx.send(cmd);
                 }
                 partial_since = if frames.buffered() > 0 {
                     partial_since.or_else(|| Some(Instant::now()))
@@ -131,67 +104,98 @@ fn read_loop(
                     None
                 };
             }
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if let Some(since) = partial_since {
-                    if since.elapsed() >= shared.cfg.idle_frame_timeout {
-                        protocol_reject(
-                            reply_tx,
-                            shared,
-                            &format!(
-                                "incomplete frame stalled ({} bytes buffered)",
-                                frames.buffered()
-                            ),
-                        );
-                        return Exit::Peer;
-                    }
+            Err(e) if timed_out(&e) => {
+                if partial_since.is_some_and(|t| t.elapsed() >= shared.cfg.idle_frame_timeout) {
+                    return violation(format!(
+                        "incomplete frame stalled ({} bytes buffered)",
+                        frames.buffered()
+                    ));
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Exit::Peer,
+            Err(_) => return Some(CoreMsg::ConnClosed { conn }),
         }
     }
 }
 
-/// Routes one decoded message. Returns `false` when the message type is
-/// not a client request — the violation is answered and the connection
-/// must close.
-fn dispatch(
-    conn: u64,
-    msg: Message,
-    core_tx: &Sender<CoreMsg>,
-    reply_tx: &Sender<Vec<u8>>,
-    shared: &Arc<Shared>,
-) -> bool {
-    match msg {
-        Message::Issue(m) => {
-            let _ = core_tx.send(CoreMsg::Issue { conn, request: m.request, device: m.device });
-            true
+/// The core's half of a connection: replies are encoded straight into
+/// one buffer, and the socket gets it in one `write` per pass. Bytes the
+/// socket will not take stay parked for the next pass.
+pub(crate) struct Outbox {
+    sock: TcpStream,
+    out: Vec<u8>,
+    /// Bytes of `out` the socket has taken.
+    sent: usize,
+    /// Bytes of `out` already counted in `frames_out` — whole frames only.
+    counted: usize,
+}
+
+impl Outbox {
+    pub(crate) fn new(sock: TcpStream) -> Self {
+        Self { sock, out: Vec::new(), sent: 0, counted: 0 }
+    }
+
+    /// Appends one reply frame.
+    pub(crate) fn push(&mut self, msg: &Message) {
+        wire::encode_into(&mut self.out, msg);
+    }
+
+    /// Bytes owed to the peer that the socket has not taken yet.
+    pub(crate) fn parked(&self) -> usize {
+        self.out.len() - self.sent
+    }
+
+    /// One `write` of everything owed, bounded by the send timeout. Returns
+    /// `false` once the peer is gone or has stopped reading with more than
+    /// `cap` bytes parked; the socket is then shut down both ways, which
+    /// also ends its reader.
+    pub(crate) fn flush(&mut self, cap: usize, stats: &StatsInner) -> bool {
+        if self.out.is_empty() {
+            return true;
         }
-        Message::Submit(m) => {
-            let _ = core_tx.send(CoreMsg::Submit { conn, request: m.request, body: m.body });
-            true
+        let gone = match (&self.sock).write(&self.out[self.sent..]) {
+            Ok(n) => {
+                self.sent += n;
+                false
+            }
+            Err(e) => !timed_out(&e),
+        };
+        // `frames_out` counts frames the socket has taken whole.
+        let mut frames = 0;
+        while let Some(len) = self.out.get(self.counted + 4..self.counted + HEADER_LEN) {
+            let end = self.counted
+                + HEADER_LEN
+                + u32::from_le_bytes(len.try_into().expect("4 length bytes")) as usize;
+            if end > self.sent {
+                break;
+            }
+            (self.counted, frames) = (end, frames + 1);
         }
-        // Server-to-client and bare (pre-envelope) messages are not valid
-        // requests on this frontend.
-        other => {
-            protocol_reject(
-                reply_tx,
-                shared,
-                &format!("unexpected {} message from client", other.name()),
-            );
-            false
+        stats.frames_out.fetch_add(frames, Ordering::Relaxed);
+        if self.parked() == 0 {
+            self.out.clear();
+            (self.sent, self.counted) = (0, 0);
+        }
+        if gone || self.parked() > cap {
+            let _ = self.sock.shutdown(Shutdown::Both);
+            return false;
+        }
+        true
+    }
+
+    /// Ends the connection: one last bounded flush, then FIN.
+    pub(crate) fn close(mut self, stats: &StatsInner) {
+        if self.flush(usize::MAX, stats) {
+            let _ = self.sock.shutdown(Shutdown::Write);
         }
     }
 }
 
-/// One structured reject frame for a stream-level violation (`request` 0:
-/// the error belongs to the connection, not to any request).
-fn protocol_reject(reply_tx: &Sender<Vec<u8>>, shared: &Arc<Shared>, detail: &str) {
-    bump(&shared.stats.protocol_errors);
-    let reason = RejectReason::MalformedSubmission { detail: detail.to_string() };
-    shared.stats.note_reject(&reason);
-    let frame = wire::encode(&Message::Reject(RejectMsg { request: 0, reason }));
-    let _ = reply_tx.send(frame);
+/// A socket timeout (or signal) rather than a dead peer: try again later.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
 }
 
 impl Message {

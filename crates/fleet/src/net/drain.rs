@@ -9,50 +9,28 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Join handles of every live connection's reader/writer pair. Readers
-/// and writers are kept apart because shutdown must join them on
-/// opposite sides of the core's exit (see [`NetServerHandle::shutdown`]).
-#[derive(Default)]
+/// Join handles of every live connection's reader thread.
+#[derive(Debug, Default)]
 pub(crate) struct ConnThreads {
-    readers: Vec<JoinHandle<()>>,
-    writers: Vec<JoinHandle<()>>,
+    pub(crate) readers: Vec<JoinHandle<()>>,
     /// Panic payloads harvested while reaping finished threads.
     panics: Vec<Box<dyn std::any::Any + Send + 'static>>,
 }
 
-impl std::fmt::Debug for ConnThreads {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConnThreads")
-            .field("readers", &self.readers.len())
-            .field("writers", &self.writers.len())
-            .field("panics", &self.panics.len())
-            .finish()
-    }
-}
-
 impl ConnThreads {
-    pub(crate) fn push(&mut self, pair: (JoinHandle<()>, JoinHandle<()>)) {
-        self.readers.push(pair.0);
-        self.writers.push(pair.1);
-    }
-
-    /// Joins threads that already finished (connections that came and
-    /// went), so a long-lived server does not accumulate handles. A
-    /// finished thread's `join` cannot block; a panic is kept for
-    /// shutdown to report rather than swallowed here.
+    /// Joins readers that already finished (connections that came and
+    /// went) — their `join` cannot block — so a long-lived server does not
+    /// accumulate handles; a panic is kept for shutdown to report.
     pub(crate) fn reap(&mut self) {
-        for list in [&mut self.readers, &mut self.writers] {
-            let mut i = 0;
-            while i < list.len() {
-                if list[i].is_finished() {
-                    if let Err(panic) = list.swap_remove(i).join() {
-                        // Re-raise at shutdown: zero-panic is part of the
-                        // server's contract and must not be lost to reaping.
-                        self.panics.push(panic);
-                    }
-                } else {
-                    i += 1;
-                }
+        let (done, live) = std::mem::take(&mut self.readers)
+            .into_iter()
+            .partition::<Vec<_>, _>(|r| r.is_finished());
+        self.readers = live;
+        for reader in done {
+            if let Err(panic) = reader.join() {
+                // Re-raise at shutdown: zero-panic is part of the
+                // server's contract and must not be lost to reaping.
+                self.panics.push(panic);
             }
         }
     }
@@ -141,8 +119,11 @@ impl NetServerHandle {
     ///    poll interval, leaving their sockets open for replies);
     /// 3. close the command channel — the core applies the entire
     ///    remaining backlog, verifies it, emits every in-flight verdict,
-    ///    and returns the [`Fleet`];
-    /// 4. join the writers — they flush those final frames and send FIN.
+    ///    flushes what each connection is owed (one last write, bounded by
+    ///    the socket's send timeout), sends FIN, and returns the [`Fleet`].
+    ///
+    /// No thread is left to join after the core: the core writes every
+    /// reply itself, so a peer that stopped reading cannot hold shutdown.
     ///
     /// In-flight submissions are accepted work: every one of them gets
     /// its verdict (or expiry reject) frame before any socket closes.
@@ -156,13 +137,9 @@ impl NetServerHandle {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join()?;
         }
-        let (readers, writers, reaped) = {
+        let (readers, reaped) = {
             let mut t = self.threads.lock().expect("conn thread registry poisoned");
-            (
-                std::mem::take(&mut t.readers),
-                std::mem::take(&mut t.writers),
-                std::mem::take(&mut t.panics),
-            )
+            (std::mem::take(&mut t.readers), std::mem::take(&mut t.panics))
         };
         if let Some(panic) = reaped.into_iter().next() {
             return Err(panic);
@@ -177,9 +154,6 @@ impl NetServerHandle {
             Some(core) => core.join()?,
             None => unreachable!("shutdown consumes self; core taken once"),
         };
-        for writer in writers {
-            writer.join()?;
-        }
         Ok((fleet, self.shared.stats.snapshot()))
     }
 }

@@ -10,15 +10,15 @@
 //!
 //! ```text
 //!            ┌───────────┐   nonblocking accept loop
-//!            │ acceptor  │── caps live connections, spawns per-conn pair
+//!            │ acceptor  │── caps live connections, spawns a reader each
 //!            └─────┬─────┘
 //!        ┌─────────┼──────────┐
-//!   ┌────▼───┐ ┌───▼────┐ ┌───▼────┐      one reader + one writer
-//!   │ conn 0 │ │ conn 1 │ │ conn N │      thread per connection
-//!   │ rd  wr │ │ rd  wr │ │ rd  wr │
+//!   ┌────▼───┐ ┌───▼────┐ ┌───▼────┐      one reader thread per
+//!   │ conn 0 │ │ conn 1 │ │ conn N │      connection; requests and
+//!   │   rd   │ │   rd   │ │   rd   │      violations go to the core (mpsc)
 //!   └──┬──▲──┘ └──┬──▲──┘ └──┬──▲──┘
-//!      │  └───────┼──┴───────┼──┴─── encoded reply frames (mpsc)
-//!      └──────────▼──────────▼────┐
+//!      │  └───────┼──┴───────┼──┴─── reply bytes, written by the core:
+//!      └──────────▼──────────▼────┐  one write per socket per pass
 //!                 │   core thread │  owns the Fleet: issues, submits,
 //!                 │  (sole owner) │  sheds, verifies, emits verdicts
 //!                 └───────────────┘
@@ -41,6 +41,8 @@
 //!   ([`NetConfig::idle_frame_timeout`], the slow-loris defense). Every
 //!   violation is answered with a structured
 //!   [`RejectMsg`](crate::wire::RejectMsg) before the connection closes.
+//!   Replies a peer does not read stay parked in the core and are retried;
+//!   past [`NetConfig::max_frame`] parked bytes the peer is cut off.
 //! * **Load shedding.** Before accepting a submission the core compares
 //!   the target shard's [`ingest_depth`](crate::Shard::ingest_depth)
 //!   against [`NetConfig::shed_watermark`] and answers
@@ -55,13 +57,13 @@
 //!   the clock, never per verdict.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
 //!   acceptor, quiesces readers, lets the core chew through the command
-//!   backlog and verify what it accepted, flushes every in-flight verdict
-//!   through the writers, and only then closes —
-//!   no accepted submission loses its verdict. The `Fleet` comes back out
-//!   for inspection or reuse.
+//!   backlog and verify what it accepted, write every in-flight verdict
+//!   (one bounded write per socket) and send FIN — no accepted submission
+//!   loses its verdict to a reading peer, and one that stopped reading
+//!   cannot hold shutdown. The `Fleet` comes back out for inspection.
 //!
 //! The module family: [`server`](self) core + acceptor live in
-//! `server.rs`, per-connection reader/writer threads in `conn.rs`, the
+//! `server.rs`, reader threads and reply buffers in `conn.rs`, the
 //! shutdown lifecycle in `drain.rs`, and a small blocking [`NetClient`]
 //! (tests, benches, soak harnesses) in `client.rs`.
 
@@ -76,8 +78,8 @@ pub use server::NetServer;
 
 use crate::wire::ProofMsg;
 use dialed::report::{RejectClass, RejectReason};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
 use std::time::Duration;
 
 /// Tuning knobs for a [`NetServer`]. `Default` is sized for tests and
@@ -292,17 +294,20 @@ impl Shared {
     }
 }
 
-/// Commands from connection readers (and the acceptor) to the core
-/// thread, which is the sole owner of the [`Fleet`](crate::Fleet).
+/// Commands from connection readers (and the handle) to the core thread,
+/// the sole owner of the [`Fleet`](crate::Fleet) and sole writer of replies.
 pub(crate) enum CoreMsg {
-    /// A connection came up; `reply` feeds its writer thread.
-    Register { conn: u64, reply: Sender<Vec<u8>> },
+    /// A connection came up; the core writes its replies through `sock`.
+    Register { conn: u64, sock: TcpStream },
     /// A device asks for a challenge.
     Issue { conn: u64, request: u64, device: u64 },
     /// A device submits a proof for an open session.
     Submit { conn: u64, request: u64, body: ProofMsg },
-    /// The peer went away (EOF, socket error, or a protocol violation) —
-    /// the core forgets the connection and its undeliverable in-flight
+    /// The peer broke the protocol: the core answers with a structured
+    /// reject, then closes the connection as for [`ConnClosed`](Self::ConnClosed).
+    Violation { conn: u64, detail: String },
+    /// The peer went away (EOF or socket error) — the core flushes what it
+    /// owes, sends FIN, and forgets the connection and its in-flight
     /// verdicts. *Not* sent when a reader quiesces for shutdown: those
     /// connections stay registered so the final drain can still deliver.
     ConnClosed { conn: u64 },
@@ -311,30 +316,4 @@ pub(crate) enum CoreMsg {
     /// client requests — serialized with them, never concurrent. See
     /// [`NetServerHandle::admin`].
     Admin(Box<dyn FnOnce(&mut crate::Fleet) + Send>),
-}
-
-impl std::fmt::Debug for CoreMsg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CoreMsg::Register { conn, .. } => {
-                f.debug_struct("Register").field("conn", conn).finish_non_exhaustive()
-            }
-            CoreMsg::Issue { conn, request, device } => f
-                .debug_struct("Issue")
-                .field("conn", conn)
-                .field("request", request)
-                .field("device", device)
-                .finish(),
-            CoreMsg::Submit { conn, request, body } => f
-                .debug_struct("Submit")
-                .field("conn", conn)
-                .field("request", request)
-                .field("session", &body.session)
-                .finish_non_exhaustive(),
-            CoreMsg::ConnClosed { conn } => {
-                f.debug_struct("ConnClosed").field("conn", conn).finish()
-            }
-            CoreMsg::Admin(_) => f.debug_struct("Admin").finish_non_exhaustive(),
-        }
-    }
 }

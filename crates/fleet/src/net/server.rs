@@ -1,7 +1,7 @@
 //! The acceptor loop and the core thread — the half of the frontend that
 //! owns the [`Fleet`].
 
-use super::conn;
+use super::conn::{self, Outbox};
 use super::drain::{ConnThreads, NetServerHandle};
 use super::{bump, CoreMsg, NetConfig, Shared};
 use crate::wire::{self, GrantMsg, Message, RejectMsg, VerdictMsg};
@@ -81,9 +81,9 @@ fn accept_loop(
                 next_conn += 1;
                 shared.active_conns.fetch_add(1, Ordering::AcqRel);
                 match conn::spawn_conn(conn, sock, Arc::clone(shared), core_tx.clone()) {
-                    Ok(pair) => {
+                    Ok(reader) => {
                         bump(&shared.stats.conns_accepted);
-                        threads.lock().expect("conn thread registry poisoned").push(pair);
+                        threads.lock().expect("conn thread registry poisoned").readers.push(reader);
                     }
                     Err(_) => {
                         // Thread spawn failed (resource exhaustion): the
@@ -121,8 +121,8 @@ const BATCH_CAP: usize = 512;
 struct Core {
     fleet: Fleet,
     shared: Arc<Shared>,
-    /// Reply channels of live connections, keyed by connection id.
-    replies: HashMap<u64, Sender<Vec<u8>>>,
+    /// Reply buffers of live connections, keyed by connection id.
+    conns: HashMap<u64, Outbox>,
     /// Accepted-but-unresolved submissions: session id → who gets the
     /// verdict. Every entry is owed exactly one reply frame.
     inflight: HashMap<u64, (u64, u64)>,
@@ -134,7 +134,7 @@ impl Core {
         Self {
             fleet,
             shared,
-            replies: HashMap::new(),
+            conns: HashMap::new(),
             inflight: HashMap::new(),
             start: Instant::now(),
         }
@@ -154,11 +154,18 @@ impl Core {
     /// and then a verify pass runs — an idle server answers a lone
     /// submission at once, a busy one batches whatever piled up during the
     /// previous pass. The `drain_interval` clock drives housekeeping only.
+    /// Every pass ends with one `write` per connection owed bytes; parked
+    /// output is retried every `poll_interval`.
     fn run(mut self, rx: &Receiver<CoreMsg>) -> Fleet {
         let interval = self.shared.cfg.drain_interval;
         let mut housekeeping_due = Instant::now() + interval;
+        let mut parked = false;
         loop {
-            match rx.recv_timeout(housekeeping_due.saturating_duration_since(Instant::now())) {
+            let mut wait = housekeeping_due.saturating_duration_since(Instant::now());
+            if parked {
+                wait = wait.min(self.shared.cfg.poll_interval);
+            }
+            match rx.recv_timeout(wait) {
                 Ok(msg) => {
                     let now = self.now();
                     self.handle(msg, now);
@@ -167,6 +174,9 @@ impl Core {
                         self.handle(msg, now);
                     }
                     if self.fleet.pending() > 0 {
+                        // The burst's grants and rejects go out now, not
+                        // behind the verify pass.
+                        self.flush();
                         self.verify_pass();
                     }
                 }
@@ -180,25 +190,54 @@ impl Core {
                 self.housekeeping();
                 housekeeping_due = Instant::now() + interval;
             }
+            parked = self.flush();
         }
         // Every accepted submission was verified by the pass that followed
-        // its command; what can still be owed is an expiry reject. Dropping
-        // `replies` afterwards lets the writers flush and exit.
+        // its command; what can still be owed is an expiry reject. Then
+        // every connection gets what it is owed, and FIN.
         self.housekeeping();
         debug_assert!(self.inflight.is_empty(), "shutdown left verdicts unemitted");
+        for (_, out) in self.conns.drain() {
+            out.close(&self.shared.stats);
+        }
         self.fleet
+    }
+
+    /// One `write` to every connection owed bytes, dropping those gone or
+    /// cut off. Returns whether any output is still parked.
+    fn flush(&mut self) -> bool {
+        let (cap, stats) = (self.shared.cfg.max_frame, &self.shared.stats);
+        let mut parked = false;
+        self.conns.retain(|_, out| {
+            let alive = out.flush(cap, stats);
+            parked |= alive && out.parked() > 0;
+            alive
+        });
+        parked
+    }
+
+    /// Forgets a connection: what it is owed so far goes out in one last
+    /// bounded write, then FIN; in-flight verdicts for it are undeliverable.
+    fn close(&mut self, conn: u64) {
+        if let Some(out) = self.conns.remove(&conn) {
+            out.close(&self.shared.stats);
+        }
+        self.inflight.retain(|_, &mut (c, _)| c != conn);
     }
 
     fn handle(&mut self, msg: CoreMsg, now: u64) {
         match msg {
-            CoreMsg::Register { conn, reply } => {
-                self.replies.insert(conn, reply);
+            CoreMsg::Register { conn, sock } => {
+                self.conns.insert(conn, Outbox::new(sock));
             }
-            CoreMsg::ConnClosed { conn } => {
-                self.replies.remove(&conn);
-                // Undeliverable verdicts die with the connection.
-                self.inflight.retain(|_, &mut (c, _)| c != conn);
+            CoreMsg::Violation { conn, detail } => {
+                // `request` 0: the error belongs to the connection, not to
+                // any request.
+                bump(&self.shared.stats.protocol_errors);
+                self.reject(conn, 0, RejectReason::MalformedSubmission { detail });
+                self.close(conn);
             }
+            CoreMsg::ConnClosed { conn } => self.close(conn),
             CoreMsg::Admin(f) => f(&mut self.fleet),
             CoreMsg::Issue { conn, request, device } => {
                 match self.fleet.issue(DeviceId(device), now) {
@@ -272,12 +311,13 @@ impl Core {
     /// has resolved: a verdict frame if the batch engines settled it, an
     /// expiry reject if it was expired first. Returns whether the entry is
     /// finished (replied to, or pruned with nothing left to report).
-    fn resolve(&self, session: SessionId, conn: u64, request: u64) -> bool {
-        let stats = &self.shared.stats;
-        let Some(s) = self.fleet.session(session) else {
+    fn resolve(&mut self, session: SessionId, conn: u64, request: u64) -> bool {
+        let Some((state, deadline)) = self.fleet.session(session).map(|s| (s.state, s.deadline))
+        else {
             return true;
         };
-        match s.state {
+        let stats = &self.shared.stats;
+        match state {
             SessionState::Issued | SessionState::Submitted => false,
             SessionState::Verified | SessionState::Rejected => {
                 if let Some(body) = self.fleet.report_msg(session) {
@@ -286,7 +326,7 @@ impl Core {
                     // bucket it under the verifier's own reason class so
                     // network replays can account for every expected
                     // rejection exactly.
-                    if s.state == SessionState::Rejected {
+                    if state == SessionState::Rejected {
                         if let Some(reason) = body.report.findings.iter().find_map(|f| match f {
                             dialed::report::Finding::PoxRejected { reason } => Some(reason),
                             _ => None,
@@ -300,23 +340,26 @@ impl Core {
             }
             SessionState::Expired => {
                 bump(&stats.expired);
-                let reason =
-                    RejectReason::from(crate::SessionError::Expired { deadline: s.deadline });
+                let reason = RejectReason::from(crate::SessionError::Expired { deadline });
                 self.reject(conn, request, reason);
                 true
             }
         }
     }
 
-    /// Hands an encoded frame to a connection's writer; a vanished writer
-    /// (peer already gone) just drops the frame.
-    fn send(&self, conn: u64, msg: &Message) {
-        if let Some(tx) = self.replies.get(&conn) {
-            let _ = tx.send(wire::encode(msg));
+    /// Encodes a reply into its connection's buffer for the pass's flush
+    /// (a burst past the parked-output cap is flushed early).
+    fn send(&mut self, conn: u64, msg: &Message) {
+        let (cap, stats) = (self.shared.cfg.max_frame, &self.shared.stats);
+        if let Some(out) = self.conns.get_mut(&conn) {
+            out.push(msg);
+            if out.parked() > cap && !out.flush(cap, stats) {
+                self.conns.remove(&conn);
+            }
         }
     }
 
-    fn reject(&self, conn: u64, request: u64, reason: RejectReason) {
+    fn reject(&mut self, conn: u64, request: u64, reason: RejectReason) {
         self.shared.stats.note_reject(&reason);
         self.send(conn, &Message::Reject(RejectMsg { request, reason }));
     }
@@ -330,6 +373,7 @@ mod tests {
     use dialed::attest::DialedDevice;
     use dialed::pipeline::{BuildOptions, InstrumentedOp};
     use dialed::report::RejectClass;
+    use std::io::Read;
 
     const OP_SRC: &str = "\
         .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -351,11 +395,16 @@ mod tests {
         let body =
             ProofMsg { session: chal.session, device: dev.0, proof: device.prove(&chal.challenge) };
 
+        // A loopback pair: the core writes to the accepted side, the test
+        // reads what arrived at the other.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+
         // The whole burst is queued before the core starts, so it is
         // applied in one piece, in this order.
         let (tx, rx) = mpsc::channel();
-        let (reply, replies) = mpsc::channel();
-        tx.send(CoreMsg::Register { conn: 1, reply }).unwrap();
+        tx.send(CoreMsg::Register { conn: 1, sock }).unwrap();
         tx.send(CoreMsg::Submit { conn: 1, request: 7, body }).unwrap();
         tx.send(CoreMsg::Admin(Box::new(move |f| {
             assert_eq!(f.deregister_device(dev), Ok(1), "the in-flight session is open");
@@ -366,9 +415,18 @@ mod tests {
         let shared = Arc::new(Shared::new(NetConfig::default()));
         let fleet = Core::new(fleet, Arc::clone(&shared)).run(&rx);
 
-        let frames: Vec<Vec<u8>> = replies.try_iter().collect();
-        assert_eq!(frames.len(), 1, "the submission is owed exactly one reply");
-        match wire::decode(&frames[0]).unwrap() {
+        // The core sent FIN on its way out: read to EOF.
+        let mut bytes = Vec::new();
+        peer.read_to_end(&mut bytes).unwrap();
+        let mut frames = wire::FrameReader::new(1 << 20);
+        frames.feed(&bytes);
+        let mut replies = Vec::new();
+        while let Some(msg) = frames.poll().unwrap() {
+            replies.push(msg);
+        }
+        assert_eq!(frames.buffered(), 0, "only whole frames were written");
+        assert_eq!(replies.len(), 1, "the submission is owed exactly one reply");
+        match replies.remove(0) {
             Message::Reject(r) => {
                 assert_eq!(r.request, 7);
                 assert_eq!(r.reason.class(), RejectClass::Session, "{:?}", r.reason);
@@ -377,6 +435,7 @@ mod tests {
         }
         let stats = shared.stats.snapshot();
         assert_eq!((stats.submitted, stats.expired, stats.verdicts), (1, 1, 0));
+        assert_eq!(stats.frames_out, 1, "the reply was handed to the socket whole");
         assert_eq!(fleet.pending(), 0, "deregistration purged the queued proof");
     }
 }

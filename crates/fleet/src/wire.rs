@@ -558,9 +558,19 @@ fn encode_batch_summary(w: &mut Writer, m: &BatchSummary) {
 /// Encodes a message as one framed byte string.
 #[must_use]
 pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    encode_into(&mut out, msg);
+    out
+}
+
+/// Appends one framed message to `out`, leaving its existing bytes as they
+/// are — a sender batching many frames into one buffer allocates nothing
+/// per frame once the buffer has grown.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
     // The payload is written straight after a header whose tag and length
     // are back-filled: one buffer, no copy.
-    let mut w = Writer(Vec::with_capacity(128));
+    let start = out.len();
+    let mut w = Writer(std::mem::take(out));
     w.bytes(&MAGIC);
     w.u8(WIRE_VERSION);
     w.bytes(&[0; 5]);
@@ -607,11 +617,10 @@ pub fn encode(msg: &Message) -> Vec<u8> {
             TAG_REJECT
         }
     };
-    let mut out = w.0;
-    let len = u32::try_from(out.len() - HEADER_LEN).expect("payload longer than u32::MAX");
-    out[3] = tag;
-    out[4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-    out
+    *out = w.0;
+    let len = u32::try_from(out.len() - start - HEADER_LEN).expect("payload longer than u32::MAX");
+    out[start + 3] = tag;
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 // ---------------------------------------------------------------------------

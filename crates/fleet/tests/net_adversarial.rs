@@ -1,7 +1,7 @@
 //! Adversarial socket behavior against the TCP frontend, over real
 //! loopback connections: garbage bytes, truncated frames, oversized
-//! length prefixes, undecodable payloads, mid-frame disconnects, and
-//! slow-loris trickles. The server must never panic — every test ends in
+//! length prefixes, undecodable payloads, mid-frame disconnects,
+//! slow-loris trickles, and peers that never read their replies. The server must never panic — every test ends in
 //! `shutdown().expect(..)`, which propagates any server-thread panic —
 //! and every violation is answered with a structured reject or a clean
 //! close, with the server staying healthy for honest traffic afterwards.
@@ -11,8 +11,10 @@ use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{RejectReason, Verdict};
 use fleet::wire::{self, Message};
 use fleet::{DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer, NetServerHandle};
-use std::io::ErrorKind;
-use std::time::Duration;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -230,4 +232,57 @@ fn random_garbage_fuzz_never_hangs_or_panics() {
 
     honest_round_trip(&handle, id, &mut device);
     handle.shutdown().expect("no server thread may panic");
+}
+
+#[test]
+fn a_peer_that_never_reads_is_cut_off() {
+    let (handle, id, mut device) = server(NetConfig::default());
+
+    // Pipelined issues for a device nobody registered, written in batches
+    // and never read: replies far past what the kernel's socket buffers
+    // and the server's parked-output cap hold together. (An unknown device
+    // leaves the honest device's sessions alone.)
+    let batch: Vec<u8> = (0..1024)
+        .flat_map(|request| {
+            wire::encode(&Message::Issue(wire::IssueMsg { request, device: id.0 + 1 }))
+        })
+        .collect();
+    let mut hog = TcpStream::connect(handle.addr()).unwrap();
+    let flood = {
+        let mut hog = hog.try_clone().unwrap();
+        std::thread::spawn(move || (0..256).all(|_| hog.write_all(&batch).is_ok()))
+    };
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.stats().frames_in < 10_000 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Another connection is served meanwhile.
+    honest_round_trip(&handle, id, &mut device);
+
+    // Once the flood is over, the hog's reading side finds the server
+    // gone: its buffered grants, then EOF or a reset — not a socket that
+    // stays open with nothing more to say.
+    let _ = flood.join();
+    hog.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let mut buf = vec![0u8; 64 * 1024];
+    let closed = loop {
+        match hog.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(_) if Instant::now() < deadline => {}
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => break true,
+            Ok(_) | Err(_) => break false,
+        }
+    };
+    assert!(closed, "a peer that stopped reading must be cut off");
+
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(handle.shutdown().map(|(_, stats)| stats));
+    });
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown must not wait on a peer that stopped reading")
+        .expect("no server thread may panic");
+    assert_eq!(stats.protocol_errors, 0, "not reading is not a protocol violation");
 }

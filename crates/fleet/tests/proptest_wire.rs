@@ -115,13 +115,16 @@ proptest! {
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
     }
 
-    /// decode(encode(x)) == x for reports over every finding variant.
+    /// decode(encode(x)) == x for reports over every finding variant, and
+    /// `encode_into` appends exactly `encode`'s bytes after any prefix,
+    /// leaving the prefix untouched.
     #[test]
     fn report_round_trips(session in any::<u64>(), device in any::<u64>(),
                           verdict in any::<u8>(),
                           tags in proptest::collection::vec(any::<u8>(), 0..12),
                           a in any::<u16>(), b in any::<u16>(),
-                          insns in any::<u32>()) {
+                          insns in any::<u32>(),
+                          prefix in proptest::collection::vec(any::<u8>(), 0..300)) {
         let findings = tags.iter().map(|&t| finding_from(t, a, b, "détail ✓")).collect();
         let msg = Message::Report(ReportMsg {
             session, device,
@@ -137,8 +140,13 @@ proptest! {
                 },
             },
         });
-        let decoded = wire::decode(&wire::encode(&msg));
+        let encoded = wire::encode(&msg);
+        let decoded = wire::decode(&encoded);
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
+        let mut out = prefix.clone();
+        wire::encode_into(&mut out, &msg);
+        prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&out[prefix.len()..], &encoded[..]);
     }
 
     /// decode(encode(x)) == x for batch summaries.
