@@ -4,11 +4,12 @@
 //! fail-fast magic/version checks) and forwards decoded requests — and any
 //! protocol violation — to the core. It never writes: the core encodes
 //! every reply straight into the connection's [`Outbox`] and hands the
-//! buffer to the socket in one `write` per pass, so no thread sits between
-//! a reply and its socket. One connection carries any number of devices.
+//! buffer to the socket in one `write` per pass that never waits, so no
+//! thread sits between a reply and its socket, and no peer can stall the
+//! core. One connection carries any number of devices.
 
-use super::{bump, CoreMsg, Shared, StatsInner};
-use crate::wire::{self, FrameReader, Message, HEADER_LEN};
+use super::{bump, CoreMsg, NetConfig, Shared, StatsInner};
+use crate::wire::{self, FrameReader, Message};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -26,13 +27,8 @@ pub(crate) fn spawn_conn(
 ) -> io::Result<JoinHandle<()>> {
     let _ = sock.set_nodelay(true);
     sock.set_read_timeout(Some(shared.cfg.poll_interval))?;
-    // The core writes through a clone of this socket. It must stay
-    // blocking: `O_NONBLOCK` is a flag of the open file description both
-    // handles share, and would turn the reader's timed reads into a busy
-    // spin. `SO_SNDTIMEO` bounds the core's writes instead; only writes
-    // observe it, and the reader never writes.
+    // The core writes through a clone of this socket (see `write_now`).
     let out = sock.try_clone()?;
-    out.set_write_timeout(Some(shared.cfg.poll_interval))?;
     thread::Builder::new().name(format!("fleet-net-rd-{conn}")).spawn(move || {
         // Sent from this thread, on the channel its requests use, so the
         // core always sees Register before the first request.
@@ -125,18 +121,24 @@ pub(crate) struct Outbox {
     out: Vec<u8>,
     /// Bytes of `out` the socket has taken.
     sent: usize,
-    /// Bytes of `out` already counted in `frames_out` — whole frames only.
-    counted: usize,
+    /// Frames in `out`, credited to `frames_out` once it is all taken.
+    frames: u64,
+    /// Stall clock: set when output is left parked, reset only once it is
+    /// all taken — as on the read side, a trickle does not reset it.
+    behind_since: Option<Instant>,
+    /// FIN once everything owed has been taken.
+    pub(crate) closing: bool,
 }
 
 impl Outbox {
     pub(crate) fn new(sock: TcpStream) -> Self {
-        Self { sock, out: Vec::new(), sent: 0, counted: 0 }
+        Self { sock, out: Vec::new(), sent: 0, frames: 0, behind_since: None, closing: false }
     }
 
     /// Appends one reply frame.
     pub(crate) fn push(&mut self, msg: &Message) {
         wire::encode_into(&mut self.out, msg);
+        self.frames += 1;
     }
 
     /// Bytes owed to the peer that the socket has not taken yet.
@@ -144,50 +146,49 @@ impl Outbox {
         self.out.len() - self.sent
     }
 
-    /// One `write` of everything owed, bounded by the send timeout. Returns
-    /// `false` once the peer is gone or has stopped reading with more than
-    /// `cap` bytes parked; the socket is then shut down both ways, which
-    /// also ends its reader.
-    pub(crate) fn flush(&mut self, cap: usize, stats: &StatsInner) -> bool {
-        if self.out.is_empty() {
+    /// Gives the socket what it will take without waiting. Returns `false`
+    /// once the connection is done: FIN when a closing one is all taken;
+    /// shutdown both ways (ending its reader too) when the peer is gone or
+    /// has more than `max_frame` bytes parked, or any for `idle_frame_timeout`.
+    pub(crate) fn flush(&mut self, cfg: &NetConfig, stats: &StatsInner) -> bool {
+        if self.out.is_empty() && !self.closing {
             return true;
         }
-        let gone = match (&self.sock).write(&self.out[self.sent..]) {
-            Ok(n) => {
-                self.sent += n;
-                false
+        let mut gone = false;
+        if self.parked() > 0 {
+            match write_now(&self.sock, &self.out[self.sent..]) {
+                Ok(n) => self.sent += n,
+                Err(e) => gone = !timed_out(&e),
             }
-            Err(e) => !timed_out(&e),
-        };
-        // `frames_out` counts frames the socket has taken whole.
-        let mut frames = 0;
-        while let Some(len) = self.out.get(self.counted + 4..self.counted + HEADER_LEN) {
-            let end = self.counted
-                + HEADER_LEN
-                + u32::from_le_bytes(len.try_into().expect("4 length bytes")) as usize;
-            if end > self.sent {
-                break;
-            }
-            (self.counted, frames) = (end, frames + 1);
         }
-        stats.frames_out.fetch_add(frames, Ordering::Relaxed);
-        if self.parked() == 0 {
+        if !gone && self.parked() == 0 {
+            stats.frames_out.fetch_add(std::mem::take(&mut self.frames), Ordering::Relaxed);
+            (self.sent, self.behind_since) = (0, None);
             self.out.clear();
-            (self.sent, self.counted) = (0, 0);
+            if self.closing {
+                let _ = self.sock.shutdown(Shutdown::Write);
+            }
+            return !self.closing;
         }
-        if gone || self.parked() > cap {
+        let since = *self.behind_since.get_or_insert_with(Instant::now);
+        if gone || self.parked() > cfg.max_frame || since.elapsed() >= cfg.idle_frame_timeout {
             let _ = self.sock.shutdown(Shutdown::Both);
             return false;
         }
         true
     }
+}
 
-    /// Ends the connection: one last bounded flush, then FIN.
-    pub(crate) fn close(mut self, stats: &StatsInner) {
-        if self.flush(usize::MAX, stats) {
-            let _ = self.sock.shutdown(Shutdown::Write);
-        }
-    }
+/// One `write` that takes what the socket has room for and never waits.
+/// `O_NONBLOCK` belongs to the file description the reader shares: left
+/// set, it would turn the reader's timed reads into a busy spin, so it is
+/// set for this call only. A read already waiting keeps its timeout; one
+/// starting inside the window gets `WouldBlock`, a poll timeout to it.
+fn write_now(sock: &TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    sock.set_nonblocking(true)?;
+    let n = (&*sock).write(bytes);
+    sock.set_nonblocking(false)?;
+    n
 }
 
 /// A socket timeout (or signal) rather than a dead peer: try again later.

@@ -1,5 +1,5 @@
 //! Graceful-drain lifecycle: the server handle and the shutdown
-//! sequencing that guarantees no accepted submission loses its verdict.
+//! sequencing that gives every peer that keeps up each verdict it is owed.
 
 use super::{CoreMsg, NetStats, Shared};
 use crate::Fleet;
@@ -119,14 +119,16 @@ impl NetServerHandle {
     ///    poll interval, leaving their sockets open for replies);
     /// 3. close the command channel — the core applies the entire
     ///    remaining backlog, verifies it, emits every in-flight verdict,
-    ///    flushes what each connection is owed (one last write, bounded by
-    ///    the socket's send timeout), sends FIN, and returns the [`Fleet`].
+    ///    keeps writing what each connection is owed while its peer reads,
+    ///    sends FIN after the last byte, and returns the [`Fleet`].
     ///
-    /// No thread is left to join after the core: the core writes every
-    /// reply itself, so a peer that stopped reading cannot hold shutdown.
+    /// No thread is left to join after the core, and a peer that stays
+    /// behind holds shutdown no longer than its stall clock
+    /// ([`NetConfig::idle_frame_timeout`](super::NetConfig)).
     ///
     /// In-flight submissions are accepted work: every one of them gets
-    /// its verdict (or expiry reject) frame before any socket closes.
+    /// its verdict (or expiry reject) frame before its socket closes,
+    /// unless its peer is cut off by that clock.
     ///
     /// # Errors
     ///
@@ -150,10 +152,7 @@ impl NetServerHandle {
         // Readers are gone; dropping our sender disconnects the channel
         // once the core has consumed the backlog.
         drop(self.core_tx.take());
-        let fleet = match self.core.take() {
-            Some(core) => core.join()?,
-            None => unreachable!("shutdown consumes self; core taken once"),
-        };
+        let fleet = self.core.take().expect("shutdown consumes self; core taken once").join()?;
         Ok((fleet, self.shared.stats.snapshot()))
     }
 }

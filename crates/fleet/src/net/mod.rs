@@ -41,8 +41,8 @@
 //!   ([`NetConfig::idle_frame_timeout`], the slow-loris defense). Every
 //!   violation is answered with a structured
 //!   [`RejectMsg`](crate::wire::RejectMsg) before the connection closes.
-//!   Replies a peer does not read stay parked in the core and are retried;
-//!   past [`NetConfig::max_frame`] parked bytes the peer is cut off.
+//!   The core never waits on a socket; a peer that does not read is cut
+//!   off past `max_frame` parked bytes or `idle_frame_timeout` behind.
 //! * **Load shedding.** Before accepting a submission the core compares
 //!   the target shard's [`ingest_depth`](crate::Shard::ingest_depth)
 //!   against [`NetConfig::shed_watermark`] and answers
@@ -57,10 +57,10 @@
 //!   the clock, never per verdict.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
 //!   acceptor, quiesces readers, lets the core chew through the command
-//!   backlog and verify what it accepted, write every in-flight verdict
-//!   (one bounded write per socket) and send FIN — no accepted submission
-//!   loses its verdict to a reading peer, and one that stopped reading
-//!   cannot hold shutdown. The `Fleet` comes back out for inspection.
+//!   backlog and verify what it accepted, and write to each peer until it
+//!   has taken everything, then FIN — no accepted submission loses its
+//!   verdict to a peer that keeps up; one behind for `idle_frame_timeout`
+//!   is cut off instead of holding shutdown. The `Fleet` comes back out.
 //!
 //! The module family: [`server`](self) core + acceptor live in
 //! `server.rs`, reader threads and reply buffers in `conn.rs`, the
@@ -89,8 +89,8 @@ pub struct NetConfig {
     /// Bind address. Port 0 picks an ephemeral port (read it back from
     /// [`NetServerHandle::addr`]).
     pub bind: String,
-    /// Per-frame payload cap in bytes; a frame announcing more is refused
-    /// at its header (oversized-frame defense).
+    /// Per-frame payload cap in bytes (a frame announcing more is refused
+    /// at its header), and the most reply bytes parked for a peer.
     pub max_frame: usize,
     /// Live-connection cap. Connections beyond it are answered with an
     /// [`Overloaded`](dialed::report::RejectReason::Overloaded) reject and
@@ -99,10 +99,12 @@ pub struct NetConfig {
     /// How long a connection may hold a frame incomplete before it is
     /// closed as a slow-loris writer. The clock starts when partial bytes
     /// arrive and only resets when a frame completes, so trickling one
-    /// byte per poll does not defeat it.
+    /// byte per poll does not defeat it. A peer that has not taken all the
+    /// replies it is owed for this long is cut off, on the same terms.
     pub idle_frame_timeout: Duration,
     /// Granularity of accept/read polling (socket timeouts and the
-    /// acceptor's idle sleep). Smaller is snappier shutdown, more wakeups.
+    /// acceptor's idle sleep), and how often replies a peer has not taken
+    /// yet are retried. Smaller is snappier shutdown, more wakeups.
     pub poll_interval: Duration,
     /// Per-shard ingest depth at which submissions are shed with
     /// [`Overloaded`](dialed::report::RejectReason::Overloaded).
@@ -141,7 +143,7 @@ pub struct NetStats {
     pub conns_shed: u64,
     /// Well-formed frames read off sockets.
     pub frames_in: u64,
-    /// Frames written to sockets (grants, verdicts, rejects).
+    /// Frames sockets have taken whole (grants, verdicts, rejects).
     pub frames_out: u64,
     /// Challenges granted.
     pub granted: u64,
@@ -306,8 +308,8 @@ pub(crate) enum CoreMsg {
     /// The peer broke the protocol: the core answers with a structured
     /// reject, then closes the connection as for [`ConnClosed`](Self::ConnClosed).
     Violation { conn: u64, detail: String },
-    /// The peer went away (EOF or socket error) — the core flushes what it
-    /// owes, sends FIN, and forgets the connection and its in-flight
+    /// The peer went away (EOF or socket error) — the core sends FIN once
+    /// what it owes is taken, and forgets the connection and its in-flight
     /// verdicts. *Not* sent when a reader quiesces for shutdown: those
     /// connections stay registered so the final drain can still deliver.
     ConnClosed { conn: u64 },

@@ -92,9 +92,6 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(shared.cfg.poll_interval);
-            }
             Err(_) => thread::sleep(shared.cfg.poll_interval),
         }
     }
@@ -193,34 +190,35 @@ impl Core {
             parked = self.flush();
         }
         // Every accepted submission was verified by the pass that followed
-        // its command; what can still be owed is an expiry reject. Then
-        // every connection gets what it is owed, and FIN.
+        // its command; what can still be owed is an expiry reject. Then each
+        // connection gets FIN once it has taken all it is owed.
         self.housekeeping();
         debug_assert!(self.inflight.is_empty(), "shutdown left verdicts unemitted");
-        for (_, out) in self.conns.drain() {
-            out.close(&self.shared.stats);
+        self.conns.values_mut().for_each(|out| out.closing = true);
+        while self.flush() {
+            thread::sleep(self.shared.cfg.poll_interval);
         }
         self.fleet
     }
 
-    /// One `write` to every connection owed bytes, dropping those gone or
-    /// cut off. Returns whether any output is still parked.
+    /// One `write` to every connection owed bytes, dropping those done,
+    /// gone or cut off. Returns whether any output is still parked.
     fn flush(&mut self) -> bool {
-        let (cap, stats) = (self.shared.cfg.max_frame, &self.shared.stats);
+        let (cfg, stats) = (&self.shared.cfg, &self.shared.stats);
         let mut parked = false;
         self.conns.retain(|_, out| {
-            let alive = out.flush(cap, stats);
+            let alive = out.flush(cfg, stats);
             parked |= alive && out.parked() > 0;
             alive
         });
         parked
     }
 
-    /// Forgets a connection: what it is owed so far goes out in one last
-    /// bounded write, then FIN; in-flight verdicts for it are undeliverable.
+    /// Forgets a connection: FIN once it has taken what it is owed so far;
+    /// in-flight verdicts for it are undeliverable.
     fn close(&mut self, conn: u64) {
-        if let Some(out) = self.conns.remove(&conn) {
-            out.close(&self.shared.stats);
+        if let Some(out) = self.conns.get_mut(&conn) {
+            out.closing = true;
         }
         self.inflight.retain(|_, &mut (c, _)| c != conn);
     }
@@ -350,10 +348,10 @@ impl Core {
     /// Encodes a reply into its connection's buffer for the pass's flush
     /// (a burst past the parked-output cap is flushed early).
     fn send(&mut self, conn: u64, msg: &Message) {
-        let (cap, stats) = (self.shared.cfg.max_frame, &self.shared.stats);
+        let (cfg, stats) = (&self.shared.cfg, &self.shared.stats);
         if let Some(out) = self.conns.get_mut(&conn) {
             out.push(msg);
-            if out.parked() > cap && !out.flush(cap, stats) {
+            if out.parked() > cfg.max_frame && !out.flush(cfg, stats) {
                 self.conns.remove(&conn);
             }
         }

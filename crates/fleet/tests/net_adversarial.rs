@@ -1,7 +1,8 @@
 //! Adversarial socket behavior against the TCP frontend, over real
 //! loopback connections: garbage bytes, truncated frames, oversized
 //! length prefixes, undecodable payloads, mid-frame disconnects,
-//! slow-loris trickles, and peers that never read their replies. The server must never panic — every test ends in
+//! slow-loris trickles, and peers that stop reading their replies. The
+//! server must never panic — every test ends in
 //! `shutdown().expect(..)`, which propagates any server-thread panic —
 //! and every violation is answered with a structured reject or a clean
 //! close, with the server staying healthy for honest traffic afterwards.
@@ -285,4 +286,110 @@ fn a_peer_that_never_reads_is_cut_off() {
         .expect("shutdown must not wait on a peer that stopped reading")
         .expect("no server thread may panic");
     assert_eq!(stats.protocol_errors, 0, "not reading is not a protocol violation");
+}
+
+/// Pipelines `n` `Issue`s (request ids `0..n`) for a device nobody
+/// registered on a raw socket, and returns it once the core has answered
+/// them all. Nothing is read back: with `n` in the hundreds of thousands
+/// the rejects owed outgrow the kernel's socket buffers, and the rest is
+/// parked in the server.
+fn pipeline_unread(handle: &NetServerHandle, id: DeviceId, n: u64) -> TcpStream {
+    let frames: Vec<u8> = (0..n)
+        .flat_map(|request| {
+            wire::encode(&Message::Issue(wire::IssueMsg { request, device: id.0 + 1 }))
+        })
+        .collect();
+    let mut sock = TcpStream::connect(handle.addr()).unwrap();
+    sock.write_all(&frames).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.stats().frames_in < n {
+        assert!(Instant::now() < deadline, "the server reads a pipeline it cannot answer");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Runs on the core after every request already queued.
+    handle.admin(|_| ()).expect("server is running");
+    sock
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_cut_off_without_slowing_others() {
+    // A parked-output cap this test never reaches, so only the stall
+    // clock can cut the peer off; and a long poll interval, so a core
+    // that waited on the stalled socket would show in every round trip.
+    let idle = Duration::from_secs(3);
+    let (handle, id, _) = server(NetConfig {
+        max_frame: 64 << 20,
+        idle_frame_timeout: idle,
+        poll_interval: Duration::from_millis(50),
+        ..NetConfig::default()
+    });
+    let hog = pipeline_unread(&handle, id, 256 * 1024);
+    let idle_from = Instant::now();
+
+    // The hog now sends nothing and reads nothing, with output parked.
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    let mut rtts: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            client.request_challenge(id.0).unwrap().expect("grant");
+            start.elapsed()
+        })
+        .collect();
+    rtts.sort();
+    assert!(rtts[10] < Duration::from_millis(20), "round trips wait on the hog: {rtts:?}");
+    drop(client);
+
+    // Cut off by the stall clock: its reader ends and its slot frees.
+    while handle.active_conns() > 0 {
+        assert!(idle_from.elapsed() < idle + Duration::from_secs(2), "the hog is never cut off");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(hog);
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!(stats.protocol_errors, 0, "not reading is not a protocol violation");
+}
+
+#[test]
+fn a_slow_reader_gets_every_reply_across_shutdown() {
+    // No cap or stall clock this test reaches: the peer reads late and
+    // slowly, but it reads.
+    let (handle, id, _) = server(NetConfig {
+        max_frame: 64 << 20,
+        idle_frame_timeout: Duration::from_secs(60),
+        ..NetConfig::default()
+    });
+    let n = 256 * 1024;
+    let mut peer = pipeline_unread(&handle, id, n);
+
+    // Shutdown starts with replies still parked: the core must keep
+    // writing while the peer reads, and only then send FIN.
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(handle.shutdown().map(|(_, stats)| stats));
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    let mut frames = wire::FrameReader::new(1 << 20);
+    let mut buf = vec![0u8; 16 * 1024];
+    let mut replies = 0;
+    loop {
+        let k = peer.read(&mut buf).expect("a reading peer is not cut off");
+        if k == 0 {
+            break;
+        }
+        frames.feed(&buf[..k]);
+        while let Some(msg) = frames.poll().unwrap() {
+            match msg {
+                Message::Reject(r) => assert_eq!(r.request, replies, "replies arrive in order"),
+                other => panic!("expected a reject, got {other:?}"),
+            }
+            replies += 1;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!((replies, frames.buffered()), (n, 0), "every reply, whole, then FIN");
+    let stats = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns once the peer has read everything")
+        .expect("no server thread may panic");
+    assert_eq!(stats.frames_out, n, "every frame was handed to the socket whole");
 }
