@@ -3,10 +3,9 @@
 //! The reader pulls bytes through a [`FrameReader`] (frame-size cap,
 //! fail-fast magic/version checks) and forwards decoded requests — and any
 //! protocol violation — to the core. It never writes: the core encodes
-//! every reply straight into the connection's [`Outbox`] and hands the
-//! buffer to the socket in one `write` per pass that never waits, so no
-//! thread sits between a reply and its socket, and no peer can stall the
-//! core. One connection carries any number of devices.
+//! every reply into the connection's [`Outbox`] and hands it to the socket
+//! in one `write` per pass that never waits. One connection carries any
+//! number of devices.
 
 use super::{bump, CoreMsg, NetConfig, Shared, StatsInner};
 use crate::wire::{self, FrameReader, Message};
@@ -123,16 +122,17 @@ pub(crate) struct Outbox {
     sent: usize,
     /// Frames in `out`, credited to `frames_out` once it is all taken.
     frames: u64,
-    /// Stall clock: set when output is left parked, reset only once it is
-    /// all taken — as on the read side, a trickle does not reset it.
-    behind_since: Option<Instant>,
+    /// Stall clock: when output was left parked, and the end of what was
+    /// owed then. Reset only once the socket has taken that much, so a
+    /// steady reader stays while more keeps coming and a trickle does not.
+    behind: Option<(Instant, usize)>,
     /// FIN once everything owed has been taken.
     pub(crate) closing: bool,
 }
 
 impl Outbox {
     pub(crate) fn new(sock: TcpStream) -> Self {
-        Self { sock, out: Vec::new(), sent: 0, frames: 0, behind_since: None, closing: false }
+        Self { sock, out: Vec::new(), sent: 0, frames: 0, behind: None, closing: false }
     }
 
     /// Appends one reply frame.
@@ -148,8 +148,9 @@ impl Outbox {
 
     /// Gives the socket what it will take without waiting. Returns `false`
     /// once the connection is done: FIN when a closing one is all taken;
-    /// shutdown both ways (ending its reader too) when the peer is gone or
-    /// has more than `max_frame` bytes parked, or any for `idle_frame_timeout`.
+    /// shutdown both ways (ending its reader too) when the peer is gone,
+    /// has more than `max_frame` bytes parked, or has not taken within
+    /// `idle_frame_timeout` what it was owed when it fell behind.
     pub(crate) fn flush(&mut self, cfg: &NetConfig, stats: &StatsInner) -> bool {
         if self.out.is_empty() && !self.closing {
             return true;
@@ -163,14 +164,22 @@ impl Outbox {
         }
         if !gone && self.parked() == 0 {
             stats.frames_out.fetch_add(std::mem::take(&mut self.frames), Ordering::Relaxed);
-            (self.sent, self.behind_since) = (0, None);
+            (self.sent, self.behind) = (0, None);
             self.out.clear();
             if self.closing {
                 let _ = self.sock.shutdown(Shutdown::Write);
             }
             return !self.closing;
         }
-        let since = *self.behind_since.get_or_insert_with(Instant::now);
+        let since = match self.behind {
+            Some((since, owed)) if self.sent < owed => since,
+            _ => {
+                // Fell behind, or kept up since: restart on what is owed now.
+                self.out.drain(..self.sent);
+                self.sent = 0;
+                self.behind.insert((Instant::now(), self.out.len())).0
+            }
+        };
         if gone || self.parked() > cfg.max_frame || since.elapsed() >= cfg.idle_frame_timeout {
             let _ = self.sock.shutdown(Shutdown::Both);
             return false;
@@ -213,5 +222,55 @@ impl Message {
             Message::Verdict(_) => "verdict",
             Message::Reject(_) => "reject",
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Duration;
+
+    /// A peer that reads steadily while as much again keeps being owed is
+    /// never caught up: megabytes stay parked pass after pass, for longer
+    /// than the stall clock runs. It takes what it was owed within every
+    /// window, though, so it is not cut off, and the bytes it has taken
+    /// are dropped as it goes.
+    #[test]
+    fn a_peer_that_keeps_up_stays_while_behind() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut out = Outbox::new(listener.accept().unwrap().0);
+        let idle = Duration::from_millis(500);
+        let cfg =
+            NetConfig { max_frame: usize::MAX, idle_frame_timeout: idle, ..NetConfig::default() };
+        let stats = StatsInner::default();
+
+        // Fill the kernel's buffers, then park 2 MiB behind them.
+        let backlog = 2 << 20;
+        while out.parked() < backlog {
+            out.out.resize(out.out.len() + (64 << 10), 0);
+            assert!(out.flush(&cfg, &stats));
+        }
+        // Each pass the peer reads what has arrived (up to 64 KiB) and is
+        // owed as much again.
+        peer.set_nonblocking(true).unwrap();
+        let mut buf = vec![0u8; 64 << 10];
+        let mut pushed = 0;
+        let start = Instant::now();
+        while start.elapsed() < 3 * idle {
+            thread::sleep(Duration::from_millis(2));
+            let n = match peer.read(&mut buf) {
+                Ok(0) => panic!("cut off after {:?}", start.elapsed()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => 0,
+                Err(e) => panic!("cut off after {:?}: {e}", start.elapsed()),
+            };
+            out.out.resize(out.out.len() + n, 0);
+            assert!(out.flush(&cfg, &stats), "cut off after {:?}", start.elapsed());
+            pushed += n;
+        }
+        assert!(out.parked() > 0, "the peer never caught up");
+        assert!(out.out.len() < backlog + pushed, "taken bytes are dropped");
     }
 }

@@ -122,13 +122,10 @@ impl NetServerHandle {
     ///    keeps writing what each connection is owed while its peer reads,
     ///    sends FIN after the last byte, and returns the [`Fleet`].
     ///
-    /// No thread is left to join after the core, and a peer that stays
-    /// behind holds shutdown no longer than its stall clock
-    /// ([`NetConfig::idle_frame_timeout`](super::NetConfig)).
-    ///
     /// In-flight submissions are accepted work: every one of them gets
     /// its verdict (or expiry reject) frame before its socket closes,
-    /// unless its peer is cut off by that clock.
+    /// unless the stall clock ([`NetConfig::idle_frame_timeout`](super::NetConfig))
+    /// cuts its peer off — at most two of its windows after the core stops.
     ///
     /// # Errors
     ///

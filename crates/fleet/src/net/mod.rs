@@ -41,8 +41,8 @@
 //!   ([`NetConfig::idle_frame_timeout`], the slow-loris defense). Every
 //!   violation is answered with a structured
 //!   [`RejectMsg`](crate::wire::RejectMsg) before the connection closes.
-//!   The core never waits on a socket; a peer that does not read is cut
-//!   off past `max_frame` parked bytes or `idle_frame_timeout` behind.
+//!   The core never waits on a socket; the same two knobs cut off a peer
+//!   that does not read.
 //! * **Load shedding.** Before accepting a submission the core compares
 //!   the target shard's [`ingest_depth`](crate::Shard::ingest_depth)
 //!   against [`NetConfig::shed_watermark`] and answers
@@ -59,8 +59,8 @@
 //!   acceptor, quiesces readers, lets the core chew through the command
 //!   backlog and verify what it accepted, and write to each peer until it
 //!   has taken everything, then FIN — no accepted submission loses its
-//!   verdict to a peer that keeps up; one behind for `idle_frame_timeout`
-//!   is cut off instead of holding shutdown. The `Fleet` comes back out.
+//!   verdict to a peer that keeps up; one the stall clock catches is cut
+//!   off instead of holding shutdown. The `Fleet` comes back out.
 //!
 //! The module family: [`server`](self) core + acceptor live in
 //! `server.rs`, reader threads and reply buffers in `conn.rs`, the
@@ -99,8 +99,9 @@ pub struct NetConfig {
     /// How long a connection may hold a frame incomplete before it is
     /// closed as a slow-loris writer. The clock starts when partial bytes
     /// arrive and only resets when a frame completes, so trickling one
-    /// byte per poll does not defeat it. A peer that has not taken all the
-    /// replies it is owed for this long is cut off, on the same terms.
+    /// byte per poll does not defeat it. On the same terms, a peer that
+    /// falls behind on its replies is cut off unless it takes, within this
+    /// long, what it was owed when it fell behind.
     pub idle_frame_timeout: Duration,
     /// Granularity of accept/read polling (socket timeouts and the
     /// acceptor's idle sleep), and how often replies a peer has not taken

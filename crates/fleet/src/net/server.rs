@@ -150,9 +150,8 @@ impl Core {
     /// behind it is applied too (up to [`BATCH_CAP`] pending submissions)
     /// and then a verify pass runs — an idle server answers a lone
     /// submission at once, a busy one batches whatever piled up during the
-    /// previous pass. The `drain_interval` clock drives housekeeping only.
-    /// Every pass ends with one `write` per connection owed bytes; parked
-    /// output is retried every `poll_interval`.
+    /// previous pass. The `drain_interval` clock drives housekeeping only;
+    /// parked output is retried every `poll_interval`.
     fn run(mut self, rx: &Receiver<CoreMsg>) -> Fleet {
         let interval = self.shared.cfg.drain_interval;
         let mut housekeeping_due = Instant::now() + interval;
