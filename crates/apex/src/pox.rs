@@ -7,7 +7,6 @@ use crate::violation::Violation;
 use hacl::{Digest, Sha256};
 use msp430::cpu::{Cpu, CpuFault, Observe, Step};
 use msp430::platform::Platform;
-use msp430::trace::Trace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use vrased::{Challenge, KeyStore, RaVerifier, SwAtt};
@@ -94,10 +93,12 @@ impl PoxProof {
 }
 
 /// Outcome of running one attested operation on the device.
-#[derive(Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunOutcome {
-    /// Execution trace (instructions, cycles, bus events).
-    pub trace: Trace,
+    /// Instructions executed (interrupt entries excluded).
+    pub insns: usize,
+    /// CPU cycles consumed, interrupt entries included.
+    pub cycles: u64,
     /// Why the run stopped.
     pub stop: StopReason,
 }
@@ -140,27 +141,22 @@ impl PoxProver {
     /// Runs until `stop_pc`, feeding every step (and fault) to the monitor
     /// and advancing time-based peripherals.
     ///
-    /// Execution is dispatched superblock-at-a-time; the monitor, the
-    /// peripheral clock and the trace still observe every single step via
-    /// the dispatch callback, in the same order as a `step_into` loop.
+    /// Execution is dispatched superblock-at-a-time; the monitor and the
+    /// peripheral clock still observe every single step via the dispatch
+    /// callback (the monitor must see every read), in the same order as a
+    /// [`Cpu::step`] loop. Only the instruction and cycle totals are kept.
     /// The core's superblock counters are published once, on return.
     pub fn run_to(&mut self, stop_pc: u16, max_steps: usize) -> RunOutcome {
-        let outcome = self.run_blocks(stop_pc, max_steps);
-        self.cpu.publish_superblock_stats();
-        outcome
-    }
-
-    fn run_blocks(&mut self, stop_pc: u16, max_steps: usize) -> RunOutcome {
-        let mut trace = Trace::new();
-        // One Step reused across the run; only the trace copy survives.
+        let mut out = RunOutcome { insns: 0, cycles: 0, stop: StopReason::StepBudgetExhausted };
+        // One Step reused across the run.
         let mut step = Step::default();
         let mut remaining = max_steps;
         while remaining > 0 {
             if self.cpu.pc() == stop_pc {
-                return RunOutcome { trace, stop: StopReason::ReachedStop };
+                out.stop = StopReason::ReachedStop;
+                break;
             }
-            let monitor = &mut self.monitor;
-            let trace_ref = &mut trace;
+            let (monitor, insns) = (&mut self.monitor, &mut out.insns);
             let r = self.cpu.step_block_into(
                 &mut self.platform,
                 stop_pc,
@@ -170,20 +166,25 @@ impl PoxProver {
                 |platform, _regs, s, _| {
                     monitor.observe_step(s);
                     platform.advance(s.cycles);
-                    trace_ref.push(*s);
+                    *insns += usize::from(s.insn.is_some());
                 },
             );
             match r {
-                Ok((n, _)) => remaining -= n,
+                Ok((n, cycles)) => {
+                    remaining -= n;
+                    out.cycles += u64::from(cycles);
+                }
                 Err(fault) => {
                     if let CpuFault::Decode { at, .. } = fault {
                         self.monitor.observe_fault(at);
                     }
-                    return RunOutcome { trace, stop: StopReason::Fault(fault) };
+                    out.stop = StopReason::Fault(fault);
+                    break;
                 }
             }
         }
-        RunOutcome { trace, stop: StopReason::StepBudgetExhausted }
+        self.cpu.publish_superblock_stats();
+        out
     }
 
     /// Performs a DMA transfer as an external master (attack scenarios),
@@ -372,6 +373,23 @@ mod tests {
         let proof = prover.prove(&chal);
         let or = verifier.check(&proof, &chal, None).expect("valid proof");
         assert_eq!(u16::from_le_bytes([or[0], or[1]]), 0xBEEF);
+    }
+
+    #[test]
+    fn run_outcome_counts_instructions_and_cycles() {
+        // mov #21, r10 ; add r10, r10 ; mov r10, &0x0200, then an interrupt
+        // entry: its cycles count, but it is not an instruction.
+        let (mut prover, _, _) = build(OP);
+        prover.platform.load_words(0xE100, &[0x403A, 0x0015, 0x5A0A, 0x4A82, 0x0200]);
+        prover.cpu.set_pc(0xE100);
+        let out = prover.run_to(0xE10A, 100);
+        assert_eq!(out, RunOutcome { insns: 3, cycles: 2 + 1 + 4, stop: StopReason::ReachedStop });
+        prover.cpu.set_reg(Reg::SR, msp430::flags::GIE);
+        prover.cpu.raise_irq(9);
+        let out = prover.run_to(0xFFFF, 1);
+        let irq = u64::from(msp430::cycles::IRQ_CYCLES);
+        let budget = StopReason::StepBudgetExhausted;
+        assert_eq!(out, RunOutcome { insns: 0, cycles: irq, stop: budget });
     }
 
     #[test]

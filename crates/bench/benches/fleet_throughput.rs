@@ -132,11 +132,8 @@ fn bench_fleet(c: &mut Criterion) {
     // transient; the counters aggregate every emulation this run.
     let sb = msp430::process_superblock_stats();
     println!(
-        "fleet: superblocks {} hits / {} misses / {} restitches{}",
-        sb.hits,
-        sb.misses,
-        sb.restitches,
-        if msp430::superblocks_forced_off() { " (MSP430_FORCE_STEP)" } else { "" },
+        "fleet: superblocks {} hits / {} misses / {} restitches",
+        sb.hits, sb.misses, sb.restitches,
     );
 }
 

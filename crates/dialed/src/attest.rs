@@ -21,11 +21,12 @@ pub struct DialedProof {
 }
 
 /// Outcome statistics of one device-side invocation.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct RunInfo {
-    /// Instructions executed.
+    /// Instructions executed (interrupt entries excluded).
     pub insns: usize,
-    /// CPU cycles consumed — the Fig. 6(b) metric.
+    /// CPU cycles consumed, interrupt entries included — the Fig. 6(b)
+    /// metric.
     pub cycles: u64,
     /// OR bytes consumed by the logs — the Fig. 6(c) metric.
     pub log_bytes_used: usize,
@@ -90,15 +91,7 @@ impl DialedDevice {
             cpu.set_reg(Reg::from_index(8 + i as u16), *v);
         }
         cpu.set_pc(self.op.options.caller_site);
-        let outcome = self.prover.run_to(self.op.return_addr, budget);
-        let r4 = self.prover.cpu.reg(Reg::R4);
-        let log_bytes_used = usize::from(self.op.r_top().saturating_sub(r4));
-        RunInfo {
-            insns: outcome.trace.insn_count(),
-            cycles: outcome.trace.cycles(),
-            log_bytes_used,
-            stop: outcome.stop,
-        }
+        self.run_raw(budget)
     }
 
     /// Runs from the *current* CPU state (no register setup) until the op
@@ -108,8 +101,8 @@ impl DialedDevice {
         let outcome = self.prover.run_to(self.op.return_addr, budget);
         let r4 = self.prover.cpu.reg(Reg::R4);
         RunInfo {
-            insns: outcome.trace.insn_count(),
-            cycles: outcome.trace.cycles(),
+            insns: outcome.insns,
+            cycles: outcome.cycles,
             log_bytes_used: usize::from(self.op.r_top().saturating_sub(r4)),
             stop: outcome.stop,
         }

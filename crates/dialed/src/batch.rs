@@ -18,8 +18,8 @@
 //!   the calling thread — a lightly loaded server hands over one or two
 //!   proofs at a time, and a thread spawn costs more than they do;
 //! * keeps its [`EmuWorkspace`]s in a checkout pool across calls, so the
-//!   64 KiB RAM image, the write log, the OR snapshot and the predecoded
-//!   instruction cache are built once per engine, not once per call — the
+//!   64 KiB RAM image, the write log, the OR snapshot and the stitched
+//!   superblocks are built once per engine, not once per call — the
 //!   inline path and every scoped worker draw from the same pool;
 //! * resolves per-device keys through a shared [`KeySource`] — requests
 //!   borrow into it, so keyed batches add no per-proof allocation;

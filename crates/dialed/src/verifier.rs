@@ -31,7 +31,7 @@ use crate::policy::Policy;
 use crate::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
 use crate::request::{Verifier, VerifyRequest, MIN_EMU_BUDGET};
 use apex::{PoxConfig, PoxVerifier};
-use msp430::cpu::{Cpu, CpuFault, Observe, Step};
+use msp430::cpu::{Cpu, CpuFault, Dispatch, Observe, Step};
 use msp430::isa::{Insn, Op1, Op2, Operand};
 use msp430::mem::{Bus, Ram};
 use msp430::regs::Reg;
@@ -196,11 +196,12 @@ pub struct EmuWorkspace {
     /// Lazily allocated so constructing a workspace is free: a proof that
     /// fails the cryptographic check never pays for the 64 KiB image.
     ram: Option<Ram>,
-    /// Reused across proofs so the predecoded instruction cache stays warm:
-    /// every batch proof replays the same operation, and cache hits are
-    /// validated against live memory, so reuse is observationally pure.
+    /// Reused across proofs so the stitched superblocks stay warm: every
+    /// batch proof replays the same operation, and blocks are validated
+    /// against live page write-generations, so reuse is observationally
+    /// pure.
     cpu: Cpu,
-    /// Scratch [`Step`] for the allocation-free `step_into` loop.
+    /// Scratch [`Step`] for the allocation-free dispatch loop.
     step: Step,
     writes: Vec<DataWrite>,
     shadow: Vec<u16>,
@@ -238,15 +239,11 @@ impl EmuWorkspace {
         self.or_emulated = emu.or_emulated;
     }
 
-    /// Selects the emulator dispatch strategy for subsequent proofs.
-    ///
-    /// `icache` toggles the predecoded instruction cache, `superblocks` the
-    /// block-at-a-time dispatch layer on top of it. Both default to on; the
-    /// equivalence tests pin all three configurations (forced decode,
-    /// per-step icache, superblocks) to byte-identical reports.
-    pub fn set_dispatch(&mut self, icache: bool, superblocks: bool) {
-        self.cpu.set_icache_enabled(icache);
-        self.cpu.set_superblocks_enabled(superblocks);
+    /// Selects the emulator dispatch for subsequent proofs: superblocks
+    /// (the default) or the plain-decode reference. The equivalence tests
+    /// pin both to byte-identical reports.
+    pub fn set_dispatch(&mut self, dispatch: Dispatch) {
+        self.cpu.set_dispatch(dispatch);
     }
 
     /// The cost counts of this workspace's most recent abstract execution.
@@ -282,8 +279,8 @@ fn abstract_execute(
     let r_top = or_stack.r_top();
 
     // Log head: SP base then r8..r15 (entry block order). The workspace
-    // CPU is recycled (warm instruction cache); only its architectural
-    // state is reset.
+    // CPU is recycled (warm superblocks); only its architectural state is
+    // reset.
     let sp_base = or_stack.entry(0).unwrap_or(0);
     let cpu = &mut ws.cpu;
     cpu.reset_regs();

@@ -86,7 +86,5 @@ fn process_totals_equal_the_sum_of_per_core_counts() {
 
     let per_core = *engine.verifier().sum.lock().unwrap();
     assert_eq!(delta(process_superblock_stats(), before), per_core, "verifier cores");
-    if !msp430::superblocks_forced_off() {
-        assert!(per_core.hits > 0, "warm pooled cores must hit: {per_core:?}");
-    }
+    assert!(per_core.hits > 0, "warm pooled cores must hit: {per_core:?}");
 }

@@ -1,13 +1,13 @@
 //! Dispatch-equivalence property for DIALED verification.
 //!
-//! The abstract-execution emulator has three dispatch configurations:
-//! decode-every-step (the oracle), the predecoded instruction cache, and
-//! superblock block-at-a-time dispatch stacked on the cache. A verifier's
-//! [`Report`] — attack findings, statistics, outcome — must be **byte
-//! identical** across all three, for honest and corrupted proofs alike:
+//! The abstract-execution emulator has two dispatches: the plain-decode
+//! reference (the oracle) and superblock block-at-a-time dispatch. A
+//! verifier's [`Report`] — attack findings, statistics, outcome — must be
+//! **byte identical** across both, for honest and corrupted proofs alike:
 //! the dispatch layer is a throughput optimisation, never an observable.
 
 use dialed::prelude::*;
+use msp430::Dispatch;
 use proptest::prelude::*;
 
 /// A looping op so superblock dispatch re-enters stitched blocks: the
@@ -26,31 +26,26 @@ const OP: &str = "\
      mov r10, &0x0060\n\
      ret\n";
 
-/// Verifies `proof` under each dispatch configuration with a warm,
-/// recycled workspace and asserts the reports are identical.
+/// Verifies `proof` under each dispatch with a warm, recycled workspace and
+/// asserts the reports are identical.
 fn reports_agree(op: &InstrumentedOp, proof: &DialedProof, chal: &Challenge, seed: u64) -> Report {
     let verifier = DialedVerifier::new(op.clone(), KeyStore::from_seed(seed));
-    let mut reports = Vec::new();
-    for (icache, superblocks) in [(false, false), (true, false), (true, true)] {
+    let [reference, superblocks] = [Dispatch::Reference, Dispatch::Superblocks].map(|dispatch| {
         let mut ws = EmuWorkspace::new();
-        ws.set_dispatch(icache, superblocks);
+        ws.set_dispatch(dispatch);
         // Verify twice so the second pass runs against warm caches (the
         // interesting case for block reuse across proofs).
         let _ = verifier.verify_in(&mut ws, &VerifyRequest::new(proof, chal));
-        reports.push(verifier.verify_in(&mut ws, &VerifyRequest::new(proof, chal)));
-    }
-    let (forced, icache_only, superblock) =
-        (reports.remove(0), reports.remove(0), reports.remove(0));
-    assert_eq!(forced, icache_only, "icache dispatch changed the report");
-    assert_eq!(forced, superblock, "superblock dispatch changed the report");
-    forced
+        verifier.verify_in(&mut ws, &VerifyRequest::new(proof, chal))
+    });
+    assert_eq!(reference, superblocks, "superblock dispatch changed the report");
+    reference
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Honest proofs verify clean, identically, under all three dispatch
-    /// configurations.
+    /// Honest proofs verify clean, identically, under both dispatches.
     #[test]
     fn honest_reports_identical_across_dispatch_configs(
         args in proptest::array::uniform8(any::<u16>()),

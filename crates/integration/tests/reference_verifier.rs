@@ -4,8 +4,8 @@
 //!
 //! The reference shares no machinery with the optimised verifier beyond
 //! the instruction semantics and the application policies. It decodes
-//! every instruction afresh (`Cpu::step` with the instruction cache and
-//! superblock dispatch off), loads a fresh `Ram` from the op image per
+//! every instruction afresh (`Cpu::step`, the plain-decode reference,
+//! never a superblock), loads a fresh `Ram` from the op image per
 //! proof, keeps its logs in plain `Vec`s, finds log sites by linear
 //! search in the op's site lists, and checks the MAC with one scalar HMAC
 //! over the raw region bytes.
@@ -93,8 +93,6 @@ fn reference_verify(
         ram.write_byte(addr, byte);
     }
     let mut cpu = Cpu::new();
-    cpu.set_icache_enabled(false);
-    cpu.set_superblocks_enabled(false);
     let sp_base = entry(0).unwrap_or(0);
     cpu.set_reg(Reg::SP, sp_base.wrapping_add(2));
     cpu.set_reg(Reg::R4, r_top);

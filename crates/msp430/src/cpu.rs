@@ -1,48 +1,43 @@
 //! The MSP430 CPU core: fetch, decode, execute, and bus-event reporting.
 //!
-//! [`Cpu::step`] executes exactly one instruction (or services one pending
-//! interrupt) and returns a [`Step`] describing everything that happened on
-//! the bus. Hardware monitors — the APEX FSM in particular — consume the
-//! `Step` stream; nothing about attestation lives in this module.
+//! The core has two execution paths, and every run loop uses the first:
 //!
-//! # The zero-allocation fast path
+//! * [`Cpu::step_block_into`] dispatches *superblocks*: straight-line runs
+//!   of predecoded instructions ending at unconditional control flow
+//!   (jumps, calls, returns, PC writes), SR writes, log-site break
+//!   addresses, page boundaries or the length cap, validated for reuse by
+//!   the bus's per-page write-generations. Conditional jumps do not end a
+//!   block: it is stitched along their fall-through, and dispatch takes a
+//!   *side exit* right after a jump that is taken (its `next_pc` differs
+//!   from the stitched fall-through). The steady-state block loop touches
+//!   no per-step metadata at all; per-step observers still see every
+//!   [`Step`] through a callback.
+//! * [`Cpu::step`] decodes and executes exactly one instruction (or services
+//!   one pending interrupt) and returns a [`Step`] describing everything
+//!   that happened on the bus. It is the reference semantics, and the
+//!   single-step fallback of block dispatch: halt, interrupt entry, an odd
+//!   PC, an untracked page (the peripherals) or an undecodable opcode.
 //!
-//! Replay-heavy callers (the DIALED verifier, batch verification workers)
-//! drive the core through [`Cpu::step_into`], which fills a caller-owned
-//! [`Step`] instead of returning a fresh one. Because a `Step` embeds its
-//! bus accesses in an inline [`AccessBuf`], a steady-state
-//! `step_into` loop performs **zero heap allocations**. Decoding is served
-//! from a lazily built predecoded instruction cache (the crate-private
-//! `icache` module) that
-//! is validated against the live instruction words on every hit, so writes
-//! into code memory — from any bus master — force a re-decode without
-//! explicit invalidation hooks.
-//!
-//! One level further up, [`Cpu::step_block_into`] dispatches *superblocks*:
-//! straight-line runs of predecoded instructions ending at unconditional
-//! control flow (jumps, calls, returns, PC writes), SR writes, log-site
-//! break addresses, page boundaries or the length cap, validated for reuse
-//! by the bus's per-page write-generations. Conditional jumps do not end a
-//! block: it is stitched along their fall-through, and dispatch takes a
-//! *side exit* right after a jump that is taken (its `next_pc` differs
-//! from the stitched fall-through). The steady-state block loop touches no
-//! per-step metadata at all; per-step observers still see every [`Step`]
-//! through a callback. `MSP430_FORCE_STEP=1` in the environment disables
-//! block dispatch process-wide ([`superblocks_forced_off`]).
+//! [`Cpu::set_dispatch`] with [`Dispatch::Reference`] makes every
+//! `step_block_into` call take exactly one reference step, which is how
+//! differential tests put the whole verification stack on plain decode.
+//! A `Step` embeds its bus accesses in an inline [`AccessBuf`], so both
+//! paths perform **zero heap allocations** once the blocks are stitched.
+//! Hardware monitors — the APEX FSM in particular — consume the `Step`
+//! stream; nothing about attestation lives in this module.
 //!
 //! # Observation modes
 //!
 //! A block dispatch reports its instructions as its caller asks
-//! ([`Observe`]). Device-side callers — the APEX monitor, peripheral time,
-//! the device trace — take [`Observe::EveryStep`]: every instruction fills
-//! the [`Step`] and runs the callback. The DIALED verifier reads only
-//! memory writes, SP changes and calls and returns, so it takes
-//! [`Observe::Effects`]. When a block is stitched, each instruction gets a
-//! *quiet* bit: it writes no memory, SP or PC (a jump aside), and is not
-//! push, call or reti. In effects mode a quiet instruction executes
-//! without the `Step` refill or the callback, and its static cycle count
-//! still adds to the dispatch's totals; the callback gets the cycle offset
-//! of each step it does see.
+//! ([`Observe`]). Device-side callers — the APEX monitor, peripheral time —
+//! take [`Observe::EveryStep`]: every instruction fills the [`Step`] and
+//! runs the callback. The DIALED verifier reads only memory writes, SP
+//! changes and calls and returns, so it takes [`Observe::Effects`]. When a
+//! block is stitched, each instruction gets a *quiet* bit: it writes no
+//! memory, SP or PC (a jump aside), and is not push, call or reti. In
+//! effects mode a quiet instruction executes without the `Step` refill or
+//! the callback, and its static cycle count still adds to the dispatch's
+//! totals; the callback gets the cycle offset of each step it does see.
 //!
 //! Effects mode also *fuses* Tiny-CFA's log append
 //! (`mov.w <src>, 0(r4) ; decd r4 ; cmp #or_min, r4 ; jn $`, over half of
@@ -51,7 +46,7 @@
 //! register update with the same step count, cycles, R4, SR and PC as
 //! executing them. Dispatch never fuses across a `stop_pc` or `limit` cut,
 //! after a store into the block's own code, or on the single-step
-//! fallback, so `MSP430_FORCE_STEP=1` observes every step in either mode.
+//! fallback, so [`Dispatch::Reference`] observes every step in either mode.
 //!
 //! Block hit/miss/re-stitch counts stay on the core during dispatch; run
 //! loops publish them to [`crate::process_superblock_stats`] once per run
@@ -59,21 +54,21 @@
 
 use crate::cycles::{insn_cycles, IRQ_CYCLES};
 use crate::flags;
-use crate::icache::{
-    mark_log_appends, page_base, Block, BlockBreaks, BlockInsn, ICache, ICacheStats, Stamp,
-    SuperCache, SuperblockStats, MAX_BLOCK_INSNS, MAX_INSN_WORDS,
-};
 use crate::isa::{Cond, DecodeError, Insn, Op1, Op2, Operand, Size};
 use crate::layout::RESET_VECTOR;
 use crate::mem::{Access, AccessBuf, AccessKind, Bus};
 use crate::regs::{Reg, RegFile};
+use crate::superblock::{
+    mark_log_appends, page_base, Block, BlockBreaks, BlockInsn, SuperCache, SuperblockStats,
+    MAX_BLOCK_INSNS, MAX_INSN_WORDS,
+};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Everything one [`Cpu::step`] did, for consumption by monitors and traces.
 ///
 /// Contains no heap-owned data: it is `Copy` (a flat ~48-byte copy), and
-/// one `Step` can be reused across an entire run via [`Cpu::step_into`].
+/// one `Step` is reused across an entire run of [`Cpu::step_block_into`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct Step {
     /// PC at the start of the step (address of the executed instruction).
@@ -142,26 +137,23 @@ impl fmt::Display for CpuFault {
 
 impl std::error::Error for CpuFault {}
 
-/// True when the `MSP430_FORCE_STEP` environment variable disables
-/// superblock dispatch process-wide (mirroring `HACL_FORCE_SCALAR`): the
-/// variable is set and not `"0"` at first query. With dispatch forced off,
-/// every [`Cpu::step_block_into`] call degrades to exactly one
-/// [`Cpu::step_into`], which CI uses to prove the whole verification stack
-/// on the single-step path.
-#[must_use]
-pub fn superblocks_forced_off() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| {
-        std::env::var_os("MSP430_FORCE_STEP").is_some_and(|v| !v.is_empty() && v != "0")
-    })
+/// How [`Cpu::step_block_into`] executes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Dispatch {
+    /// Superblocks of predecoded instructions, falling back to one
+    /// reference step where no block can form. What every run loop uses.
+    #[default]
+    Superblocks,
+    /// Every call takes exactly one [`Cpu::step`]: the plain-decode
+    /// reference that differential tests compare superblocks against.
+    Reference,
 }
 
 /// Which executed instructions a [`Cpu::step_block_into`] caller observes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Observe {
     /// Every instruction fills the [`Step`] and runs the callback — what
-    /// per-step hardware models (the APEX monitor, peripheral time, the
-    /// device trace) need.
+    /// per-step hardware models (the APEX monitor, peripheral time) need.
     EveryStep,
     /// Only instructions with an effect beyond plain registers and flags
     /// are reported: memory writes, SP or PC writes, push, call and reti.
@@ -171,30 +163,14 @@ pub enum Observe {
 }
 
 /// The MSP430 CPU core.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Cpu {
     /// Architectural register file.
     pub regs: RegFile,
     pending_irq: Option<u8>,
-    icache: ICache,
-    icache_enabled: bool,
     sblocks: SuperCache,
-    sblocks_enabled: bool,
+    dispatch: Dispatch,
     fused_appends: u64,
-}
-
-impl Default for Cpu {
-    fn default() -> Self {
-        Self {
-            regs: RegFile::new(),
-            pending_irq: None,
-            icache: ICache::default(),
-            icache_enabled: true,
-            sblocks: SuperCache::default(),
-            sblocks_enabled: !superblocks_forced_off(),
-            fused_appends: 0,
-        }
-    }
 }
 
 impl Cpu {
@@ -204,50 +180,13 @@ impl Cpu {
         Self::default()
     }
 
-    /// Enables or disables the predecoded instruction cache.
+    /// Selects how [`Cpu::step_block_into`] executes from now on.
     ///
-    /// The cache is semantically transparent (validated against live memory
-    /// on every hit); disabling it forces the decode-every-step slow path,
-    /// which differential tests and benchmarks use as the reference.
-    pub fn set_icache_enabled(&mut self, enabled: bool) {
-        self.icache_enabled = enabled;
-    }
-
-    /// Is the predecoded instruction cache in use?
-    #[must_use]
-    pub fn icache_enabled(&self) -> bool {
-        self.icache_enabled
-    }
-
-    /// Drops every cached decode (the table allocation is kept).
-    ///
-    /// Never required for correctness — entries are validated on hit — but
-    /// lets long-lived cores shed entries for code that will not run again.
-    pub fn flush_icache(&mut self) {
-        self.icache.flush();
-    }
-
-    /// Instruction-cache hit/miss counters since construction.
-    #[must_use]
-    pub fn icache_stats(&self) -> ICacheStats {
-        self.icache.stats()
-    }
-
-    /// Enables or disables superblock (block-at-a-time) dispatch.
-    ///
-    /// Like the instruction cache, superblocks are semantically transparent
-    /// (reuse is validated against live page write-generations); disabling
-    /// them makes [`Cpu::step_block_into`] degrade to one [`Cpu::step_into`]
-    /// per call. When [`superblocks_forced_off`] reports the
-    /// `MSP430_FORCE_STEP` override, dispatch stays off regardless.
-    pub fn set_superblocks_enabled(&mut self, enabled: bool) {
-        self.sblocks_enabled = enabled && !superblocks_forced_off();
-    }
-
-    /// Is superblock dispatch in use?
-    #[must_use]
-    pub fn superblocks_enabled(&self) -> bool {
-        self.sblocks_enabled
+    /// Both choices are semantically identical (blocks are validated
+    /// against live page write-generations); [`Dispatch::Reference`] is the
+    /// plain-decode oracle differential tests compare superblocks against.
+    pub fn set_dispatch(&mut self, dispatch: Dispatch) {
+        self.dispatch = dispatch;
     }
 
     /// Superblock cache hit/miss/re-stitch counters since construction.
@@ -272,13 +211,6 @@ impl Cpu {
         self.sblocks.publish();
     }
 
-    /// Drops every stitched superblock (the table allocation is kept for
-    /// the pages' slots; never required for correctness — blocks are
-    /// generation-validated on every dispatch).
-    pub fn flush_superblocks(&mut self) {
-        self.sblocks.flush();
-    }
-
     /// Installs the set of addresses at which superblocks must end, so
     /// those addresses only ever execute as block entries (where callers
     /// can observe them — the DIALED verifier's input-injection sites).
@@ -290,11 +222,12 @@ impl Cpu {
     }
 
     /// Re-initialises the architectural state (registers and pending IRQ)
-    /// while keeping the warm instruction cache.
+    /// while keeping the stitched superblocks.
     ///
     /// This is the batch-verification reuse hook: one core replays many
-    /// proofs of the same operation, and the cached decodes stay valid
-    /// across proofs because every hit is validated against live memory.
+    /// proofs of the same operation, and the blocks stay valid across
+    /// proofs because every dispatch validates them against the bus's page
+    /// write-generations.
     pub fn reset_regs(&mut self) {
         self.regs = RegFile::new();
         self.pending_irq = None;
@@ -353,7 +286,8 @@ impl Cpu {
         self.pending_irq = None;
     }
 
-    /// Executes one instruction (or takes one interrupt).
+    /// Executes one instruction (or takes one interrupt): fetch, plain
+    /// decode, execute. The reference semantics, with no cache involved.
     ///
     /// # Errors
     ///
@@ -365,17 +299,10 @@ impl Cpu {
         Ok(step)
     }
 
-    /// Executes one instruction (or takes one interrupt) into a
-    /// caller-owned [`Step`], the allocation-free form of [`Cpu::step`].
-    ///
-    /// Replay loops keep one `Step` for the whole run; it is cleared and
-    /// refilled on every call. On error its contents are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// [`CpuFault::Halted`] when CPUOFF is set; [`CpuFault::Decode`] on an
-    /// invalid opcode (PC is left pointing at the bad instruction).
-    pub fn step_into(&mut self, bus: &mut impl Bus, step: &mut Step) -> Result<(), CpuFault> {
+    /// [`Cpu::step`] into a caller-owned [`Step`], cleared and refilled in
+    /// place (the block dispatcher's single-step fallback). On error its
+    /// contents are unspecified.
+    fn step_into(&mut self, bus: &mut impl Bus, step: &mut Step) -> Result<(), CpuFault> {
         // Only the fields a success path does not overwrite are reset here;
         // on error the step's contents are unspecified.
         step.accesses.clear();
@@ -414,25 +341,25 @@ impl Cpu {
             }
         }
 
-        // Fetch + decode, through the predecoded cache when possible.
-        let (insn, cycles) = self.fetch_decode(bus, pc0)?;
+        let (insn, len) = decode_at(bus, pc0).map_err(|err| CpuFault::Decode { at: pc0, err })?;
+        self.regs.set(Reg::PC, pc0.wrapping_add(len * 2));
         self.execute(bus, &insn, &mut step.accesses);
         step.next_pc = self.regs.pc();
         step.insn = Some(insn);
-        step.cycles = cycles;
+        step.cycles = insn_cycles(&insn);
         Ok(())
     }
 
     /// Executes up to one superblock of instructions (at most `limit`),
     /// reporting them to `on_step` as `observe` asks — the block-at-a-time
-    /// dispatch path beside [`Cpu::step_into`].
+    /// dispatch path beside the reference [`Cpu::step`].
     ///
-    /// Each observed instruction fills `step` exactly as `step_into` would
+    /// Each observed instruction fills `step` exactly as [`Cpu::step`] would
     /// (same PCs, decoded instruction, cycle count and inline access
     /// buffer) before `on_step(bus, regs, step, at)` runs, where `at` is the
     /// number of cycles this dispatch executed before the step. Under
     /// [`Observe::EveryStep`] every instruction is observed, so per-step
-    /// observers — the APEX monitor, trace recording, peripheral time — see
+    /// observers — the APEX monitor, peripheral time — see
     /// an identical stream. Under [`Observe::Effects`] quiet instructions
     /// (no memory, SP or PC write; not push, call or reti — marked when the
     /// block is stitched) run without the `Step` refill or the callback,
@@ -443,15 +370,15 @@ impl Cpu {
     ///
     /// The block ends early at `stop_pc` (tested before each instruction
     /// after the first; the entry instruction always executes, matching a
-    /// `step_into` call at that PC), after a taken conditional jump (a side
+    /// [`Cpu::step`] call at that PC), after a taken conditional jump (a side
     /// exit: the block was stitched along the fall-through), after a store
     /// into one of the block's own code pages (possible self-modification
     /// of a later instruction), or at `limit`. A log-append tail is applied
     /// as one step only when `stop_pc` and `limit` both fall outside it and
     /// the append's store left the block's code pages alone. Halt,
-    /// pending-interrupt entry, disabled dispatch and unstitchable entries
-    /// (odd PC, untracked page, undecodable opcode) all fall back to a
-    /// single, always observed `step_into` with identical semantics.
+    /// pending-interrupt entry, [`Dispatch::Reference`] and unstitchable
+    /// entries (odd PC, untracked page, undecodable opcode) all fall back to
+    /// a single, always observed [`Cpu::step`] with identical semantics.
     ///
     /// `on_step` receives the bus and the post-step register file; it must
     /// not execute instructions on this core (it cannot — the core is
@@ -463,7 +390,7 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Cpu::step_into`] — faults can only surface on the
+    /// Exactly those of [`Cpu::step`] — faults can only surface on the
     /// single-step fallback, never mid-block (blocks contain only decoded
     /// instructions, and instruction execution itself cannot fault).
     pub fn step_block_into<B: Bus>(
@@ -478,13 +405,13 @@ impl Cpu {
         if limit == 0 {
             return Ok((0, 0));
         }
-        // Halt, interrupt entry and disabled dispatch funnel through the
-        // single-step path so fault and IRQ semantics stay byte-identical
-        // to a `step_into` loop. GIE and CPUOFF only change via explicit
-        // SR writes or RETI (see `ends_block`), so mid-block re-checks are
+        // Halt, interrupt entry and the reference dispatch funnel through
+        // the single-step path so fault and IRQ semantics stay identical to
+        // a `step` loop. GIE and CPUOFF only change via explicit SR writes
+        // or RETI (see `ends_block`), so mid-block re-checks are
         // unnecessary: a block never runs past the instruction that could
         // flip them.
-        let single = !self.sblocks_enabled
+        let single = self.dispatch == Dispatch::Reference
             || self.halted()
             || (self.pending_irq.is_some() && self.flag(flags::GIE));
         if !single {
@@ -501,7 +428,7 @@ impl Cpu {
                     }
                     step.accesses.clear();
                     // PC advances past the instruction before it executes,
-                    // exactly as fetch_decode does (PC-operand semantics).
+                    // exactly as in a reference step (PC-operand semantics).
                     self.regs.set(Reg::PC, bi.next_pc);
                     self.execute(bus, &bi.insn, &mut step.accesses);
                     let at = cycles;
@@ -628,15 +555,11 @@ impl Cpu {
             {
                 break;
             }
-            let mut cursor =
-                FetchCursor { bus, pc0: pc, words: [0; MAX_INSN_WORDS], prefetched: 0, n: 0 };
-            let first = cursor.next_word();
-            let Ok(insn) = Insn::decode(pc, first, || cursor.next_word()) else {
+            let Ok((insn, len)) = decode_at(bus, pc) else {
                 // Undecodable: end the block before it; the single-step
                 // fallback at this PC reproduces the fault.
                 break;
             };
-            let len = cursor.n as u16;
             let last = pc.wrapping_add((len - 1) * 2);
             if page_base(last) != entry_page {
                 match bus.page_generation(last) {
@@ -657,105 +580,6 @@ impl Cpu {
         } else {
             Some(block)
         }
-    }
-
-    /// Resolves the instruction at `pc0` via a two-tier cache check:
-    ///
-    /// 1. **Generation fast path** — if the bus's page write-generations
-    ///    still match the entry's stamp, the encoding bytes are provably
-    ///    unchanged and the hit is accepted with no memory reads at all.
-    /// 2. **Validation path** — otherwise the cached words are compared
-    ///    against the live words (read exactly as the decoder would read
-    ///    them); a match re-stamps the entry, a mismatch (or a miss) runs
-    ///    the decoder and caches the result.
-    fn fetch_decode(&mut self, bus: &mut impl Bus, pc0: u16) -> Result<(Insn, u32), CpuFault> {
-        let mut live = [0u16; MAX_INSN_WORDS];
-        let mut prefetched = 0usize;
-        if self.icache_enabled {
-            if let Some(entry) = self.icache.lookup(pc0) {
-                let len = usize::from(entry.len_words);
-                let last = pc0.wrapping_add((entry.len_words - 1) as u16 * 2);
-                if let Some(stamp) = entry.stamp {
-                    let fresh = match bus.page_generation(pc0) {
-                        Some((id, lo)) if id == stamp.id && lo == stamp.lo => {
-                            same_gen_page(pc0, last)
-                                || bus.page_generation(last) == Some((stamp.id, stamp.hi))
-                        }
-                        _ => false,
-                    };
-                    if fresh {
-                        self.icache.note_hit();
-                        self.regs.set(Reg::PC, pc0.wrapping_add(len as u16 * 2));
-                        return Ok((entry.insn, entry.cycles));
-                    }
-                }
-                let mut matched = true;
-                for (i, cached) in entry.words.iter().enumerate().take(len) {
-                    let w = bus.read_word(pc0.wrapping_add(i as u16 * 2));
-                    live[i] = w;
-                    prefetched = i + 1;
-                    if w != *cached {
-                        matched = false;
-                        break;
-                    }
-                }
-                if matched {
-                    self.icache.note_hit();
-                    self.regs.set(Reg::PC, pc0.wrapping_add(len as u16 * 2));
-                    self.icache.restamp(pc0, encoding_stamp(bus, pc0, last));
-                    return Ok((entry.insn, entry.cycles));
-                }
-            }
-        }
-        self.decode_slow(bus, pc0, live, prefetched)
-    }
-
-    /// The decode-every-step path. `words[..prefetched]` were already read
-    /// by a failed cache validation; instruction length is a function of
-    /// the first word alone, so the decoder always consumes at least the
-    /// prefetched words and the bus-read sequence stays identical to a pure
-    /// uncached decode.
-    fn decode_slow(
-        &mut self,
-        bus: &mut impl Bus,
-        pc0: u16,
-        words: [u16; MAX_INSN_WORDS],
-        prefetched: usize,
-    ) -> Result<(Insn, u32), CpuFault> {
-        self.icache.note_miss();
-        let mut cursor = FetchCursor { bus, pc0, words, prefetched, n: 0 };
-        let first = cursor.next_word();
-        let insn = Insn::decode(pc0, first, || cursor.next_word())
-            .map_err(|err| CpuFault::Decode { at: pc0, err })?;
-        let (n, words) = (cursor.n, cursor.words);
-        self.regs.set(Reg::PC, pc0.wrapping_add(n as u16 * 2));
-        let cycles = insn_cycles(&insn);
-        if self.icache_enabled && n > 0 && n <= MAX_INSN_WORDS {
-            let last = pc0.wrapping_add((n as u16 - 1) * 2);
-            let stamp = encoding_stamp(bus, pc0, last);
-            self.icache.insert(pc0, words, n, insn, cycles, stamp);
-        }
-        Ok((insn, cycles))
-    }
-
-    /// Runs until the PC reaches `stop_pc`, the CPU halts/faults, or
-    /// `max_steps` is exceeded. Returns the executed steps.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CpuFault`]; hitting `max_steps` is reported as
-    /// a fault-free return with `steps.len() == max_steps`.
-    pub fn run_until(
-        &mut self,
-        bus: &mut impl Bus,
-        stop_pc: u16,
-        max_steps: usize,
-    ) -> Result<Vec<Step>, CpuFault> {
-        let mut steps = Vec::new();
-        while self.regs.pc() != stop_pc && steps.len() < max_steps {
-            steps.push(self.step(bus)?);
-        }
-        Ok(steps)
     }
 
     fn execute(&mut self, bus: &mut impl Bus, insn: &Insn, acc: &mut AccessBuf) {
@@ -1044,54 +868,18 @@ fn ends_block(insn: &Insn) -> bool {
     }
 }
 
-/// True when `a` and `b` fall in the same bus write-generation page.
-#[inline]
-fn same_gen_page(a: u16, b: u16) -> bool {
-    usize::from(a) / crate::mem::GEN_PAGE_BYTES == usize::from(b) / crate::mem::GEN_PAGE_BYTES
-}
-
-/// Builds the generation stamp covering an encoding spanning `pc0..=last`
-/// (inclusive of `last`'s word), or `None` when the bus tracks no
-/// generations for either end.
-#[inline]
-fn encoding_stamp(bus: &impl Bus, pc0: u16, last: u16) -> Option<Stamp> {
-    let (id, lo) = bus.page_generation(pc0)?;
-    let hi = if same_gen_page(pc0, last) {
-        lo
-    } else {
-        let (id2, hi) = bus.page_generation(last)?;
-        if id2 != id {
-            return None;
-        }
-        hi
-    };
-    Some(Stamp { id, lo, hi })
-}
-
-/// Instruction-stream word source for the slow decode path: replays words
-/// already read by a failed cache validation, then fetches further words
-/// from the bus.
-struct FetchCursor<'a, B: Bus> {
-    bus: &'a mut B,
-    pc0: u16,
-    words: [u16; MAX_INSN_WORDS],
-    prefetched: usize,
-    n: usize,
-}
-
-impl<B: Bus> FetchCursor<'_, B> {
-    fn next_word(&mut self) -> u16 {
-        let i = self.n;
-        self.n += 1;
-        if i < self.prefetched {
-            return self.words[i];
-        }
-        let w = self.bus.read_word(self.pc0.wrapping_add(i as u16 * 2));
-        if i < MAX_INSN_WORDS {
-            self.words[i] = w;
-        }
+/// Decodes the instruction at `pc`, reading its words from `bus` in order;
+/// returns it with its length in words.
+fn decode_at(bus: &mut impl Bus, pc: u16) -> Result<(Insn, u16), DecodeError> {
+    let mut n = 0u16;
+    let mut next_word = || {
+        let w = bus.read_word(pc.wrapping_add(n * 2));
+        n += 1;
         w
-    }
+    };
+    let first = next_word();
+    let insn = Insn::decode(pc, first, next_word)?;
+    Ok((insn, n))
 }
 
 #[cfg(test)]
@@ -1358,23 +1146,6 @@ mod tests {
     }
 
     #[test]
-    fn icache_hits_on_reexecution() {
-        // add r10, r10 executed twice from the same address: miss then hit.
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]);
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 1);
-        cpu.set_pc(0xE000);
-        let s = cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 1);
-        assert_eq!(s.cycles, 1);
-        assert!(s.accesses.is_empty(), "register-only insn performs no data access");
-    }
-
-    #[test]
     fn self_modifying_code_forces_redecode() {
         // Cache `mov #1, r5` at 0xE006, then execute the store at 0xE000
         // that overwrites it with `mov #2, r6`; re-running 0xE006 must
@@ -1391,7 +1162,6 @@ mod tests {
         cpu.step(&mut ram).unwrap(); // the CPU itself patches 0xE006
         assert_eq!(ram.read_word(0xE006), 0x4326);
 
-        let misses_before = cpu.icache_stats().misses;
         cpu.set_pc(0xE006);
         let s = cpu.step(&mut ram).unwrap();
         assert_eq!(cpu.reg(Reg::R6), 2, "new instruction must execute");
@@ -1404,7 +1174,6 @@ mod tests {
                 dst: Operand::Reg(Reg::R6),
             })
         );
-        assert!(cpu.icache_stats().misses > misses_before, "stale entry must re-decode");
     }
 
     #[test]
@@ -1445,36 +1214,6 @@ mod tests {
         assert_eq!(ram.read_word(0x0300), 0xAA55, "store must follow the patched operand");
         let w: Vec<_> = s.writes().collect();
         assert_eq!(w[0].addr, 0x0300);
-        assert_eq!(cpu.icache_stats().hits, 0, "a straddled patch can never hit");
-    }
-
-    #[test]
-    fn disabled_icache_never_hits() {
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A, 0x3FFE]); // add ; jmp -2
-        let mut cpu = Cpu::new();
-        cpu.set_icache_enabled(false);
-        assert!(!cpu.icache_enabled());
-        cpu.set_pc(0xE000);
-        for _ in 0..10 {
-            cpu.step(&mut ram).unwrap();
-        }
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 10);
-    }
-
-    #[test]
-    fn flush_icache_drops_entries() {
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]);
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        cpu.flush_icache();
-        cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        assert_eq!(cpu.icache_stats().hits, 0);
-        assert_eq!(cpu.icache_stats().misses, 2);
     }
 
     #[test]
@@ -1496,17 +1235,17 @@ mod tests {
     #[test]
     fn cloned_cpu_starts_cold_but_behaves_identically() {
         let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x5A0A]);
+        ram.load_words(0xE000, &[0x5A0A, 0x3FFE]); // add ; jmp -2
         let mut cpu = Cpu::new();
         cpu.set_reg(Reg::R10, 3);
         cpu.set_pc(0xE000);
-        cpu.step(&mut ram).unwrap();
-        cpu.set_pc(0xE000);
+        drive_blocks(&mut cpu, &mut ram, 4);
         let mut fork = cpu.clone();
-        let a = cpu.step(&mut ram).unwrap();
-        let b = fork.step(&mut ram).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(fork.icache_stats().hits, 0, "clone starts with a cold cache");
+        let mut ram_fork = ram.clone();
+        assert_eq!(drive_blocks(&mut cpu, &mut ram, 4), drive_blocks(&mut fork, &mut ram_fork, 4));
+        assert_eq!(cpu.regs, fork.regs);
+        assert_eq!(cpu.superblock_stats().misses, 1, "the original stays warm");
+        assert_eq!(fork.superblock_stats().misses, 1, "clone starts with a cold cache");
     }
 
     /// One every-step block dispatch; returns the steps it executed.
@@ -1557,18 +1296,13 @@ mod tests {
         }
         assert_eq!(a.regs, b.regs);
         assert_eq!(ram_a.as_slice(), ram_b.as_slice());
-        if !superblocks_forced_off() {
-            let st = a.superblock_stats();
-            assert!(st.hits > 0, "looping program must reuse its blocks: {st:?}");
-            assert_eq!(st.restitches, 0);
-        }
+        let st = a.superblock_stats();
+        assert!(st.hits > 0, "looping program must reuse its blocks: {st:?}");
+        assert_eq!(st.restitches, 0);
     }
 
     #[test]
     fn insn_straddling_page_boundary_inside_block_revalidates() {
-        if superblocks_forced_off() {
-            return;
-        }
         // Block entered at 0xE3F8; the `mov #imm, r7` at 0xE3FE keeps its
         // extension word at 0xE400 — the *next* generation page. Patching
         // that word must force a re-stitch even though the entry page is
@@ -1591,9 +1325,6 @@ mod tests {
 
     #[test]
     fn store_into_own_page_mid_block_exits_early() {
-        if superblocks_forced_off() {
-            return;
-        }
         // The first instruction patches the second one (same code page,
         // same block). The block must stop after the store so the patched
         // instruction — not the stitched copy — executes next.
@@ -1614,9 +1345,6 @@ mod tests {
 
     #[test]
     fn break_is_allowed_on_entry_pc_but_splits_mid_block() {
-        if superblocks_forced_off() {
-            return;
-        }
         // Break addresses at 0xE000 (an entry — allowed inside its own
         // block) and 0xE004 (must split the straight line).
         let mut ram = Ram::new();
@@ -1642,9 +1370,6 @@ mod tests {
 
     #[test]
     fn changing_break_set_flushes_blocks() {
-        if superblocks_forced_off() {
-            return;
-        }
         let mut ram = Ram::new();
         ram.load_words(0xE000, &[0x5A0A, 0x3FFE]); // add ; jmp -2
         let mut cpu = Cpu::new();
@@ -1662,12 +1387,11 @@ mod tests {
         let mut ram = Ram::new();
         ram.load_words(0xE000, &[0x5A0A, 0x3FFE]);
         let mut cpu = Cpu::new();
-        cpu.set_superblocks_enabled(false);
-        assert!(!cpu.superblocks_enabled());
+        cpu.set_dispatch(Dispatch::Reference);
         cpu.set_pc(0xE000);
         for _ in 0..10 {
             let n = dispatch(&mut cpu, &mut ram, 0xFFFF, 100);
-            assert_eq!(n, 1, "disabled dispatch degrades to one step per call");
+            assert_eq!(n, 1, "the reference dispatch takes one step per call");
         }
         assert_eq!(cpu.superblock_stats(), SuperblockStats::default());
     }
@@ -1703,9 +1427,6 @@ mod tests {
 
     #[test]
     fn stop_pc_mid_block_halts_dispatch_before_the_instruction() {
-        if superblocks_forced_off() {
-            return;
-        }
         let mut ram = Ram::new();
         ram.load_words(0xE000, &[0x4315, 0x4326, 0x4337, 0x4303]); // 4 straight movs
         let mut cpu = Cpu::new();
@@ -1742,9 +1463,6 @@ mod tests {
 
     #[test]
     fn not_taken_conditional_jump_stays_in_the_block() {
-        if superblocks_forced_off() {
-            return;
-        }
         let mut ram = Ram::new();
         // mov #1, r5 ; cmp #0, r5 ; jz +2 (not taken) ; mov #2, r6 ;
         // mov #4, r7 ; jmp $
@@ -1772,9 +1490,6 @@ mod tests {
         let (blocked, per_dispatch) = drive_counted(&mut a, &mut ram_a, 27);
         assert_eq!(blocked, drive_single(&mut b, &mut ram_b, 27), "same Step stream");
         assert_eq!(a.regs, b.regs);
-        if superblocks_forced_off() {
-            return;
-        }
         // Block at 0xE000 runs whole (5), then exits at the taken jz (2);
         // the taken path enters at 0xE006 (2).
         assert_eq!(per_dispatch, [5, 2, 2, 5, 2, 2, 5, 2, 2]);
@@ -1800,18 +1515,13 @@ mod tests {
         assert_eq!(blocked, drive_single(&mut b, &mut ram_b, 100));
         assert_eq!((a.pc(), b.pc()), (0xE004, 0xE004));
         assert_eq!(a.regs, b.regs);
-        if !superblocks_forced_off() {
-            // Entry block up to the first jn, then one step per dispatch.
-            assert_eq!(per_dispatch[0], 3);
-            assert!(per_dispatch[1..].iter().all(|&n| n == 1), "{per_dispatch:?}");
-        }
+        // Entry block up to the first jn, then one step per dispatch.
+        assert_eq!(per_dispatch[0], 3);
+        assert!(per_dispatch[1..].iter().all(|&n| n == 1), "{per_dispatch:?}");
     }
 
     #[test]
     fn fall_through_onto_a_break_ends_the_block_there() {
-        if superblocks_forced_off() {
-            return;
-        }
         // mov #1, r5 ; cmp #0, r5 ; jz +1 (not taken) ; 0xE006: mov #2, r6 ; jmp $
         let mut ram = Ram::new();
         ram.load_words(0xE000, &[0x4315, 0x9305, 0x2401, 0x4326, 0x3FFF]);
@@ -1883,9 +1593,6 @@ mod tests {
 
     #[test]
     fn effects_dispatch_fuses_a_log_append_tail() {
-        if superblocks_forced_off() {
-            return;
-        }
         let (mut cpu, mut ram) = log_append_program(0x0700);
         let (mut reference, mut ram_ref) = (cpu.clone(), ram.clone());
         let (totals, seen) = dispatch_effects(&mut cpu, &mut ram, 0xFFFF, 100);
@@ -1901,9 +1608,6 @@ mod tests {
 
     #[test]
     fn a_cut_inside_an_append_tail_is_not_fused() {
-        if superblocks_forced_off() {
-            return;
-        }
         // A budget ending inside the tail, then a stop address on the cmp.
         for (stop_pc, limit, steps) in [(0xFFFF, 3, 3), (0xE008, 100, 2)] {
             let (mut cpu, mut ram) = log_append_program(0x0700);
@@ -1915,17 +1619,5 @@ mod tests {
             assert_eq!(n + rest, 6, "the rest of the block still runs");
             assert_eq!(cpu.reg(Reg::R4), 0x06FE);
         }
-    }
-
-    #[test]
-    fn run_until_stops_at_address() {
-        // mov #1, r5 ; mov #2, r6 ; jmp .
-        let mut ram = Ram::new();
-        ram.load_words(0xE000, &[0x4315, 0x4326, 0x3FFF]);
-        let mut cpu = Cpu::new();
-        cpu.set_pc(0xE000);
-        let steps = cpu.run_until(&mut ram, 0xE004, 100).unwrap();
-        assert_eq!(steps.len(), 2);
-        assert_eq!(cpu.pc(), 0xE004);
     }
 }

@@ -29,10 +29,16 @@
 //! count, and the full list of bus accesses). Hardware monitors such as the
 //! APEX FSM consume this stream instead of probing Verilog wires.
 //!
+//! There are two ways to execute: [`Cpu::step_block_into`] dispatches
+//! superblocks of predecoded instructions (what every run loop uses), and
+//! [`Cpu::step`] decodes and executes one instruction, the plain reference
+//! the block path falls back to. [`Cpu::set_dispatch`] pins a core to the
+//! reference ([`Dispatch::Reference`]) for differential tests.
+//!
 //! # Quickstart
 //!
 //! ```
-//! use msp430::{cpu::Cpu, mem::Ram, regs::Reg};
+//! use msp430::{cpu::Cpu, mem::Ram, regs::Reg, Observe, Step};
 //!
 //! // mov #21, r10 ; add r10, r10 — computes 42 into r10.
 //! let mut ram = Ram::new();
@@ -40,8 +46,16 @@
 //! let mut cpu = Cpu::new();
 //! cpu.set_pc(0xE000);
 //! cpu.step(&mut ram).unwrap();
-//! cpu.step(&mut ram).unwrap();
-//! assert_eq!(cpu.reg(msp430::Reg::R10), 42);
+//! assert_eq!(cpu.reg(Reg::R10), 21);
+//!
+//! // The same program again, as one superblock dispatch of both steps.
+//! cpu.set_pc(0xE000);
+//! let mut step = Step::default();
+//! let (steps, cycles) = cpu
+//!     .step_block_into(&mut ram, 0xFFFF, 2, Observe::EveryStep, &mut step, |_, _, _, _| {})
+//!     .unwrap();
+//! assert_eq!((steps, cycles), (2, 3));
+//! assert_eq!(cpu.reg(Reg::R10), 42);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,18 +64,17 @@
 pub mod cpu;
 pub mod cycles;
 pub mod flags;
-mod icache;
 pub mod isa;
 pub mod layout;
 pub mod mem;
 pub mod periph;
 pub mod platform;
 pub mod regs;
-pub mod trace;
+mod superblock;
 
-pub use cpu::{superblocks_forced_off, Cpu, CpuFault, Observe, Step};
-pub use icache::{process_superblock_stats, BlockBreaks, ICacheStats, SuperblockStats};
+pub use cpu::{Cpu, CpuFault, Dispatch, Observe, Step};
 pub use isa::{Insn, Operand};
 pub use mem::{Access, AccessBuf, AccessKind, Bus, Ram};
 pub use platform::Platform;
 pub use regs::Reg;
+pub use superblock::{process_superblock_stats, BlockBreaks, SuperblockStats};

@@ -68,7 +68,7 @@ pub const MAX_STEP_ACCESSES: usize = 4;
 ///
 /// Replaces the heap-allocated `Vec<Access>` the hot emulation loop used
 /// to allocate per instruction: a [`crate::cpu::Step`] now embeds its
-/// accesses, so steady-state replay via [`crate::cpu::Cpu::step_into`]
+/// accesses, so steady-state replay via [`crate::cpu::Cpu::step_block_into`]
 /// performs zero heap allocations. Dereferences to `[Access]`, so all
 /// slice iteration/indexing idioms keep working.
 #[derive(Clone, Copy, Debug)]
@@ -172,9 +172,9 @@ pub trait Bus {
     /// bus instance for the lifetime of the process, and the generation is
     /// bumped on **every** mutation of any byte in the page, through any
     /// path. A matching stamp therefore proves the page's bytes are
-    /// unchanged since the stamp was taken, letting the instruction cache
-    /// accept a hit without re-reading the encoding words. The default —
-    /// `None` — means "untracked": callers must validate by reading.
+    /// unchanged since the stamp was taken, letting a superblock be reused
+    /// without re-reading its encoding words. The default — `None` — means
+    /// "untracked": no block forms there, and every step decodes afresh.
     fn page_generation(&self, _addr: u16) -> Option<(u64, u64)> {
         None
     }

@@ -15,7 +15,7 @@ use crate::periph::{Adc, Dma, Gpio, Timer, Uart};
 /// Like [`crate::mem::Ram`], the backing store is a fixed-size boxed array
 /// so `u16`-indexed access compiles without bounds checks, and every
 /// memory mutation bumps its 1 KiB page's write generation (peripheral
-/// pages report no generation, so cached decodes there always revalidate).
+/// pages report no generation, so code there always runs on plain decode).
 #[derive(Debug)]
 pub struct Platform {
     bytes: Box<[u8; 0x1_0000]>,

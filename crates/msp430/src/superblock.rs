@@ -1,46 +1,33 @@
-//! Predecoded instruction cache for the emulation fast path.
+//! Superblocks: the emulator's block-at-a-time dispatch cache.
 //!
 //! Replaying an attested operation executes the same instructions over and
 //! over — every loop iteration, and (server-side) every proof of the same
-//! operation — yet the baseline [`crate::cpu::Cpu`] re-ran the decoder on
-//! each step. The cache is a PC-indexed table of decoded [`Insn`]s plus
-//! their cycle counts and raw encodings, filled lazily the first time an
-//! address executes.
+//! operation. [`crate::cpu::Cpu::step_block_into`] therefore dispatches
+//! straight-line [`Block`]s of predecoded instructions (the threaded-code /
+//! TB-chaining idea from emulator literature), so the steady-state loop pays
+//! the cache probe, the log-site test and the halt/IRQ checks once per block
+//! instead of once per step.
 //!
-//! # Soundness: validation on hit
-//!
-//! A hit is only used after comparing the cached encoding words against the
-//! words currently in memory. The decoder would have to read those words
-//! anyway, so validation adds no bus traffic: the cached and uncached
-//! paths perform *identical* reads in identical order.
-//! Any write into code memory (a CPU store, self-modifying code, a
-//! DMA master, the DIALED verifier's input injection, or a bulk image
-//! reload between proofs) therefore forces a re-decode automatically, with
-//! no invalidation hooks to forget. A mismatch repairs the entry in place.
-//!
-//! Instruction length is a function of the first encoding word alone (the
-//! addressing-mode fields), so a partial match never over-reads: once the
-//! first word matches, the live instruction spans exactly as many words as
-//! the cached one.
+//! A block ends at unconditional control flow, an SR write, a break address,
+//! the end of its entry page or [`MAX_BLOCK_INSNS`]; conditional jumps stay
+//! inside it, and dispatch takes a side exit where one is taken. Reuse is
+//! validated against the bus's per-page write-generations, so any write into
+//! code memory (a CPU store, a DMA master, the DIALED verifier's input
+//! injection, an image reload) forces a re-stitch with no invalidation hooks
+//! to forget. Entries no block can take fall back to plain decode.
 //!
 //! # Layout: paged table
 //!
 //! The table is split into [`PAGES`] pages of [`PAGE_SLOTS`] word-aligned
-//! slots (1 KiB of address space per page), each allocated on first use.
-//! Operations occupy a few KiB of code, so a cold verifier materialises a
-//! handful of pages instead of a megabyte-sized dense table — keeping
-//! one-shot verification as cheap as it was before the cache existed.
+//! entry slots (1 KiB of address space per page), each allocated on first
+//! use. Operations occupy a few KiB of code, so a cold verifier materialises
+//! a handful of pages instead of a megabyte-sized dense table.
 //!
-//! # Superblocks
+//! # Counters and observers
 //!
-//! The second half of this module caches straight-line [`Block`]s for
-//! [`crate::cpu::Cpu::step_block_into`]. A block ends at unconditional
-//! control flow, an SR write, a break address, the end of its entry page
-//! or [`MAX_BLOCK_INSNS`]; conditional jumps stay inside it, and dispatch
-//! takes a side exit where one is taken. Each [`SuperCache`] counts its
-//! own hits, misses and re-stitches and adds them to the process-wide
-//! [`process_superblock_stats`] only when its core's run loop publishes
-//! them, once per run.
+//! Each [`SuperCache`] counts its own hits, misses and re-stitches and adds
+//! them to the process-wide [`process_superblock_stats`] only when its
+//! core's run loop publishes them, once per run, never on the dispatch path.
 //!
 //! Stitching also decides, once per block instead of once per step, what
 //! an effects-only observer needs ([`crate::cpu::Observe`]): each
@@ -59,147 +46,10 @@ use std::sync::Arc;
 /// Maximum instruction length in words (opcode + src ext + dst ext).
 pub(crate) const MAX_INSN_WORDS: usize = 3;
 
-/// Bus write-generation stamp covering an entry's encoding bytes: the bus
-/// identity plus the generations of the first and last pages the encoding
-/// touches (equal when it sits in one page). While the live stamps match,
-/// the bytes provably haven't changed and validation can skip the reads.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Stamp {
-    pub(crate) id: u64,
-    pub(crate) lo: u64,
-    pub(crate) hi: u64,
-}
-
-/// One cached decode: the raw words it was decoded from, the result, and
-/// the precomputed cycle count.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry {
-    pub(crate) words: [u16; MAX_INSN_WORDS],
-    pub(crate) insn: Insn,
-    pub(crate) cycles: u32,
-    pub(crate) len_words: u8,
-    /// `None` when the bus tracks no generations — always word-validate.
-    pub(crate) stamp: Option<Stamp>,
-}
-
-/// Hit/miss counters, exposed for tests and throughput benches.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ICacheStats {
-    /// Steps served from the cache (encoding matched memory).
-    pub hits: u64,
-    /// Steps that ran the decoder: cold entries and validation mismatches.
-    pub misses: u64,
-}
-
 /// Word-aligned slots per page (1 KiB of address space).
 const PAGE_SLOTS: usize = 512;
 /// Pages covering the 64 KiB address space.
 const PAGES: usize = 0x1_0000 / 2 / PAGE_SLOTS;
-
-type Page = Box<[Option<Entry>; PAGE_SLOTS]>;
-
-/// Paged PC-indexed table of predecoded instructions.
-#[derive(Debug)]
-pub(crate) struct ICache {
-    pages: [Option<Page>; PAGES],
-    stats: ICacheStats,
-}
-
-impl Default for ICache {
-    fn default() -> Self {
-        Self { pages: std::array::from_fn(|_| None), stats: ICacheStats::default() }
-    }
-}
-
-/// The cache is a transparent accelerator: cloning a CPU starts the clone
-/// with a cold cache rather than copying the table.
-impl Clone for ICache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl ICache {
-    /// Looks up the entry for `pc`. Odd PCs are never cached: the slot
-    /// index cannot distinguish `pc` from `pc & !1`, and a decode at an odd
-    /// address resolves PC-relative operands differently than its aligned
-    /// twin even though both read the same memory words.
-    #[inline]
-    pub(crate) fn lookup(&self, pc: u16) -> Option<Entry> {
-        if pc & 1 != 0 {
-            return None;
-        }
-        let slot = usize::from(pc) >> 1;
-        let page = self.pages[slot / PAGE_SLOTS].as_ref()?;
-        page[slot % PAGE_SLOTS]
-    }
-
-    /// Records a successful decode of `words[..len]` at `pc`.
-    pub(crate) fn insert(
-        &mut self,
-        pc: u16,
-        words: [u16; MAX_INSN_WORDS],
-        len: usize,
-        insn: Insn,
-        cycles: u32,
-        stamp: Option<Stamp>,
-    ) {
-        if pc & 1 != 0 || len == 0 || len > MAX_INSN_WORDS {
-            return;
-        }
-        let slot = usize::from(pc) >> 1;
-        let page =
-            self.pages[slot / PAGE_SLOTS].get_or_insert_with(|| Box::new([None; PAGE_SLOTS]));
-        page[slot % PAGE_SLOTS] = Some(Entry { words, insn, cycles, len_words: len as u8, stamp });
-    }
-
-    /// Refreshes the stamp of an existing entry after a successful word
-    /// validation (the bytes are proven current; future hits may take the
-    /// generation fast path again).
-    #[inline]
-    pub(crate) fn restamp(&mut self, pc: u16, stamp: Option<Stamp>) {
-        if pc & 1 != 0 {
-            return;
-        }
-        let slot = usize::from(pc) >> 1;
-        if let Some(page) = self.pages[slot / PAGE_SLOTS].as_mut() {
-            if let Some(e) = page[slot % PAGE_SLOTS].as_mut() {
-                e.stamp = stamp;
-            }
-        }
-    }
-
-    /// Drops every entry (and returns the page allocations).
-    pub(crate) fn flush(&mut self) {
-        self.pages = std::array::from_fn(|_| None);
-    }
-
-    pub(crate) fn note_hit(&mut self) {
-        self.stats.hits += 1;
-    }
-
-    pub(crate) fn note_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    pub(crate) fn stats(&self) -> ICacheStats {
-        self.stats
-    }
-}
-
-// ------------------------------------------------------------- superblocks
-//
-// One level above the per-instruction cache: straight-line runs of
-// predecoded instructions ("superblocks", the threaded-code/TB-chaining
-// idea from emulator literature) dispatched block-at-a-time so the
-// steady-state loop pays the cache probe, the log-site test and the
-// halt/IRQ checks once per block instead of once per step.
-//
-// A block runs straight through not-taken conditional jumps and is left
-// at a taken one (a *side exit*), so the `jn $` / `jhs` guards DIALED's
-// instrumentation places every few instructions do not split blocks.
-// Hit/miss/re-stitch counts are kept per core and published to the
-// process-wide totals once per run, never on the dispatch path.
 
 /// Maximum instructions stitched into one superblock. Long enough to cover
 /// the straight-line body between log sites of instrumented operations,
@@ -299,10 +149,8 @@ pub(crate) fn mark_log_appends(insns: &mut [BlockInsn]) {
 ///
 /// Reuse is validated by comparing the live write-generations of every code
 /// page the block was stitched from ([`Block::is_fresh`]); any mismatch
-/// forces a re-stitch. This is the same no-invalidation-hooks discipline as
-/// the per-instruction cache's stamps, amortized over the whole block: it
-/// keeps self-modifying code and bulk image reloads sound without the block
-/// ever re-reading its encoding words.
+/// forces a re-stitch. That keeps self-modifying code and bulk image reloads
+/// sound without the block ever re-reading its encoding words.
 #[derive(Debug)]
 pub(crate) struct Block {
     pub(crate) insns: Vec<BlockInsn>,
@@ -436,8 +284,8 @@ impl Default for BlockBreaks {
 
 type BlockPage = Box<[Option<Box<Block>>; PAGE_SLOTS]>;
 
-/// Paged entry-PC-indexed table of superblocks (mirrors [`ICache`]'s
-/// layout: 1 KiB of address space per lazily allocated page).
+/// Paged entry-PC-indexed table of superblocks (1 KiB of address space per
+/// lazily allocated page).
 #[derive(Debug)]
 pub(crate) struct SuperCache {
     pages: [Option<BlockPage>; PAGES],
@@ -458,8 +306,8 @@ impl Default for SuperCache {
     }
 }
 
-/// Like the instruction cache, cloning yields a cold cache; the break set
-/// is configuration, not cached state, and is carried over.
+/// The cache is a transparent accelerator: cloning yields a cold cache. The
+/// break set is configuration, not cached state, and is carried over.
 impl Clone for SuperCache {
     fn clone(&self) -> Self {
         Self { breaks: self.breaks.clone(), ..Self::default() }

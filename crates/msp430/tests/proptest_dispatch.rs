@@ -1,36 +1,33 @@
-//! Differential property test for the emulator's dispatch layers.
+//! Differential property test for the emulator's two execution paths.
 //!
-//! Random programs are run in lockstep on three cores over identical
-//! memories: one forced onto the decode-every-step slow path (the oracle),
-//! one with the predecoded instruction cache (per-step fast path), and one
-//! with superblock dispatch stacked on top of the cache (block-at-a-time
-//! fast path). Every [`Step`] — instruction, cycle count, PCs, and the
-//! full ordered bus-access list — must be identical, as must any fault,
-//! the final register file, and the final memory image.
+//! Random programs are run in lockstep on two cores over identical
+//! memories: the plain-decode reference ([`Cpu::step`], the oracle) and
+//! superblock dispatch ([`Cpu::step_block_into`], block-at-a-time). Every
+//! [`Step`] — instruction, cycle count, PCs, and the full ordered
+//! bus-access list — must be identical, as must any fault, the final
+//! register file, and the final memory image.
 //!
-//! Programs end in a jump back to their base so the fast cores re-execute
-//! cached code (hits), and random absolute/indexed stores occasionally land
-//! inside the program itself (self-modifying code), exercising the icache's
-//! validation-on-hit re-decode path and the superblock layer's
-//! write-generation revalidation and mid-block SMC early exit. A strategy-
-//! chosen step may additionally reload the pristine image over the (possibly
-//! self-modified) program mid-run, modelling a device image reload.
+//! Programs end in a jump back to their base so the block core re-enters
+//! stitched blocks, and random absolute/indexed stores occasionally land
+//! inside the program itself (self-modifying code), exercising the
+//! superblock layer's write-generation revalidation and mid-block SMC early
+//! exit. A strategy-chosen step may additionally reload the pristine image
+//! over the (possibly self-modified) program mid-run, modelling a device
+//! image reload.
 //!
 //! The superblock core runs *ahead* by whole blocks: its steps are queued by
 //! the dispatch callback and drained one per lockstep iteration. The
-//! dispatch budget is capped at the reload boundary so all three cores
-//! observe the reload between the same two steps. Random conditional jumps
-//! sit mid-block (blocks are stitched through them), and the property also
+//! dispatch budget is capped at the reload boundary so both cores observe
+//! the reload between the same two steps. Random conditional jumps sit
+//! mid-block (blocks are stitched through them), and the property also
 //! requires that, over all cases, the block core took side exits — left a
 //! block at a taken conditional jump that it has elsewhere run past.
 //!
-//! Extending the oracle three-way surfaced no latent gap in the icache's
-//! validate-on-hit shortcut — the generation fast path and the word-compare
-//! fallback both held under SMC and reloads. The one reuse gap found while
-//! stacking superblocks was allocation behaviour, not soundness: bulk image
-//! reloading between proofs bumped generations of *unchanged* pages,
-//! forcing re-stitches (fixed by the generation-preserving
-//! `Ram::reset_to`, pinned by the dialed zero-alloc harness).
+//! The one reuse gap found while stacking superblocks was allocation
+//! behaviour, not soundness: bulk image reloading between proofs bumped
+//! generations of *unchanged* pages, forcing re-stitches (fixed by the
+//! generation-preserving `Ram::reset_to`, pinned by the dialed zero-alloc
+//! harness).
 
 use std::cell::Cell;
 use std::collections::{HashSet, VecDeque};
@@ -40,7 +37,6 @@ use msp430::flags;
 use msp430::isa::{Cond, Insn, Op1, Op2, Operand, Size};
 use msp430::mem::Ram;
 use msp430::regs::{Reg, RegFile};
-use msp430::superblocks_forced_off;
 use msp430::CpuFault;
 use proptest::prelude::*;
 
@@ -132,7 +128,7 @@ fn any_insn() -> impl Strategy<Value = Insn> {
 }
 
 /// Encodes a random instruction list at `BASE`, closed by a jump back to
-/// `BASE` so re-execution exercises cache hits. Also returns the address
+/// `BASE` so re-execution re-enters stitched blocks. Also returns the address
 /// each instruction was placed at (an unencodable one is skipped).
 fn build_program(insns: &[Insn]) -> (Vec<u16>, Vec<u16>) {
     let (mut words, mut addrs) = (Vec::new(), Vec::new());
@@ -181,13 +177,13 @@ fn note_side_exits(
     }
 }
 
-/// The decode-every-step oracle, the per-step icache path and the
-/// superblock block-at-a-time path produce identical step streams, faults,
-/// cycle totals, registers and memory for random (often self-modifying)
-/// programs, including across a mid-run image reload — and the programs
-/// do exercise the superblock core's side exits.
+/// The plain-decode reference and the superblock block-at-a-time path
+/// produce identical step streams, faults, cycle totals, registers and
+/// memory for random (often self-modifying) programs, including across a
+/// mid-run image reload — and the programs do exercise the superblock
+/// core's side exits.
 #[test]
-fn forced_icache_and_superblock_streams_match() {
+fn reference_and_superblock_streams_match() {
     let strategy = (
         proptest::collection::vec(any_insn(), 1..10),
         proptest::array::uniform8(any::<u16>()),
@@ -197,16 +193,14 @@ fn forced_icache_and_superblock_streams_match() {
     );
     let side_exits = Cell::new(0usize);
     proptest::test_runner::TestRunner::new(ProptestConfig::default()).run(
-        "forced_icache_and_superblock_streams_match",
+        "reference_and_superblock_streams_match",
         &strategy,
         |(insns, seed_regs, sp, sr, reload_raw)| {
             side_exits.set(side_exits.get() + lockstep(&insns, seed_regs, sp, sr, reload_raw)?);
             Ok(())
         },
     );
-    if !superblocks_forced_off() {
-        assert!(side_exits.get() > 0, "no generated program took a side exit");
-    }
+    assert!(side_exits.get() > 0, "no generated program took a side exit");
 }
 
 /// Runs one generated case; returns the side exits the block core took.
@@ -223,19 +217,12 @@ fn lockstep(
     let (words, _) = build_program(insns);
     prop_assume!(!words.is_empty());
 
-    let mut ram_fast = Ram::new();
-    ram_fast.load_words(BASE, &words);
-    let mut ram_slow = ram_fast.clone();
-    let mut ram_block = ram_fast.clone();
+    let mut ram_ref = Ram::new();
+    ram_ref.load_words(BASE, &words);
+    let mut ram_block = ram_ref.clone();
 
-    let mut fast = Cpu::new();
-    let mut slow = Cpu::new();
-    let mut block = Cpu::new();
-    slow.set_icache_enabled(false);
-    slow.set_superblocks_enabled(false);
-    fast.set_superblocks_enabled(false);
-    prop_assert!(fast.icache_enabled());
-    for cpu in [&mut fast, &mut slow, &mut block] {
+    let (mut reference, mut block) = (Cpu::new(), Cpu::new());
+    for cpu in [&mut reference, &mut block] {
         cpu.set_pc(BASE);
         cpu.set_reg(Reg::SP, sp);
         cpu.set_reg(Reg::SR, sr & (flags::C | flags::Z | flags::N | flags::V));
@@ -244,27 +231,22 @@ fn lockstep(
         }
     }
 
-    let mut fast_step = Step::default();
-    let mut slow_step = Step::default();
     let mut block_scratch = Step::default();
     // The superblock core runs ahead by whole blocks; the queue holds the
     // steps it has executed that the lockstep loop has not yet consumed.
     let mut block_queue: VecDeque<Step> = VecDeque::new();
     let (mut ran_past, mut exits) = (HashSet::new(), Vec::new());
-    let (mut fast_cycles, mut slow_cycles, mut block_cycles) = (0u64, 0u64, 0u64);
-    let mut stopped_early = false;
+    let (mut ref_cycles, mut block_cycles) = (0u64, 0u64);
     for n in 0..STEPS {
         if reload_at == Some(n) {
             // Dispatch budgets are capped at the reload boundary, so the
             // block core cannot have run past it.
             prop_assert!(block_queue.is_empty(), "block core overran the reload boundary");
-            ram_fast.load_words(BASE, &words);
-            ram_slow.load_words(BASE, &words);
+            ram_ref.load_words(BASE, &words);
             ram_block.load_words(BASE, &words);
         }
 
-        let rf = fast.step_into(&mut ram_fast, &mut fast_step);
-        let rs = slow.step_into(&mut ram_slow, &mut slow_step);
+        let rr = reference.step(&mut ram_ref);
         let rb: Result<Step, CpuFault> = match block_queue.pop_front() {
             Some(s) => Ok(s),
             None => {
@@ -288,48 +270,36 @@ fn lockstep(
                     })
             }
         };
-        match (rf, rs, rb) {
-            (Ok(()), Ok(()), Ok(block_step)) => {
-                prop_assert_eq!(&fast_step, &slow_step, "icache step {} diverged", n);
-                prop_assert_eq!(&block_step, &slow_step, "superblock step {} diverged", n);
-                fast_cycles += u64::from(fast_step.cycles);
-                slow_cycles += u64::from(slow_step.cycles);
+        match (rr, rb) {
+            (Ok(ref_step), Ok(block_step)) => {
+                prop_assert_eq!(&block_step, &ref_step, "superblock step {} diverged", n);
+                ref_cycles += u64::from(ref_step.cycles);
                 block_cycles += u64::from(block_step.cycles);
             }
-            (Err(ef), Err(es), Err(eb)) => {
-                prop_assert_eq!(ef, es, "icache fault diverged at step {}", n);
-                prop_assert_eq!(eb, es, "superblock fault diverged at step {}", n);
-                stopped_early = true;
+            (Err(er), Err(eb)) => {
+                prop_assert_eq!(eb, er, "superblock fault diverged at step {}", n);
                 break;
             }
-            (rf, rs, rb) => {
+            (rr, rb) => {
                 return Err(TestCaseError::fail(format!(
-                    "paths disagreed on faulting at step {n}: \
-                     fast={rf:?} slow={rs:?} block={rb:?}"
+                    "paths disagreed on faulting at step {n}: reference={rr:?} block={rb:?}"
                 )));
             }
         }
     }
 
-    prop_assert_eq!(fast_cycles, slow_cycles);
-    prop_assert_eq!(block_cycles, slow_cycles);
+    prop_assert_eq!(block_cycles, ref_cycles);
     for r in Reg::ALL {
-        prop_assert_eq!(fast.reg(r), slow.reg(r), "icache {} diverged", r);
-        prop_assert_eq!(block.reg(r), slow.reg(r), "superblock {} diverged", r);
+        prop_assert_eq!(block.reg(r), reference.reg(r), "superblock {} diverged", r);
     }
-    prop_assert_eq!(ram_fast.as_slice(), ram_slow.as_slice(), "icache memory diverged");
-    prop_assert_eq!(ram_block.as_slice(), ram_slow.as_slice(), "superblock memory diverged");
-    // A program that looped for all 500 steps re-executed its body and must
-    // have been served from the cache. (Superblock *hits* are not
-    // guaranteed — heavy SMC can keep every block generation-stale — but
-    // the first dispatch of a run is always a miss.)
-    if !stopped_early {
-        prop_assert!(fast.icache_stats().hits > 0, "no cache hits in a looping program");
-        if !superblocks_forced_off() {
-            let s = block.superblock_stats();
-            prop_assert!(s.misses > 0, "superblock core never dispatched a block");
-        }
-    }
+    prop_assert_eq!(ram_block.as_slice(), ram_ref.as_slice(), "superblock memory diverged");
+    // Superblock *hits* are not guaranteed — heavy SMC can keep every block
+    // generation-stale — but the first dispatch of a run is always a miss
+    // unless it faulted at once.
+    prop_assert!(
+        block.superblock_stats().misses > 0 || ref_cycles == 0,
+        "superblock core never dispatched a block"
+    );
     Ok(exits.iter().filter(|e| ran_past.contains(e)).count())
 }
 
@@ -445,9 +415,7 @@ fn effects_observer_sees_exactly_the_every_step_effects() {
             Ok(())
         },
     );
-    if !superblocks_forced_off() {
-        assert!(fused.get() > 0, "no generated log append was fused");
-    }
+    assert!(fused.get() > 0, "no generated log append was fused");
     assert!(overflows.get() > 0, "no generated log overflowed into its jn $ spin");
 }
 

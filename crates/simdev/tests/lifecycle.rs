@@ -9,12 +9,13 @@
 use apps::lifecycle::lifecycles;
 use dialed::report::{Finding, RejectClass, Verdict};
 use dialed::{DialedVerifier, EmuWorkspace, Verifier, VerifyRequest};
+use msp430::Dispatch;
 use simdev::{DeviceSim, RoundArtifacts};
 use vrased::{Challenge, KeyStore};
 
-/// The three dispatch configurations the emulator supports: forced
-/// decode, per-step icache, superblock block-at-a-time.
-const DISPATCHES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+/// The two dispatches the emulator supports: the plain-decode reference
+/// and superblock block-at-a-time.
+const DISPATCHES: [Dispatch; 2] = [Dispatch::Reference, Dispatch::Superblocks];
 
 /// Rounds run on the factory (V1) image before the OTA.
 const PRE_OTA_ROUNDS: usize = 3;
@@ -43,19 +44,19 @@ fn honest_lifecycles_verify_clean_under_every_dispatch() {
 
         for art in &rounds {
             // Verify against the image that was in effect for that round
-            // (the artifact records it), under all three dispatch modes.
+            // (the artifact records it), under both dispatches.
             let verifier = DialedVerifier::new(art.op.clone(), keystore.clone());
             let challenge = round_challenge(name, art.round);
             let mut verdicts = Vec::new();
-            for (icache, superblocks) in DISPATCHES {
+            for dispatch in DISPATCHES {
                 let mut ws = EmuWorkspace::new();
-                ws.set_dispatch(icache, superblocks);
+                ws.set_dispatch(dispatch);
                 let report =
                     verifier.verify_in(&mut ws, &VerifyRequest::new(&art.proof, &challenge));
                 assert_eq!(
                     report.verdict,
                     Verdict::Clean,
-                    "{name} round {} (icache={icache}, superblocks={superblocks}): {report}",
+                    "{name} round {} ({dispatch:?}): {report}",
                     art.round,
                 );
                 verdicts.push(report.verdict);
@@ -97,20 +98,16 @@ fn stale_device_after_ota_rollout_is_rejected() {
         let art = stale.duty_cycle(&challenge);
 
         let rolled_forward = DialedVerifier::new(stale.v2().clone(), keystore.clone());
-        for (icache, superblocks) in DISPATCHES {
+        for dispatch in DISPATCHES {
             let mut ws = EmuWorkspace::new();
-            ws.set_dispatch(icache, superblocks);
+            ws.set_dispatch(dispatch);
             let report =
                 rolled_forward.verify_in(&mut ws, &VerifyRequest::new(&art.proof, &challenge));
-            assert_eq!(
-                report.verdict,
-                Verdict::Rejected,
-                "{name} (icache={icache}, superblocks={superblocks}): {report}",
-            );
+            assert_eq!(report.verdict, Verdict::Rejected, "{name} ({dispatch:?}): {report}",);
             assert_eq!(
                 reject_class(&report),
                 Some(RejectClass::Mac),
-                "{name} (icache={icache}, superblocks={superblocks}): {report}",
+                "{name} ({dispatch:?}): {report}",
             );
         }
     }

@@ -1,18 +1,19 @@
 //! The mutation-engine oracle, property-tested: randomly parameterized
 //! mutants from every attack family, forged against every scenario, must
 //! produce exactly the verdict class their mutation requires — never an
-//! acceptance, never a panic — under all three verifier dispatch
-//! configurations.
+//! acceptance, never a panic — under both emulator dispatches
+//! (superblocks and the plain-decode reference).
 
 use proptest::prelude::*;
 use proptest::strategy::Union;
 
 use dialed::{DialedVerifier, EmuWorkspace, Verifier, VerifyRequest};
+use msp430::Dispatch;
 use simdev::{MutantForge, Mutation};
 use std::sync::OnceLock;
 use vrased::KeyStore;
 
-const DISPATCHES: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
+const DISPATCHES: [Dispatch; 2] = [Dispatch::Reference, Dispatch::Superblocks];
 
 /// One forge per scenario, built once: each construction runs a full
 /// honest device round, so the property cases share them.
@@ -67,14 +68,14 @@ proptest! {
         let case = forge.forge(&m);
         let verifier = DialedVerifier::new(forge.op().clone(), forge.keystore().clone());
         let mut verdicts = Vec::new();
-        for (icache, superblocks) in DISPATCHES {
+        for dispatch in DISPATCHES {
             let mut ws = EmuWorkspace::new();
-            ws.set_dispatch(icache, superblocks);
+            ws.set_dispatch(dispatch);
             let report =
                 verifier.verify_in(&mut ws, &VerifyRequest::new(&case.proof, &case.challenge));
             if let Err(e) = case.expected.check(&report) {
                 return Err(TestCaseError::fail(format!(
-                    "{} / {:?} (icache={icache}, superblocks={superblocks}): {e}",
+                    "{} / {:?} ({dispatch:?}): {e}",
                     forge.scenario_name(),
                     case.mutation,
                 )));
