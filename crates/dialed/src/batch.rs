@@ -1,4 +1,4 @@
-//! Parallel batch verification — the server-side hot path at fleet scale.
+//! Batch verification — the server-side hot path at fleet scale.
 //!
 //! A deployment attesting millions of devices verifies vast numbers of
 //! *independent* proofs against the same instrumented operation. Each
@@ -8,47 +8,28 @@
 //!
 //! * is generic over the [`Verifier`] backend — full DIALED data-flow
 //!   verification and PoX-only checks drain through the same engine;
-//! * spawns one worker per core (configurable) under [`std::thread::scope`]
-//!   — no detached threads, no `'static` bounds on the job slice;
-//! * distributes jobs round-robin into per-worker queues and lets idle
-//!   workers **steal** from the busiest tail, so a batch of wildly uneven
-//!   proofs (a livelocked log next to a two-instruction op) still saturates
-//!   every core;
-//! * verifies small batches (fewer than [`PARALLEL_MIN_JOBS`]) inline on
-//!   the calling thread — a lightly loaded server hands over one or two
-//!   proofs at a time, and a thread spawn costs more than they do;
+//! * verifies a batch in order on the calling thread. It spawns nothing:
+//!   a proof costs 0.5–50 µs and a thread costs more than many of them,
+//!   so parallelism belongs to the caller, which sees the whole pass
+//!   (`fleet` drains whole shards on at most one thread per core);
+//! * takes `&self`, so any number of threads may call it at once;
 //! * keeps its [`EmuWorkspace`]s in a checkout pool across calls, so the
 //!   64 KiB RAM image, the write log, the OR snapshot and the stitched
-//!   superblocks are built once per engine, not once per call — the
-//!   inline path and every scoped worker draw from the same pool;
+//!   superblocks are built once per concurrent caller, not once per call.
+//!   Every workspace handed back is kept: the pool grows to the most
+//!   calls that ever ran at once and stays warm;
 //! * resolves per-device keys through a shared [`KeySource`] — requests
 //!   borrow into it, so keyed batches add no per-proof allocation;
 //! * returns a [`BatchReport`] with the per-proof verdicts (identical to
 //!   sequential [`Verifier::verify`]) plus throughput statistics.
 
 use crate::attest::DialedProof;
-use crate::report::{BatchOutcome, BatchReport, BatchStats, Report};
+use crate::report::{BatchOutcome, BatchReport, BatchStats};
 use crate::request::{KeySource, Verifier, VerifyRequest};
 use crate::verifier::EmuWorkspace;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use vrased::Challenge;
-
-/// Fewest worker threads a [`BatchVerifier`] will run with. Degenerate
-/// requests (`with_workers(0)`) are clamped up to this value.
-pub const MIN_WORKERS: usize = 1;
-
-/// Smallest batch that is spread over scoped worker threads; anything
-/// smaller verifies inline on the caller. A measured constant, not a
-/// knob: on the reference box starting and joining two scoped workers
-/// costs ≈ 55 µs, a warm Full-mode proof verifies in 8–32 µs (MAC
-/// included) and a PoX-only one in ≈ 0.4 µs. Two workers save at most half
-/// of a batch's work, so at four Full-mode proofs the spawn does not pay,
-/// at eight average proofs (≈ 20 µs each) it saves ≈ 80 µs against the
-/// ≈ 55 µs spawn, and PoX-only batches this small never repay it.
-pub const PARALLEL_MIN_JOBS: usize = 8;
 
 /// One unit of batch work: a proof and the challenge it must answer.
 #[derive(Clone, Debug)]
@@ -70,32 +51,21 @@ impl BatchJob {
     }
 }
 
-/// Verifies batches of independent proofs of one operation across cores,
-/// generic over the [`Verifier`] backend.
+/// Verifies batches of independent proofs of one operation, generic over
+/// the [`Verifier`] backend.
 #[derive(Debug)]
 pub struct BatchVerifier<V> {
     verifier: V,
-    workers: usize,
-    /// Warm workspaces between calls: checked out by the inline path and
-    /// by each scoped worker, handed back when they finish. Never holds
-    /// more than `workers`.
+    /// Warm workspaces between calls: each call checks one out and hands
+    /// it back when it finishes. Holds as many as calls ever ran at once.
     pool: Mutex<Vec<EmuWorkspace>>,
 }
 
 impl<V: Verifier> BatchVerifier<V> {
-    /// Wraps `verifier`, defaulting to one worker per available core.
+    /// Wraps `verifier`.
     #[must_use]
     pub fn new(verifier: V) -> Self {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        Self { verifier, workers, pool: Mutex::new(Vec::new()) }
-    }
-
-    /// Overrides the worker count, clamped up to [`MIN_WORKERS`]: asking
-    /// for zero workers runs with one.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(MIN_WORKERS);
-        self
+        Self { verifier, pool: Mutex::new(Vec::new()) }
     }
 
     /// The wrapped sequential verifier.
@@ -104,132 +74,48 @@ impl<V: Verifier> BatchVerifier<V> {
         &self.verifier
     }
 
-    /// The worker count batches will run with.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// A workspace from the pool, or a fresh one if every pooled one is in
-    /// use (concurrent calls) or none was built yet.
-    fn checkout(&self) -> EmuWorkspace {
-        lock(&self.pool).pop().unwrap_or_default()
-    }
-
-    /// Returns a workspace for the next call to reuse. Surplus ones — more
-    /// callers ran at once than this engine has workers — are dropped.
-    fn give_back(&self, ws: EmuWorkspace) {
-        let mut pool = lock(&self.pool);
-        if pool.len() < self.workers {
-            pool.push(ws);
-        }
-    }
-
-    /// Verifies every job, returning per-proof verdicts in submission order
-    /// plus aggregate throughput statistics.
+    /// Verifies every job on the calling thread, returning per-proof
+    /// verdicts in submission order plus aggregate statistics.
     ///
     /// With `keys` set, each job's MAC is checked under its device's key
     /// from the source (fleet deployments); without, every job verifies
     /// under the backend's embedded key.
     ///
     /// Verdicts are bit-identical to building a [`VerifyRequest`] per job
-    /// and calling [`Verifier::verify`] sequentially; only the schedule is
-    /// parallel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (i.e. verification itself
-    /// panicked — never expected for well-formed jobs).
+    /// and calling [`Verifier::verify`]; the only difference is the warm
+    /// workspace, drawn from the pool (or built, if every pooled one is in
+    /// use by a concurrent call) and handed back afterwards.
     #[must_use]
     pub fn verify_batch(&self, jobs: &[BatchJob], keys: Option<&dyn KeySource>) -> BatchReport {
         let started = Instant::now();
-        let workers =
-            if jobs.len() < PARALLEL_MIN_JOBS { 1 } else { self.workers.min(jobs.len()).max(1) };
-
-        // One request construction shared by both schedules, so the
-        // single-worker and multi-worker paths cannot drift apart. Each
-        // proof's MAC is checked inside `verify_in`, on whichever worker
-        // verifies the proof.
-        let verify_job = |ws: &mut EmuWorkspace, idx: usize| -> Report {
-            let job = &jobs[idx];
-            let mut req = VerifyRequest::new(&job.proof, &job.challenge).for_device(job.device_id);
-            if let Some(keys) = keys {
-                req = req.keys(keys);
-            }
-            self.verifier.verify_in(ws, &req)
-        };
-
-        // A lone worker needs no queues and no thread spawn: verify inline
-        // on the calling thread. Small batches and small hosts hit this
-        // path on every drain.
-        if workers == 1 {
-            let mut ws = self.checkout();
-            let outcomes: Vec<BatchOutcome> = jobs
-                .iter()
-                .enumerate()
-                .map(|(index, job)| BatchOutcome {
+        let mut ws = lock(&self.pool).pop().unwrap_or_default();
+        let outcomes: Vec<BatchOutcome> = jobs
+            .iter()
+            .enumerate()
+            .map(|(index, job)| {
+                let mut req =
+                    VerifyRequest::new(&job.proof, &job.challenge).for_device(job.device_id);
+                if let Some(keys) = keys {
+                    req = req.keys(keys);
+                }
+                BatchOutcome {
                     index,
                     device_id: job.device_id,
-                    report: verify_job(&mut ws, index),
-                })
-                .collect();
-            self.give_back(ws);
-            return finish(outcomes, jobs.len(), 1, 0, started);
-        }
-
-        // Round-robin initial distribution into per-worker deques.
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for idx in 0..jobs.len() {
-            queues[idx % workers].push_back(idx);
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> = queues.into_iter().map(Mutex::new).collect();
-        let steals = AtomicUsize::new(0);
-
-        let mut outcomes: Vec<BatchOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let queues = &queues;
-                    let steals = &steals;
-                    let verify_job = &verify_job;
-                    scope.spawn(move || {
-                        let mut ws = self.checkout();
-                        let mut done: Vec<(usize, Report)> = Vec::new();
-                        while let Some(idx) = next_job(queues, me, steals) {
-                            done.push((idx, verify_job(&mut ws, idx)));
-                        }
-                        self.give_back(ws);
-                        done
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("batch worker panicked"))
-                .map(|(index, report)| BatchOutcome {
-                    index,
-                    device_id: jobs[index].device_id,
-                    report,
-                })
-                .collect()
-        });
-        outcomes.sort_unstable_by_key(|o| o.index);
-        finish(outcomes, jobs.len(), workers, steals.into_inner(), started)
+                    report: self.verifier.verify_in(&mut ws, &req),
+                }
+            })
+            .collect();
+        lock(&self.pool).push(ws);
+        finish(outcomes, started)
     }
 }
 
-/// Assembles the [`BatchReport`] from ordered outcomes plus run metadata.
-fn finish(
-    outcomes: Vec<BatchOutcome>,
-    total: usize,
-    workers: usize,
-    steals: usize,
-    started: Instant,
-) -> BatchReport {
+/// Assembles the [`BatchReport`] from ordered outcomes.
+fn finish(outcomes: Vec<BatchOutcome>, started: Instant) -> BatchReport {
     let wall = started.elapsed();
+    let total = outcomes.len();
     let mut stats = BatchStats {
         total,
-        workers,
-        steals,
         wall,
         proofs_per_sec: total as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE),
         ..BatchStats::default()
@@ -245,26 +131,9 @@ fn finish(
     BatchReport { outcomes, stats }
 }
 
-/// Pops the next job for worker `me`: own queue first (front, FIFO), then a
-/// steal from another worker's tail (LIFO from the victim's perspective,
-/// minimising contention on the victim's hot end).
-fn next_job(queues: &[Mutex<VecDeque<usize>>], me: usize, steals: &AtomicUsize) -> Option<usize> {
-    if let Some(idx) = lock(&queues[me]).pop_front() {
-        return Some(idx);
-    }
-    let n = queues.len();
-    for off in 1..n {
-        if let Some(idx) = lock(&queues[(me + off) % n]).pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(idx);
-        }
-    }
-    None
-}
-
-/// Locks a job queue or the workspace pool, tolerating poison: a panicked
-/// worker cannot leave either logically inconsistent (every operation is
-/// a single push or pop).
+/// Locks the workspace pool, tolerating poison: a caller that panicked
+/// mid-verification never held the lock (every operation on it is a
+/// single push or pop).
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -275,6 +144,7 @@ mod tests {
     use crate::attest::DialedDevice;
     use crate::pipeline::{BuildOptions, InstrumentedOp};
     use crate::policy::GlobalWriteBounds;
+    use crate::report::Report;
     use crate::request::PerDevice;
     use crate::verifier::DialedVerifier;
     use vrased::{KeyStore, RaVerifier};
@@ -315,7 +185,7 @@ mod tests {
             .map(|j| verifier.verify(&VerifyRequest::new(&j.proof, &j.challenge)))
             .collect();
 
-        let batch = BatchVerifier::new(DialedVerifier::new(op, ks)).with_workers(4);
+        let batch = BatchVerifier::new(DialedVerifier::new(op, ks));
         let report = batch.verify_batch(&jobs, None);
 
         assert_eq!(report.stats.total, 12);
@@ -333,23 +203,35 @@ mod tests {
 
     #[test]
     fn eight_proofs_verify_concurrently_clean() {
-        // ≥ 8 proofs, concurrent verdicts identical to sequential
-        // request-based verification.
+        // Two callers verify eight proofs each on one engine at once: the
+        // verdicts match sequential request-based verification, and both
+        // workspaces stay pooled for the next calls.
         let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).unwrap();
         let ks = KeyStore::from_seed(22);
         let jobs = make_jobs(8, &ks, &op);
-        let batch = BatchVerifier::new(DialedVerifier::new(op.clone(), ks.clone())).with_workers(8);
-        let report = batch.verify_batch(&jobs, None);
-        assert!(report.all_clean(), "{report}");
-        assert_eq!(report.stats.clean, 8);
-        assert_eq!(report.stats.workers, 8);
+        let batch = BatchVerifier::new(DialedVerifier::new(op.clone(), ks.clone()));
+        let barrier = std::sync::Barrier::new(2);
+        let reports: Vec<BatchReport> = std::thread::scope(|scope| {
+            let run = || {
+                barrier.wait();
+                batch.verify_batch(&jobs, None)
+            };
+            let other = scope.spawn(run);
+            vec![run(), other.join().unwrap()]
+        });
         let verifier = DialedVerifier::new(op, ks);
-        for (job, outcome) in jobs.iter().zip(&report.outcomes) {
-            assert_eq!(
-                outcome.report,
-                verifier.verify(&VerifyRequest::new(&job.proof, &job.challenge))
-            );
+        for report in &reports {
+            assert!(report.all_clean(), "{report}");
+            assert_eq!(report.stats.clean, 8);
+            for (job, outcome) in jobs.iter().zip(&report.outcomes) {
+                assert_eq!(
+                    outcome.report,
+                    verifier.verify(&VerifyRequest::new(&job.proof, &job.challenge))
+                );
+            }
         }
+        let pooled = lock(&batch.pool).len();
+        assert!((1..=2).contains(&pooled), "every handed-back workspace is kept: {pooled}");
     }
 
     /// Routes even device ids to one operation's verifier and odd ones to
@@ -400,8 +282,7 @@ mod tests {
         let engine = BatchVerifier::new(TwoOps {
             even: DialedVerifier::new(op, ks.clone()),
             odd: DialedVerifier::new(op_b, ks),
-        })
-        .with_workers(1);
+        });
         for (i, (job, fresh)) in calls.into_iter().enumerate() {
             let report = engine.verify_batch(std::slice::from_ref(job), None);
             let fresh = fresh
@@ -426,13 +307,13 @@ mod tests {
     #[test]
     fn policies_apply_across_workers() {
         // A policy that rejects the op's global store must flag *every*
-        // proof, from whichever worker verifies it.
+        // proof of the batch.
         let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).unwrap();
         let ks = KeyStore::from_seed(25);
         let jobs = make_jobs(9, &ks, &op);
         let verifier =
             DialedVerifier::new(op, ks).with_policy(Box::new(GlobalWriteBounds::new(vec![])));
-        let report = BatchVerifier::new(verifier).with_workers(3).verify_batch(&jobs, None);
+        let report = BatchVerifier::new(verifier).verify_batch(&jobs, None);
         assert_eq!(report.stats.attacks, 9, "{report}");
     }
 
@@ -456,8 +337,7 @@ mod tests {
             })
             .collect();
         let keys = PerDevice::new(|device| table.get(usize::try_from(device).ok()?));
-        let batch =
-            BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(9999))).with_workers(3);
+        let batch = BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(9999)));
         let report = batch.verify_batch(&jobs, Some(&keys));
         assert!(report.all_clean(), "{report}");
         // Without the key source the batch falls back to the verifier's
@@ -468,28 +348,17 @@ mod tests {
 
     #[test]
     fn single_worker_degrades_to_sequential() {
+        // The engine is one inline worker: its verdicts are exactly those
+        // of calling the backend proof by proof.
         let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).unwrap();
         let ks = KeyStore::from_seed(26);
         let jobs = make_jobs(5, &ks, &op);
-        let report = BatchVerifier::new(DialedVerifier::new(op, ks))
-            .with_workers(1)
-            .verify_batch(&jobs, None);
+        let verifier = DialedVerifier::new(op.clone(), ks.clone());
+        let report = BatchVerifier::new(DialedVerifier::new(op, ks)).verify_batch(&jobs, None);
         assert!(report.all_clean());
-        assert_eq!(report.stats.workers, 1);
-        assert_eq!(report.stats.steals, 0, "a lone worker has nobody to steal from");
-    }
-
-    #[test]
-    fn zero_workers_clamps_to_the_documented_minimum() {
-        // Degenerate builder input: `with_workers(0)` must run, not hang
-        // or panic — pinned to MIN_WORKERS.
-        let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).unwrap();
-        let ks = KeyStore::from_seed(27);
-        let jobs = make_jobs(2, &ks, &op);
-        let batch = BatchVerifier::new(DialedVerifier::new(op, ks)).with_workers(0);
-        assert_eq!(batch.workers(), MIN_WORKERS);
-        let report = batch.verify_batch(&jobs, None);
-        assert!(report.all_clean(), "{report}");
-        assert_eq!(report.stats.workers, MIN_WORKERS);
+        for (job, outcome) in jobs.iter().zip(&report.outcomes) {
+            let req = VerifyRequest::new(&job.proof, &job.challenge).for_device(job.device_id);
+            assert_eq!(outcome.report, verifier.verify(&req));
+        }
     }
 }

@@ -19,7 +19,7 @@ use std::fmt;
 /// A verifier-side predicate over a reconstructed execution.
 ///
 /// Policies are `Send + Sync` so one [`crate::verifier::DialedVerifier`]
-/// can be shared by the batch-verification worker threads.
+/// can be shared by threads that verify at once.
 pub trait Policy: fmt::Debug + Send + Sync {
     /// Human-readable policy name (appears in findings).
     fn name(&self) -> &str;

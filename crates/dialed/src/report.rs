@@ -420,10 +420,6 @@ pub struct BatchStats {
     pub rejected: usize,
     /// Proofs with valid PoX but a reconstructed attack.
     pub attacks: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Jobs a worker stole from another worker's queue.
-    pub steals: usize,
     /// Wall-clock time for the whole batch.
     pub wall: std::time::Duration,
     /// Throughput over the wall-clock time.
@@ -465,9 +461,8 @@ impl fmt::Display for BatchReport {
         let s = &self.stats;
         write!(
             f,
-            "batch: {} proofs in {:.1?} ({:.0} proofs/s, {} workers, {} steals) — \
-             {} clean / {} attack / {} rejected",
-            s.total, s.wall, s.proofs_per_sec, s.workers, s.steals, s.clean, s.attacks, s.rejected
+            "batch: {} proofs in {:.1?} ({:.0} proofs/s) — {} clean / {} attack / {} rejected",
+            s.total, s.wall, s.proofs_per_sec, s.clean, s.attacks, s.rejected
         )?;
         for o in self.flagged() {
             write!(f, "\n  #{} dev={}: {}", o.index, o.device_id, o.report)?;

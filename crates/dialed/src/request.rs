@@ -64,8 +64,8 @@ pub const MIN_EMU_BUDGET: usize = 1;
 /// borrowed [`RaVerifier`]s so the per-proof path performs no key-store
 /// cloning and no HMAC-pad recomputation.
 ///
-/// `Sync` is a supertrait because batch workers share one source across
-/// threads.
+/// `Sync` is a supertrait so concurrent callers can share one source
+/// across threads.
 pub trait KeySource: Sync {
     /// The RA verifier for `device`, or `None` if this source does not
     /// know the device (the request is then rejected with
@@ -259,8 +259,8 @@ impl std::fmt::Debug for VerifyRequest<'_> {
 /// [`apex::PoxVerifier`] (cryptographic proof of execution only).
 /// [`BatchVerifier<V>`](crate::BatchVerifier) is generic over this trait.
 ///
-/// `Sync` is a supertrait so batch workers can share one verifier by
-/// reference; the trait is object-safe, so heterogeneous deployments can
+/// `Sync` is a supertrait so threads verifying at once can share one
+/// verifier by reference; the trait is object-safe, so heterogeneous deployments can
 /// store `Box<dyn Verifier>` backends side by side.
 pub trait Verifier: Sync {
     /// Verifies `req`, reusing `ws`'s emulation buffers.

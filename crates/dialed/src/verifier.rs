@@ -184,12 +184,13 @@ impl SiteIndex {
     }
 }
 
-/// Reusable per-verifier (or per-worker) emulation buffers.
+/// Reusable per-verifier (or per-thread) emulation buffers.
 ///
 /// Abstract execution needs a 64 KiB RAM image, a write log and an OR
 /// snapshot per proof. Allocating those per proof dominates the fixed cost
-/// of verifying small operations, so batch verification keeps one workspace
-/// per worker thread and recycles the allocations across proofs (see
+/// of verifying small operations, so batch verification keeps a pool of
+/// workspaces, one per concurrent caller, and recycles the allocations
+/// across proofs (see
 /// [`crate::batch::BatchVerifier`]).
 #[derive(Debug, Default)]
 pub struct EmuWorkspace {

@@ -56,7 +56,7 @@ fn all_shapes_agree(
     let looked = verifier.verify(&VerifyRequest::new(proof, chal).for_device(device).keys(&lookup));
 
     // 5. Through the generic batch engine, keyed and unkeyed.
-    let engine = BatchVerifier::new(verifier).with_workers(2);
+    let engine = BatchVerifier::new(verifier);
     let jobs = [BatchJob::new(device, proof.clone(), *chal)];
     let batch_unkeyed = engine.verify_batch(&jobs, None).outcomes.remove(0).report;
     let batch_keyed = engine.verify_batch(&jobs, Some(&lookup)).outcomes.remove(0).report;
@@ -115,7 +115,7 @@ proptest! {
         let empty = PerDevice::new(|_| None);
         let direct =
             verifier.verify(&VerifyRequest::new(&proof, &chal).for_device(device).keys(&empty));
-        let engine = BatchVerifier::new(verifier).with_workers(1);
+        let engine = BatchVerifier::new(verifier);
         let jobs = [BatchJob::new(device, proof.clone(), chal)];
         let batch = engine.verify_batch(&jobs, Some(&empty)).outcomes.remove(0).report;
         prop_assert_eq!(&direct, &batch);

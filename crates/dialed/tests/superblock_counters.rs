@@ -13,7 +13,7 @@
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::prelude::*;
 use msp430::{process_superblock_stats, SuperblockStats};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 fn delta(after: SuperblockStats, before: SuperblockStats) -> SuperblockStats {
     SuperblockStats {
@@ -70,19 +70,25 @@ fn process_totals_equal_the_sum_of_per_core_counts() {
         .collect();
     assert_eq!(delta(process_superblock_stats(), before), device_sum, "device cores");
 
-    // Verifier side: two scoped workers, then an inline batch, all on
-    // workspaces the engine keeps pooled (never dropped while we look).
+    // Verifier side: two threads verify through one engine at once, then
+    // one more batch runs alone, all on workspaces the engine keeps pooled
+    // (never dropped while we look).
     let engine = BatchVerifier::new(PerCore {
         inner: DialedVerifier::new(op, ks),
         sum: Mutex::new(SuperblockStats::default()),
-    })
-    .with_workers(2);
+    });
     let before = process_superblock_stats();
-    let parallel = engine.verify_batch(&jobs, None);
-    assert_eq!(parallel.stats.workers, 2);
-    let inline = engine.verify_batch(&jobs[..3], None);
-    assert_eq!(inline.stats.workers, 1);
-    assert!(parallel.all_clean() && inline.all_clean(), "{parallel}");
+    let barrier = Barrier::new(2);
+    let run = |jobs: &[BatchJob]| {
+        barrier.wait();
+        engine.verify_batch(jobs, None)
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let other = scope.spawn(|| run(&jobs[6..]));
+        (run(&jobs[..6]), other.join().unwrap())
+    });
+    let alone = engine.verify_batch(&jobs[..3], None);
+    assert!(a.all_clean() && b.all_clean() && alone.all_clean(), "{a}\n{b}\n{alone}");
 
     let per_core = *engine.verifier().sum.lock().unwrap();
     assert_eq!(delta(process_superblock_stats(), before), per_core, "verifier cores");

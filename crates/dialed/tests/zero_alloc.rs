@@ -79,7 +79,7 @@ fn steady_state_request_verification_is_allocation_free() {
 /// key resolved through [`PerDevice`], verified with requests built the way
 /// [`BatchVerifier`] builds them (the MAC is checked inside `verify_in`).
 /// Once warm, a proof costs no allocation — neither per-request nor inside
-/// an inline `verify_batch`, whose only allocation is the outcome vector it
+/// a `verify_batch`, whose only allocation is the outcome vector it
 /// returns.
 fn per_device_mac_path_is_allocation_free() {
     let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).expect("op builds");
@@ -96,8 +96,7 @@ fn per_device_mac_path_is_allocation_free() {
     let keys = PerDevice::new(|device| table.get(usize::try_from(device).ok()?));
     // The embedded key belongs to no device: a job that fell back to it
     // would be rejected.
-    let engine =
-        BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(0xDEAD))).with_workers(1);
+    let engine = BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(0xDEAD)));
     let mut ws = EmuWorkspace::new();
 
     // Warm-up: grows the workspace buffers and the engine's pooled one.

@@ -3,7 +3,7 @@
 //! Each state shard owns one [`IngestQueue`], internally keyed by
 //! [`OpId`]: proofs of one operation share everything that makes
 //! verification fast — the instrumented image, the prebuilt site bitmaps,
-//! the warm per-worker emulation workspaces — so a drain hands each
+//! the engine's warm emulation workspaces — so a drain hands each
 //! per-op batch to that operation's shared
 //! [`BatchVerifier`](dialed::BatchVerifier) in one call. The drain itself
 //! lives in [`crate::shard`]; this module only owns the queue and the
@@ -28,6 +28,10 @@ pub struct DrainStats {
     pub verified: usize,
     /// Sessions that ended `Rejected`.
     pub rejected: usize,
+    /// Threads the pass ran on: 1 when it drained inline on the caller
+    /// (see [`Fleet::verify_pending`](crate::Fleet::verify_pending)); 0 in
+    /// a single shard's result.
+    pub threads: usize,
 }
 
 impl DrainStats {
@@ -39,6 +43,7 @@ impl DrainStats {
         self.batches += other.batches;
         self.verified += other.verified;
         self.rejected += other.rejected;
+        self.threads = self.threads.max(other.threads);
     }
 }
 
@@ -46,8 +51,9 @@ impl fmt::Display for DrainStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "drained {} sessions over {} shards ({} batches): {} verified / {} rejected",
-            self.drained, self.shards, self.batches, self.verified, self.rejected
+            "drained {} sessions over {} shards ({} batches, {} threads): {} verified / {} \
+             rejected",
+            self.drained, self.shards, self.batches, self.threads, self.verified, self.rejected
         )
     }
 }
@@ -103,6 +109,11 @@ impl IngestQueue {
         self.batches.get(&op).map_or(0, Vec::len)
     }
 
+    /// Pending sessions per operation.
+    pub(crate) fn depths(&self) -> impl Iterator<Item = (OpId, usize)> + '_ {
+        self.batches.iter().map(|(&op, sids)| (op, sids.len()))
+    }
+
     /// Takes every queued batch, leaving the queue empty — the first step
     /// of a shard drain.
     pub(crate) fn take_all(&mut self) -> BTreeMap<OpId, Vec<SessionId>> {
@@ -143,9 +154,14 @@ mod tests {
 
     #[test]
     fn stats_merge_sums_counters() {
-        let mut a = DrainStats { drained: 2, shards: 1, batches: 1, verified: 2, rejected: 0 };
-        let b = DrainStats { drained: 3, shards: 1, batches: 2, verified: 1, rejected: 2 };
+        let mut a =
+            DrainStats { drained: 2, shards: 1, batches: 1, verified: 2, rejected: 0, threads: 1 };
+        let b =
+            DrainStats { drained: 3, shards: 1, batches: 2, verified: 1, rejected: 2, threads: 2 };
         a.merge(b);
-        assert_eq!(a, DrainStats { drained: 5, shards: 2, batches: 3, verified: 3, rejected: 2 });
+        assert_eq!(
+            a,
+            DrainStats { drained: 5, shards: 2, batches: 3, verified: 3, rejected: 2, threads: 2 }
+        );
     }
 }

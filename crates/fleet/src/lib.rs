@@ -29,7 +29,8 @@
 //! * [`wire`] — the versioned, length-prefixed binary codec for every
 //!   protocol message; all decode paths are total.
 //! * [`ingest`] — each shard's pending-submission queue, drained in
-//!   per-operation batches through one [`dialed::BatchVerifier`].
+//!   per-operation batches through one [`dialed::BatchVerifier`] per
+//!   operation.
 //! * [`store`] — durable [`StateEvent`]s, the write-ahead log, snapshots.
 //! * [`shard`] — the consistent-hash ring and the shard state machine
 //!   tying the above together.
@@ -44,9 +45,12 @@
 //! built with [`Fleet::new`] keeps everything in memory (tests,
 //! experiments); [`Fleet::durable`] adds the log.
 //!
-//! Shards share no mutable state and drain on independent threads; the
-//! batch engines in the [`OpTable`] are borrowed read-only by every
-//! drain, so adding shards adds ingest parallelism without adding locks.
+//! Shards share no mutable state, and the batch engines in the
+//! [`OpTable`] are borrowed read-only by every drain, so shards drain on
+//! different threads without locks. [`Fleet::verify_pending`] is the one
+//! place a drain goes parallel: a pass too light to repay a thread spawn
+//! drains inline, a heavier one spreads whole shards over at most
+//! [`FleetConfig::workers`] threads. The engines themselves never spawn.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +77,6 @@ pub use wire::{
 use crate::shard::ShardParams;
 use crate::store::Wal;
 use dialed::attest::DialedProof;
-use dialed::batch::PARALLEL_MIN_JOBS;
 use dialed::pipeline::InstrumentedOp;
 use dialed::policy::Policy;
 use std::io;
@@ -89,13 +92,19 @@ pub struct FleetConfig {
     pub challenge_ttl: u64,
     /// Per-device anti-replay window depth (accepted proof tags).
     pub replay_window: usize,
-    /// Worker threads per operation's batch verifier
-    /// (`None` = one per core).
+    /// Threads one drain may use (`None` = one per core). A drain spreads
+    /// whole shards over its threads, so it never uses more threads than
+    /// it has busy shards.
     pub workers: Option<usize>,
-    /// State shards. More shards drain more batches concurrently. Pinned
-    /// at first creation for durable fleets: recovery uses the shard
-    /// count from the meta log, not this field, because re-sharding would
-    /// re-route devices away from their logged state.
+    /// State shards. Shards are the unit of drain parallelism: a shard's
+    /// queue drains on one thread, so a drain runs on at most this many.
+    /// A single-shard fleet therefore verifies on one thread — a
+    /// deliberate trade: a proof costs 0.5–50 µs, and splitting one
+    /// shard's batches across threads would need a second, batch-level
+    /// scheduler for a layout no deployment here uses. Pinned at first
+    /// creation for durable fleets: recovery uses the shard count from the
+    /// meta log, not this field, because re-sharding would re-route
+    /// devices away from their logged state.
     pub shards: usize,
 }
 
@@ -112,6 +121,13 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// [`workers`](Self::workers) resolved to a thread count.
+    fn max_drain_threads(&self) -> usize {
+        self.workers
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+            .max(1)
+    }
+
     fn shard_params(&self) -> ShardParams {
         ShardParams {
             label: self.label.clone(),
@@ -157,6 +173,9 @@ pub struct Fleet {
     epoch: u64,
     /// Fleet-level event log (layout, operations, epoch bumps).
     meta: Option<Wal>,
+    /// Most threads one drain may use, resolved from
+    /// [`FleetConfig::workers`] once.
+    max_drain_threads: usize,
 }
 
 impl Fleet {
@@ -172,6 +191,7 @@ impl Fleet {
             next_device: 0,
             epoch: 0,
             meta: None,
+            max_drain_threads: config.max_drain_threads(),
             config,
         }
     }
@@ -233,7 +253,7 @@ impl Fleet {
                     let Some((image, policies)) = catalog.and_then(|c| c.lookup(name)) else {
                         return Err(RecoverError::UnknownOp(name.clone()));
                     };
-                    let got = ops.register_op(name, image, policies, config.workers);
+                    let got = ops.register_op(name, image, policies);
                     debug_assert_eq!(got, *op, "op ids replay in registration order");
                 }
                 StateEvent::EpochBumped { epoch: e } => epoch = *e,
@@ -276,6 +296,7 @@ impl Fleet {
             next_device,
             epoch,
             meta: Some(meta),
+            max_drain_threads: config.max_drain_threads(),
             config,
         })
     }
@@ -295,7 +316,7 @@ impl Fleet {
         op: InstrumentedOp,
         policies: Vec<Box<dyn Policy>>,
     ) -> OpId {
-        let id = self.ops.register_op(name, op, policies, self.config.workers);
+        let id = self.ops.register_op(name, op, policies);
         let mode = self.ops.op(id).expect("just registered").mode;
         self.meta_commit(&StateEvent::OpRegistered { op: id, name: name.to_string(), mode });
         id
@@ -483,37 +504,70 @@ impl Fleet {
     /// frontend replies for exactly those without scanning its table of
     /// outstanding requests. Touches only the queued sessions.
     ///
-    /// With fewer than [`dialed::batch::PARALLEL_MIN_JOBS`] submissions
-    /// pending, busy shards drain one after the other on the calling
-    /// thread; from there on they drain **in parallel** on scoped threads
-    /// — they share no mutable state, and the engines take `&self`.
+    /// The one place a drain goes parallel. Each queued submission is
+    /// weighted by its operation's mode (a Full-mode re-execution or a
+    /// PoX-only MAC check); a pass lighter than [`PARALLEL_MIN_WORK_NS`]
+    /// drains its busy shards one after the other on the calling thread.
+    /// A heavier one hands them out, heaviest first, to the least-loaded of
+    /// at most [`FleetConfig::workers`] threads (never more than there are
+    /// busy shards) — the caller plus scoped ones — and each drains its
+    /// shards one after the other. [`DrainStats::threads`] says how many
+    /// the pass ran on. Shards share no mutable state and the engines take
+    /// `&self`; each shard commits its own verdicts in the same order
+    /// either way.
     pub fn verify_pending(&mut self, settled: &mut Vec<SessionId>) -> DrainStats {
-        let pending = self.pending();
         let ops = &self.ops;
-        let busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| s.pending() > 0).collect();
-        let mut stats = DrainStats::default();
-        if busy.len() <= 1 || pending < PARALLEL_MIN_JOBS {
-            for shard in busy {
+        let work = self.shards.iter().map(|s| s.pending_work(ops)).sum();
+        let busy = self.shards.iter().filter(|s| s.pending() > 0).count();
+        let threads = drain_threads(work, busy, self.max_drain_threads);
+        let mut stats = DrainStats { threads, ..DrainStats::default() };
+        if threads == 1 {
+            for shard in &mut self.shards {
                 stats.merge(shard.drain(ops, settled));
             }
-        } else {
-            let results: Vec<(DrainStats, Vec<SessionId>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = busy
-                    .into_iter()
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            let mut settled = Vec::new();
-                            (shard.drain(ops, &mut settled), settled)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("shard drain panicked")).collect()
-            });
-            for (r, mut s) in results {
-                stats.merge(r);
-                settled.append(&mut s);
-            }
+            return stats;
         }
+        // Heaviest shard first, each to the least-loaded thread; the first
+        // group drains on the caller, so one thread fewer is spawned.
+        let mut busy: Vec<(u64, &mut Shard)> = self
+            .shards
+            .iter_mut()
+            .filter(|s| s.pending() > 0)
+            .map(|s| (s.pending_work(ops), s))
+            .collect();
+        busy.sort_by_key(|&(w, _)| std::cmp::Reverse(w));
+        let mut groups: Vec<(u64, Vec<&mut Shard>)> =
+            (0..threads).map(|_| (0, Vec::new())).collect();
+        for (w, shard) in busy {
+            let least = groups.iter_mut().min_by_key(|(load, _)| *load).expect("threads > 1");
+            least.0 += w;
+            least.1.push(shard);
+        }
+        let drain_all = |shards: Vec<&mut Shard>, settled: &mut Vec<SessionId>| {
+            let mut stats = DrainStats::default();
+            for shard in shards {
+                stats.merge(shard.drain(ops, settled));
+            }
+            stats
+        };
+        let mut groups = groups.into_iter().map(|(_, shards)| shards);
+        let mine = groups.next().expect("threads > 1");
+        std::thread::scope(|scope| {
+            let others: Vec<_> = groups
+                .map(|shards| {
+                    scope.spawn(move || {
+                        let mut ids = Vec::new();
+                        (drain_all(shards, &mut ids), ids)
+                    })
+                })
+                .collect();
+            stats.merge(drain_all(mine, settled));
+            for handle in others {
+                let (other, mut ids) = handle.join().expect("shard drain panicked");
+                stats.merge(other);
+                settled.append(&mut ids);
+            }
+        });
         stats
     }
 
@@ -620,6 +674,28 @@ impl Fleet {
             Ok(session) => dialed::report::Report::rejected(session),
             Err(wire) => dialed::report::Report::rejected(wire),
         }
+    }
+}
+
+/// Least estimated verification work, in nanoseconds, a verify pass must
+/// carry before [`Fleet::verify_pending`] spreads it over threads. A
+/// measured constant, not a knob (`par_probe`, 2-vCPU reference box, two
+/// runs): the two vCPUs run at once (an ALU loop takes 0.102–0.112 s alone
+/// and each thread of a pair 1.00–1.03× that; warm Full-mode `verify_in`
+/// 1.17–1.24×), and `thread::scope` with one spawned thread costs 28–30 µs
+/// to start and join (two: 48–55 µs). A second thread saves at most half
+/// of a pass, so it pays from ≈ 2 × 30 µs of work: about three Full-mode
+/// proofs, or 128 PoX-only ones (see [`OpRecord::proof_cost_ns`]).
+pub const PARALLEL_MIN_WORK_NS: u64 = 64_000;
+
+/// How many threads a verify pass of `work` estimated nanoseconds over
+/// `busy` shards runs on, given at most `max` — the one function that
+/// decides it. A shard drains on one thread, so never more than `busy`.
+fn drain_threads(work: u64, busy: usize, max: usize) -> usize {
+    if work < PARALLEL_MIN_WORK_NS {
+        1
+    } else {
+        max.min(busy).max(1)
     }
 }
 

@@ -123,6 +123,9 @@ struct Core {
     /// Accepted-but-unresolved submissions: session id → who gets the
     /// verdict. Every entry is owed exactly one reply frame.
     inflight: HashMap<u64, (u64, u64)>,
+    /// The sessions the last verify pass settled; kept so a pass reuses
+    /// its capacity instead of allocating.
+    settled: Vec<SessionId>,
     start: Instant,
 }
 
@@ -133,6 +136,7 @@ impl Core {
             shared,
             conns: HashMap::new(),
             inflight: HashMap::new(),
+            settled: Vec::new(),
             start: Instant::now(),
         }
     }
@@ -278,14 +282,16 @@ impl Core {
     /// sessions that settled — work proportional to the batch, not to the
     /// session store or the in-flight table.
     fn verify_pass(&mut self) {
-        let mut settled = Vec::new();
+        let mut settled = std::mem::take(&mut self.settled);
+        settled.clear();
         let _ = self.fleet.verify_pending(&mut settled);
         bump(&self.shared.stats.drains);
-        for session in settled {
+        for &session in &settled {
             if let Some((conn, request)) = self.inflight.remove(&session.0) {
                 self.resolve(session, conn, request);
             }
         }
+        self.settled = settled;
     }
 
     /// The O(sessions) chores, on the `drain_interval` clock: expire

@@ -5,7 +5,8 @@
 //! [`IngestQueue`] — plus, in durable mode, its own write-ahead-log
 //! segment and snapshot file. Shards share **nothing** mutable: a drain
 //! borrows the fleet-global [`OpTable`] read-only (batch engines take
-//! `&self`), so N shards drain on N threads with no cross-shard locking.
+//! `&self`), so shards drain on different threads with no cross-shard
+//! locking.
 //!
 //! Routing is consistent hashing by [`DeviceId`]: each shard projects a
 //! fixed set of virtual nodes onto a hash ring and a device belongs to
@@ -38,7 +39,7 @@
 //! across restarts.
 
 use crate::ingest::{DrainStats, IngestQueue};
-use crate::registry::{DeviceId, OpId, OpTable, Registry};
+use crate::registry::{DeviceId, OpId, OpRecord, OpTable, Registry};
 use crate::session::{Session, SessionId, SessionManager, SessionState};
 use crate::store::{read_events, write_atomic, RecoverError, StateEvent, Wal};
 use crate::wire::{
@@ -239,6 +240,15 @@ impl Shard {
         self.ingest.pending()
     }
 
+    /// Estimated cost of draining this shard now: each queued submission
+    /// weighted by its operation's [`OpRecord::proof_cost_ns`].
+    pub(crate) fn pending_work(&self, ops: &OpTable) -> u64 {
+        self.ingest
+            .depths()
+            .map(|(op, n)| ops.op(op).map_or(0, OpRecord::proof_cost_ns) * n as u64)
+            .sum()
+    }
+
     /// This shard's ingest queue depth (see [`IngestQueue::depth`]) — the
     /// signal a network frontend's load-shedding watermark reads.
     #[must_use]
@@ -363,8 +373,8 @@ impl Shard {
 
     /// Drains this shard's queue through the fleet's shared operation
     /// engines, committing each verdict and appending every session it
-    /// settled to `settled`. `ops` is borrowed read-only, so any number of
-    /// shards drain concurrently.
+    /// settled to `settled`. `ops` is borrowed read-only, so shards drain
+    /// concurrently.
     pub(crate) fn drain(&mut self, ops: &OpTable, settled: &mut Vec<SessionId>) -> DrainStats {
         let mut stats = DrainStats::default();
         for (op, sids) in self.ingest.take_all() {

@@ -221,10 +221,6 @@ pub struct BatchSummary {
     pub rejected: u64,
     /// Reconstructed attacks.
     pub attacks: u64,
-    /// Worker threads used.
-    pub workers: u64,
-    /// Work-stealing events.
-    pub steals: u64,
     /// Wall-clock nanoseconds for the batch.
     pub wall_nanos: u64,
     /// Throughput over the wall clock.
@@ -245,8 +241,6 @@ impl BatchSummary {
             clean: s.clean as u64,
             rejected: s.rejected as u64,
             attacks: s.attacks as u64,
-            workers: s.workers as u64,
-            steals: s.steals as u64,
             wall_nanos: u64::try_from(s.wall.as_nanos()).unwrap_or(u64::MAX),
             proofs_per_sec: s.proofs_per_sec,
             emulated_insns: s.emulated_insns as u64,
@@ -542,8 +536,6 @@ fn encode_batch_summary(w: &mut Writer, m: &BatchSummary) {
     w.u64(m.clean);
     w.u64(m.rejected);
     w.u64(m.attacks);
-    w.u64(m.workers);
-    w.u64(m.steals);
     w.u64(m.wall_nanos);
     w.u64(m.proofs_per_sec.to_bits());
     w.u64(m.emulated_insns);
@@ -827,8 +819,6 @@ fn decode_batch_summary(r: &mut Reader<'_>) -> Result<BatchSummary, WireError> {
     let clean = r.u64()?;
     let rejected = r.u64()?;
     let attacks = r.u64()?;
-    let workers = r.u64()?;
-    let steals = r.u64()?;
     let wall_nanos = r.u64()?;
     let proofs_per_sec = f64::from_bits(r.u64()?);
     let emulated_insns = r.u64()?;
@@ -851,8 +841,6 @@ fn decode_batch_summary(r: &mut Reader<'_>) -> Result<BatchSummary, WireError> {
         clean,
         rejected,
         attacks,
-        workers,
-        steals,
         wall_nanos,
         proofs_per_sec,
         emulated_insns,
@@ -1085,8 +1073,6 @@ mod tests {
                 clean: 1,
                 rejected: 1,
                 attacks: 1,
-                workers: 4,
-                steals: 2,
                 wall_nanos: 123_456_789,
                 proofs_per_sec: 1234.5,
                 emulated_insns: 99,
@@ -1268,7 +1254,6 @@ mod tests {
             stats: BatchStats {
                 total: 1,
                 rejected: 1,
-                workers: 2,
                 wall: std::time::Duration::from_micros(5),
                 proofs_per_sec: 200_000.0,
                 ..BatchStats::default()

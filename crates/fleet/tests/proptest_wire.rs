@@ -159,8 +159,6 @@ proptest! {
             clean: total / 2,
             rejected: total / 3,
             attacks: total / 5,
-            workers: 8,
-            steals: 3,
             wall_nanos: wall,
             proofs_per_sec: f64::from(rate_bits),
             emulated_insns: total,
