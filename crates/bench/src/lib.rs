@@ -88,153 +88,6 @@ pub fn build_op(scenario: &Scenario, mode: InstrumentMode) -> InstrumentedOp {
     scenario.build(mode)
 }
 
-/// An end-to-end fleet benchmark over the TCP frontend: a
-/// [`NetServer`](fleet::NetServer) on loopback, `conns` client
-/// connections each multiplexing a slice of the device population.
-///
-/// Measures the full networked path — wire encode, socket, frame
-/// reassembly, core dispatch, sharded batch drain, verdict delivery — so
-/// its devices/sec sits next to the in-process `fleet_throughput` number
-/// as the "what the network layer costs" comparison.
-pub struct NetFleetBench {
-    handle: Option<fleet::NetServerHandle>,
-    lanes: Vec<NetLane>,
-    devices: usize,
-}
-
-struct NetLane {
-    client: fleet::NetClient,
-    devices: Vec<(fleet::DeviceId, DialedDevice)>,
-}
-
-/// One full round for one lane: pipelined issues, then pipelined
-/// submissions, then every verdict. Returns how many verdicts were clean.
-fn lane_round(lane: &mut NetLane) -> usize {
-    use fleet::wire::Message;
-    let mut issue_reqs = std::collections::HashMap::new();
-    for (i, (id, _)) in lane.devices.iter().enumerate() {
-        issue_reqs.insert(lane.client.issue(id.0).expect("send issue"), i);
-    }
-    let mut chals: Vec<Option<fleet::ChallengeMsg>> = vec![None; lane.devices.len()];
-    for _ in 0..lane.devices.len() {
-        match lane.client.recv().expect("grant") {
-            Message::Grant(g) => chals[issue_reqs[&g.request]] = Some(g.body),
-            other => panic!("expected grant, got {other:?}"),
-        }
-    }
-    for (i, chal) in chals.into_iter().enumerate() {
-        let chal = chal.expect("every device granted");
-        let (id, dev) = &mut lane.devices[i];
-        let proof = dev.prove(&chal.challenge);
-        lane.client
-            .submit(fleet::ProofMsg { session: chal.session, device: id.0, proof })
-            .expect("send submit");
-    }
-    let mut clean = 0;
-    for _ in 0..lane.devices.len() {
-        match lane.client.recv().expect("verdict") {
-            Message::Verdict(v) => {
-                assert!(v.body.report.verdict == dialed::report::Verdict::Clean, "{v:?}");
-                clean += 1;
-            }
-            other => panic!("expected verdict, got {other:?}"),
-        }
-    }
-    clean
-}
-
-impl NetFleetBench {
-    /// Provisions `devices` simulators of `scenario` in `mode`, spawns
-    /// the server, connects `conns` lanes, and smoke-checks one round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server cannot start or the smoke round does not
-    /// verify every device.
-    #[must_use]
-    pub fn new(scenario: &Scenario, mode: InstrumentMode, devices: usize, conns: usize) -> Self {
-        let op = scenario.build(mode);
-        let mut fleet = fleet::Fleet::new(fleet::FleetConfig {
-            workers: Some(4),
-            shards: 4,
-            // Rounds are wall-clock short; keep logical expiry out of the
-            // measurement.
-            challenge_ttl: 1 << 40,
-            ..fleet::FleetConfig::default()
-        });
-        let op_id = fleet.register_op(scenario.name, op.clone(), (scenario.policies)());
-        let mut lanes: Vec<Vec<(fleet::DeviceId, DialedDevice)>> =
-            (0..conns).map(|_| Vec::new()).collect();
-        for i in 0..devices {
-            let id = fleet.register_device(op_id, 0x2E7 + i as u64).expect("op registered");
-            let mut dev = DialedDevice::new(op.clone(), fleet.device_keystore(id).expect("device"));
-            (scenario.feed)(dev.platform_mut());
-            let info = dev.invoke(&scenario.args);
-            assert_eq!(info.stop, StopReason::ReachedStop, "{}", scenario.name);
-            lanes[i % conns].push((id, dev));
-        }
-        let handle = fleet::NetServer::spawn(fleet, fleet::NetConfig::default())
-            .expect("bind loopback server");
-        let lanes = lanes
-            .into_iter()
-            .map(|devices| NetLane {
-                client: fleet::NetClient::connect(handle.addr()).expect("connect"),
-                devices,
-            })
-            .collect();
-        let mut bench = Self { handle: Some(handle), lanes, devices };
-        assert_eq!(bench.round(), devices, "smoke round must verify every device");
-        bench
-    }
-
-    /// One complete attestation round for every device, all lanes in
-    /// parallel. Returns the number of clean verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any socket error or non-clean verdict.
-    pub fn round(&mut self) -> usize {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                self.lanes.iter_mut().map(|lane| scope.spawn(|| lane_round(lane))).collect();
-            handles.into_iter().map(|h| h.join().expect("lane panicked")).sum()
-        })
-    }
-
-    /// The provisioned device count (one round = this many attestations).
-    #[must_use]
-    pub fn devices(&self) -> usize {
-        self.devices
-    }
-
-    /// Runs timed rounds for roughly `budget`, returning sustained
-    /// devices/sec (at least one round always runs).
-    ///
-    /// # Panics
-    ///
-    /// Propagates [`round`](Self::round) panics.
-    pub fn sustained_devices_per_sec(&mut self, budget: std::time::Duration) -> f64 {
-        let start = std::time::Instant::now();
-        let mut attested = 0usize;
-        while attested == 0 || start.elapsed() < budget {
-            attested += self.round();
-        }
-        attested as f64 / start.elapsed().as_secs_f64()
-    }
-
-    /// Graceful shutdown; panics if any server thread panicked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a server thread panicked (the zero-panic contract).
-    pub fn finish(mut self) -> fleet::NetStats {
-        let handle = self.handle.take().expect("finish called once");
-        drop(std::mem::take(&mut self.lanes));
-        let (_, stats) = handle.shutdown().expect("no server thread may panic");
-        stats
-    }
-}
-
 /// Formats a percentage delta for table printing.
 #[must_use]
 pub fn pct(new: f64, old: f64) -> String {

@@ -39,9 +39,11 @@
 //! All verification flows through one request-based entry point (the
 //! [`request`] module): build a [`VerifyRequest`], hand it to anything
 //! implementing [`Verifier`] — [`DialedVerifier`] for full data-flow
-//! verification, [`apex::PoxVerifier`] for PoX-only — directly or through
-//! the generic [`BatchVerifier`]. Per-device keys come from a
-//! [`KeySource`]; rejections carry a structured [`RejectReason`].
+//! verification, [`apex::PoxVerifier`] for PoX-only. A caller verifying
+//! many proofs keeps one [`EmuWorkspace`] and passes it to every
+//! [`Verifier::verify_in`] call, so the emulation buffers stay warm.
+//! Per-device keys come from a [`KeySource`]; rejections carry a
+//! structured [`RejectReason`].
 //!
 //! # End-to-end example
 //!
@@ -70,7 +72,6 @@
 #![warn(missing_docs)]
 
 pub mod attest;
-pub mod batch;
 pub mod ilog;
 pub mod pass;
 pub mod pipeline;
@@ -80,24 +81,18 @@ pub mod request;
 pub mod verifier;
 
 pub use attest::{DialedDevice, DialedProof, RunInfo};
-pub use batch::{BatchJob, BatchVerifier};
 pub use pass::{DfaConfig, ReadCheckPolicy};
 pub use pipeline::{BuildOptions, InstrumentedOp};
-pub use report::{
-    BatchOutcome, BatchReport, BatchStats, Finding, RejectClass, RejectReason, Report, Verdict,
-};
+pub use report::{Finding, RejectClass, RejectReason, Report, Verdict};
 pub use request::{KeySource, PerDevice, StaticKeys, Verifier, VerifyRequest};
 pub use verifier::{DialedVerifier, EmuWorkspace, SlotClass};
 
 /// Convenient re-exports for end-to-end users.
 pub mod prelude {
     pub use crate::attest::{DialedDevice, DialedProof};
-    pub use crate::batch::{BatchJob, BatchVerifier};
     pub use crate::pipeline::{BuildOptions, InstrumentedOp};
     pub use crate::policy::{ActuationPulse, GlobalWriteBounds, Policy};
-    pub use crate::report::{
-        BatchOutcome, BatchReport, BatchStats, Finding, RejectClass, RejectReason, Report, Verdict,
-    };
+    pub use crate::report::{Finding, RejectClass, RejectReason, Report, Verdict};
     pub use crate::request::{KeySource, PerDevice, StaticKeys, Verifier, VerifyRequest};
     pub use crate::verifier::{DialedVerifier, EmuWorkspace};
     pub use vrased::{Challenge, KeyStore};

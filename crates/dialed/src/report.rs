@@ -398,79 +398,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// One proof's verdict within a batch.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchOutcome {
-    /// Position of the job in the submitted batch.
-    pub index: usize,
-    /// Caller-assigned device identifier (opaque to the verifier).
-    pub device_id: u64,
-    /// The full per-proof report.
-    pub report: Report,
-}
-
-/// Aggregate statistics for one batch-verification run.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct BatchStats {
-    /// Jobs submitted.
-    pub total: usize,
-    /// Proofs verified clean.
-    pub clean: usize,
-    /// Proofs whose cryptographic PoX check failed.
-    pub rejected: usize,
-    /// Proofs with valid PoX but a reconstructed attack.
-    pub attacks: usize,
-    /// Wall-clock time for the whole batch.
-    pub wall: std::time::Duration,
-    /// Throughput over the wall-clock time.
-    pub proofs_per_sec: f64,
-    /// Total instructions abstractly executed across all proofs.
-    pub emulated_insns: usize,
-}
-
-/// The verifier's answer for a whole batch of proofs.
-#[derive(Clone, PartialEq, Debug)]
-pub struct BatchReport {
-    /// Per-proof outcomes, ordered by submission index.
-    pub outcomes: Vec<BatchOutcome>,
-    /// Aggregate statistics.
-    pub stats: BatchStats,
-}
-
-impl BatchReport {
-    /// Did every proof in the batch verify clean?
-    #[must_use]
-    pub fn all_clean(&self) -> bool {
-        self.outcomes.iter().all(|o| o.report.is_clean())
-    }
-
-    /// The report for the job submitted at `index`.
-    #[must_use]
-    pub fn report(&self, index: usize) -> Option<&Report> {
-        self.outcomes.get(index).map(|o| &o.report)
-    }
-
-    /// Outcomes that are not clean (attacks and rejections), for triage.
-    pub fn flagged(&self) -> impl Iterator<Item = &BatchOutcome> {
-        self.outcomes.iter().filter(|o| !o.report.is_clean())
-    }
-}
-
-impl fmt::Display for BatchReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = &self.stats;
-        write!(
-            f,
-            "batch: {} proofs in {:.1?} ({:.0} proofs/s) — {} clean / {} attack / {} rejected",
-            s.total, s.wall, s.proofs_per_sec, s.clean, s.attacks, s.rejected
-        )?;
-        for o in self.flagged() {
-            write!(f, "\n  #{} dev={}: {}", o.index, o.device_id, o.report)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,22 +2,23 @@
 //!
 //! Every way of verifying a proof — single key or per-device keys, full
 //! DIALED data-flow verification or PoX-only, one proof at a time or a
-//! sharded batch — goes through one entry point: build a [`VerifyRequest`]
-//! and hand it to a [`Verifier`].
+//! fleet shard's whole queue — goes through one entry point: build a
+//! [`VerifyRequest`] and hand it to a [`Verifier`].
 //!
 //! * [`VerifyRequest`] carries the proof, the challenge it must answer,
-//!   the device identity, and optional per-request overrides (emulation
-//!   budget, policy set, key source). It borrows everything, so building
-//!   one costs nothing on the fleet-scale hot path.
+//!   the device identity, and optionally the key source to check it
+//!   under. It borrows everything, so building one costs nothing on the
+//!   fleet-scale hot path.
 //! * [`KeySource`] answers "which key does this device verify under?".
 //!   [`StaticKeys`] is the embedded single-key default; [`PerDevice`]
 //!   adapts any lookup (e.g. `fleet::Registry`) without materialising a
 //!   key store per job.
 //! * [`Verifier`] is the backend: [`DialedVerifier`](crate::DialedVerifier)
 //!   performs full data-flow verification, [`apex::PoxVerifier`] checks
-//!   only the cryptographic proof of execution. The batch engine
-//!   ([`crate::BatchVerifier`]) is generic over this trait, so fleets
-//!   drain both kinds of operation through the same work-stealing core.
+//!   only the cryptographic proof of execution. A fleet stores one boxed
+//!   backend per operation, so it drains both kinds of operation through
+//!   the same [`Verifier::verify_in`] call, reusing one [`EmuWorkspace`]
+//!   per operation across proofs.
 //!
 //! # Example
 //!
@@ -44,18 +45,11 @@
 //! ```
 
 use crate::attest::DialedProof;
-use crate::policy::Policy;
 use crate::report::{RejectReason, Report, VerifyStats};
 use crate::verifier::EmuWorkspace;
 use apex::PoxVerifier;
 use std::marker::PhantomData;
 use vrased::{Challenge, KeyStore, RaVerifier};
-
-/// Smallest abstract-execution step budget a request or verifier accepts.
-///
-/// A zero budget would classify every proof as stuck before executing a
-/// single instruction; degenerate budgets are clamped up to this value.
-pub const MIN_EMU_BUDGET: usize = 1;
 
 /// Where per-device verification keys come from.
 ///
@@ -98,7 +92,7 @@ impl KeySource for StaticKeys {
 ///
 /// Adapts any `Fn(u64) -> Option<&RaVerifier>` — typically a closure over
 /// a registry — into a [`KeySource`], so a fleet's device table plugs into
-/// the batch engine without materialising a key store per job:
+/// verification without materialising a key store per proof:
 ///
 /// ```
 /// use dialed::request::{KeySource, PerDevice};
@@ -130,19 +124,17 @@ impl<'k, F: Fn(u64) -> Option<&'k RaVerifier> + Sync> KeySource for PerDevice<'k
 }
 
 /// One verification request: a proof, the challenge it must answer, the
-/// claimed device identity, and optional per-request overrides.
+/// claimed device identity, and optionally the key source to check it
+/// under.
 ///
 /// Built with a borrowing builder — a request is a handful of references
-/// on the stack, so constructing one per proof adds nothing to the batch
-/// hot path. Defaults: device `0`, the verifier's embedded key, the
-/// verifier's configured emulation budget and policy set.
+/// on the stack, so constructing one per proof adds nothing to the drain
+/// hot path. Defaults: device `0` and the verifier's embedded key.
 #[derive(Clone, Copy)]
 pub struct VerifyRequest<'a> {
     proof: &'a DialedProof,
     challenge: &'a Challenge,
     device: u64,
-    emu_budget: Option<usize>,
-    policies: Option<&'a [Box<dyn Policy>]>,
     keys: Option<&'a dyn KeySource>,
 }
 
@@ -150,7 +142,7 @@ impl<'a> VerifyRequest<'a> {
     /// A request to verify `proof` against `challenge`.
     #[must_use]
     pub fn new(proof: &'a DialedProof, challenge: &'a Challenge) -> Self {
-        Self { proof, challenge, device: 0, emu_budget: None, policies: None, keys: None }
+        Self { proof, challenge, device: 0, keys: None }
     }
 
     /// Sets the device identity this proof claims (resolved through the
@@ -158,23 +150,6 @@ impl<'a> VerifyRequest<'a> {
     #[must_use]
     pub fn for_device(mut self, device: u64) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Overrides the abstract-execution step budget for this request
-    /// (clamped up to [`MIN_EMU_BUDGET`]).
-    #[must_use]
-    pub fn with_emu_budget(mut self, budget: usize) -> Self {
-        self.emu_budget = Some(budget.max(MIN_EMU_BUDGET));
-        self
-    }
-
-    /// Overrides the policy set evaluated on the reconstruction — this
-    /// request is checked against exactly `policies` instead of the
-    /// verifier's registered set.
-    #[must_use]
-    pub fn with_policies(mut self, policies: &'a [Box<dyn Policy>]) -> Self {
-        self.policies = Some(policies);
         self
     }
 
@@ -202,18 +177,6 @@ impl<'a> VerifyRequest<'a> {
     #[must_use]
     pub fn device(&self) -> u64 {
         self.device
-    }
-
-    /// The emulation-budget override, if any.
-    #[must_use]
-    pub fn emu_budget(&self) -> Option<usize> {
-        self.emu_budget
-    }
-
-    /// The policy-set override, if any.
-    #[must_use]
-    pub fn policy_overrides(&self) -> Option<&'a [Box<dyn Policy>]> {
-        self.policies
     }
 
     /// The key-source override, if any.
@@ -245,8 +208,6 @@ impl std::fmt::Debug for VerifyRequest<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifyRequest")
             .field("device", &self.device)
-            .field("emu_budget", &self.emu_budget)
-            .field("policy_overrides", &self.policies.map(<[_]>::len))
             .field("keyed", &self.keys.is_some())
             .finish_non_exhaustive()
     }
@@ -257,11 +218,10 @@ impl std::fmt::Debug for VerifyRequest<'_> {
 /// Implemented by [`DialedVerifier`](crate::DialedVerifier) (full
 /// data-flow verification: PoX check + abstract execution + policies) and
 /// [`apex::PoxVerifier`] (cryptographic proof of execution only).
-/// [`BatchVerifier<V>`](crate::BatchVerifier) is generic over this trait.
 ///
 /// `Sync` is a supertrait so threads verifying at once can share one
-/// verifier by reference; the trait is object-safe, so heterogeneous deployments can
-/// store `Box<dyn Verifier>` backends side by side.
+/// verifier by reference; the trait is object-safe, so heterogeneous
+/// deployments can store `Box<dyn Verifier>` backends side by side.
 pub trait Verifier: Sync {
     /// Verifies `req`, reusing `ws`'s emulation buffers.
     ///
@@ -279,23 +239,10 @@ pub trait Verifier: Sync {
     }
 }
 
-impl<V: Verifier + ?Sized> Verifier for &V {
-    fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
-        (**self).verify_in(ws, req)
-    }
-}
-
-impl<V: Verifier + ?Sized> Verifier for Box<V> {
-    fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
-        (**self).verify_in(ws, req)
-    }
-}
-
 /// PoX-only verification: the cryptographic proof of execution (correct
 /// code, correct regions, EXEC set, authentic OR) without data-flow
 /// re-execution — the backend for operations built without the full
-/// DIALED instrumentation. Emulation-budget and policy overrides do not
-/// apply and are ignored.
+/// DIALED instrumentation.
 impl Verifier for PoxVerifier {
     fn verify_in(&self, _ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
         let ra = match req.resolve_key() {
@@ -368,12 +315,5 @@ mod tests {
             report.findings,
             vec![Finding::PoxRejected { reason: RejectReason::MacMismatch }]
         );
-    }
-
-    #[test]
-    fn degenerate_budget_is_clamped() {
-        let (_, proof, chal, _) = proven(34);
-        let req = VerifyRequest::new(&proof, &chal).with_emu_budget(0);
-        assert_eq!(req.emu_budget(), Some(MIN_EMU_BUDGET));
     }
 }

@@ -29,7 +29,7 @@
 use crate::pipeline::InstrumentedOp;
 use crate::policy::Policy;
 use crate::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
-use crate::request::{Verifier, VerifyRequest, MIN_EMU_BUDGET};
+use crate::request::{Verifier, VerifyRequest};
 use apex::{PoxConfig, PoxVerifier};
 use msp430::cpu::{Cpu, CpuFault, Dispatch, Observe, Step};
 use msp430::isa::{Insn, Op1, Op2, Operand};
@@ -106,7 +106,8 @@ pub struct Emulation {
     pub log_counts: (usize, usize, usize),
 }
 
-/// Default abstract-execution step budget.
+/// Abstract-execution step budget: a reconstruction still running after
+/// this many instructions is cut off and flagged [`Finding::EmulationStuck`].
 pub const DEFAULT_EMU_BUDGET: usize = 4_000_000;
 
 /// Word slots of the log head: the saved SP base plus the eight argument
@@ -184,21 +185,20 @@ impl SiteIndex {
     }
 }
 
-/// Reusable per-verifier (or per-thread) emulation buffers.
+/// Reusable emulation buffers, owned by whoever verifies a run of proofs.
 ///
 /// Abstract execution needs a 64 KiB RAM image, a write log and an OR
 /// snapshot per proof. Allocating those per proof dominates the fixed cost
-/// of verifying small operations, so batch verification keeps a pool of
-/// workspaces, one per concurrent caller, and recycles the allocations
-/// across proofs (see
-/// [`crate::batch::BatchVerifier`]).
+/// of verifying small operations, so a caller verifying many proofs keeps
+/// one workspace and passes it to every [`Verifier::verify_in`] call (a
+/// fleet shard keeps one per operation it drains).
 #[derive(Debug, Default)]
 pub struct EmuWorkspace {
     /// Lazily allocated so constructing a workspace is free: a proof that
     /// fails the cryptographic check never pays for the 64 KiB image.
     ram: Option<Ram>,
-    /// Reused across proofs so the stitched superblocks stay warm: every
-    /// batch proof replays the same operation, and blocks are validated
+    /// Reused across proofs so the stitched superblocks stay warm: proofs
+    /// of one operation replay the same code, and blocks are validated
     /// against live page write-generations, so reuse is observationally
     /// pure.
     cpu: Cpu,
@@ -263,8 +263,9 @@ impl EmuWorkspace {
 }
 
 /// Abstractly executes `op` against the device's attested OR bytes
-/// (spanning exactly `or_min..=or_max`) on `ws`; `sites` is prebuilt by the
-/// verifier so repeated proofs of one operation share it.
+/// (spanning exactly `or_min..=or_max`) on `ws`, for at most
+/// [`DEFAULT_EMU_BUDGET`] instructions; `sites` is prebuilt by the verifier
+/// so repeated proofs of one operation share it.
 ///
 /// The returned [`Emulation`] owns the workspace's write-log and OR buffers;
 /// hand them back with [`EmuWorkspace::reclaim`] once it has been consumed.
@@ -273,7 +274,6 @@ fn abstract_execute(
     op: &InstrumentedOp,
     sites: &SiteIndex,
     device_or: &[u8],
-    budget: usize,
 ) -> Emulation {
     let pox = op.pox;
     let or_stack = OrStack::new(device_or, pox.or_min, pox.or_max);
@@ -323,7 +323,7 @@ fn abstract_execute(
     // totals the dispatch returns.
     cpu.set_block_breaks(Some(sites.breaks.clone()));
     let step = &mut ws.step;
-    let mut remaining = budget;
+    let mut remaining = DEFAULT_EMU_BUDGET;
     while remaining > 0 {
         let pc = cpu.pc();
         if pc == op.return_addr {
@@ -419,7 +419,7 @@ fn abstract_execute(
 
     // Nothing raises an interrupt during abstract execution, so every
     // executed step is an instruction.
-    let insns = budget - remaining;
+    let insns = DEFAULT_EMU_BUDGET - remaining;
     ws.counts = EmuCounts {
         insns,
         dispatches,
@@ -497,7 +497,6 @@ pub struct DialedVerifier {
     op: InstrumentedOp,
     pox_verifier: PoxVerifier,
     policies: Vec<Box<dyn Policy>>,
-    emu_budget: usize,
     /// Prebuilt log-site bitmaps shared by every proof of this op.
     sites: SiteIndex,
 }
@@ -508,7 +507,7 @@ impl DialedVerifier {
     pub fn new(op: InstrumentedOp, keystore: KeyStore) -> Self {
         let pox_verifier = PoxVerifier::new(keystore, op.pox, &op.er_bytes);
         let sites = SiteIndex::new(&op);
-        Self { op, pox_verifier, policies: Vec::new(), emu_budget: DEFAULT_EMU_BUDGET, sites }
+        Self { op, pox_verifier, policies: Vec::new(), sites }
     }
 
     /// Registers an application policy evaluated on every reconstruction.
@@ -518,16 +517,8 @@ impl DialedVerifier {
         self
     }
 
-    /// Overrides the default abstract-execution step budget (clamped up to
-    /// [`MIN_EMU_BUDGET`]; requests may override it again per proof).
-    #[must_use]
-    pub fn with_emu_budget(mut self, budget: usize) -> Self {
-        self.emu_budget = budget.max(MIN_EMU_BUDGET);
-        self
-    }
-
-    /// The policies registered on this verifier (a request without a
-    /// policy override is checked against exactly these).
+    /// The policies registered on this verifier: every proof is checked
+    /// against exactly these.
     #[must_use]
     pub fn policies(&self) -> &[Box<dyn Policy>] {
         &self.policies
@@ -537,13 +528,7 @@ impl DialedVerifier {
     /// callers must have verified the OR's authenticity themselves.
     #[must_use]
     pub fn reconstruct(&self, device_or: &[u8]) -> Emulation {
-        abstract_execute(
-            &mut EmuWorkspace::new(),
-            &self.op,
-            &self.sites,
-            device_or,
-            self.emu_budget,
-        )
+        abstract_execute(&mut EmuWorkspace::new(), &self.op, &self.sites, device_or)
     }
 
     /// Classifies every word slot of `device_or` by what the verifier's own
@@ -574,8 +559,7 @@ impl DialedVerifier {
 
 /// Full data-flow verification: cryptographic PoX check, abstract
 /// execution with input injection, OR comparison, shadow call stack, and
-/// application policies. Honours every [`VerifyRequest`] override: key
-/// source, emulation budget, and policy set.
+/// application policies, under the [`VerifyRequest`]'s key source.
 impl Verifier for DialedVerifier {
     fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
         let (proof, challenge) = (req.proof(), req.challenge());
@@ -608,8 +592,7 @@ impl Verifier for DialedVerifier {
         // 2. Abstract execution with input injection. Findings stay on the
         //    emulation until policies (which may inspect `emu.findings`)
         //    have run; verification-stage findings accumulate separately.
-        let budget = req.emu_budget().unwrap_or(self.emu_budget);
-        let mut emu = abstract_execute(ws, &self.op, &self.sites, or, budget);
+        let mut emu = abstract_execute(ws, &self.op, &self.sites, or);
         let mut extra = Vec::new();
 
         if emu.outcome != EmuOutcome::Completed {
@@ -650,7 +633,7 @@ impl Verifier for DialedVerifier {
 
         // 4. Application policies on the reconstructed execution (with the
         //    shadow-stack findings still visible on `emu`).
-        for policy in req.policy_overrides().unwrap_or(&self.policies) {
+        for policy in &self.policies {
             extra.extend(policy.check(&emu));
         }
 

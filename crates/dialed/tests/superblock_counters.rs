@@ -4,8 +4,8 @@
 //! abstract execution publish the core's unpublished delta when they
 //! return. So once every run has returned, `process_superblock_stats()`
 //! must have moved by exactly the sum of the per-core moves — including
-//! for cores that are never dropped (a `BatchVerifier`'s pooled
-//! workspaces), which a publish-on-drop scheme would miss.
+//! for cores that are never dropped (a fleet shard's kept workspaces),
+//! which a publish-on-drop scheme would miss.
 //!
 //! This file holds one test on purpose: the totals are process-wide, and
 //! a second test running beside it would move them.
@@ -13,7 +13,7 @@
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::prelude::*;
 use msp430::{process_superblock_stats, SuperblockStats};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 
 fn delta(after: SuperblockStats, before: SuperblockStats) -> SuperblockStats {
     SuperblockStats {
@@ -29,22 +29,6 @@ fn add(sum: &mut SuperblockStats, d: SuperblockStats) {
     sum.restitches += d.restitches;
 }
 
-/// Adds up, per `verify_in` call, how far the workspace core's own
-/// counters moved.
-struct PerCore {
-    inner: DialedVerifier,
-    sum: Mutex<SuperblockStats>,
-}
-
-impl Verifier for PerCore {
-    fn verify_in(&self, ws: &mut EmuWorkspace, req: &VerifyRequest<'_>) -> Report {
-        let before = ws.superblock_stats();
-        let report = self.inner.verify_in(ws, req);
-        add(&mut self.sum.lock().unwrap(), delta(ws.superblock_stats(), before));
-        report
-    }
-}
-
 #[test]
 fn process_totals_equal_the_sum_of_per_core_counts() {
     // A loop with branches, so blocks are re-entered (hits) and left at
@@ -57,7 +41,7 @@ fn process_totals_equal_the_sum_of_per_core_counts() {
     // Device side: every `run_to` publishes its core's counts.
     let before = process_superblock_stats();
     let mut device_sum = SuperblockStats::default();
-    let jobs: Vec<BatchJob> = (0..12u16)
+    let proofs: Vec<(DialedProof, Challenge)> = (0..12u16)
         .map(|i| {
             let mut dev = DialedDevice::new(op.clone(), ks.clone());
             let mut args = [0u16; 8];
@@ -65,32 +49,40 @@ fn process_totals_equal_the_sum_of_per_core_counts() {
             dev.invoke(&args);
             add(&mut device_sum, dev.cpu_mut().superblock_stats());
             let chal = Challenge::derive(b"counters", u64::from(i));
-            BatchJob::new(u64::from(i), dev.prove(&chal), chal)
+            (dev.prove(&chal), chal)
         })
         .collect();
     assert_eq!(delta(process_superblock_stats(), before), device_sum, "device cores");
 
-    // Verifier side: two threads verify through one engine at once, then
-    // one more batch runs alone, all on workspaces the engine keeps pooled
-    // (never dropped while we look).
-    let engine = BatchVerifier::new(PerCore {
-        inner: DialedVerifier::new(op, ks),
-        sum: Mutex::new(SuperblockStats::default()),
-    });
+    // Verifier side: two threads share one verifier, each on its own
+    // workspace, then one more run goes alone on the first workspace. The
+    // workspaces are kept (never dropped while we look), and each started
+    // cold, so its core's counters are its whole contribution.
+    let verifier = DialedVerifier::new(op, ks);
+    let run = |ws: &mut EmuWorkspace, proofs: &[(DialedProof, Challenge)]| {
+        for (proof, chal) in proofs {
+            let report = verifier.verify_in(ws, &VerifyRequest::new(proof, chal));
+            assert!(report.is_clean(), "{report}");
+        }
+    };
     let before = process_superblock_stats();
     let barrier = Barrier::new(2);
-    let run = |jobs: &[BatchJob]| {
+    let (mut mine, theirs) = std::thread::scope(|scope| {
+        let other = scope.spawn(|| {
+            let mut ws = EmuWorkspace::new();
+            barrier.wait();
+            run(&mut ws, &proofs[6..]);
+            ws
+        });
+        let mut ws = EmuWorkspace::new();
         barrier.wait();
-        engine.verify_batch(jobs, None)
-    };
-    let (a, b) = std::thread::scope(|scope| {
-        let other = scope.spawn(|| run(&jobs[6..]));
-        (run(&jobs[..6]), other.join().unwrap())
+        run(&mut ws, &proofs[..6]);
+        (ws, other.join().unwrap())
     });
-    let alone = engine.verify_batch(&jobs[..3], None);
-    assert!(a.all_clean() && b.all_clean() && alone.all_clean(), "{a}\n{b}\n{alone}");
+    run(&mut mine, &proofs[..3]);
 
-    let per_core = *engine.verifier().sum.lock().unwrap();
+    let mut per_core = mine.superblock_stats();
+    add(&mut per_core, theirs.superblock_stats());
     assert_eq!(delta(process_superblock_stats(), before), per_core, "verifier cores");
-    assert!(per_core.hits > 0, "warm pooled cores must hit: {per_core:?}");
+    assert!(per_core.hits > 0, "warm kept cores must hit: {per_core:?}");
 }

@@ -76,58 +76,43 @@ fn steady_state_request_verification_is_allocation_free() {
 }
 
 /// The path that carries each proof's MAC: nine devices, each with its own
-/// key resolved through [`PerDevice`], verified with requests built the way
-/// [`BatchVerifier`] builds them (the MAC is checked inside `verify_in`).
-/// Once warm, a proof costs no allocation — neither per-request nor inside
-/// a `verify_batch`, whose only allocation is the outcome vector it
-/// returns.
+/// key resolved through [`PerDevice`], verified on one warm workspace with
+/// requests built the way a fleet shard builds them (the MAC is checked
+/// inside `verify_in`). Once warm, a proof costs no allocation.
 fn per_device_mac_path_is_allocation_free() {
     let op = InstrumentedOp::build(OP, "op", &BuildOptions::default()).expect("op builds");
     let table: Vec<RaVerifier> =
         (0..9).map(|d| RaVerifier::new(KeyStore::from_seed(0x51 + d))).collect();
-    let jobs: Vec<BatchJob> = (0..9u64)
+    let proofs: Vec<(u64, DialedProof, Challenge)> = (0..9u64)
         .map(|d| {
             let mut dev = DialedDevice::new(op.clone(), KeyStore::from_seed(0x51 + d));
             dev.invoke(&[0, 0, 0, 0, 0, 0, 3, d as u16]);
             let challenge = Challenge::derive(b"zero-alloc-keyed", d);
-            BatchJob::new(d, dev.prove(&challenge), challenge)
+            (d, dev.prove(&challenge), challenge)
         })
         .collect();
     let keys = PerDevice::new(|device| table.get(usize::try_from(device).ok()?));
-    // The embedded key belongs to no device: a job that fell back to it
+    // The embedded key belongs to no device: a proof that fell back to it
     // would be rejected.
-    let engine = BatchVerifier::new(DialedVerifier::new(op, KeyStore::from_seed(0xDEAD)));
+    let verifier = DialedVerifier::new(op, KeyStore::from_seed(0xDEAD));
     let mut ws = EmuWorkspace::new();
 
-    // Warm-up: grows the workspace buffers and the engine's pooled one.
+    // Warm-up: grows the workspace buffers.
     for _ in 0..4 {
-        assert!(engine.verify_batch(&jobs, Some(&keys)).all_clean());
-        for job in &jobs {
-            let req = VerifyRequest::new(&job.proof, &job.challenge)
-                .for_device(job.device_id)
-                .keys(&keys);
-            assert!(engine.verifier().verify_in(&mut ws, &req).is_clean());
+        for (device, proof, challenge) in &proofs {
+            let req = VerifyRequest::new(proof, challenge).for_device(*device).keys(&keys);
+            assert!(verifier.verify_in(&mut ws, &req).is_clean());
         }
     }
 
     let before = allocations();
     for _ in 0..100 {
-        for job in &jobs {
-            let req = VerifyRequest::new(&job.proof, &job.challenge)
-                .for_device(job.device_id)
-                .keys(&keys);
-            let report = engine.verifier().verify_in(&mut ws, &req);
+        for (device, proof, challenge) in &proofs {
+            let req = VerifyRequest::new(proof, challenge).for_device(*device).keys(&keys);
+            let report = verifier.verify_in(&mut ws, &req);
             assert!(report.is_clean());
             std::hint::black_box(&report);
         }
     }
     assert_eq!(allocations() - before, 0, "per-device MAC path must not allocate");
-
-    let before = allocations();
-    for _ in 0..100 {
-        let report = engine.verify_batch(&jobs, Some(&keys));
-        assert_eq!(report.stats.clean, 9);
-        std::hint::black_box(&report);
-    }
-    assert_eq!(allocations() - before, 100, "one outcome vector per batch, nothing per proof");
 }

@@ -8,7 +8,7 @@
 //! pump ships a `Full` image and gets complete data-flow verification
 //! plus its safety policies. Both register into one [`Fleet`], which
 //! routes each device to a state shard, journals every mutation, drains
-//! the shards in parallel through per-operation batch engines — and,
+//! the shards in parallel through per-operation verifiers — and,
 //! after the simulated crash, recovers from disk and refuses a replayed
 //! proof it accepted in its previous life.
 //!

@@ -1,12 +1,13 @@
-//! Ingest queues: accepted submissions waiting for batch verification.
+//! Ingest queues: accepted submissions waiting for verification.
 //!
 //! Each state shard owns one [`IngestQueue`], internally keyed by
 //! [`OpId`]: proofs of one operation share everything that makes
 //! verification fast — the instrumented image, the prebuilt site bitmaps,
-//! the engine's warm emulation workspaces — so a drain hands each
-//! per-op batch to that operation's shared
-//! [`BatchVerifier`](dialed::BatchVerifier) in one call. The drain itself
-//! lives in [`crate::shard`]; this module only owns the queue and the
+//! the shard's warm emulation workspace for that operation — so a drain
+//! verifies each operation's queue in one run of
+//! [`Verifier::verify_in`](dialed::Verifier::verify_in) calls and commits
+//! its verdicts in one WAL write. The drain itself lives in
+//! [`crate::shard`]; this module only owns the queue and the
 //! [`DrainStats`] aggregate the facade sums across shards.
 
 use crate::registry::OpId;
@@ -21,8 +22,8 @@ pub struct DrainStats {
     pub drained: usize,
     /// State shards that resolved at least one session.
     pub shards: usize,
-    /// Per-operation batches handed to a batch engine (a shard draining
-    /// two operations contributes two).
+    /// Per-operation batches verified and committed together (a shard
+    /// draining two operations contributes two).
     pub batches: usize,
     /// Sessions that ended `Verified`.
     pub verified: usize,

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!                  ┌───────────────── [`Fleet`] ─────────────────┐
-//!                  │  [`OpTable`]: ops + shared batch verifiers  │
+//!                  │  [`OpTable`]: ops + one verifier per op     │
 //!                  │  [`HashRing`]: DeviceId → shard             │
 //!                  └──────┬───────────────┬──────────────┬───────┘
 //!                  ┌──────▼─────┐  ┌──────▼─────┐  ┌─────▼──────┐
@@ -14,13 +14,14 @@
 //!                  │ registry   │  │            │  │            │
 //!                  │ sessions   │  │    …       │  │    …       │
 //!                  │ ingest     │  │            │  │            │
+//!                  │ workspaces │  │            │  │            │
 //!                  ├────────────┤  ├────────────┤  ├────────────┤
 //!                  │ WAL + snap │  │ WAL + snap │  │ WAL + snap │
 //!                  └────────────┘  └────────────┘  └────────────┘
 //! ```
 //!
 //! * [`registry`] — who exists: the fleet-global operation table
-//!   (instrumented images + shared batch verifiers) and per-shard device
+//!   (instrumented images + one verifier per operation) and per-shard device
 //!   records (individual keys, bound operation, last-verified counters).
 //! * [`session`] — challenge lifecycle: monotonic per-device nonces, the
 //!   `Issued → Submitted → Verified/Rejected/Expired` state machine,
@@ -29,8 +30,8 @@
 //! * [`wire`] — the versioned, length-prefixed binary codec for every
 //!   protocol message; all decode paths are total.
 //! * [`ingest`] — each shard's pending-submission queue, drained in
-//!   per-operation batches through one [`dialed::BatchVerifier`] per
-//!   operation.
+//!   per-operation batches through that operation's verifier, on a warm
+//!   workspace the shard keeps per operation.
 //! * [`store`] — durable [`StateEvent`]s, the write-ahead log, snapshots.
 //! * [`shard`] — the consistent-hash ring and the shard state machine
 //!   tying the above together.
@@ -45,12 +46,12 @@
 //! built with [`Fleet::new`] keeps everything in memory (tests,
 //! experiments); [`Fleet::durable`] adds the log.
 //!
-//! Shards share no mutable state, and the batch engines in the
-//! [`OpTable`] are borrowed read-only by every drain, so shards drain on
-//! different threads without locks. [`Fleet::verify_pending`] is the one
+//! Shards share no mutable state, and the verifiers in the [`OpTable`]
+//! are borrowed read-only by every drain, so shards drain on different
+//! threads without locks. [`Fleet::verify_pending`] is the one
 //! place a drain goes parallel: a pass too light to repay a thread spawn
 //! drains inline, a heavier one spreads whole shards over at most
-//! [`FleetConfig::workers`] threads. The engines themselves never spawn.
+//! [`FleetConfig::workers`] threads. Verifiers themselves never spawn.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,8 +71,8 @@ pub use session::{Session, SessionError, SessionId, SessionManager, SessionState
 pub use shard::{HashRing, Shard};
 pub use store::{RecoverError, StateEvent};
 pub use wire::{
-    BatchSummary, ChallengeMsg, FrameReader, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg,
-    ReportMsg, SubmitMsg, VerdictMsg, WireError,
+    ChallengeMsg, FrameReader, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg, ReportMsg,
+    SubmitMsg, VerdictMsg, WireError,
 };
 
 use crate::shard::ShardParams;
@@ -498,11 +499,11 @@ impl Fleet {
         self.shards.iter_mut().map(|s| s.expire(now)).sum()
     }
 
-    /// Verifies every queued submission through the shared operation
-    /// engines, feeding verdicts back into sessions and registries, and
-    /// appends the id of each session it settled to `settled` — so a
-    /// frontend replies for exactly those without scanning its table of
-    /// outstanding requests. Touches only the queued sessions.
+    /// Verifies every queued submission through its operation's verifier,
+    /// feeding verdicts back into sessions and registries, and appends the
+    /// id of each session it settled to `settled` — so a frontend replies
+    /// for exactly those without scanning its table of outstanding
+    /// requests. Touches only the queued sessions.
     ///
     /// The one place a drain goes parallel. Each queued submission is
     /// weighted by its operation's mode (a Full-mode re-execution or a
@@ -512,8 +513,8 @@ impl Fleet {
     /// at most [`FleetConfig::workers`] threads (never more than there are
     /// busy shards) — the caller plus scoped ones — and each drains its
     /// shards one after the other. [`DrainStats::threads`] says how many
-    /// the pass ran on. Shards share no mutable state and the engines take
-    /// `&self`; each shard commits its own verdicts in the same order
+    /// the pass ran on. Shards share no mutable state and the verifiers
+    /// take `&self`; each shard commits its own verdicts in the same order
     /// either way.
     pub fn verify_pending(&mut self, settled: &mut Vec<SessionId>) -> DrainStats {
         let ops = &self.ops;
@@ -780,7 +781,7 @@ mod tests {
         fleet.submit(SessionId(chal.session), dev_b, proof, 1).unwrap();
 
         let (stats, _) = fleet.drain(2);
-        assert_eq!(stats.batches, 2, "two ops ⇒ two engine batches");
+        assert_eq!(stats.batches, 2, "two ops ⇒ two batches");
         assert_eq!(stats.verified, 2);
         assert_eq!(fleet.session(sid_a).unwrap().state, SessionState::Verified);
     }

@@ -215,7 +215,6 @@ impl Message {
             Message::Challenge(_) => "challenge",
             Message::Proof(_) => "proof",
             Message::Report(_) => "report",
-            Message::BatchSummary(_) => "batch-summary",
             Message::Issue(_) => "issue",
             Message::Grant(_) => "grant",
             Message::Submit(_) => "submit",

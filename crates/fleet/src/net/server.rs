@@ -311,7 +311,7 @@ impl Core {
     }
 
     /// Sends the one reply an in-flight submission is owed, if its session
-    /// has resolved: a verdict frame if the batch engines settled it, an
+    /// has resolved: a verdict frame if a verify pass settled it, an
     /// expiry reject if it was expired first. Returns whether the entry is
     /// finished (replied to, or pruned with nothing left to report).
     fn resolve(&mut self, session: SessionId, conn: u64, request: u64) -> bool {

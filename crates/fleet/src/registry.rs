@@ -5,10 +5,10 @@
 //! Since the sharded-state refactor this splits in two:
 //!
 //! * [`OpTable`] — the fleet-global operation table. Operations are code
-//!   artifacts (an instrumented image plus the shared [`BatchVerifier`]
-//!   built over it); they are registered once per fleet and *shared* by
-//!   every shard's drain. The table is immutable during a drain, so
-//!   shards draining on different threads borrow it without locking.
+//!   artifacts (an instrumented image plus the [`Verifier`] built over
+//!   it); they are registered once per fleet and *shared* by every
+//!   shard's drain. The table is immutable during a drain, so shards
+//!   draining on different threads borrow it without locking.
 //! * [`Registry`] — one per shard, holding the [`DeviceRecord`]s the
 //!   shard's consistent-hash slice of the device space routes to. Device
 //!   state is pure data (seed, epoch, counters) and is what the shard's
@@ -22,7 +22,7 @@ use dialed::pipeline::{InstrumentMode, InstrumentedOp};
 use dialed::policy::Policy;
 use dialed::report::RejectReason;
 use dialed::request::Verifier;
-use dialed::{BatchVerifier, DialedVerifier};
+use dialed::DialedVerifier;
 use std::collections::BTreeMap;
 use std::fmt;
 use vrased::{KeyStore, RaVerifier};
@@ -84,8 +84,8 @@ pub(crate) fn effective_seed(key_seed: u64, epoch: u64) -> u64 {
     key_seed ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// One registered operation: the instrumented image plus the shared
-/// verification machinery every proof of this operation goes through.
+/// One registered operation: the instrumented image plus the verifier
+/// every proof of this operation goes through.
 pub struct OpRecord {
     /// The operation's id.
     pub id: OpId,
@@ -98,15 +98,14 @@ pub struct OpRecord {
     pub mode: InstrumentMode,
     /// Devices currently bound to this operation, across all shards.
     pub devices: u64,
-    /// The shared batch engine. The backend is chosen once, at
-    /// registration: full data-flow verification for
-    /// [`InstrumentMode::Full`] images, PoX-only for the rest — every
-    /// shard drains through this one engine with no per-mode branching
-    /// (per-device keys resolve through the drain's
+    /// The verifier, chosen once, at registration: full data-flow
+    /// verification for [`InstrumentMode::Full`] images, PoX-only for the
+    /// rest — every shard calls this one backend with no per-mode
+    /// branching (per-device keys resolve through the drain's
     /// [`KeySource`](dialed::request::KeySource)).
     // `+ Send` so a whole [`Fleet`](crate::Fleet) can move into the
     // network frontend's core thread; the backends are plain data + keys.
-    pub(crate) engine: BatchVerifier<Box<dyn Verifier + Send>>,
+    pub(crate) verifier: Box<dyn Verifier + Send>,
 }
 
 impl OpRecord {
@@ -151,8 +150,8 @@ impl OpTable {
         Self::default()
     }
 
-    /// Registers an operation; every proof of it is verified through one
-    /// shared [`BatchVerifier`] (built over `op` and `policies`).
+    /// Registers an operation; every proof of it is verified by one
+    /// [`Verifier`] built over `op` and `policies`.
     pub fn register_op(
         &mut self,
         name: &str,
@@ -178,8 +177,7 @@ impl OpTable {
         } else {
             Box::new(apex::PoxVerifier::new(placeholder, op.pox, &op.er_bytes))
         };
-        let engine = BatchVerifier::new(backend);
-        self.ops.push(OpRecord { id, name: name.to_string(), mode, devices: 0, engine });
+        self.ops.push(OpRecord { id, name: name.to_string(), mode, devices: 0, verifier: backend });
         id
     }
 

@@ -3,10 +3,10 @@
 //! A [`Shard`] owns one slice of the fleet's mutable state — a device
 //! [`Registry`], a [`SessionManager`] minting strided session ids, and an
 //! [`IngestQueue`] — plus, in durable mode, its own write-ahead-log
-//! segment and snapshot file. Shards share **nothing** mutable: a drain
-//! borrows the fleet-global [`OpTable`] read-only (batch engines take
-//! `&self`), so shards drain on different threads with no cross-shard
-//! locking.
+//! segment and snapshot file, and one warm [`EmuWorkspace`] per operation
+//! it has drained. Shards share **nothing** mutable: a drain borrows the
+//! fleet-global [`OpTable`] read-only (verifiers take `&self`), so shards
+//! drain on different threads with no cross-shard locking.
 //!
 //! Routing is consistent hashing by [`DeviceId`]: each shard projects a
 //! fixed set of virtual nodes onto a hash ring and a device belongs to
@@ -46,9 +46,8 @@ use crate::wire::{
     decode_dialed_proof, decode_report_fields, encode_dialed_proof, encode_report_fields, Reader,
     WireError, Writer,
 };
-use dialed::report::Report;
-use dialed::request::PerDevice;
-use dialed::BatchJob;
+use dialed::request::{PerDevice, VerifyRequest};
+use dialed::EmuWorkspace;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -139,6 +138,11 @@ pub struct Shard {
     generation: u64,
     /// Size of the last snapshot written or loaded (0 if none).
     snapshot_bytes: u64,
+    /// Emulation buffers for each operation this shard has drained,
+    /// indexed by [`OpId`]. A shard drains on one thread at a time, so it
+    /// owns its workspaces outright and they stay warm whichever thread
+    /// drains it next.
+    workspaces: Vec<EmuWorkspace>,
 }
 
 impl Shard {
@@ -159,6 +163,7 @@ impl Shard {
             dir: None,
             generation: 0,
             snapshot_bytes: 0,
+            workspaces: Vec::new(),
         }
     }
 
@@ -371,56 +376,50 @@ impl Shard {
         prunable
     }
 
-    /// Drains this shard's queue through the fleet's shared operation
-    /// engines, committing each verdict and appending every session it
-    /// settled to `settled`. `ops` is borrowed read-only, so shards drain
-    /// concurrently.
+    /// Drains this shard's queue through the fleet's operation verifiers,
+    /// committing each operation's verdicts in one WAL write and appending
+    /// every session it settled to `settled`. `ops` is borrowed read-only,
+    /// so shards drain concurrently.
     pub(crate) fn drain(&mut self, ops: &OpTable, settled: &mut Vec<SessionId>) -> DrainStats {
         let mut stats = DrainStats::default();
         for (op, sids) in self.ingest.take_all() {
             let Ok(record) = ops.op(op) else { continue };
-            // Collect the batch: each job consumes its session's held
-            // proof (the durable copy lives in the WAL).
-            let mut jobs: Vec<BatchJob> = Vec::with_capacity(sids.len());
-            let first = settled.len();
+            let slot = op.0 as usize;
+            if self.workspaces.len() <= slot {
+                self.workspaces.resize_with(slot + 1, EmuWorkspace::new);
+            }
+            let ws = &mut self.workspaces[slot];
+            // Per-device keys resolve by borrow out of this shard's registry.
+            let reg = &self.registry;
+            let keys = PerDevice::new(|device| Some(reg.device(DeviceId(device)).ok()?.ra()));
+            let mut verdicts = Vec::with_capacity(sids.len());
             for sid in sids {
                 let Some(s) = self.sessions.session_mut(sid) else { continue };
                 if s.state != SessionState::Submitted {
                     continue;
                 }
+                // The session's held proof is consumed: the durable copy
+                // lives in the WAL.
                 let Some(proof) = s.proof.take() else { continue };
                 let (device, challenge) = (s.device, s.challenge);
-                if self.registry.device(device).is_err() {
+                if reg.device(device).is_err() {
                     continue;
                 }
-                jobs.push(BatchJob::new(device.0, proof, challenge));
+                let req = VerifyRequest::new(&proof, &challenge).for_device(device.0).keys(&keys);
+                let report = record.verifier.verify_in(ws, &req);
+                stats.drained += 1;
+                if report.is_clean() {
+                    stats.verified += 1;
+                } else {
+                    stats.rejected += 1;
+                }
                 settled.push(sid);
+                verdicts.push(StateEvent::VerdictRecorded { session: sid, report });
             }
-            if jobs.is_empty() {
+            if verdicts.is_empty() {
                 continue;
             }
-            let reports: Vec<Report> = {
-                // Per-device keys resolve by borrow out of this shard's
-                // registry for the whole batch.
-                let reg = &self.registry;
-                let keys = PerDevice::new(|device| Some(reg.device(DeviceId(device)).ok()?.ra()));
-                let batch = record.engine.verify_batch(&jobs, Some(&keys));
-                batch.outcomes.into_iter().map(|o| o.report).collect()
-            };
             stats.batches += 1;
-            let verdicts = settled[first..]
-                .iter()
-                .zip(reports)
-                .map(|(&sid, report)| {
-                    stats.drained += 1;
-                    if report.is_clean() {
-                        stats.verified += 1;
-                    } else {
-                        stats.rejected += 1;
-                    }
-                    StateEvent::VerdictRecorded { session: sid, report }
-                })
-                .collect();
             self.commit_batch(verdicts);
         }
         if stats.drained > 0 {
@@ -662,6 +661,7 @@ mod tests {
     use super::*;
     use apex::{PoxConfig, PoxProof};
     use dialed::attest::DialedProof;
+    use dialed::report::Report;
     use std::collections::HashMap;
 
     fn params() -> ShardParams {

@@ -39,7 +39,7 @@
 
 use apex::{PoxConfig, PoxProof};
 use dialed::attest::DialedProof;
-use dialed::report::{BatchReport, Finding, RejectReason, Report, Verdict, VerifyStats};
+use dialed::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
 use hacl::{Digest, DIGEST_LEN};
 use std::fmt;
 use vrased::Challenge;
@@ -198,65 +198,6 @@ pub struct ReportMsg {
     pub report: Report,
 }
 
-/// One line of a [`BatchSummary`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct OutcomeSummary {
-    /// Submission index within the batch.
-    pub index: u64,
-    /// Device identifier.
-    pub device: u64,
-    /// Final verdict.
-    pub verdict: Verdict,
-}
-
-/// A compact summary of one [`BatchReport`]: aggregate statistics plus the
-/// per-device verdicts (full findings travel as [`ReportMsg`]s).
-#[derive(Clone, PartialEq, Debug)]
-pub struct BatchSummary {
-    /// Jobs in the batch.
-    pub total: u64,
-    /// Clean verdicts.
-    pub clean: u64,
-    /// Cryptographic rejections.
-    pub rejected: u64,
-    /// Reconstructed attacks.
-    pub attacks: u64,
-    /// Wall-clock nanoseconds for the batch.
-    pub wall_nanos: u64,
-    /// Throughput over the wall clock.
-    pub proofs_per_sec: f64,
-    /// Total instructions abstractly executed.
-    pub emulated_insns: u64,
-    /// Per-device verdicts in submission order.
-    pub outcomes: Vec<OutcomeSummary>,
-}
-
-impl BatchSummary {
-    /// Summarises a [`BatchReport`].
-    #[must_use]
-    pub fn from_report(report: &BatchReport) -> Self {
-        let s = &report.stats;
-        Self {
-            total: s.total as u64,
-            clean: s.clean as u64,
-            rejected: s.rejected as u64,
-            attacks: s.attacks as u64,
-            wall_nanos: u64::try_from(s.wall.as_nanos()).unwrap_or(u64::MAX),
-            proofs_per_sec: s.proofs_per_sec,
-            emulated_insns: s.emulated_insns as u64,
-            outcomes: report
-                .outcomes
-                .iter()
-                .map(|o| OutcomeSummary {
-                    index: o.index as u64,
-                    device: o.device_id,
-                    verdict: o.report.verdict,
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Client → server: request a fresh attestation challenge for a device.
 /// The `request` id is client-chosen and echoed in the reply
 /// ([`GrantMsg`] or [`RejectMsg`]), so many devices multiplex over one
@@ -323,8 +264,6 @@ pub enum Message {
     Proof(ProofMsg),
     /// Verifier → operator/device: one session's verdict.
     Report(ReportMsg),
-    /// Verifier → operator: a batch summary.
-    BatchSummary(BatchSummary),
     /// Client → server: challenge request (networked envelope).
     Issue(IssueMsg),
     /// Server → client: challenge reply (networked envelope).
@@ -341,7 +280,8 @@ pub enum Message {
 const TAG_CHALLENGE: u8 = 1;
 const TAG_PROOF: u8 = 2;
 const TAG_REPORT: u8 = 3;
-const TAG_BATCH_SUMMARY: u8 = 4;
+// Tag 4 (a batch summary) is retired and must never be reassigned: a peer
+// that still sends it is refused as an unknown tag.
 const TAG_ISSUE: u8 = 5;
 const TAG_GRANT: u8 = 6;
 const TAG_SUBMIT: u8 = 7;
@@ -531,22 +471,6 @@ fn encode_report(w: &mut Writer, m: &ReportMsg) {
     encode_report_fields(w, &m.report);
 }
 
-fn encode_batch_summary(w: &mut Writer, m: &BatchSummary) {
-    w.u64(m.total);
-    w.u64(m.clean);
-    w.u64(m.rejected);
-    w.u64(m.attacks);
-    w.u64(m.wall_nanos);
-    w.u64(m.proofs_per_sec.to_bits());
-    w.u64(m.emulated_insns);
-    w.u32(u32::try_from(m.outcomes.len()).expect("outcome count"));
-    for o in &m.outcomes {
-        w.u64(o.index);
-        w.u64(o.device);
-        encode_verdict(w, o.verdict);
-    }
-}
-
 /// Encodes a message as one framed byte string.
 #[must_use]
 pub fn encode(msg: &Message) -> Vec<u8> {
@@ -578,10 +502,6 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
         Message::Report(m) => {
             encode_report(&mut w, m);
             TAG_REPORT
-        }
-        Message::BatchSummary(m) => {
-            encode_batch_summary(&mut w, m);
-            TAG_BATCH_SUMMARY
         }
         Message::Issue(m) => {
             w.u64(m.request);
@@ -814,40 +734,6 @@ fn decode_report(r: &mut Reader<'_>) -> Result<ReportMsg, WireError> {
     Ok(ReportMsg { session, device, report })
 }
 
-fn decode_batch_summary(r: &mut Reader<'_>) -> Result<BatchSummary, WireError> {
-    let total = r.u64()?;
-    let clean = r.u64()?;
-    let rejected = r.u64()?;
-    let attacks = r.u64()?;
-    let wall_nanos = r.u64()?;
-    let proofs_per_sec = f64::from_bits(r.u64()?);
-    let emulated_insns = r.u64()?;
-    let count = usize::try_from(r.u32()?).map_err(|_| WireError::Overflow("outcome count"))?;
-    const OUTCOME_LEN: usize = 17; // index + device + verdict byte
-    let need = count.saturating_mul(OUTCOME_LEN);
-    if need > r.remaining() {
-        return Err(WireError::Truncated { need, have: r.remaining() });
-    }
-    let mut outcomes = Vec::with_capacity(count);
-    for _ in 0..count {
-        outcomes.push(OutcomeSummary {
-            index: r.u64()?,
-            device: r.u64()?,
-            verdict: decode_verdict(r)?,
-        });
-    }
-    Ok(BatchSummary {
-        total,
-        clean,
-        rejected,
-        attacks,
-        wall_nanos,
-        proofs_per_sec,
-        emulated_insns,
-        outcomes,
-    })
-}
-
 /// Decodes one framed message.
 ///
 /// # Errors
@@ -872,7 +758,6 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
         TAG_CHALLENGE => Message::Challenge(decode_challenge(&mut r)?),
         TAG_PROOF => Message::Proof(decode_proof(&mut r)?),
         TAG_REPORT => Message::Report(decode_report(&mut r)?),
-        TAG_BATCH_SUMMARY => Message::BatchSummary(decode_batch_summary(&mut r)?),
         TAG_ISSUE => Message::Issue(IssueMsg { request: r.u64()?, device: r.u64()? }),
         TAG_GRANT => {
             Message::Grant(GrantMsg { request: r.u64()?, body: decode_challenge(&mut r)? })
@@ -1068,20 +953,6 @@ mod tests {
                 request: 16,
                 reason: RejectReason::MalformedSubmission { detail: "torn frame".into() },
             }),
-            Message::BatchSummary(BatchSummary {
-                total: 3,
-                clean: 1,
-                rejected: 1,
-                attacks: 1,
-                wall_nanos: 123_456_789,
-                proofs_per_sec: 1234.5,
-                emulated_insns: 99,
-                outcomes: vec![
-                    OutcomeSummary { index: 0, device: 10, verdict: Verdict::Clean },
-                    OutcomeSummary { index: 1, device: 11, verdict: Verdict::Rejected },
-                    OutcomeSummary { index: 2, device: 12, verdict: Verdict::Attack },
-                ],
-            }),
         ]
     }
 
@@ -1243,28 +1114,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_summary_from_report_matches_stats() {
-        use dialed::report::{BatchOutcome, BatchStats};
-        let report = BatchReport {
-            outcomes: vec![BatchOutcome {
-                index: 0,
-                device_id: 77,
-                report: Report::rejected(RejectReason::MacMismatch),
-            }],
-            stats: BatchStats {
-                total: 1,
-                rejected: 1,
-                wall: std::time::Duration::from_micros(5),
-                proofs_per_sec: 200_000.0,
-                ..BatchStats::default()
-            },
-        };
-        let summary = BatchSummary::from_report(&report);
-        assert_eq!(summary.total, 1);
-        assert_eq!(summary.rejected, 1);
-        assert_eq!(summary.wall_nanos, 5_000);
-        assert_eq!(summary.outcomes[0].device, 77);
-        assert_eq!(summary.outcomes[0].verdict, Verdict::Rejected);
+    fn retired_batch_summary_tag_is_refused() {
+        // A frame that decoded as a batch summary before tag 4 was retired:
+        // seven u64 statistics and an empty outcome list.
+        let payload = [0u8; 7 * 8 + 4];
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&[WIRE_VERSION, 4]);
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert_eq!(decode(&frame), Err(WireError::UnknownTag { what: "message", tag: 4 }));
     }
 
     #[test]

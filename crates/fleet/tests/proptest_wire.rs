@@ -5,7 +5,7 @@
 use apex::{PoxConfig, PoxProof};
 use dialed::attest::DialedProof;
 use dialed::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
-use fleet::wire::{self, BatchSummary, ChallengeMsg, Message, OutcomeSummary, ProofMsg, ReportMsg};
+use fleet::wire::{self, ChallengeMsg, Message, ProofMsg, ReportMsg};
 use proptest::prelude::*;
 use vrased::Challenge;
 
@@ -147,33 +147,6 @@ proptest! {
         wire::encode_into(&mut out, &msg);
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&out[prefix.len()..], &encoded[..]);
-    }
-
-    /// decode(encode(x)) == x for batch summaries.
-    #[test]
-    fn batch_summary_round_trips(total in any::<u64>(), wall in any::<u64>(),
-                                 rate_bits in any::<u32>(),
-                                 outcomes in proptest::collection::vec((any::<u64>(), any::<u8>()), 0..40)) {
-        let msg = Message::BatchSummary(BatchSummary {
-            total,
-            clean: total / 2,
-            rejected: total / 3,
-            attacks: total / 5,
-            wall_nanos: wall,
-            proofs_per_sec: f64::from(rate_bits),
-            emulated_insns: total,
-            outcomes: outcomes
-                .iter()
-                .enumerate()
-                .map(|(i, &(device, v))| OutcomeSummary {
-                    index: i as u64,
-                    device,
-                    verdict: verdict_from(v),
-                })
-                .collect(),
-        });
-        let decoded = wire::decode(&wire::encode(&msg));
-        prop_assert_eq!(decoded.as_ref(), Ok(&msg));
     }
 
     /// Totality: decoding arbitrary bytes never panics.

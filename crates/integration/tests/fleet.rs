@@ -249,3 +249,48 @@ fn five_hundred_device_mixed_fleet() {
     assert_eq!(verified_total as usize, honest);
     assert_eq!(rejected_total as usize, hostile);
 }
+
+/// One attestation round for every app × instrumentation mode, in memory
+/// and durable: 16 devices each issue, prove, submit over the wire codec
+/// and drain, and every one of them must end `Verified`.
+#[test]
+fn every_app_and_mode_verifies_a_round_in_memory_and_durable() {
+    const DEVICES: u64 = 16;
+    for scenario in apps::scenarios() {
+        for mode in [InstrumentMode::Original, InstrumentMode::CfaOnly, InstrumentMode::Full] {
+            let op = scenario.build(mode);
+            let dir = std::env::temp_dir().join(format!(
+                "dialed-app-round-{}-{}-{mode:?}",
+                std::process::id(),
+                scenario.name
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let fleets = [
+                ("in-memory", Fleet::new(FleetConfig::default())),
+                ("durable", Fleet::durable(&dir, FleetConfig::default()).unwrap()),
+            ];
+            for (kind, mut fleet) in fleets {
+                let label = format!("{}/{mode:?}/{kind}", scenario.name);
+                let op_id = fleet.register_op(scenario.name, op.clone(), (scenario.policies)());
+                for seed in 0..DEVICES {
+                    let id = fleet.register_device(op_id, 0xBEE5 + seed).unwrap();
+                    let mut dev = DialedDevice::new(op.clone(), fleet.device_keystore(id).unwrap());
+                    (scenario.feed)(dev.platform_mut());
+                    let info = dev.invoke(&scenario.args);
+                    assert_eq!(info.stop, apex::pox::StopReason::ReachedStop, "{label}");
+                    let chal = fleet.issue(id, 0).unwrap();
+                    let frame = wire::encode(&Message::Proof(ProofMsg {
+                        session: chal.session,
+                        device: id.0,
+                        proof: dev.prove(&chal.challenge),
+                    }));
+                    fleet.submit_wire(&frame, 0).unwrap();
+                }
+                let (stats, _) = fleet.drain(0);
+                assert_eq!(stats.verified as u64, DEVICES, "{label}: {stats}");
+                assert!(fleet.devices().all(|d| d.verified == 1), "{label}");
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
