@@ -318,6 +318,10 @@ impl Shard {
             }
             StateEvent::DeviceDeregistered { device } => {
                 let _ = self.registry.remove_device(device);
+                // Keep the device's per-device entry, which snapshots carry:
+                // recovery sets the next device id past it, so the id is
+                // never issued again.
+                self.sessions.per_device.entry(device).or_default();
                 for (op, sid) in self.sessions.expire_open_for(device) {
                     self.ingest.discard(op, sid);
                 }
