@@ -7,10 +7,11 @@
 //! server can do is the cryptographic proof of execution. The syringe
 //! pump ships a `Full` image and gets complete data-flow verification
 //! plus its safety policies. Both register into one [`Fleet`], which
-//! routes each device to a state shard, journals every mutation, drains
-//! the shards in parallel through per-operation verifiers — and,
-//! after the simulated crash, recovers from disk and refuses a replayed
-//! proof it accepted in its previous life.
+//! routes each device to a state shard, journals registrations and
+//! verdicts, drains the shards in parallel through per-operation
+//! verifiers — and, after the simulated crash, recovers from disk,
+//! forgets the round it never judged, and refuses a replayed proof it
+//! accepted in its previous life.
 //!
 //! ```text
 //! cargo run -p fleet --example mixed_fleet
@@ -20,7 +21,7 @@ use apps::{app_build_options, fire_sensor, syringe_pump};
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{InstrumentMode, InstrumentedOp};
 use fleet::wire::{self, Message, ProofMsg};
-use fleet::{CatalogFn, DeviceId, Fleet, FleetConfig, SessionError, SessionId};
+use fleet::{CatalogFn, DeviceId, Fleet, FleetConfig, SessionId};
 
 const DEVICES: u64 = 4;
 
@@ -65,13 +66,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Life 1: provision, attest, crash mid-flight. ------------------
     let mut captured_frame = Vec::new();
+    // The device side outlives the server's crash.
+    let mut sims: Vec<(DeviceId, DialedDevice)> = Vec::new();
     {
         let mut fleet = Fleet::durable(&dir, FleetConfig::default())?;
         let sensor_id = fleet.register_op("fire-sensor", build_op("fire-sensor"), vec![]);
         let pump_id =
             fleet.register_op("syringe-pump", build_op("syringe-pump"), syringe_pump::policies());
 
-        let mut sims: Vec<(DeviceId, DialedDevice)> = Vec::new();
         for i in 0..DEVICES * 2 {
             let (op_id, op_name) =
                 if i % 2 == 0 { (sensor_id, "fire-sensor") } else { (pump_id, "syringe-pump") };
@@ -101,7 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(stats.verified as u64, DEVICES * 2);
 
         // One more submission is accepted — and then the process "dies"
-        // before draining it. The WAL has it; memory is about to not.
+        // before draining it. No verdict was returned, so nothing of it
+        // was logged.
         let (dev, sim) = &mut sims[0];
         let frame = answer(&mut fleet, sim, *dev, 3);
         fleet.submit_wire(&frame, 4).expect("accepted, never drained");
@@ -115,22 +118,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fleet.devices().count(),
         fleet.pending()
     );
-    assert_eq!(fleet.pending(), 1);
+    assert_eq!(fleet.pending(), 0);
 
-    // The interrupted round completes as if nothing happened.
+    // The device re-attests under a fresh challenge.
+    let (dev, sim) = &mut sims[0];
+    let frame = answer(&mut fleet, sim, *dev, 5);
+    fleet.submit_wire(&frame, 5).expect("fresh proof is accepted");
     let (stats, _) = fleet.drain(5);
-    println!("  resumed drain: {stats}");
+    println!("  re-attested: {stats}");
     assert_eq!(stats.verified, 1);
 
     // The replay attack: a proof verified in life 1, resubmitted against
-    // a fresh session of the same device. The recovered anti-replay
-    // window kills it before any cryptography runs.
+    // a fresh session of the same device. The session layer no longer
+    // remembers its tag, but the fresh challenge does not match it: the
+    // MAC check rejects it.
     let Ok(Message::Proof(old)) = wire::decode(&captured_frame) else { unreachable!() };
     let chal = fleet.issue(DeviceId(old.device), 6)?;
     let replay = wire::encode(&Message::Proof(ProofMsg { session: chal.session, ..old }));
-    let err = fleet.submit_wire(&replay, 7).expect_err("replay must be refused");
-    assert_eq!(err, Ok(SessionError::ReplayedProof));
-    println!("  replayed life-1 proof against {}: {}", SessionId(chal.session), err.unwrap());
+    fleet.submit_wire(&replay, 7).expect("the session layer takes it");
+    let (stats, _) = fleet.drain(8);
+    assert_eq!((stats.verified, stats.rejected), (0, 1));
+    let report = fleet.report_msg(SessionId(chal.session)).expect("resolved").report;
+    println!("  replayed life-1 proof against {}: {:?}", SessionId(chal.session), report.verdict);
 
     let _ = std::fs::remove_dir_all(&dir);
     Ok(())

@@ -77,8 +77,7 @@ impl IngestQueue {
         self.batches.entry(op).or_default().push(session);
     }
 
-    /// Drops a queued session (the device was deregistered, or the
-    /// session resolved through replay while the entry was still queued).
+    /// Drops a queued session (the device was deregistered).
     pub fn discard(&mut self, op: OpId, session: SessionId) {
         if let Some(batch) = self.batches.get_mut(&op) {
             batch.retain(|&s| s != session);
@@ -119,11 +118,6 @@ impl IngestQueue {
     /// of a shard drain.
     pub(crate) fn take_all(&mut self) -> BTreeMap<OpId, Vec<SessionId>> {
         std::mem::take(&mut self.batches)
-    }
-
-    /// Iterates the queued `(op, session)` entries (snapshot encoding).
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (OpId, SessionId)> + '_ {
-        self.batches.iter().flat_map(|(&op, sids)| sids.iter().map(move |&s| (op, s)))
     }
 }
 

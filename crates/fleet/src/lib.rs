@@ -23,7 +23,7 @@
 //! * [`registry`] — who exists: the fleet-global operation table
 //!   (instrumented images + one verifier per operation) and per-shard device
 //!   records (individual keys, bound operation, last-verified counters).
-//! * [`session`] — challenge lifecycle: monotonic per-device nonces, the
+//! * [`session`] — challenge lifecycle: (boot epoch, counter) nonces, the
 //!   `Issued → Submitted → Verified/Rejected/Expired` state machine,
 //!   deadline expiry, duplicate- and replay-rejection *before* any
 //!   cryptographic work.
@@ -38,13 +38,15 @@
 //!
 //! # Durability
 //!
-//! Every mutation is an event: appended to the owning shard's WAL (or the
-//! fleet's meta log), then applied. [`Fleet::recover`] replays snapshot +
-//! WAL through the *same* apply path, so a restart restores session
-//! nonces, anti-replay windows and last-verified counters exactly — a
-//! proof accepted before a crash can never be replayed after it. A fleet
-//! built with [`Fleet::new`] keeps everything in memory (tests,
-//! experiments); [`Fleet::durable`] adds the log.
+//! Durable state changes are events: appended to the owning shard's WAL
+//! (or the fleet's meta log), then applied. [`Fleet::recover`] replays
+//! snapshot + WAL through the *same* apply path. What survives a crash is
+//! what the guarantees in [`store`] need: the registry, keys and epochs,
+//! every verdict a drain returned with its device's counters, and a boot
+//! epoch per shard that keeps nonces fresh, so `issue` and `submit` write
+//! nothing. Sessions still open at a crash are forgotten. A fleet built
+//! with [`Fleet::new`] keeps everything in memory (tests, experiments);
+//! [`Fleet::durable`] adds the log.
 //!
 //! Shards share no mutable state, and the verifiers in the [`OpTable`]
 //! are borrowed read-only by every drain, so shards drain on different
@@ -164,7 +166,6 @@ where
 /// shards, sharing one operation table.
 #[derive(Debug)]
 pub struct Fleet {
-    config: FleetConfig,
     ops: OpTable,
     ring: HashRing,
     shards: Vec<Shard>,
@@ -193,7 +194,6 @@ impl Fleet {
             epoch: 0,
             meta: None,
             max_drain_threads: config.max_drain_threads(),
-            config,
         }
     }
 
@@ -212,10 +212,11 @@ impl Fleet {
 
     /// Recovers a fleet from `dir`: replays the meta log (layout,
     /// operations via `catalog`, epoch), then each shard's snapshot + WAL
-    /// segment through the same apply path live mutations use. The shard
-    /// count and every device id, session nonce, anti-replay window and
-    /// last-verified counter come back exactly as committed; corrupt or
-    /// torn log tails are dropped, never panicked on.
+    /// segment through the same apply path live mutations use, and starts
+    /// each shard's next boot epoch. The shard count, every device and its
+    /// counters, and every resolved session not yet pruned come back
+    /// exactly as committed; open sessions and anti-replay windows do not.
+    /// Corrupt or torn log tails are dropped, never panicked on.
     ///
     /// # Errors
     ///
@@ -268,21 +269,16 @@ impl Fleet {
             shards.push(Shard::recover(&dir.join(format!("shard-{i}")), i, n as u64, &params)?);
         }
 
-        // Derived fleet-level counters: the next device id must clear
-        // every id that ever held state (including deregistered devices,
-        // whose per-device session history outlives their registry
-        // record), and per-op device counts are recomputed from the
-        // recovered registries.
+        // Derived fleet-level counters: the next device id clears every id
+        // any shard ever installed, and per-op device counts are
+        // recomputed from the recovered registries.
         let mut next_device = 0;
         for shard in &shards {
+            next_device = next_device.max(shard.registry.next_device);
             for d in shard.registry().devices() {
-                next_device = next_device.max(d.id.0 + 1);
                 if let Ok(rec) = ops.op_mut(d.op) {
                     rec.devices += 1;
                 }
-            }
-            for dev in shard.sessions.per_device.keys() {
-                next_device = next_device.max(dev.0 + 1);
             }
         }
 
@@ -298,7 +294,6 @@ impl Fleet {
             epoch,
             meta: Some(meta),
             max_drain_threads: config.max_drain_threads(),
-            config,
         })
     }
 
@@ -402,35 +397,22 @@ impl Fleet {
     }
 
     /// Issues a challenge to `device` at logical time `now`, returning the
-    /// wire-ready challenge message. Durable *before* visible: the
-    /// issuance event commits to the shard's WAL, so a crash cannot forget
-    /// a nonce it already handed out.
+    /// wire-ready challenge message. Writes nothing: the nonce is the
+    /// shard's (boot epoch, counter) pair, fresh across crashes without a
+    /// log record.
     ///
     /// # Errors
     ///
     /// Fails if the device is unknown.
     pub fn issue(&mut self, device: DeviceId, now: u64) -> Result<ChallengeMsg, RegistryError> {
-        let ttl = self.config.challenge_ttl;
-        let idx = self.ring.route(device);
-        let shard = &mut self.shards[idx];
+        let shard = &mut self.shards[self.ring.route(device)];
         let op = shard.registry.device(device)?.op;
-        let session = shard.sessions.peek_next_id();
-        let nonce = shard.sessions.next_nonce(device);
-        let deadline = now.saturating_add(ttl);
-        shard.commit(StateEvent::ChallengeIssued {
-            session,
-            device,
-            op,
-            nonce,
-            issued_at: now,
-            deadline,
-        });
-        let s = shard.sessions.session(session).expect("just installed");
+        let s = shard.sessions.issue(device, op, now);
         Ok(ChallengeMsg {
-            session: session.0,
+            session: s.id.0,
             device: device.0,
-            nonce,
-            deadline,
+            nonce: s.nonce,
+            deadline: s.deadline,
             challenge: s.challenge,
         })
     }
@@ -441,10 +423,11 @@ impl Fleet {
         (session.0 % self.shards.len() as u64) as usize
     }
 
-    /// Accepts a device's proof for a session. On success the accepted
-    /// proof becomes a durable event and is queued on the session's shard;
-    /// on error nothing reaches the verifier (duplicates and replays die
-    /// here) and nothing is written.
+    /// Accepts a device's proof for a session and queues it on the
+    /// session's shard. Writes nothing: a crash before the drain forgets
+    /// the submission, and the device re-attests under a fresh challenge.
+    /// On error nothing reaches the verifier (duplicates and replays die
+    /// here).
     ///
     /// # Errors
     ///
@@ -458,8 +441,8 @@ impl Fleet {
     ) -> Result<(), SessionError> {
         let idx = self.shard_of_session(session);
         let shard = &mut self.shards[idx];
-        shard.sessions.check_submit(session, device, &proof.pox.tag, now)?;
-        shard.commit(StateEvent::ProofAccepted { session, device, proof });
+        let op = shard.sessions.submit(session, device, proof, now)?;
+        shard.ingest.enqueue(op, session);
         Ok(())
     }
 
@@ -496,7 +479,7 @@ impl Fleet {
     /// `Expired`, returning how many flipped. Scans every retained
     /// session: a frontend runs it on a clock, not per submission.
     pub fn expire(&mut self, now: u64) -> usize {
-        self.shards.iter_mut().map(|s| s.expire(now)).sum()
+        self.shards.iter_mut().map(|s| s.sessions.expire_due(now)).sum()
     }
 
     /// Verifies every queued submission through its operation's verifier,
@@ -979,18 +962,66 @@ mod tests {
         assert_eq!((rec.verified, rec.last_verified), (1, Some(0)));
         assert_eq!(fleet.session(sid).unwrap().state, SessionState::Verified);
 
-        // The recovered fleet keeps serving: a fresh round verifies and
-        // the nonce continues past the pre-restart history.
+        // The recovered fleet keeps serving: a fresh round verifies, and
+        // its nonce is the first of boot epoch 1, above every nonce epoch 0
+        // issued.
         let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
         let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
         let chal = fleet.issue(dev, 10).unwrap();
-        assert_eq!(chal.nonce, 1, "nonces continue after recovery");
+        assert_eq!(chal.nonce, 1 << session::EPOCH_SHIFT, "nonces restart above the old ones");
         device.invoke(&[0; 8]);
         let proof = device.prove(&chal.challenge);
         fleet.submit(SessionId(chal.session), dev, proof, 11).unwrap();
         let (stats, _) = fleet.drain(12);
         assert_eq!(stats.verified, 1);
-        assert_eq!(fleet.device(dev).unwrap().last_verified, Some(1));
+        assert_eq!(fleet.device(dev).unwrap().last_verified, Some(chal.nonce));
+    }
+
+    /// Every file under `dir` with its length.
+    fn file_lengths(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut files = Vec::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(d) = stack.pop() {
+            for entry in std::fs::read_dir(&d).unwrap().flatten() {
+                let meta = entry.metadata().unwrap();
+                if meta.is_dir() {
+                    stack.push(entry.path());
+                } else {
+                    files.push((entry.path(), meta.len()));
+                }
+            }
+        }
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn durable_issue_and_submit_write_nothing() {
+        let dir = tmp_dir("no-writes");
+        let config = FleetConfig { workers: Some(1), shards: 2, ..FleetConfig::default() };
+        let mut fleet = Fleet::durable(&dir, config).unwrap();
+        let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+        let op_id = fleet.register_op("adder", op.clone(), vec![]);
+        let devs: Vec<_> = (0..4).map(|seed| fleet.register_device(op_id, seed).unwrap()).collect();
+        let before = file_lengths(&dir);
+        for (i, &dev) in devs.iter().enumerate() {
+            let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
+            device.invoke(&[0; 8]);
+            let chal = fleet.issue(dev, 0).unwrap();
+            let proof = device.prove(&chal.challenge);
+            if i % 2 == 0 {
+                fleet.submit(SessionId(chal.session), dev, proof, 1).unwrap();
+            } else {
+                let msg = ProofMsg { session: chal.session, device: dev.0, proof };
+                let frame = wire::encode(&Message::Proof(msg));
+                fleet.submit_wire(&frame, 1).unwrap();
+                // A rejected duplicate writes nothing either.
+                assert!(fleet.submit_wire(&frame, 1).is_err());
+            }
+        }
+        assert_eq!(file_lengths(&dir), before, "issue and submit must not write");
+        assert_eq!(fleet.verify_pending(&mut Vec::new()).verified, devs.len());
+        assert_ne!(file_lengths(&dir), before, "a drain logs its verdicts");
     }
 
     /// A WAL file whose records carry event-format `version`.
@@ -1007,11 +1038,11 @@ mod tests {
     }
 
     /// Recovers `dir` expecting a `Format` error naming `file` and version
-    /// 1; returns the version the error says this build reads.
-    fn refused_as_v1(dir: &Path, file: &str) -> u8 {
+    /// `version`; returns the version the error says this build reads.
+    fn refused_as(dir: &Path, file: &str, version: u8) -> u8 {
         let config = FleetConfig { shards: 1, ..FleetConfig::default() };
         match Fleet::recover(dir, config, &CatalogFn(|_: &str| None)) {
-            Err(RecoverError::Format { file: f, found: 1, expected }) => {
+            Err(RecoverError::Format { file: f, found, expected }) if found == version => {
                 assert_eq!(f, dir.join(file));
                 expected
             }
@@ -1031,7 +1062,7 @@ mod tests {
         let dir = fresh_durable("v1-meta");
         let v1 = log_of_version(&[StateEvent::ShardLayout { shards: 1 }], 1);
         std::fs::write(dir.join("meta.log"), v1).unwrap();
-        assert_eq!(refused_as_v1(&dir, "meta.log"), store::EVENT_VERSION);
+        assert_eq!(refused_as(&dir, "meta.log", 1), store::EVENT_VERSION);
     }
 
     #[test]
@@ -1044,7 +1075,7 @@ mod tests {
             epoch: 0,
         };
         std::fs::write(dir.join("shard-0").join("wal-0.log"), log_of_version(&[ev], 1)).unwrap();
-        assert_eq!(refused_as_v1(&dir, "shard-0/wal-0.log"), store::EVENT_VERSION);
+        assert_eq!(refused_as(&dir, "shard-0/wal-0.log", 1), store::EVENT_VERSION);
     }
 
     #[test]
@@ -1054,6 +1085,27 @@ mod tests {
         let dir = fresh_durable("v1-snapshot");
         let v1 = [&b"DSNP"[..], &[1], &1u64.to_le_bytes()].concat();
         std::fs::write(dir.join("shard-0").join("snapshot.bin"), v1).unwrap();
-        assert_eq!(refused_as_v1(&dir, "shard-0/snapshot.bin"), shard::SNAP_VERSION);
+        assert_eq!(refused_as(&dir, "shard-0/snapshot.bin", 1), shard::SNAP_VERSION);
+    }
+
+    #[test]
+    fn v2_segment_and_snapshot_are_refused() {
+        // Version 2 logged every issue and accepted proof, and its
+        // snapshots held open sessions, nonces and replay windows; read as
+        // version 3, its nonces would restart at boot epoch 0.
+        let dir = fresh_durable("v2-segment");
+        let ev = StateEvent::DeviceRegistered {
+            device: DeviceId(0),
+            op: OpId(0),
+            key_seed: 1,
+            epoch: 0,
+        };
+        std::fs::write(dir.join("shard-0").join("wal-0.log"), log_of_version(&[ev], 2)).unwrap();
+        assert_eq!(refused_as(&dir, "shard-0/wal-0.log", 2), store::EVENT_VERSION);
+
+        let dir = fresh_durable("v2-snapshot");
+        let v2 = [&b"DSNP"[..], &[2], &1u64.to_le_bytes()].concat();
+        std::fs::write(dir.join("shard-0").join("snapshot.bin"), v2).unwrap();
+        assert_eq!(refused_as(&dir, "shard-0/snapshot.bin", 2), shard::SNAP_VERSION);
     }
 }

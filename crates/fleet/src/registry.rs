@@ -270,6 +270,9 @@ impl DeviceRecord {
 #[derive(Debug, Default)]
 pub struct Registry {
     devices: BTreeMap<u64, DeviceRecord>,
+    /// One past the highest device id ever installed here, deregistered
+    /// ones included, so a recovered fleet never issues an id twice.
+    pub(crate) next_device: u64,
 }
 
 impl Registry {
@@ -286,6 +289,7 @@ impl Registry {
     pub(crate) fn install_device(&mut self, id: DeviceId, op: OpId, key_seed: u64, epoch: u64) {
         let keystore = KeyStore::from_seed(effective_seed(key_seed, epoch));
         let ra = RaVerifier::new(keystore.clone());
+        self.next_device = self.next_device.max(id.0 + 1);
         self.devices.insert(
             id.0,
             DeviceRecord {

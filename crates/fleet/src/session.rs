@@ -13,23 +13,29 @@
 //!                                    unchanged, nothing queued
 //! ```
 //!
-//! Freshness comes from a **monotonic per-device nonce**: each issued
-//! challenge is derived from the fleet label, the device id and a counter
-//! that only ever increases, so no two sessions ever share a challenge and
-//! an old proof can never satisfy a new session's MAC. On top of that, an
-//! **anti-replay window** remembers the tags of recently accepted proofs
-//! per device; re-submitting a captured proof — to the same session or to
-//! any later one — is rejected at the session layer, before any
-//! cryptographic or emulation work is spent.
+//! Freshness comes from a **(boot epoch, counter) nonce**: each issued
+//! challenge is derived from the fleet label, the device id and a nonce
+//! whose high bits are the shard's boot epoch and whose low
+//! [`EPOCH_SHIFT`] bits count the device's challenges since that boot. A
+//! durable shard logs a new epoch each time it opens (see
+//! [`crate::store`]), so no two sessions ever share a challenge, across
+//! crashes too, and an old proof can never satisfy a new session's MAC.
+//! On top of that, an **anti-replay window** remembers the tags of
+//! recently accepted proofs per device; re-submitting a captured proof —
+//! to the same session or to any later one — is rejected at the session
+//! layer, before any cryptographic or emulation work is spent. The window
+//! lives in memory only: after a restart a captured proof fails on the
+//! MAC instead.
 //!
-//! Since the sharded-state refactor, mutations are split into a *check*
-//! half (pure, e.g. [`SessionManager::check_submit`]) and an *apply* half
-//! driven by the shard's event log, so the write-ahead log in
-//! [`crate::store`] replays through exactly the code the live service
-//! runs. A manager constructed with [`SessionManager::with_ids`] allocates
-//! session ids on a stride (`first`, `first + stride`, …) so each state
-//! shard mints ids that encode its own index — `id % shards` routes a
-//! session back to its shard with no shared counter.
+//! Mutations of resolved state are split into a *check* half (pure, e.g.
+//! [`SessionManager::check_submit`]) and an *apply* half; the verdicts a
+//! shard logs replay through the same install and resolve steps the live
+//! service runs. A manager constructed with
+//! [`SessionManager::with_ids`] allocates session ids on a stride
+//! (`first`, `first + stride`, …, restarting above the previous epoch's
+//! ids at each boot) so each state shard mints ids that encode its own
+//! index — `id % shards` routes a session back to its shard with no
+//! shared counter.
 //!
 //! Time is a caller-supplied logical clock (`u64` ticks), keeping the
 //! whole service deterministic and testable; a deployment maps it to
@@ -133,7 +139,7 @@ pub struct Session {
     pub device: DeviceId,
     /// Operation the device must prove.
     pub op: OpId,
-    /// The device's monotonic challenge counter value for this session.
+    /// The session's (boot epoch, counter) challenge nonce.
     pub nonce: u64,
     /// The issued challenge.
     pub challenge: Challenge,
@@ -168,7 +174,7 @@ impl ReplayWindow {
     }
 }
 
-/// Per-device session-layer state.
+/// Per-device session-layer state, in memory only.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DeviceSessions {
     /// Next challenge nonce — strictly monotonic, never reused.
@@ -176,16 +182,24 @@ pub(crate) struct DeviceSessions {
     pub(crate) window: ReplayWindow,
 }
 
+/// Low bits of a nonce or a session-id step that count within one boot
+/// epoch; the bits above hold the epoch. One boot issues at most 2^40
+/// challenges per device and 2^40 sessions per shard.
+pub const EPOCH_SHIFT: u32 = 40;
+
 /// Issues challenges and walks sessions through their state machine.
 #[derive(Debug)]
 pub struct SessionManager {
     label: Vec<u8>,
     ttl: u64,
     window_cap: usize,
-    pub(crate) next_id: u64,
+    next_id: u64,
+    first: u64,
     stride: u64,
+    /// The boot epoch nonces and ids are issued under (0 in memory).
+    pub(crate) boot_epoch: u64,
     pub(crate) sessions: BTreeMap<u64, Session>,
-    pub(crate) per_device: HashMap<DeviceId, DeviceSessions>,
+    per_device: HashMap<DeviceId, DeviceSessions>,
 }
 
 impl SessionManager {
@@ -208,10 +222,21 @@ impl SessionManager {
             ttl,
             window_cap,
             next_id: first,
+            first,
             stride: stride.max(1),
+            boot_epoch: 0,
             sessions: BTreeMap::new(),
             per_device: HashMap::new(),
         }
+    }
+
+    /// Starts boot epoch `epoch`: every device's nonces and this manager's
+    /// session ids restart at `(epoch, 0)`, above anything an earlier
+    /// epoch issued, and the in-memory per-device state is dropped.
+    pub(crate) fn start_boot_epoch(&mut self, epoch: u64) {
+        self.boot_epoch = epoch;
+        self.next_id = self.first + self.stride * (epoch << EPOCH_SHIFT);
+        self.per_device.clear();
     }
 
     /// The session ttl this manager issues under.
@@ -227,9 +252,9 @@ impl SessionManager {
     }
 
     /// The challenge `device` answers under for `nonce`:
-    /// `H(fleet label ‖ device id)` bound with the monotonic nonce —
-    /// unique per (fleet, device, round), and re-derivable at recovery so
-    /// snapshots and events never need to persist challenge bytes.
+    /// `H(fleet label ‖ device id)` bound with the nonce — unique per
+    /// (fleet, device, round), and re-derivable at recovery so snapshots
+    /// and events never need to persist challenge bytes.
     #[must_use]
     pub(crate) fn derive_challenge(&self, device: DeviceId, nonce: u64) -> Challenge {
         let mut h = Sha256::new();
@@ -240,8 +265,9 @@ impl SessionManager {
 
     /// Installs a session with explicit coordinates — the apply half of
     /// issuance, driven both by the live [`SessionManager::issue`] path
-    /// and by event replay. Counters advance past the installed values so
-    /// ids and nonces stay monotonic whichever path ran.
+    /// and by the replay of a logged verdict. Counters advance past the
+    /// installed values so ids and nonces stay monotonic whichever path
+    /// ran.
     pub(crate) fn install(
         &mut self,
         id: SessionId,
@@ -285,8 +311,7 @@ impl SessionManager {
 
     /// Validates a submission without mutating anything: the state
     /// machine, the deadline and the anti-replay window are all enforced
-    /// here, *before* the accepted submission becomes a durable event.
-    /// Returns the session's operation on success.
+    /// here. Returns the session's operation on success.
     ///
     /// Submission is *not* authenticated beyond the device id it claims:
     /// the proof's MAC is only checked at drain time. An active network
@@ -327,14 +352,9 @@ impl SessionManager {
 
     /// The apply half of submission: records the accepted proof, pushes
     /// its tag into the device's anti-replay window and marks the session
-    /// `Submitted`. The caller (live path or event replay) has already
-    /// validated via [`SessionManager::check_submit`].
-    pub(crate) fn apply_submit(
-        &mut self,
-        session: SessionId,
-        device: DeviceId,
-        proof: DialedProof,
-    ) {
+    /// `Submitted`. The caller has already validated via
+    /// [`SessionManager::check_submit`].
+    fn apply_submit(&mut self, session: SessionId, device: DeviceId, proof: DialedProof) {
         let Some(s) = self.sessions.get_mut(&session.0) else { return };
         self.per_device.entry(device).or_default().window.push(proof.pox.tag, self.window_cap);
         s.state = SessionState::Submitted;
@@ -342,9 +362,8 @@ impl SessionManager {
     }
 
     /// Accepts `proof` for `session`: [`SessionManager::check_submit`]
-    /// followed by the crate-private apply half. Standalone (non-fleet)
-    /// users get the one-call form; the fleet splits the halves around its
-    /// write-ahead log.
+    /// followed by the private apply half. Returns the session's
+    /// operation, whose ingest batch the proof joins.
     ///
     /// # Errors
     ///
@@ -355,21 +374,10 @@ impl SessionManager {
         device: DeviceId,
         proof: DialedProof,
         now: u64,
-    ) -> Result<(), SessionError> {
-        self.check_submit(session, device, &proof.pox.tag, now)?;
+    ) -> Result<OpId, SessionError> {
+        let op = self.check_submit(session, device, &proof.pox.tag, now)?;
         self.apply_submit(session, device, proof);
-        Ok(())
-    }
-
-    /// How many `Issued` sessions an expiry sweep at `now` would flip —
-    /// the pure peek the fleet uses to decide whether a sweep is worth a
-    /// durable event.
-    #[must_use]
-    pub fn due(&self, now: u64) -> usize {
-        self.sessions
-            .values()
-            .filter(|s| s.state == SessionState::Issued && now > s.deadline)
-            .count()
+        Ok(op)
     }
 
     /// Expires every `Issued` session whose deadline lies before `now`.
@@ -404,18 +412,12 @@ impl SessionManager {
     }
 
     /// Resolves a session with the verifier's verdict — the apply half of
-    /// draining. Returns the session's `(device, nonce)` for registry
-    /// bookkeeping, or `None` if the session is unknown.
-    pub(crate) fn apply_verdict(
-        &mut self,
-        session: SessionId,
-        report: Report,
-    ) -> Option<(DeviceId, u64)> {
-        let s = self.sessions.get_mut(&session.0)?;
+    /// draining. An unknown session is ignored.
+    pub(crate) fn apply_verdict(&mut self, session: SessionId, report: Report) {
+        let Some(s) = self.sessions.get_mut(&session.0) else { return };
         s.state = if report.is_clean() { SessionState::Verified } else { SessionState::Rejected };
         s.proof = None;
         s.report = Some(report);
-        Some((s.device, s.nonce))
     }
 
     /// How many resolved sessions a prune at `now` would evict (pure peek).
@@ -473,7 +475,7 @@ impl SessionManager {
     /// The next nonce `device` would be issued (diagnostics/tests).
     #[must_use]
     pub fn next_nonce(&self, device: DeviceId) -> u64 {
-        self.per_device.get(&device).map_or(0, |p| p.next_nonce)
+        self.per_device.get(&device).map_or(self.boot_epoch << EPOCH_SHIFT, |p| p.next_nonce)
     }
 }
 
@@ -512,6 +514,23 @@ mod tests {
         assert_eq!(ids, vec![2, 7, 12]);
         assert!(ids.iter().all(|id| id % 5 == 2));
         assert_eq!(mgr.peek_next_id(), SessionId(17));
+    }
+
+    #[test]
+    fn a_boot_epoch_restarts_nonces_and_ids_above_the_last() {
+        // Shard 2 of 5 issues, then starts boot epoch 1.
+        let mut mgr = SessionManager::with_ids(b"t", 10, 4, 2, 5);
+        let old = mgr.issue(DEV, OP, 0).clone();
+        mgr.submit(old.id, DEV, dummy_proof(1), 1).unwrap();
+        mgr.start_boot_epoch(1);
+        let new = mgr.issue(DEV, OP, 2).clone();
+        assert_eq!((old.nonce, new.nonce), (0, 1 << EPOCH_SHIFT));
+        assert_eq!(new.id.0, 2 + 5 * (1 << EPOCH_SHIFT));
+        assert_eq!(new.id.0 % 5, 2, "ids still route to their shard");
+        assert_ne!(new.challenge, old.challenge);
+        // The replay window is per boot: the old tag passes the session
+        // layer and fails on the MAC under the new challenge.
+        mgr.submit(new.id, DEV, dummy_proof(1), 3).unwrap();
     }
 
     #[test]
@@ -605,7 +624,6 @@ mod tests {
         let err = mgr.submit(sid, DEV, dummy_proof(1), 16).unwrap_err();
         assert_eq!(err, SessionError::Expired { deadline: 15 });
         assert_eq!(mgr.session(sid).unwrap().state, SessionState::Issued);
-        assert_eq!(mgr.due(16), 1);
         assert_eq!(mgr.expire_due(16), 1);
         assert_eq!(mgr.session(sid).unwrap().state, SessionState::Expired);
         // Sweep-based expiry for sessions nobody ever answers.
@@ -621,8 +639,7 @@ mod tests {
         let mut mgr = SessionManager::new(b"t", 5, 4);
         let sid = mgr.issue(DEV, OP, 0).id;
         assert_eq!(mgr.session(sid).unwrap().deadline, 5);
-        assert_eq!(mgr.due(5), 0, "a sweep exactly at the deadline expires nothing");
-        assert_eq!(mgr.expire_due(5), 0);
+        assert_eq!(mgr.expire_due(5), 0, "a sweep exactly at the deadline expires nothing");
         mgr.submit(sid, DEV, dummy_proof(1), 5).unwrap();
         assert_eq!(mgr.session(sid).unwrap().state, SessionState::Submitted);
     }

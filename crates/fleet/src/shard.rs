@@ -4,7 +4,10 @@
 //! [`Registry`], a [`SessionManager`] minting strided session ids, and an
 //! [`IngestQueue`] — plus, in durable mode, its own write-ahead-log
 //! segment and snapshot file, and one warm [`EmuWorkspace`] per operation
-//! it has drained. Shards share **nothing** mutable: a drain borrows the
+//! it has drained. What a durable shard logs, and what a crash forgets, is
+//! set out in [`crate::store`]: its boot epoch, its registrations and
+//! deregistrations, its verdicts and its prune sweeps, but no issue or
+//! submission. Shards share **nothing** mutable: a drain borrows the
 //! fleet-global [`OpTable`] read-only (verifiers take `&self`), so shards
 //! drain on different threads with no cross-shard locking.
 //!
@@ -18,9 +21,14 @@
 //! # Durability layout
 //!
 //! ```text
-//! <dir>/shard-<i>/snapshot.bin   atomic full-state snapshot, generation g
+//! <dir>/shard-<i>/snapshot.bin   atomic snapshot, generation g
 //! <dir>/shard-<i>/wal-<g>.log    events since that snapshot
 //! ```
+//!
+//! A snapshot holds exactly what the log alone rebuilds: the boot epoch,
+//! the registry (with its device-id high-water mark) and the resolved
+//! sessions not yet pruned. Open sessions, held proofs, the ingest queue
+//! and the anti-replay windows live in memory only.
 //!
 //! Once a commit leaves the live segment holding at least as many bytes as
 //! the last snapshot — and at least [`ROTATE_FLOOR`] — the shard writes a
@@ -40,15 +48,11 @@
 
 use crate::ingest::{DrainStats, IngestQueue};
 use crate::registry::{DeviceId, OpId, OpRecord, OpTable, Registry};
-use crate::session::{Session, SessionId, SessionManager, SessionState};
+use crate::session::{SessionId, SessionManager, SessionState};
 use crate::store::{read_events, write_atomic, RecoverError, StateEvent, Wal};
-use crate::wire::{
-    decode_dialed_proof, decode_report_fields, encode_dialed_proof, encode_report_fields, Reader,
-    WireError, Writer,
-};
+use crate::wire::{decode_report_fields, encode_report_fields, Reader, WireError, Writer};
 use dialed::request::{PerDevice, VerifyRequest};
 use dialed::EmuWorkspace;
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -169,9 +173,11 @@ impl Shard {
 
     /// Opens (or creates) the durable shard at `dir`: loads the snapshot
     /// if one decodes, replays that generation's WAL segment through the
-    /// same [`Shard::apply`] the live path uses, and reopens the segment
-    /// for appending. A fresh directory recovers to the empty state, so
-    /// creation and recovery are one code path.
+    /// same [`Shard::apply`] the live path uses, reopens the segment for
+    /// appending and logs a [`StateEvent::BootEpoch`] one past the last
+    /// epoch it recovered (0 when it recovered nothing). A fresh directory
+    /// recovers to the empty state, so creation and recovery are one code
+    /// path.
     ///
     /// Corruption is handled by prefix: a torn or corrupt WAL tail is
     /// dropped (see [`read_events`]), and an undecodable snapshot —
@@ -214,10 +220,13 @@ impl Shard {
         }
         let segment = dir.join(format!("wal-{}.log", shard.generation));
         let (events, valid) = read_events(&segment)?;
+        let booted = shard.snapshot_bytes > 0 || !events.is_empty();
         for ev in events {
             shard.apply(ev);
         }
         shard.wal = Some(Wal::open(&segment, valid)?);
+        let epoch = if booted { shard.sessions.boot_epoch + 1 } else { 0 };
+        shard.commit(StateEvent::BootEpoch { epoch });
         Ok(shard)
     }
 
@@ -263,8 +272,7 @@ impl Shard {
 
     /// Makes `ev` durable with one `write`, then applies it. Fail-stop on
     /// a WAL append error: a mutation that cannot be persisted must not
-    /// happen, or anti-replay state would silently regress at the next
-    /// recovery.
+    /// happen, or the next recovery would silently lose it.
     ///
     /// # Panics
     ///
@@ -309,8 +317,8 @@ impl Shard {
 
     /// Applies one event to in-memory state — the single mutation path
     /// shared by live commits and recovery replay. Unknown references
-    /// (e.g. a verdict for a pruned session) are ignored, which is what
-    /// makes replay of a valid *prefix* safe.
+    /// (e.g. a deregistration of a device the prefix never registered) are
+    /// ignored, which is what makes replay of a valid *prefix* safe.
     pub(crate) fn apply(&mut self, ev: StateEvent) {
         match ev {
             StateEvent::DeviceRegistered { device, op, key_seed, epoch } => {
@@ -318,36 +326,26 @@ impl Shard {
             }
             StateEvent::DeviceDeregistered { device } => {
                 let _ = self.registry.remove_device(device);
-                // Keep the device's per-device entry, which snapshots carry:
-                // recovery sets the next device id past it, so the id is
-                // never issued again.
-                self.sessions.per_device.entry(device).or_default();
                 for (op, sid) in self.sessions.expire_open_for(device) {
                     self.ingest.discard(op, sid);
                 }
             }
-            StateEvent::ChallengeIssued { session, device, op, nonce, issued_at, deadline } => {
-                self.sessions.install(session, device, op, nonce, issued_at, deadline);
-            }
-            StateEvent::ProofAccepted { session, device, proof } => {
-                let Some(op) = self.sessions.session(session).map(|s| s.op) else { return };
-                self.sessions.apply_submit(session, device, proof);
-                self.ingest.enqueue(op, session);
-            }
-            StateEvent::VerdictRecorded { session, report } => {
-                let clean = report.is_clean();
-                let op = self.sessions.session(session).map(|s| s.op);
-                if let Some((device, nonce)) = self.sessions.apply_verdict(session, report) {
-                    self.registry.record_verdict(device, nonce, clean);
-                    if let Some(op) = op {
-                        // Replay re-queues accepted proofs; the replayed
-                        // verdict dequeues them again.
-                        self.ingest.discard(op, session);
-                    }
+            StateEvent::BootEpoch { epoch } => self.sessions.start_boot_epoch(epoch),
+            StateEvent::VerdictRecorded {
+                session,
+                device,
+                op,
+                nonce,
+                issued_at,
+                deadline,
+                report,
+            } => {
+                if self.sessions.session(session).is_none() {
+                    // Replay: only the logging process held the session.
+                    self.sessions.install(session, device, op, nonce, issued_at, deadline);
                 }
-            }
-            StateEvent::ExpirySweep { now } => {
-                self.sessions.expire_due(now);
+                self.registry.record_verdict(device, nonce, report.is_clean());
+                self.sessions.apply_verdict(session, report);
             }
             StateEvent::PruneSweep { now } => {
                 self.sessions.prune_resolved(now);
@@ -358,16 +356,6 @@ impl Shard {
             | StateEvent::OpRegistered { .. }
             | StateEvent::EpochBumped { .. } => {}
         }
-    }
-
-    /// Runs an expiry sweep at `now` if any session is due, committing it
-    /// as one durable event. Returns how many sessions expired.
-    pub(crate) fn expire(&mut self, now: u64) -> usize {
-        let due = self.sessions.due(now);
-        if due > 0 {
-            self.commit(StateEvent::ExpirySweep { now });
-        }
-        due
     }
 
     /// Prunes resolved sessions at `now` if any are prunable, committing
@@ -402,10 +390,10 @@ impl Shard {
                 if s.state != SessionState::Submitted {
                     continue;
                 }
-                // The session's held proof is consumed: the durable copy
-                // lives in the WAL.
+                // The session's held proof is consumed.
                 let Some(proof) = s.proof.take() else { continue };
                 let (device, challenge) = (s.device, s.challenge);
+                let (nonce, issued_at, deadline) = (s.nonce, s.issued_at, s.deadline);
                 if reg.device(device).is_err() {
                     continue;
                 }
@@ -418,7 +406,15 @@ impl Shard {
                     stats.rejected += 1;
                 }
                 settled.push(sid);
-                verdicts.push(StateEvent::VerdictRecorded { session: sid, report });
+                verdicts.push(StateEvent::VerdictRecorded {
+                    session: sid,
+                    device,
+                    op,
+                    nonce,
+                    issued_at,
+                    deadline,
+                    report,
+                });
             }
             if verdicts.is_empty() {
                 continue;
@@ -434,8 +430,8 @@ impl Shard {
 
     // -- snapshots ----------------------------------------------------------
 
-    /// Writes a full-state snapshot, rotates to a fresh WAL segment named
-    /// for the new generation, and deletes stale segments.
+    /// Writes a snapshot, rotates to a fresh WAL segment named for the new
+    /// generation, and deletes stale segments.
     ///
     /// # Errors
     ///
@@ -464,11 +460,15 @@ impl Shard {
         Ok(())
     }
 
+    /// The snapshot bytes: what the log alone rebuilds (see the module
+    /// docs).
     fn encode_snapshot(&self, generation: u64) -> Vec<u8> {
         let mut w = Writer(Vec::new());
         w.bytes(&SNAP_MAGIC);
         w.u8(SNAP_VERSION);
         w.u64(generation);
+        w.u64(self.sessions.boot_epoch);
+        w.u64(self.registry.next_device);
 
         let devices: Vec<_> = self.registry.devices().collect();
         w.u64(devices.len() as u64);
@@ -488,49 +488,20 @@ impl Shard {
             w.u64(d.rejected);
         }
 
-        w.u64(self.sessions.next_id);
-        w.u64(self.sessions.sessions.len() as u64);
-        for s in self.sessions.sessions.values() {
+        let resolved: Vec<_> = self
+            .sessions
+            .sessions()
+            .filter_map(|s| s.report.as_ref().map(|report| (s, report)))
+            .collect();
+        w.u64(resolved.len() as u64);
+        for (s, report) in resolved {
             w.u64(s.id.0);
             w.u64(s.device.0);
             w.u32(s.op.0);
             w.u64(s.nonce);
             w.u64(s.issued_at);
             w.u64(s.deadline);
-            w.u8(encode_state(s.state));
-            match &s.report {
-                Some(r) => {
-                    w.u8(1);
-                    encode_report_fields(&mut w, r);
-                }
-                None => w.u8(0),
-            }
-            match &s.proof {
-                Some(p) => {
-                    w.u8(1);
-                    encode_dialed_proof(&mut w, p);
-                }
-                None => w.u8(0),
-            }
-        }
-
-        w.u64(self.sessions.per_device.len() as u64);
-        let per: BTreeMap<u64, _> =
-            self.sessions.per_device.iter().map(|(d, p)| (d.0, p)).collect();
-        for (device, per) in per {
-            w.u64(device);
-            w.u64(per.next_nonce);
-            w.u64(per.window.tags.len() as u64);
-            for tag in &per.window.tags {
-                w.bytes(tag);
-            }
-        }
-
-        let entries: Vec<_> = self.ingest.entries().collect();
-        w.u64(entries.len() as u64);
-        for (op, sid) in entries {
-            w.u32(op.0);
-            w.u64(sid.0);
+            encode_report_fields(&mut w, report);
         }
         w.0
     }
@@ -549,8 +520,10 @@ impl Shard {
             return Err(WireError::UnsupportedVersion(version));
         }
         let generation = r.u64()?;
+        let boot_epoch = r.u64()?;
 
         let mut registry = Registry::new();
+        registry.next_device = r.u64()?;
         let devices = r.usize64("device count")?;
         for _ in 0..devices {
             let id = DeviceId(r.u64()?);
@@ -564,7 +537,6 @@ impl Shard {
             rec.rejected = r.u64()?;
         }
 
-        let next_id = r.u64()?;
         let mut sessions = Vec::new();
         for _ in 0..r.usize64("session count")? {
             let id = SessionId(r.u64()?);
@@ -573,27 +545,8 @@ impl Shard {
             let nonce = r.u64()?;
             let issued_at = r.u64()?;
             let deadline = r.u64()?;
-            let state = decode_state(r.u8()?)?;
-            let report = if r.bool()? { Some(decode_report_fields(&mut r)?) } else { None };
-            let proof = if r.bool()? { Some(decode_dialed_proof(&mut r)?) } else { None };
-            sessions.push((id, device, op, nonce, issued_at, deadline, state, report, proof));
-        }
-
-        let mut per_device = Vec::new();
-        for _ in 0..r.usize64("per-device count")? {
-            let device = DeviceId(r.u64()?);
-            let next_nonce = r.u64()?;
-            let window_len = r.usize64("window length")?;
-            let mut tags = Vec::with_capacity(window_len.min(r.remaining() / 32 + 1));
-            for _ in 0..window_len {
-                tags.push(r.digest()?);
-            }
-            per_device.push((device, next_nonce, tags));
-        }
-
-        let mut queued = Vec::new();
-        for _ in 0..r.usize64("ingest count")? {
-            queued.push((OpId(r.u32()?), SessionId(r.u64()?)));
+            let report = decode_report_fields(&mut r)?;
+            sessions.push((id, device, op, nonce, issued_at, deadline, report));
         }
         if r.remaining() != 0 {
             return Err(WireError::TrailingBytes(r.remaining()));
@@ -602,32 +555,10 @@ impl Shard {
         // Everything decoded — install (challenges re-derive from the
         // label + device + nonce, exactly as at issue time).
         self.registry = registry;
-        for (id, device, op, nonce, issued_at, deadline, state, report, proof) in sessions {
-            let challenge = self.sessions.derive_challenge(device, nonce);
-            self.sessions.sessions.insert(
-                id.0,
-                Session {
-                    id,
-                    device,
-                    op,
-                    nonce,
-                    challenge,
-                    issued_at,
-                    deadline,
-                    state,
-                    report,
-                    proof,
-                },
-            );
-        }
-        self.sessions.next_id = next_id;
-        for (device, next_nonce, tags) in per_device {
-            let per = self.sessions.per_device.entry(device).or_default();
-            per.next_nonce = next_nonce;
-            per.window.tags = tags.into();
-        }
-        for (op, sid) in queued {
-            self.ingest.enqueue(op, sid);
+        self.sessions.boot_epoch = boot_epoch;
+        for (id, device, op, nonce, issued_at, deadline, report) in sessions {
+            self.sessions.install(id, device, op, nonce, issued_at, deadline);
+            self.sessions.apply_verdict(id, report);
         }
         Ok(generation)
     }
@@ -635,34 +566,16 @@ impl Shard {
 
 /// Snapshot file magic: "Dialed SNaPshot".
 const SNAP_MAGIC: [u8; 4] = *b"DSNP";
-/// Current snapshot-format version. Version 2 carries held proofs in the
-/// wire's version-4 proof body.
-pub(crate) const SNAP_VERSION: u8 = 2;
-
-fn encode_state(s: SessionState) -> u8 {
-    match s {
-        SessionState::Issued => 0,
-        SessionState::Submitted => 1,
-        SessionState::Verified => 2,
-        SessionState::Rejected => 3,
-        SessionState::Expired => 4,
-    }
-}
-
-fn decode_state(tag: u8) -> Result<SessionState, WireError> {
-    match tag {
-        0 => Ok(SessionState::Issued),
-        1 => Ok(SessionState::Submitted),
-        2 => Ok(SessionState::Verified),
-        3 => Ok(SessionState::Rejected),
-        4 => Ok(SessionState::Expired),
-        tag => Err(WireError::UnknownTag { what: "session state", tag }),
-    }
-}
+/// Current snapshot-format version. Version 3 holds the boot epoch, the
+/// device-id high-water mark and resolved sessions only: no open
+/// sessions, proofs, ingest queue, nonces or replay windows.
+pub(crate) const SNAP_VERSION: u8 = 3;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::EPOCH_SHIFT;
+    use crate::store::encode_event;
     use apex::{PoxConfig, PoxProof};
     use dialed::attest::DialedProof;
     use dialed::report::Report;
@@ -672,51 +585,52 @@ mod tests {
         ShardParams { label: b"shard-test".to_vec(), ttl: 64, window_cap: 8 }
     }
 
-    fn proof_with_or(tag_byte: u8, or_byte: u8) -> DialedProof {
+    fn dummy_proof(tag_byte: u8) -> DialedProof {
         let cfg = PoxConfig::new(0xE000, 0xE00F, 0xE00E, 0x0600, 0x06FF).unwrap();
         DialedProof {
-            pox: PoxProof {
-                cfg,
-                exec: true,
-                or_data: vec![or_byte; cfg.or_len()],
-                tag: [tag_byte; 32],
-            },
+            pox: PoxProof { cfg, exec: true, or_data: vec![0; cfg.or_len()], tag: [tag_byte; 32] },
         }
     }
 
-    fn dummy_proof(tag_byte: u8) -> DialedProof {
-        proof_with_or(tag_byte, 0)
-    }
-
-    /// The shard's whole state, as its snapshot encodes it.
+    /// The shard's durable state, as its snapshot encodes it, without the
+    /// boot epoch (which every reopening advances).
     fn state_of(shard: &Shard) -> Vec<u8> {
-        shard.encode_snapshot(0)
+        let mut bytes = shard.encode_snapshot(0);
+        bytes.drain(13..21);
+        bytes
     }
 
-    /// Commits the issue and the accepted proof of session `sid`.
-    fn accept(shard: &mut Shard, dev: DeviceId, sid: u64, nonce: u64, proof: DialedProof) {
-        let session = SessionId(sid);
-        shard.commit(StateEvent::ChallengeIssued {
-            session,
-            device: dev,
-            op: OpId(0),
-            nonce,
-            issued_at: nonce,
-            deadline: nonce + 64,
-        });
-        shard.commit(StateEvent::ProofAccepted { session, device: dev, proof });
+    fn register(shard: &mut Shard, device: DeviceId, key_seed: u64, epoch: u64) {
+        shard.commit(StateEvent::DeviceRegistered { device, op: OpId(0), key_seed, epoch });
     }
 
-    /// Commits a clean verdict for session `sid`.
-    fn settle(shard: &mut Shard, sid: u64) {
+    /// Issues a session to `dev` and accepts `proof` for it, as the
+    /// fleet's `issue` and `submit` do: in memory only.
+    fn accept(shard: &mut Shard, dev: DeviceId, proof: DialedProof) -> SessionId {
+        let sid = shard.sessions.issue(dev, OpId(0), 0).id;
+        let op = shard.sessions.submit(sid, dev, proof, 0).unwrap();
+        shard.ingest.enqueue(op, sid);
+        sid
+    }
+
+    /// Commits a clean verdict for the submitted session `sid`, as a drain
+    /// does.
+    fn settle(shard: &mut Shard, sid: SessionId) {
+        let s = shard.sessions.session(sid).unwrap();
+        let (device, op, nonce, issued_at, deadline) =
+            (s.device, s.op, s.nonce, s.issued_at, s.deadline);
+        shard.ingest.discard(op, sid);
         let report = Report::clean(Default::default());
-        shard.commit(StateEvent::VerdictRecorded { session: SessionId(sid), report });
-    }
-
-    /// Commits one issue → accept → verdict round for session `sid`.
-    fn round(shard: &mut Shard, dev: DeviceId, sid: u64, nonce: u64, proof: DialedProof) {
-        accept(shard, dev, sid, nonce, proof);
-        settle(shard, sid);
+        let ev = StateEvent::VerdictRecorded {
+            session: sid,
+            device,
+            op,
+            nonce,
+            issued_at,
+            deadline,
+            report,
+        };
+        shard.commit(ev);
     }
 
     /// The WAL segments in `dir`.
@@ -769,37 +683,35 @@ mod tests {
     fn durable_shard_recovers_committed_state() {
         let dir = tmp_dir("recover");
         let dev = DeviceId(3);
-        {
+        let (verified, open) = {
             let mut shard = Shard::recover(&dir, 0, 2, &params()).unwrap();
-            shard.commit(StateEvent::DeviceRegistered {
-                device: dev,
-                op: OpId(0),
-                key_seed: 7,
-                epoch: 0,
-            });
-            shard.commit(StateEvent::ChallengeIssued {
-                session: SessionId(0),
-                device: dev,
-                op: OpId(0),
-                nonce: 0,
-                issued_at: 1,
-                deadline: 65,
-            });
-            shard.commit(StateEvent::ProofAccepted {
-                session: SessionId(0),
-                device: dev,
-                proof: dummy_proof(0xAA),
-            });
-            // Dropped without a drain — the mid-batch crash.
-        }
+            assert_eq!(shard.sessions.boot_epoch, 0, "a fresh shard boots epoch 0");
+            register(&mut shard, dev, 7, 0);
+            let verified = accept(&mut shard, dev, dummy_proof(0xAA));
+            settle(&mut shard, verified);
+            // Accepted but not drained — the mid-batch crash.
+            (verified, accept(&mut shard, dev, dummy_proof(0xBB)))
+        };
         let shard = Shard::recover(&dir, 0, 2, &params()).unwrap();
-        assert_eq!(shard.registry().len(), 1);
-        let s = shard.sessions().session(SessionId(0)).unwrap();
-        assert_eq!(s.state, SessionState::Submitted);
-        assert_eq!(shard.pending(), 1, "accepted proof must survive the crash");
-        assert_eq!(shard.sessions().next_nonce(dev), 1);
-        // The accepted tag is back in the anti-replay window.
-        assert!(shard.sessions.check_submit(SessionId(0), dev, &[0xAA; 32], 2).is_err());
+        assert_eq!(shard.sessions.boot_epoch, 1);
+        let rec = shard.registry().device(dev).unwrap();
+        assert_eq!((rec.verified, rec.last_verified), (1, Some(0)));
+        // The resolved session is rebuilt from its verdict record alone,
+        // challenge included; the open one is forgotten.
+        let s = shard.sessions().session(verified).unwrap();
+        assert_eq!((s.state, s.device, s.nonce), (SessionState::Verified, dev, 0));
+        assert_eq!(s.challenge, shard.sessions.derive_challenge(dev, 0));
+        assert!(shard.sessions().session(open).is_none());
+        assert_eq!(shard.pending(), 0);
+        // Nonces and ids restart above everything epoch 0 issued.
+        assert_eq!(shard.sessions().next_nonce(dev), 1 << EPOCH_SHIFT);
+        let next = shard.sessions().peek_next_id();
+        assert!(next > open && next.0 % 2 == 0, "{next}");
+        // The replay window lived in memory only: an old tag now passes the
+        // session layer, and the MAC rejects it under the fresh challenge.
+        let mut shard = shard;
+        let sid = shard.sessions.issue(dev, OpId(0), 0).id;
+        assert!(shard.sessions.check_submit(sid, dev, &[0xAA; 32], 1).is_ok());
     }
 
     #[test]
@@ -808,17 +720,12 @@ mod tests {
         let dev = DeviceId(5);
         let before = {
             let mut shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
-            shard.commit(StateEvent::DeviceRegistered {
-                device: dev,
-                op: OpId(0),
-                key_seed: 9,
-                epoch: 2,
-            });
+            register(&mut shard, dev, 9, 2);
             // Snapshots after rounds 1 and 4, and one between an accepted
-            // proof and its verdict, which must carry the held proof.
+            // proof and its verdict: the snapshot leaves the open session
+            // out and the verdict record in the next segment rebuilds it.
             for r in 0..6u64 {
-                let sid = 1 + 3 * r;
-                accept(&mut shard, dev, sid, r, dummy_proof(r as u8));
+                let sid = accept(&mut shard, dev, dummy_proof(r as u8));
                 if r == 3 {
                     shard.snapshot().unwrap();
                 }
@@ -835,16 +742,14 @@ mod tests {
 
         let shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
         assert_eq!(state_of(&shard), before);
+        assert_eq!(shard.sessions.boot_epoch, 1);
         let rec = shard.registry().device(dev).unwrap();
         assert_eq!(rec.verified, 6);
         assert_eq!(rec.last_verified, Some(5));
         assert_eq!(rec.epoch(), 2);
-        assert_eq!(shard.sessions().next_nonce(dev), 6);
+        assert_eq!(shard.sessions().next_nonce(dev), 1 << EPOCH_SHIFT);
         // Strided ids survive: next id ≡ 1 (mod 3).
         assert_eq!(shard.sessions().peek_next_id().0 % 3, 1);
-        // The replay window survived the snapshot: an old accepted tag is
-        // still refused.
-        assert!(shard.sessions.check_submit(SessionId(100), dev, &[5; 32], 7).is_err());
     }
 
     #[test]
@@ -852,62 +757,46 @@ mod tests {
         let dir = tmp_dir("floor");
         let dev = DeviceId(2);
         let mut shard = Shard::recover(&dir, 0, 1, &params()).unwrap();
-        shard.commit(StateEvent::DeviceRegistered {
-            device: dev,
-            op: OpId(0),
-            key_seed: 1,
-            epoch: 0,
-        });
-        // A full output region keeps every accepted proof ≈ 330 bytes.
-        let mut nonce = 0;
+        register(&mut shard, dev, 1, 0);
+        let round = |shard: &mut Shard, n: u64| {
+            let sid = accept(shard, dev, dummy_proof(n as u8));
+            settle(shard, sid);
+        };
+        let mut rounds = 0;
         while shard.generation == 0 {
-            assert!(nonce < 10_000, "1 MiB of log never rotated");
-            round(&mut shard, dev, nonce, nonce, proof_with_or(nonce as u8, 0xC3));
-            nonce += 1;
+            assert!(rounds < 20_000, "1 MiB of log never rotated");
+            round(&mut shard, rounds);
+            rounds += 1;
         }
         let wal = shard.wal.as_ref().unwrap();
         assert!(wal.size() < ROTATE_FLOOR, "the rotating commit starts a fresh segment");
         assert!(shard.snapshot_bytes > 0 && shard.snapshot_bytes < ROTATE_FLOOR);
         // A few more rounds land in the new segment, then the shard
-        // recovers to the same state from snapshot + segment.
-        for _ in 0..3 {
-            round(&mut shard, dev, nonce, nonce, proof_with_or(nonce as u8, 0xC3));
-            nonce += 1;
+        // recovers to the same state from snapshot + segment, and appends
+        // its boot record to that segment.
+        for n in 0..3 {
+            round(&mut shard, rounds + n);
         }
         assert_eq!(segments(&dir), 1);
         let recovered = Shard::recover(&dir, 0, 1, &params()).unwrap();
         assert_eq!(state_of(&recovered), state_of(&shard));
         assert_eq!(recovered.snapshot_bytes, shard.snapshot_bytes);
-        assert_eq!(recovered.wal.as_ref().unwrap().size(), shard.wal.as_ref().unwrap().size());
+        let boot = 8 + encode_event(&StateEvent::BootEpoch { epoch: 1 }).len() as u64;
+        let sizes = [&recovered, &shard].map(|s| s.wal.as_ref().unwrap().size());
+        assert_eq!(sizes[0], sizes[1] + boot);
     }
 
     #[test]
     fn deregistration_purges_sessions_and_queue() {
         let mut shard = Shard::in_memory(0, 1, &params());
         let dev = DeviceId(1);
-        shard.commit(StateEvent::DeviceRegistered {
-            device: dev,
-            op: OpId(0),
-            key_seed: 1,
-            epoch: 0,
-        });
-        shard.commit(StateEvent::ChallengeIssued {
-            session: SessionId(0),
-            device: dev,
-            op: OpId(0),
-            nonce: 0,
-            issued_at: 0,
-            deadline: 64,
-        });
-        shard.commit(StateEvent::ProofAccepted {
-            session: SessionId(0),
-            device: dev,
-            proof: dummy_proof(1),
-        });
+        register(&mut shard, dev, 1, 0);
+        let sid = accept(&mut shard, dev, dummy_proof(1));
         assert_eq!(shard.pending(), 1);
         shard.commit(StateEvent::DeviceDeregistered { device: dev });
         assert_eq!(shard.pending(), 0, "queued proof of a removed device is dropped");
         assert!(shard.registry().device(dev).is_err());
-        assert_eq!(shard.sessions().session(SessionId(0)).unwrap().state, SessionState::Expired);
+        assert_eq!(shard.sessions().session(sid).unwrap().state, SessionState::Expired);
+        assert_eq!(shard.registry.next_device, 2, "a removed id is never issued again");
     }
 }

@@ -13,8 +13,7 @@
 //!
 //! Events are encoded with the same total-decode, length-prefixed
 //! discipline as the wire codec in [`crate::wire`] (they share its
-//! `Writer`/`Reader` internals and its proof-body encoding, so an accepted
-//! proof's unwritten output region costs 8 bytes, not 2 KiB): little-endian
+//! `Writer`/`Reader` internals and its report encoding): little-endian
 //! integers, `u32` length-prefixed byte strings, and no announced length
 //! able to drive an allocation past the input size plus one 64 KiB output
 //! region. A log file is:
@@ -32,12 +31,27 @@
 //!
 //! Process-crash consistency: every record reaches the kernel with
 //! `write` before the mutation it describes is applied, and no record is
-//! ever held in user space across an API call. `issue`, `submit` and the
-//! other single mutations cost one `write` each; a verify pass stages the
-//! verdict records of one batch in the log's reusable buffer and hands
-//! them over in **one** `write` ([`Wal::stage`] + [`Wal::flush`]). There is
-//! no per-record `fsync`: power loss may rewind to the last snapshot's
-//! `fsync` point.
+//! ever held in user space across an API call. Only what the durable
+//! guarantees need is logged:
+//!
+//! - **G1**, no challenge is reused and no pre-crash proof is accepted
+//!   after a restart: each shard logs one [`StateEvent::BootEpoch`] when
+//!   it opens, and nonces and session ids are (boot epoch, in-memory
+//!   counter) pairs, so `issue` and `submit` log nothing;
+//! - **G2**, a verdict a drain returned survives any crash together with
+//!   the device's counters: a verify pass stages the
+//!   [`StateEvent::VerdictRecorded`] records of one batch in the log's
+//!   reusable buffer and hands them over in **one** `write`
+//!   ([`Wal::stage`] + [`Wal::flush`]) before it returns them;
+//! - **G3**, the registry, keys and epochs survive: registrations,
+//!   deregistrations and the fleet-level events cost one `write` each.
+//!
+//! A crash forgets every session still open (`Issued` or `Submitted`),
+//! every expired one, and the anti-replay windows. A late submit to a
+//! forgotten session fails as unknown and the device re-attests under a
+//! fresh challenge; a captured pre-crash proof fails on the MAC in any
+//! new session. There is no per-record `fsync`: power loss may rewind to
+//! the last snapshot's `fsync` point.
 //!
 //! # Corruption tolerance
 //!
@@ -46,11 +60,11 @@
 //! short, fails its checksum, or does not decode — returning the valid
 //! prefix and **never panicking** — and [`Wal::open`] cuts the file back
 //! to that prefix, so later appends are not stranded behind the torn
-//! bytes. Anti-replay soundness only requires that accepted history is
-//! not *lost*; a torn suffix is by definition a mutation that never
-//! completed, so dropping it recovers a consistent earlier state. A torn
-//! verify-pass write therefore recovers a prefix of that batch's
-//! verdicts; the rest are still queued and verify again.
+//! bytes. A torn suffix is by definition a mutation that never completed
+//! (no verdict in it was returned), so dropping it recovers a consistent
+//! earlier state. A torn verify-pass write therefore recovers a prefix of
+//! that batch's verdicts; the rest are forgotten with the other open
+//! sessions.
 //!
 //! A complete header or checksummed record of **another version** is not
 //! corruption but a foreign format, and fails recovery with
@@ -58,11 +72,7 @@
 
 use crate::registry::{DeviceId, OpId};
 use crate::session::SessionId;
-use crate::wire::{
-    decode_dialed_proof, decode_report_fields, encode_dialed_proof, encode_report_fields, Reader,
-    WireError, Writer,
-};
-use dialed::attest::DialedProof;
+use crate::wire::{decode_report_fields, encode_report_fields, Reader, WireError, Writer};
 use dialed::pipeline::InstrumentMode;
 use dialed::report::Report;
 use std::fmt;
@@ -71,8 +81,9 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Current event-encoding version, bumped on any incompatible change.
-/// Version 2 carries proofs in the wire's version-4 proof body.
-pub const EVENT_VERSION: u8 = 2;
+/// Version 3 has boot-epoch records and self-contained verdicts, and no
+/// issue, accepted-proof or expiry records.
+pub const EVENT_VERSION: u8 = 3;
 
 /// WAL file magic: "Dialed WAL".
 pub const WAL_MAGIC: [u8; 4] = *b"DWAL";
@@ -127,45 +138,32 @@ pub enum StateEvent {
         /// The removed device.
         device: DeviceId,
     },
-    /// A challenge was issued. The challenge bytes are *not* stored —
-    /// they re-derive from the fleet label, device and nonce.
-    ChallengeIssued {
-        /// The new session.
+    /// A shard opened, fresh or recovered, and started boot epoch
+    /// `epoch`: one more than the last epoch its state holds, or 0 for a
+    /// fresh shard. Its nonces and session ids are (epoch, counter) pairs.
+    BootEpoch {
+        /// The new boot epoch.
+        epoch: u64,
+    },
+    /// Verification resolved a session. The record carries the session's
+    /// coordinates, so recovery rebuilds the resolved session from it
+    /// alone: the challenge re-derives from the fleet label, device and
+    /// nonce.
+    VerdictRecorded {
+        /// The resolved session.
         session: SessionId,
-        /// Challenged device.
+        /// The device the session was issued to.
         device: DeviceId,
-        /// Operation to prove.
+        /// Operation the device proved.
         op: OpId,
-        /// The device's monotonic challenge nonce.
+        /// The session's challenge nonce.
         nonce: u64,
         /// Logical issue time.
         issued_at: u64,
         /// Logical submission deadline (inclusive).
         deadline: u64,
-    },
-    /// A submission passed the session checks and was queued for
-    /// verification. The full proof is persisted so a crash between
-    /// accept and drain loses nothing: recovery re-queues it.
-    ProofAccepted {
-        /// The session answered.
-        session: SessionId,
-        /// Submitting device.
-        device: DeviceId,
-        /// The accepted proof.
-        proof: DialedProof,
-    },
-    /// Verification resolved a session.
-    VerdictRecorded {
-        /// The resolved session.
-        session: SessionId,
         /// The verifier's report.
         report: Report,
-    },
-    /// An expiry sweep ran at logical time `now` (replayed
-    /// deterministically from the timestamp).
-    ExpirySweep {
-        /// Sweep time.
-        now: u64,
     },
     /// A prune of resolved sessions ran at logical time `now`.
     PruneSweep {
@@ -179,11 +177,9 @@ const TAG_OP_REGISTERED: u8 = 2;
 const TAG_EPOCH_BUMPED: u8 = 3;
 const TAG_DEVICE_REGISTERED: u8 = 4;
 const TAG_DEVICE_DEREGISTERED: u8 = 5;
-const TAG_CHALLENGE_ISSUED: u8 = 6;
-const TAG_PROOF_ACCEPTED: u8 = 7;
-const TAG_VERDICT_RECORDED: u8 = 8;
-const TAG_EXPIRY_SWEEP: u8 = 9;
-const TAG_PRUNE_SWEEP: u8 = 10;
+const TAG_BOOT_EPOCH: u8 = 6;
+const TAG_VERDICT_RECORDED: u8 = 7;
+const TAG_PRUNE_SWEEP: u8 = 8;
 
 fn encode_mode(w: &mut Writer, mode: InstrumentMode) {
     w.u8(match mode {
@@ -241,29 +237,19 @@ fn encode_event_into(w: &mut Writer, ev: &StateEvent) {
             w.u8(TAG_DEVICE_DEREGISTERED);
             w.u64(device.0);
         }
-        StateEvent::ChallengeIssued { session, device, op, nonce, issued_at, deadline } => {
-            w.u8(TAG_CHALLENGE_ISSUED);
+        StateEvent::BootEpoch { epoch } => {
+            w.u8(TAG_BOOT_EPOCH);
+            w.u64(*epoch);
+        }
+        StateEvent::VerdictRecorded { session, device, op, nonce, issued_at, deadline, report } => {
+            w.u8(TAG_VERDICT_RECORDED);
             w.u64(session.0);
             w.u64(device.0);
             w.u32(op.0);
             w.u64(*nonce);
             w.u64(*issued_at);
             w.u64(*deadline);
-        }
-        StateEvent::ProofAccepted { session, device, proof } => {
-            w.u8(TAG_PROOF_ACCEPTED);
-            w.u64(session.0);
-            w.u64(device.0);
-            encode_dialed_proof(w, proof);
-        }
-        StateEvent::VerdictRecorded { session, report } => {
-            w.u8(TAG_VERDICT_RECORDED);
-            w.u64(session.0);
             encode_report_fields(w, report);
-        }
-        StateEvent::ExpirySweep { now } => {
-            w.u8(TAG_EXPIRY_SWEEP);
-            w.u64(*now);
         }
         StateEvent::PruneSweep { now } => {
             w.u8(TAG_PRUNE_SWEEP);
@@ -300,24 +286,16 @@ pub fn decode_event(bytes: &[u8]) -> Result<StateEvent, WireError> {
             epoch: r.u64()?,
         },
         TAG_DEVICE_DEREGISTERED => StateEvent::DeviceDeregistered { device: DeviceId(r.u64()?) },
-        TAG_CHALLENGE_ISSUED => StateEvent::ChallengeIssued {
+        TAG_BOOT_EPOCH => StateEvent::BootEpoch { epoch: r.u64()? },
+        TAG_VERDICT_RECORDED => StateEvent::VerdictRecorded {
             session: SessionId(r.u64()?),
             device: DeviceId(r.u64()?),
             op: OpId(r.u32()?),
             nonce: r.u64()?,
             issued_at: r.u64()?,
             deadline: r.u64()?,
-        },
-        TAG_PROOF_ACCEPTED => StateEvent::ProofAccepted {
-            session: SessionId(r.u64()?),
-            device: DeviceId(r.u64()?),
-            proof: decode_dialed_proof(&mut r)?,
-        },
-        TAG_VERDICT_RECORDED => StateEvent::VerdictRecorded {
-            session: SessionId(r.u64()?),
             report: decode_report_fields(&mut r)?,
         },
-        TAG_EXPIRY_SWEEP => StateEvent::ExpirySweep { now: r.u64()? },
         TAG_PRUNE_SWEEP => StateEvent::PruneSweep { now: r.u64()? },
         tag => return Err(WireError::UnknownTag { what: "state event", tag }),
     };
@@ -330,8 +308,7 @@ pub fn decode_event(bytes: &[u8]) -> Result<StateEvent, WireError> {
 /// The record checksum: FNV-1a/64 over 8-byte little-endian chunks
 /// (length-salted zero-padded tail), folded to 32 bits. Chunked rather
 /// than per-byte so checksumming a multi-KB proof payload costs one
-/// multiply per word — the WAL append path runs on every accepted
-/// submission. Not cryptographic (the WAL is a local trust-domain file);
+/// multiply per word. Not cryptographic (the WAL is a local trust-domain file);
 /// it detects torn writes and bit rot, which is all recovery needs to
 /// find the valid prefix.
 #[must_use]
@@ -598,11 +575,9 @@ impl From<io::Error> for RecoverError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apex::{PoxConfig, PoxProof};
     use dialed::report::{RejectReason, VerifyStats};
 
     fn sample_events() -> Vec<StateEvent> {
-        let cfg = PoxConfig::new(0xE000, 0xE0FF, 0xE0FE, 0x0600, 0x06FF).unwrap();
         vec![
             StateEvent::ShardLayout { shards: 4 },
             StateEvent::OpRegistered {
@@ -618,33 +593,28 @@ mod tests {
                 epoch: 3,
             },
             StateEvent::DeviceDeregistered { device: DeviceId(7) },
-            StateEvent::ChallengeIssued {
+            StateEvent::BootEpoch { epoch: 2 },
+            StateEvent::VerdictRecorded {
                 session: SessionId(11),
                 device: DeviceId(7),
                 op: OpId(0),
-                nonce: 2,
+                nonce: 2 << 40,
                 issued_at: 5,
                 deadline: 69,
-            },
-            StateEvent::ProofAccepted {
-                session: SessionId(11),
-                device: DeviceId(7),
-                proof: DialedProof {
-                    pox: PoxProof { cfg, exec: true, or_data: vec![1, 2, 3], tag: [0x5A; 32] },
-                },
-            },
-            StateEvent::VerdictRecorded {
-                session: SessionId(11),
                 report: dialed::report::Report::rejected(RejectReason::MacMismatch),
             },
             StateEvent::VerdictRecorded {
                 session: SessionId(12),
+                device: DeviceId(7),
+                op: OpId(0),
+                nonce: (2 << 40) + 1,
+                issued_at: 6,
+                deadline: 70,
                 report: dialed::report::Report::clean(VerifyStats {
                     emulated_insns: 1,
                     ..VerifyStats::default()
                 }),
             },
-            StateEvent::ExpirySweep { now: 70 },
             StateEvent::PruneSweep { now: 200 },
         ]
     }

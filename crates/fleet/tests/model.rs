@@ -46,6 +46,8 @@ struct Model {
     ttl: u64,
     window_cap: usize,
     epoch: u64,
+    /// Restarts so far: the boot epoch nonces are issued under.
+    boot: u64,
     next_device: u64,
     devices: BTreeMap<DeviceId, Device>,
     sessions: BTreeMap<SessionId, Session>,
@@ -59,6 +61,7 @@ impl Model {
             ttl,
             window_cap: window_cap.max(1),
             epoch: 0,
+            boot: 0,
             next_device: 0,
             devices: BTreeMap::new(),
             sessions: BTreeMap::new(),
@@ -85,7 +88,7 @@ impl Model {
         if !self.devices.contains_key(&d) {
             return Err(RegistryError::UnknownDevice(d));
         }
-        let next = self.next_nonce.entry(d).or_insert(0);
+        let next = self.next_nonce.entry(d).or_insert(self.boot << 40);
         let nonce = *next;
         *next += 1;
         let deadline = now + self.ttl;
@@ -157,8 +160,16 @@ impl Model {
         before - self.sessions.len()
     }
 
-    /// A restart of a durable fleet. Today a crash loses nothing.
-    fn crash(&mut self) {}
+    /// A restart of a durable fleet. Devices, their counters and resolved
+    /// sessions survive; open and expired sessions and the replay windows
+    /// are forgotten, and nonces restart at the next boot epoch.
+    fn crash(&mut self) {
+        self.boot += 1;
+        self.sessions
+            .retain(|_, s| matches!(s.state, SessionState::Verified | SessionState::Rejected));
+        self.windows.clear();
+        self.next_nonce.clear();
+    }
 }
 
 fn is_open(state: SessionState) -> bool {

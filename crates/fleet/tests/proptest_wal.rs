@@ -32,7 +32,7 @@ fn catalog() -> impl fleet::OpCatalog {
 
 /// Builds the canonical durable state in a fresh per-case directory: 3
 /// devices, 3 verified rounds each, plus one accepted-but-undrained
-/// submission. Bit `i` of `snaps` snapshots every shard at the `i`-th of
+/// submission (which recovery forgets). Bit `i` of `snaps` snapshots every shard at the `i`-th of
 /// the history's 13 points (after each submission and each drain).
 fn build_state(name: &str, snaps: u16) -> PathBuf {
     static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -108,20 +108,19 @@ fn assert_valid_prefix_and_live(mut fleet: Fleet) {
         "recovery must never invent history: {verified} > {}",
         base_verified()
     );
-    for d in fleet.devices() {
-        if let Some(n) = d.last_verified {
+    // The whole history ran in boot epoch 0, where a device's nonce is its
+    // round number; every challenge issued after the restart must be
+    // greater than any nonce the device verified before it.
+    let history: Vec<_> = fleet.devices().map(|d| (d.id, d.last_verified)).collect();
+    for (dev, last) in history {
+        if let Some(n) = last {
             assert!(n < ROUNDS, "last-verified nonce {n} beyond committed history");
+            let fresh = fleet.issue(dev, 150).unwrap().nonce;
+            assert!(fresh > n, "{dev}: nonce {fresh} after a restart reuses history up to {n}");
         }
     }
-    // A truncated log may rewind to any committed moment — including
-    // mid-round, when a whole round of submissions was accepted but not
-    // yet drained — so pending is bounded by the most that was ever
-    // simultaneously in flight, not by the final state's single entry.
-    assert!(
-        fleet.pending() <= DEVICES as usize,
-        "pending {} exceeds anything the committed history ever held",
-        fleet.pending()
-    );
+    // Submissions never survive a restart, whatever was in flight.
+    assert_eq!(fleet.pending(), 0, "a restart forgets undrained submissions");
 
     // The survivor keeps working: register a brand-new device and push an
     // honest round through the full pipeline.

@@ -1,8 +1,9 @@
-//! Crash-recovery attack test: a fleet killed between accepting a proof
-//! and draining it must come back with its anti-replay state intact. The
-//! canonical attack this guards against: capture a proof the fleet
-//! already accepted, crash the service, and replay the capture after
-//! restart hoping the replay window was lost with the process.
+//! Crash-recovery attack tests: a fleet killed between accepting a proof
+//! and draining it must come back without accepting any pre-crash proof.
+//! The canonical attack: capture a proof the fleet already accepted,
+//! crash the service, and replay the capture after restart, now that the
+//! replay window (which lives in memory only) is gone. Fresh boot-epoch
+//! nonces make every pre-crash proof fail on the MAC instead.
 //!
 //! Snapshots are taken at every subset of a few chosen points, so the
 //! crash lands with history split between snapshots and live WAL segments
@@ -10,6 +11,7 @@
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
+use dialed::report::{Finding, RejectReason};
 use fleet::{CatalogFn, Fleet, FleetConfig, SessionError, SessionId, SessionState};
 use std::path::PathBuf;
 
@@ -86,31 +88,46 @@ fn replay_across_crash(mask: u32) {
     // Phase 2: recover from disk.
     let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
 
-    // The accepted-but-undrained submission survived the crash …
-    assert_eq!(fleet.pending(), 1, "accepted submission must survive the crash");
-    assert_eq!(fleet.session(pending_sid).unwrap().state, SessionState::Submitted);
-    // … and so did the verified history (counters are monotone).
+    // The undrained submission was forgotten with its session …
+    assert_eq!(fleet.pending(), 0, "a restart forgets undrained submissions");
+    assert!(fleet.session(pending_sid).is_none());
+    // … while the verified history survived (counters are monotone).
     let rec = fleet.device(dev).unwrap();
     assert_eq!((rec.verified, rec.last_verified), (1, Some(0)));
 
-    // ATTACK 1: replay the round-1 proof (already Verified pre-crash)
-    // into a fresh post-restart session. The recovered replay window
-    // must kill it at the session layer.
-    let chal = fleet.issue(dev, 10).unwrap();
-    let err = fleet.submit(SessionId(chal.session), dev, captured_round1, 11).unwrap_err();
-    assert_eq!(err, SessionError::ReplayedProof, "round-1 proof tag must still be remembered");
+    // A late answer to the forgotten session is refused outright.
+    let err = fleet.submit(pending_sid, dev, captured_round2.clone(), 10).unwrap_err();
+    assert_eq!(err, SessionError::UnknownSession(pending_sid));
 
-    // ATTACK 2: replay the round-2 proof (accepted but not yet drained
-    // at crash time) into the same fresh session.
-    let err = fleet.submit(SessionId(chal.session), dev, captured_round2, 12).unwrap_err();
-    assert_eq!(err, SessionError::ReplayedProof, "undrained proof tags count too");
+    // ATTACK 1 and 2: replay the round-1 proof (Verified pre-crash) and
+    // the round-2 proof (accepted, never drained) into fresh sessions.
+    // Nothing remembers their tags any more, but the fresh challenges do
+    // not match them: both die on the MAC.
+    let mut attacks = Vec::new();
+    for captured in [captured_round1, captured_round2] {
+        let chal = fleet.issue(dev, 10).unwrap();
+        fleet.submit(SessionId(chal.session), dev, captured, 11).unwrap();
+        attacks.push(SessionId(chal.session));
+    }
+    let (stats, _) = fleet.drain(12);
+    assert_eq!((stats.verified, stats.rejected), (0, 2));
+    for sid in attacks {
+        let report = fleet.session(sid).unwrap().report.clone().unwrap();
+        let mac = Finding::PoxRejected { reason: RejectReason::MacMismatch };
+        assert_eq!(report.findings.first(), Some(&mac), "{sid}");
+    }
 
-    // The recovered fleet finishes the interrupted round normally.
-    let (stats, _) = fleet.drain(13);
-    assert_eq!((stats.drained, stats.verified), (1, 1));
+    // The device re-attests under a fresh challenge, and that verifies.
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
+    device.invoke(&[0, 0, 0, 0, 0, 0, 2, 3]);
+    let chal = fleet.issue(dev, 13).unwrap();
+    let proof = device.prove(&chal.challenge);
+    fleet.submit(SessionId(chal.session), dev, proof, 14).unwrap();
+    assert_eq!(fleet.drain(15).0.verified, 1);
     let rec = fleet.device(dev).unwrap();
-    assert_eq!((rec.verified, rec.last_verified), (2, Some(1)), "counters advance, never regress");
-    assert_eq!(fleet.session(pending_sid).unwrap().state, SessionState::Verified);
+    assert_eq!((rec.verified, rec.rejected), (2, 2));
+    assert_eq!(rec.last_verified, Some(chal.nonce), "counters advance, never regress");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -128,6 +145,8 @@ fn counters_stay_monotone_across_repeated_restarts() {
     // and after the drain in the middle one, puts snapshot boundaries
     // inside rounds as well as between restarts.
     let mut device_ids = Vec::new();
+    let mut verified_nonce = std::collections::HashMap::new();
+    let mut highest_before = None;
     for generation in 0..3u64 {
         let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
         if generation == 0 {
@@ -136,15 +155,20 @@ fn counters_stay_monotone_across_repeated_restarts() {
                 device_ids.push(fleet.register_device(op_id, seed).unwrap());
             }
         }
+        let mut highest = highest_before;
         for &dev in &device_ids {
             let rec = fleet.device(dev).unwrap();
             assert_eq!(rec.verified, generation, "history from prior generations persists");
-            assert_eq!(rec.last_verified, generation.checked_sub(1));
+            assert_eq!(rec.last_verified, verified_nonce.get(&dev).copied());
 
             let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
             let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
             let chal = fleet.issue(dev, generation * 100).unwrap();
-            assert_eq!(chal.nonce, generation, "nonces continue across restarts");
+            if let Some(n) = highest_before {
+                assert!(chal.nonce > n, "nonce {} after a restart must exceed {n}", chal.nonce);
+            }
+            highest = highest.max(Some(chal.nonce));
+            verified_nonce.insert(dev, chal.nonce);
             device.invoke(&[0; 8]);
             let proof = device.prove(&chal.challenge);
             fleet.submit(SessionId(chal.session), dev, proof, generation * 100 + 1).unwrap();
@@ -152,6 +176,7 @@ fn counters_stay_monotone_across_repeated_restarts() {
                 fleet.snapshot().unwrap();
             }
         }
+        highest_before = highest;
         let (stats, _) = fleet.drain(generation * 100 + 2);
         assert_eq!(stats.verified, device_ids.len());
         if generation == 1 {
@@ -162,7 +187,7 @@ fn counters_stay_monotone_across_repeated_restarts() {
     let fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
     for &dev in &device_ids {
         let rec = fleet.device(dev).unwrap();
-        assert_eq!((rec.verified, rec.last_verified), (3, Some(2)));
+        assert_eq!((rec.verified, rec.last_verified), (3, verified_nonce.get(&dev).copied()));
     }
 }
 
@@ -170,16 +195,18 @@ fn counters_stay_monotone_across_repeated_restarts() {
 fn torn_verdict_batch_recovers_a_prefix_of_it() {
     // One shard, one operation: a drain writes all its verdicts with one
     // `write`. Cutting that write at every byte offset must recover the
-    // first k verdicts of the batch and leave the rest queued — never a
-    // mixture — and the recovered fleet must finish the batch durably.
+    // first k verdicts of the batch and forget the rest — never a
+    // mixture — and the devices of the rest re-attest durably.
     let config = FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() };
     let base = tmp_dir("torn-batch-base");
     let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
-    let (order, before, after) = {
+    let (order, devices, before, after) = {
         let mut fleet = Fleet::durable(&base, config.clone()).unwrap();
         let op_id = fleet.register_op("adder", op.clone(), vec![]);
+        let mut devices = Vec::new();
         for seed in 0..4 {
             let dev = fleet.register_device(op_id, seed).unwrap();
+            devices.push(dev);
             let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
             let chal = fleet.issue(dev, 0).unwrap();
             device.invoke(&[0; 8]);
@@ -190,7 +217,7 @@ fn torn_verdict_batch_recovers_a_prefix_of_it() {
         let before = std::fs::metadata(&segment).unwrap().len() as usize;
         let mut order = Vec::new();
         assert_eq!(fleet.verify_pending(&mut order).verified, 4);
-        (order, before, std::fs::read(&segment).unwrap())
+        (order, devices, before, std::fs::read(&segment).unwrap())
     };
 
     for cut in before..=after.len() {
@@ -202,24 +229,32 @@ fn torn_verdict_batch_recovers_a_prefix_of_it() {
         std::fs::write(dir.join("shard-0").join("wal-0.log"), &after[..cut]).unwrap();
 
         let mut fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
-        let states: Vec<_> = order.iter().map(|&sid| fleet.session(sid).unwrap().state).collect();
-        let k = states.iter().take_while(|&&s| s == SessionState::Verified).count();
+        let states: Vec<_> = order.iter().map(|&sid| fleet.session(sid).map(|s| s.state)).collect();
+        let k = states.iter().take_while(|&&s| s == Some(SessionState::Verified)).count();
         assert!(
-            states[k..].iter().all(|&s| s == SessionState::Submitted),
+            states[k..].iter().all(Option::is_none),
             "cut {cut}: {states:?} is not a prefix of the batch"
         );
-        assert_eq!(fleet.pending(), order.len() - k, "cut {cut}");
+        assert_eq!(fleet.pending(), 0, "cut {cut}");
         if cut == after.len() {
             assert_eq!(k, order.len());
         }
 
         // The torn bytes are cut away on recovery, so verdicts written
         // after it survive the next restart.
-        assert_eq!(fleet.drain(2).0.verified, order.len() - k);
+        let forgotten: Vec<_> =
+            devices.iter().copied().filter(|&d| fleet.device(d).unwrap().verified == 0).collect();
+        for &dev in &forgotten {
+            let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
+            device.invoke(&[0; 8]);
+            let chal = fleet.issue(dev, 2).unwrap();
+            fleet.submit(SessionId(chal.session), dev, device.prove(&chal.challenge), 3).unwrap();
+        }
+        assert_eq!(fleet.drain(4).0.verified, order.len() - k);
         drop(fleet);
         let fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
-        for &sid in &order {
-            assert_eq!(fleet.session(sid).unwrap().state, SessionState::Verified, "cut {cut}");
+        for &dev in &devices {
+            assert_eq!(fleet.device(dev).unwrap().verified, 1, "cut {cut}");
         }
     }
     let _ = std::fs::remove_dir_all(&base);
