@@ -416,7 +416,7 @@ impl Harness {
                 self.model.sessions.get(&sid).map(|s| (s.device, s.nonce, s.deadline, s.state));
             assert_eq!(got, want, "{sid} at t={}", self.now);
         }
-        for &d in self.sims.keys() {
+        for d in (0..self.model.next_device).map(DeviceId) {
             let got = self.fleet.device(d).ok().map(|r| Device {
                 epoch: r.epoch(),
                 last_verified: r.last_verified,
@@ -465,4 +465,103 @@ fn durable_fleet_matches_the_model_across_crashes() {
     for seed in 0..300 {
         run(seed, true);
     }
+}
+
+/// A one-shard fleet's segment holding one record of each kind a shard
+/// logs — its boot record, four registrations, a verdict batch of four, a
+/// prune sweep and a deregistration — is cut at every byte offset.
+/// Recovery must land on the state the model reaches by replaying the
+/// operations whose records survive and then crashing, and a second
+/// restart must keep it.
+#[test]
+fn every_offset_of_each_record_kind_recovers_a_model_prefix() {
+    let config = FleetConfig { shards: 1, ..config() };
+    let tmp = |name: &str| {
+        std::env::temp_dir().join(format!("dialed-model-{name}-{}", std::process::id()))
+    };
+    let base = tmp("torn-base");
+    let _ = std::fs::remove_dir_all(&base);
+    let mut fleet = Fleet::durable(&base, config.clone()).unwrap();
+    let op = fleet.register_op("op", build_op(), vec![]);
+    let devs: Vec<_> = (0..4).map(|seed| fleet.register_device(op, seed).unwrap()).collect();
+    // Two sessions prunable at t=10, two not.
+    let mut issued = Vec::new();
+    for (i, &d) in devs.iter().enumerate() {
+        let mut sim = DialedDevice::new(build_op(), fleet.device_keystore(d).unwrap());
+        sim.invoke(&[0, 0, 0, 0, 0, 0, 2, 3]);
+        let now = if i < 2 { 0 } else { 10 };
+        let chal = fleet.issue(d, now).unwrap();
+        fleet.submit(SessionId(chal.session), d, sim.prove(&chal.challenge), now).unwrap();
+        issued.push((SessionId(chal.session), d, chal.challenge, now));
+    }
+    assert_eq!(fleet.verify_pending(&mut Vec::new()).verified, 4);
+    assert_eq!(fleet.prune_resolved(10), 2);
+    fleet.deregister_device(devs[3]).unwrap();
+    drop(fleet);
+
+    let segment = std::fs::read(base.join("shard-0").join("wal-0.log")).unwrap();
+    let mut ends = Vec::new();
+    let mut pos = 5;
+    while pos < segment.len() {
+        pos += 8 + u32::from_le_bytes(segment[pos..pos + 4].try_into().unwrap()) as usize;
+        ends.push(pos);
+    }
+    assert_eq!(ends.len(), 11, "boot, 4 registrations, 4 verdicts, prune, deregistration");
+
+    let dir = tmp("torn-cut");
+    for cut in 0..=segment.len() {
+        // The model replays the operations whose records are whole.
+        let whole = ends.iter().filter(|&&end| end <= cut).count();
+        let mut model = Model::new(TTL, WINDOW);
+        for _ in 0..whole.saturating_sub(1).min(4) {
+            model.register();
+        }
+        for &(sid, d, _, now) in &issued[..whole.saturating_sub(5).min(4)] {
+            model.issue(sid, d, now).unwrap();
+            model.submit(sid, d, (sid, d), now).unwrap();
+        }
+        model.verify_pending();
+        if whole > 9 {
+            model.prune(10);
+        }
+        if whole > 10 {
+            model.deregister(devs[3]).unwrap();
+        }
+        model.crash();
+
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("shard-0")).unwrap();
+        std::fs::copy(base.join("meta.log"), dir.join("meta.log")).unwrap();
+        std::fs::write(dir.join("shard-0").join("wal-0.log"), &segment[..cut]).unwrap();
+        let mut h = Harness {
+            fleet: Fleet::recover(&dir, config.clone(), &catalog()).unwrap(),
+            model,
+            dir: Some(dir.clone()),
+            op,
+            rng: Rng(0),
+            now: 20,
+            sims: BTreeMap::new(),
+            issued: issued.iter().map(|&(sid, d, chal, _)| (sid, d, chal)).collect(),
+            proofs: Vec::new(),
+        };
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            h.compare();
+            // Fresh challenges for the survivors, above every old nonce.
+            for d in h.model.devices.keys().copied().collect::<Vec<_>>() {
+                let chal = h.fleet.issue(d, h.now).unwrap();
+                let sid = SessionId(chal.session);
+                assert_eq!(Ok(chal.nonce), h.model.issue(sid, d, h.now), "{d}");
+                h.issued.push((sid, d, chal.challenge));
+            }
+            h.crash();
+            h.compare();
+            let next = h.fleet.register_device(op, 99).unwrap();
+            assert_eq!(next, h.model.register(), "device ids");
+        }));
+        if let Err(e) = result {
+            eprintln!("segment cut at byte {cut} of {} ({whole} whole records)", segment.len());
+            std::panic::resume_unwind(e);
+        }
+    }
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -12,7 +12,7 @@
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{Finding, RejectReason};
-use fleet::{CatalogFn, Fleet, FleetConfig, SessionError, SessionId, SessionState};
+use fleet::{CatalogFn, Fleet, FleetConfig, SessionError, SessionId};
 use std::path::PathBuf;
 
 const OP_SRC: &str = "\
@@ -189,74 +189,4 @@ fn counters_stay_monotone_across_repeated_restarts() {
         let rec = fleet.device(dev).unwrap();
         assert_eq!((rec.verified, rec.last_verified), (3, verified_nonce.get(&dev).copied()));
     }
-}
-
-#[test]
-fn torn_verdict_batch_recovers_a_prefix_of_it() {
-    // One shard, one operation: a drain writes all its verdicts with one
-    // `write`. Cutting that write at every byte offset must recover the
-    // first k verdicts of the batch and forget the rest — never a
-    // mixture — and the devices of the rest re-attest durably.
-    let config = FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() };
-    let base = tmp_dir("torn-batch-base");
-    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
-    let (order, devices, before, after) = {
-        let mut fleet = Fleet::durable(&base, config.clone()).unwrap();
-        let op_id = fleet.register_op("adder", op.clone(), vec![]);
-        let mut devices = Vec::new();
-        for seed in 0..4 {
-            let dev = fleet.register_device(op_id, seed).unwrap();
-            devices.push(dev);
-            let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
-            let chal = fleet.issue(dev, 0).unwrap();
-            device.invoke(&[0; 8]);
-            let proof = device.prove(&chal.challenge);
-            fleet.submit(SessionId(chal.session), dev, proof, 1).unwrap();
-        }
-        let segment = base.join("shard-0").join("wal-0.log");
-        let before = std::fs::metadata(&segment).unwrap().len() as usize;
-        let mut order = Vec::new();
-        assert_eq!(fleet.verify_pending(&mut order).verified, 4);
-        (order, devices, before, std::fs::read(&segment).unwrap())
-    };
-
-    for cut in before..=after.len() {
-        let dir = tmp_dir("torn-batch-cut");
-        for file in ["meta.log", "shard-0/wal-0.log"] {
-            std::fs::create_dir_all(dir.join(file).parent().unwrap()).unwrap();
-            std::fs::copy(base.join(file), dir.join(file)).unwrap();
-        }
-        std::fs::write(dir.join("shard-0").join("wal-0.log"), &after[..cut]).unwrap();
-
-        let mut fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
-        let states: Vec<_> = order.iter().map(|&sid| fleet.session(sid).map(|s| s.state)).collect();
-        let k = states.iter().take_while(|&&s| s == Some(SessionState::Verified)).count();
-        assert!(
-            states[k..].iter().all(Option::is_none),
-            "cut {cut}: {states:?} is not a prefix of the batch"
-        );
-        assert_eq!(fleet.pending(), 0, "cut {cut}");
-        if cut == after.len() {
-            assert_eq!(k, order.len());
-        }
-
-        // The torn bytes are cut away on recovery, so verdicts written
-        // after it survive the next restart.
-        let forgotten: Vec<_> =
-            devices.iter().copied().filter(|&d| fleet.device(d).unwrap().verified == 0).collect();
-        for &dev in &forgotten {
-            let mut device = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
-            device.invoke(&[0; 8]);
-            let chal = fleet.issue(dev, 2).unwrap();
-            fleet.submit(SessionId(chal.session), dev, device.prove(&chal.challenge), 3).unwrap();
-        }
-        assert_eq!(fleet.drain(4).0.verified, order.len() - k);
-        drop(fleet);
-        let fleet = Fleet::recover(&dir, config.clone(), &catalog()).unwrap();
-        for &dev in &devices {
-            assert_eq!(fleet.device(dev).unwrap().verified, 1, "cut {cut}");
-        }
-    }
-    let _ = std::fs::remove_dir_all(&base);
-    let _ = std::fs::remove_dir_all(tmp_dir("torn-batch-cut"));
 }
