@@ -9,7 +9,10 @@
 //! abstract execution and are identical on every run: instructions, block
 //! dispatches, the share of instructions no observer saw (quiet), log
 //! appends whose tail ran fused, and RAM pages the reset before the proof
-//! rewrote.
+//! rewrote. `prefix` is the instructions before the first input-log site,
+//! where abstract execution first injects a device input, with their share
+//! of all instructions: the part of every proof of the op that no input
+//! can change.
 //!
 //! The second table is the PoX MAC check alone (`PoxVerifier::check`) for
 //! Original and Full mode: how many of the OR's leading 64-byte blocks are
@@ -40,6 +43,20 @@ fn compressions(len: usize) -> usize {
 /// the metadata + EXEC bytes.
 const MAC_MSG_LEN: usize = 32 + 2 * (4 + 32) + 11;
 
+/// Instructions from the canonical caller's `call` (where abstract
+/// execution starts too) up to the op's first input-log site, counted by
+/// single-stepping a fresh device.
+fn input_prefix(dev: &mut DialedDevice, args: &[u16; 8]) -> usize {
+    let sites = dev.op().sites.input.clone();
+    dev.invoke_with_budget(args, 0);
+    let mut steps = 0;
+    while !sites.contains(&dev.cpu_mut().pc()) {
+        assert_eq!(dev.run_raw(1).insns, 1, "the op returned before any input site");
+        steps += 1;
+    }
+    steps
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut iters = 2000u32;
@@ -51,8 +68,8 @@ fn main() {
     }
     println!("sha256 kernel: {}", Kernel::detected().label());
     println!(
-        "{:<18} {:>6} {:>10} {:>6} {:>6} {:>6} {:>9}",
-        "app", "insns", "dispatches", "quiet", "fused", "pages", "warm_us"
+        "{:<18} {:>6} {:>10} {:>6} {:>6} {:>6} {:>13} {:>9}",
+        "app", "insns", "dispatches", "quiet", "fused", "pages", "prefix", "warm_us"
     );
     let ks = KeyStore::from_seed(0xF00D);
     let chal = Challenge::derive(b"probe", 1);
@@ -62,7 +79,7 @@ fn main() {
             let op = scenario.build(mode);
             let mut dev = DialedDevice::new(op.clone(), ks.clone());
             (scenario.feed)(dev.platform_mut());
-            dev.invoke(&scenario.args);
+            let run = dev.invoke(&scenario.args);
             let proof = dev.prove(&chal);
 
             if mode == InstrumentMode::Full {
@@ -76,6 +93,11 @@ fn main() {
                 // Second proof on the warm workspace: the steady state's counts.
                 let _ = verifier.verify_in(&mut ws, &req);
                 let c = ws.last_counts();
+                assert_eq!(run.insns, c.insns, "device and verifier count the same steps");
+                let mut fresh = DialedDevice::new(op.clone(), ks.clone());
+                (scenario.feed)(fresh.platform_mut());
+                let prefix = input_prefix(&mut fresh, &scenario.args);
+                let prefix = format!("{prefix} ({:.1}%)", 100.0 * prefix as f64 / c.insns as f64);
                 let start = Instant::now();
                 for _ in 0..iters {
                     std::hint::black_box(verifier.verify_in(&mut ws, &req));
@@ -83,13 +105,14 @@ fn main() {
                 let us = start.elapsed().as_secs_f64() * 1e6 / f64::from(iters);
                 let quiet = 1.0 - c.observed as f64 / c.insns as f64;
                 println!(
-                    "{:<18} {:>6} {:>10} {:>6.3} {:>6} {:>6} {:>9.2}",
+                    "{:<18} {:>6} {:>10} {:>6.3} {:>6} {:>6} {:>13} {:>9.2}",
                     scenario.name,
                     c.insns,
                     c.dispatches,
                     quiet,
                     c.fused_appends,
                     c.pages_restored,
+                    prefix,
                     us
                 );
             }
