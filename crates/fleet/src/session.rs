@@ -27,10 +27,10 @@
 //! lives in memory only: after a restart a captured proof fails on the
 //! MAC instead.
 //!
-//! Mutations of resolved state are split into a *check* half (pure, e.g.
-//! [`SessionManager::check_submit`]) and an *apply* half; the verdicts a
-//! shard logs replay through the same install and resolve steps the live
-//! service runs. A manager constructed with
+//! Submission is a pure check ([`SessionManager::check_submit`]) and then
+//! its application; a verdict a shard logged replays through the same
+//! install and resolve steps the live service runs. A manager constructed
+//! with
 //! [`SessionManager::with_ids`] allocates session ids on a stride
 //! (`first`, `first + stride`, …, restarting above the previous epoch's
 //! ids at each boot) so each state shard mints ids that encode its own
@@ -350,19 +350,9 @@ impl SessionManager {
         Ok(s.op)
     }
 
-    /// The apply half of submission: records the accepted proof, pushes
-    /// its tag into the device's anti-replay window and marks the session
-    /// `Submitted`. The caller has already validated via
-    /// [`SessionManager::check_submit`].
-    fn apply_submit(&mut self, session: SessionId, device: DeviceId, proof: DialedProof) {
-        let Some(s) = self.sessions.get_mut(&session.0) else { return };
-        self.per_device.entry(device).or_default().window.push(proof.pox.tag, self.window_cap);
-        s.state = SessionState::Submitted;
-        s.proof = Some(proof);
-    }
-
-    /// Accepts `proof` for `session`: [`SessionManager::check_submit`]
-    /// followed by the private apply half. Returns the session's
+    /// Accepts `proof` for `session`: after [`SessionManager::check_submit`]
+    /// it holds the proof, pushes its tag into the device's anti-replay
+    /// window and marks the session `Submitted`. Returns the session's
     /// operation, whose ingest batch the proof joins.
     ///
     /// # Errors
@@ -376,7 +366,10 @@ impl SessionManager {
         now: u64,
     ) -> Result<OpId, SessionError> {
         let op = self.check_submit(session, device, &proof.pox.tag, now)?;
-        self.apply_submit(session, device, proof);
+        self.per_device.entry(device).or_default().window.push(proof.pox.tag, self.window_cap);
+        let s = self.sessions.get_mut(&session.0).expect("checked above");
+        s.state = SessionState::Submitted;
+        s.proof = Some(proof);
         Ok(op)
     }
 
