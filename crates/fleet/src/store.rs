@@ -1,13 +1,14 @@
 //! The durable store: versioned state events, the write-ahead log they
 //! append to, and the atomic-write helper snapshots go through.
 //!
-//! Every mutation of fleet state is a [`StateEvent`]. The live path and
-//! crash recovery share one `apply` code path (in [`crate::shard`]): a
-//! mutation is first encoded and appended to the shard's WAL, then applied
-//! to the in-memory state; recovery replays the same events through the
-//! same apply. What is persisted is therefore exactly what is executed —
-//! there is no separate serialization of "the state" that could drift
-//! from the state machine.
+//! Every durable mutation of fleet state is a [`StateEvent`]; issuing a
+//! challenge and accepting a proof are not durable (see the durability
+//! model below). The live path and crash recovery share one `apply` code
+//! path (in [`crate::shard`]): a mutation is first encoded and appended to
+//! the shard's WAL, then applied to the in-memory state; recovery replays
+//! the same events through the same apply. What is persisted is therefore
+//! exactly what is executed — there is no separate serialization of "the
+//! state" that could drift from the state machine.
 //!
 //! # Framing
 //!

@@ -11,8 +11,7 @@
 //! | 4 | 4 | payload length `n` |
 //! | 8 | `n` | payload |
 //!
-//! A proof body (inside `Proof` and `Submit` frames, and shared with the
-//! durable store's events and snapshots) is:
+//! A proof body (inside `Proof` and `Submit` frames) is:
 //!
 //! | size | field |
 //! |---|---|
@@ -340,15 +339,13 @@ fn zero_prefix(bytes: &[u8]) -> usize {
     start + bytes[start..].iter().take_while(|&&b| b == 0).count()
 }
 
-/// Encodes the proof body alone (see the module docs for its layout) —
-/// shared with the durable store, which persists accepted proofs inside
-/// `ProofAccepted` events and snapshots.
+/// Encodes the proof body alone (see the module docs for its layout).
 ///
 /// # Panics
 ///
 /// Panics if the output region is longer than [`MAX_OR_LEN`]: no decoder
 /// would accept it back. Decoded proofs never are.
-pub(crate) fn encode_dialed_proof(w: &mut Writer, proof: &DialedProof) {
+fn encode_dialed_proof(w: &mut Writer, proof: &DialedProof) {
     let pox = &proof.pox;
     assert!(pox.or_data.len() <= MAX_OR_LEN, "output region longer than the address space");
     w.bytes(&pox.cfg.to_metadata_bytes());
@@ -450,7 +447,7 @@ fn encode_finding(w: &mut Writer, finding: &Finding) {
 
 /// Encodes a full [`Report`] (verdict + findings + stats) — shared with
 /// the durable store, which persists verdicts inside `VerdictRecorded`
-/// events.
+/// events and snapshots.
 pub(crate) fn encode_report_fields(w: &mut Writer, report: &Report) {
     encode_verdict(w, report.verdict);
     w.u32(u32::try_from(report.findings.len()).expect("finding count"));
@@ -633,7 +630,7 @@ fn decode_config(r: &mut Reader<'_>) -> Result<PoxConfig, WireError> {
 /// Decodes a proof body alone (the inverse of [`encode_dialed_proof`]),
 /// re-validating the embedded [`PoxConfig`] exactly as the wire path does.
 /// Both counts are bounded before anything is allocated.
-pub(crate) fn decode_dialed_proof(r: &mut Reader<'_>) -> Result<DialedProof, WireError> {
+fn decode_dialed_proof(r: &mut Reader<'_>) -> Result<DialedProof, WireError> {
     let cfg = decode_config(r)?;
     let exec = r.bool()?;
     let (len, zeros) = (r.u32()? as usize, r.u32()? as usize);
