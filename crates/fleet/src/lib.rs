@@ -16,7 +16,7 @@
 //!                  │ ingest     │  │            │  │            │
 //!                  │ workspaces │  │            │  │            │
 //!                  ├────────────┤  ├────────────┤  ├────────────┤
-//!                  │ WAL + snap │  │ WAL + snap │  │ WAL + snap │
+//!                  │ WAL        │  │ WAL        │  │ WAL        │
 //!                  └────────────┘  └────────────┘  └────────────┘
 //! ```
 //!
@@ -32,7 +32,7 @@
 //! * [`ingest`] — each shard's pending-submission queue, drained in
 //!   per-operation batches through that operation's verifier, on a warm
 //!   workspace the shard keeps per operation.
-//! * [`store`] — durable [`StateEvent`]s, the write-ahead log, snapshots.
+//! * [`store`] — durable [`StateEvent`]s and the write-ahead log.
 //! * [`shard`] — the consistent-hash ring and the shard state machine
 //!   tying the above together.
 //!
@@ -40,7 +40,8 @@
 //!
 //! Durable state changes are events: appended to the owning shard's WAL
 //! (or the fleet's meta log), then applied. [`Fleet::recover`] replays
-//! snapshot + WAL through the *same* apply path. What survives a crash is
+//! each shard's log, which compaction rewrites as events, through the
+//! *same* apply path. What survives a crash is
 //! what the guarantees in [`store`] need: the registry, keys and epochs,
 //! every verdict a drain returned with its device's counters, and a boot
 //! epoch per shard that keeps nonces fresh, so `issue` and `submit` write
@@ -197,7 +198,7 @@ impl Fleet {
         }
     }
 
-    /// A durable fleet writing WAL + snapshots under `dir` (created if
+    /// A durable fleet writing its logs under `dir` (created if
     /// missing). Equivalent to [`Fleet::recover`] with an empty catalog —
     /// use it for a *fresh* state directory; reopening one that already
     /// has registered operations needs `recover` and a catalog.
@@ -211,7 +212,7 @@ impl Fleet {
     }
 
     /// Recovers a fleet from `dir`: replays the meta log (layout,
-    /// operations via `catalog`, epoch), then each shard's snapshot + WAL
+    /// operations via `catalog`, epoch), then each shard's newest WAL
     /// segment through the same apply path live mutations use, and starts
     /// each shard's next boot epoch. The shard count, every device and its
     /// counters, and every resolved session not yet pruned come back
@@ -222,8 +223,8 @@ impl Fleet {
     ///
     /// [`RecoverError::MissingLayout`] if the meta log exists but pins no
     /// shard layout, [`RecoverError::UnknownOp`] if the catalog cannot
-    /// rebuild a logged operation, [`RecoverError::Format`] if a log or
-    /// snapshot is of another format version, or an I/O failure.
+    /// rebuild a logged operation, [`RecoverError::Format`] if a log is of
+    /// another format version, or an I/O failure.
     pub fn recover(
         dir: &Path,
         config: FleetConfig,
@@ -584,17 +585,16 @@ impl Fleet {
         self.shards.iter_mut().map(|s| s.prune(now)).sum()
     }
 
-    /// Forces a snapshot + WAL rotation on every shard. They also happen
-    /// automatically, once a shard's live segment outgrows its last
-    /// snapshot (see [`shard`]'s durability layout). A no-op for in-memory
-    /// fleets.
+    /// Forces a compaction on every shard: each rewrites its log as the
+    /// events that rebuild its state. They also happen automatically (see
+    /// [`shard`]'s durability layout). A no-op for in-memory fleets.
     ///
     /// # Errors
     ///
     /// Propagates the first file-system error.
     pub fn snapshot(&mut self) -> io::Result<()> {
         for shard in &mut self.shards {
-            shard.snapshot()?;
+            shard.compact()?;
         }
         Ok(())
     }
@@ -1079,20 +1079,20 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_is_refused_not_recovered_empty() {
-        // Recovering the empty state here would silently drop every nonce
-        // and replay window the snapshot holds.
-        let dir = fresh_durable("v1-snapshot");
-        let v1 = [&b"DSNP"[..], &[1], &1u64.to_le_bytes()].concat();
-        std::fs::write(dir.join("shard-0").join("snapshot.bin"), v1).unwrap();
-        assert_eq!(refused_as(&dir, "shard-0/snapshot.bin", 1), shard::SNAP_VERSION);
+    fn parent_header_only_segment_is_refused() {
+        // A WAL-v1 directory kept a snapshot file beside its segment, and
+        // right after a snapshot the segment held only its header. Read
+        // without that snapshot, it would recover as the empty state.
+        let dir = fresh_durable("v1-header-only");
+        let v1 = [&store::WAL_MAGIC[..], &[1]].concat();
+        std::fs::write(dir.join("shard-0").join("wal-3.log"), v1).unwrap();
+        assert_eq!(refused_as(&dir, "shard-0/wal-3.log", 1), store::WAL_VERSION);
     }
 
     #[test]
-    fn v2_segment_and_snapshot_are_refused() {
-        // Version 2 logged every issue and accepted proof, and its
-        // snapshots held open sessions, nonces and replay windows; read as
-        // version 3, its nonces would restart at boot epoch 0.
+    fn v2_segment_is_refused() {
+        // Version 2 logged every issue and accepted proof; read as version
+        // 3, its nonces would restart at boot epoch 0.
         let dir = fresh_durable("v2-segment");
         let ev = StateEvent::DeviceRegistered {
             device: DeviceId(0),
@@ -1102,10 +1102,5 @@ mod tests {
         };
         std::fs::write(dir.join("shard-0").join("wal-0.log"), log_of_version(&[ev], 2)).unwrap();
         assert_eq!(refused_as(&dir, "shard-0/wal-0.log", 2), store::EVENT_VERSION);
-
-        let dir = fresh_durable("v2-snapshot");
-        let v2 = [&b"DSNP"[..], &[2], &1u64.to_le_bytes()].concat();
-        std::fs::write(dir.join("shard-0").join("snapshot.bin"), v2).unwrap();
-        assert_eq!(refused_as(&dir, "shard-0/snapshot.bin", 2), shard::SNAP_VERSION);
     }
 }

@@ -12,7 +12,7 @@
 //! * [`Registry`] — one per shard, holding the [`DeviceRecord`]s the
 //!   shard's consistent-hash slice of the device space routes to. Device
 //!   state is pure data (seed, epoch, counters) and is what the shard's
-//!   write-ahead log and snapshots persist; the derived key schedule is
+//!   write-ahead log persists; the derived key schedule is
 //!   rebuilt from `seed ⊕ f(epoch)` on install, never serialized.
 //!
 //! Verified verdicts flow back in from the ingest stage, advancing each
@@ -228,7 +228,7 @@ pub struct DeviceRecord {
     /// Sessions that ended `Rejected`.
     pub rejected: u64,
     /// The provisioning seed the device's key derives from — the durable
-    /// half of the key material (what the WAL and snapshots persist).
+    /// half of the key material (what the WAL persists).
     pub(crate) key_seed: u64,
     /// The key-rotation epoch the device was provisioned under.
     pub(crate) epoch: u64,

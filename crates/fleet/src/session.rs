@@ -253,8 +253,8 @@ impl SessionManager {
 
     /// The challenge `device` answers under for `nonce`:
     /// `H(fleet label ‖ device id)` bound with the nonce — unique per
-    /// (fleet, device, round), and re-derivable at recovery so snapshots
-    /// and events never need to persist challenge bytes.
+    /// (fleet, device, round), and re-derivable at recovery so events
+    /// never need to persist challenge bytes.
     #[must_use]
     pub(crate) fn derive_challenge(&self, device: DeviceId, nonce: u64) -> Challenge {
         let mut h = Sha256::new();
@@ -319,7 +319,7 @@ impl SessionManager {
     /// with a garbage proof (the round then resolves `Rejected` and the
     /// operator re-issues) — equivalent in power to dropping the device's
     /// packets, and accepted here so the session layer stays free of
-    /// per-submission cryptography.
+    /// per-submission cryptography (`tests/session_binding.rs` pins it).
     ///
     /// # Errors
     ///

@@ -3,9 +3,9 @@
 //! A [`Shard`] owns one slice of the fleet's mutable state — a device
 //! [`Registry`], a [`SessionManager`] minting strided session ids, and an
 //! [`IngestQueue`] — plus, in durable mode, its own write-ahead-log
-//! segment and snapshot file, and one warm [`EmuWorkspace`] per operation
-//! it has drained. What a durable shard logs, and what a crash forgets, is
-//! set out in [`crate::store`]: its boot epoch, its registrations and
+//! segment, and one warm [`EmuWorkspace`] per operation it has drained.
+//! What a durable shard logs, and what a crash forgets, is set out in
+//! [`crate::store`]: its boot epoch, its registrations and
 //! deregistrations, its verdicts and its prune sweeps, but no issue or
 //! submission. Shards share **nothing** mutable: a drain borrows the
 //! fleet-global [`OpTable`] read-only (verifiers take `&self`), so shards
@@ -21,43 +21,41 @@
 //! # Durability layout
 //!
 //! ```text
-//! <dir>/shard-<i>/snapshot.bin   atomic snapshot, generation g
-//! <dir>/shard-<i>/wal-<g>.log    events since that snapshot
+//! <dir>/shard-<i>/wal-<g>.log    compaction g, then every later event
 //! ```
 //!
-//! A snapshot holds exactly what the log alone rebuilds: the boot epoch,
-//! the registry (with its device-id high-water mark) and the resolved
-//! sessions not yet pruned. Open sessions, held proofs, the ingest queue
-//! and the anti-replay windows live in memory only.
+//! One file kind, one codec. Recovery replays the newest segment through
+//! `Shard::apply`, the path live commits take; an older segment or a
+//! `.tmp` file left by a crash is ignored, and swept by the next
+//! compaction.
 //!
-//! Once a commit leaves the live segment holding at least as many bytes as
-//! the last snapshot — and at least [`ROTATE_FLOOR`] — the shard writes a
-//! new snapshot (tmp + fsync + rename, so readers never see a torn file),
-//! rotates to a fresh WAL segment named for the new generation, and
-//! deletes stale segments. Because segment names carry the generation, a
-//! crash between "snapshot written" and "old segment deleted" cannot
-//! double-apply: a snapshot at generation `g` replays only `wal-<g>.log`.
+//! Compaction writes the events that rebuild the durable state as
+//! `wal-<g+1>.log` through [`Wal::replace`], whose rename is the one
+//! commit point: the boot epoch first, so any prefix keeps nonces fresh;
+//! each device, with [`StateEvent::DeviceCounters`] once it has a verdict;
+//! the [`StateEvent::DeviceIdMark`]; then every resolved session not yet
+//! pruned, as its [`StateEvent::VerdictRecorded`]. Open sessions, held
+//! proofs, the ingest queue and the anti-replay windows live in memory.
 //!
-//! Sizing rotation by bytes rather than by event count keeps the work in
-//! proportion: a snapshot rewrites the whole state, so it is written once
-//! the log has grown by about that much, and snapshot bytes never exceed
-//! log bytes whatever the fleet size or event mix. Recovery reads one
-//! snapshot plus at most about one snapshot's worth of log (or 1 MiB).
-//! Both lengths are re-read from disk at recovery, so the rule carries
-//! across restarts.
+//! A shard compacts once a commit leaves at least as many bytes after the
+//! segment's compacted state as that state holds, and at least
+//! [`ROTATE_FLOOR`]. A segment recovery opens counts as all log, so a
+//! reopened shard past the floor compacts at once. Sizing by bytes keeps
+//! the work in proportion whatever the fleet size or event mix: recovery
+//! replays at most about two compactions' worth (or the floor).
 
 use crate::ingest::{DrainStats, IngestQueue};
-use crate::registry::{DeviceId, OpId, OpRecord, OpTable, Registry};
+use crate::registry::{DeviceId, OpRecord, OpTable, Registry};
 use crate::session::{SessionId, SessionManager, SessionState};
-use crate::store::{read_events, write_atomic, RecoverError, StateEvent, Wal};
-use crate::wire::{decode_report_fields, encode_report_fields, Reader, WireError, Writer};
+use crate::store::{read_events, RecoverError, StateEvent, Wal};
 use dialed::request::{PerDevice, VerifyRequest};
 use dialed::EmuWorkspace;
+use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Live-segment bytes below which a shard never rotates, however small its
-/// last snapshot: below this, replay is cheap and a snapshot is not.
+/// Live-segment bytes below which a shard never compacts, however small
+/// its state: below this, replay is cheap and a compaction is not.
 pub const ROTATE_FLOOR: u64 = 1 << 20;
 
 /// Virtual nodes each shard projects onto the ring. More points smooth
@@ -140,8 +138,9 @@ pub struct Shard {
     wal: Option<Wal>,
     dir: Option<PathBuf>,
     generation: u64,
-    /// Size of the last snapshot written or loaded (0 if none).
-    snapshot_bytes: u64,
+    /// Bytes of compacted state at the head of the live segment: what the
+    /// last compaction wrote, or 0 for a segment recovery opened.
+    compacted_bytes: u64,
     /// Emulation buffers for each operation this shard has drained,
     /// indexed by [`OpId`]. A shard drains on one thread at a time, so it
     /// owns its workspaces outright and they stay warm whichever thread
@@ -166,29 +165,22 @@ impl Shard {
             wal: None,
             dir: None,
             generation: 0,
-            snapshot_bytes: 0,
+            compacted_bytes: 0,
             workspaces: Vec::new(),
         }
     }
 
-    /// Opens (or creates) the durable shard at `dir`: loads the snapshot
-    /// if one decodes, replays that generation's WAL segment through the
-    /// same [`Shard::apply`] the live path uses, reopens the segment for
-    /// appending and logs a [`StateEvent::BootEpoch`] one past the last
-    /// epoch it recovered (0 when it recovered nothing). A fresh directory
-    /// recovers to the empty state, so creation and recovery are one code
-    /// path.
-    ///
-    /// Corruption is handled by prefix: a torn or corrupt WAL tail is
-    /// dropped (see [`read_events`]), and an undecodable snapshot —
-    /// impossible under the atomic-write discipline, but possible under
-    /// bit rot — degrades to the empty state plus whatever its segment
-    /// replays, never a panic.
+    /// Opens (or creates) the durable shard at `dir`: replays its newest
+    /// WAL segment through [`Shard::apply`], reopens it for appending and
+    /// logs a [`StateEvent::BootEpoch`] one past the last epoch it
+    /// recovered (0 when it recovered nothing), so creation and recovery
+    /// are one code path. A torn or corrupt tail is dropped (see
+    /// [`read_events`]), never panicked on.
     ///
     /// # Errors
     ///
-    /// [`RecoverError::Format`] if the snapshot or the segment is of
-    /// another format version; otherwise only genuine I/O failures.
+    /// [`RecoverError::Format`] if the segment is of another format
+    /// version; otherwise only genuine I/O failures.
     pub(crate) fn recover(
         dir: &Path,
         index: usize,
@@ -198,29 +190,10 @@ impl Shard {
         std::fs::create_dir_all(dir)?;
         let mut shard = Self::in_memory(index, stride, params);
         shard.dir = Some(dir.to_path_buf());
-
-        let snapshot = dir.join("snapshot.bin");
-        if let Ok(bytes) = std::fs::read(&snapshot) {
-            match shard.load_snapshot(&bytes) {
-                Ok(generation) => {
-                    shard.generation = generation;
-                    shard.snapshot_bytes = bytes.len() as u64;
-                }
-                // Only the header check yields this: a complete snapshot
-                // header of another version.
-                Err(WireError::UnsupportedVersion(found)) => {
-                    return Err(RecoverError::Format {
-                        file: snapshot,
-                        found,
-                        expected: SNAP_VERSION,
-                    });
-                }
-                Err(_) => {}
-            }
-        }
-        let segment = dir.join(format!("wal-{}.log", shard.generation));
+        shard.generation = newest_segment(dir)?;
+        let segment = dir.join(segment_name(shard.generation));
         let (events, valid) = read_events(&segment)?;
-        let booted = shard.snapshot_bytes > 0 || !events.is_empty();
+        let booted = !events.is_empty();
         for ev in events {
             shard.apply(ev);
         }
@@ -282,7 +255,7 @@ impl Shard {
             wal.append(&ev).expect("WAL append failed: refusing to mutate non-durable state");
         }
         self.apply(ev);
-        self.rotate_if_due();
+        self.compact_if_due();
     }
 
     /// [`Shard::commit`] for a whole batch: every event is staged, the
@@ -301,17 +274,18 @@ impl Shard {
         for ev in events {
             self.apply(ev);
         }
-        self.rotate_if_due();
+        self.compact_if_due();
     }
 
-    /// Snapshots and rotates once the live segment holds at least
-    /// `max(last snapshot's bytes, ROTATE_FLOOR)` (see the module docs).
-    fn rotate_if_due(&mut self) {
+    /// Compacts once the live segment holds at least
+    /// `max(compacted bytes, ROTATE_FLOOR)` bytes after its compacted
+    /// state (see the module docs).
+    fn compact_if_due(&mut self) {
         let Some(wal) = &self.wal else { return };
-        if wal.size() >= self.snapshot_bytes.max(ROTATE_FLOOR) {
-            // Snapshot failure is not fatal: the WAL segment keeps
+        if wal.size() - self.compacted_bytes >= self.compacted_bytes.max(ROTATE_FLOOR) {
+            // Compaction failure is not fatal: the live segment keeps
             // growing and still replays the same state.
-            let _ = self.snapshot();
+            let _ = self.compact();
         }
     }
 
@@ -349,6 +323,15 @@ impl Shard {
             }
             StateEvent::PruneSweep { now } => {
                 self.sessions.prune_resolved(now);
+            }
+            StateEvent::DeviceCounters { device, last_verified, verified, rejected } => {
+                if let Ok(rec) = self.registry.device_mut(device) {
+                    (rec.last_verified, rec.verified, rec.rejected) =
+                        (last_verified, verified, rejected);
+                }
+            }
+            StateEvent::DeviceIdMark { next } => {
+                self.registry.next_device = self.registry.next_device.max(next);
             }
             // Fleet-level events live in the meta log and never reach a
             // shard; ignoring them keeps replay total.
@@ -428,158 +411,105 @@ impl Shard {
         stats
     }
 
-    // -- snapshots ----------------------------------------------------------
+    // -- compaction ---------------------------------------------------------
 
-    /// Writes a snapshot, rotates to a fresh WAL segment named for the new
-    /// generation, and deletes stale segments.
+    /// Writes the state as the events of segment `generation + 1`, appends
+    /// there from now on and deletes every other segment (see the module
+    /// docs).
     ///
     /// # Errors
     ///
     /// Propagates file-system errors; on failure the current segment
     /// stays authoritative.
-    pub(crate) fn snapshot(&mut self) -> io::Result<()> {
+    pub(crate) fn compact(&mut self) -> io::Result<()> {
         let Some(dir) = self.dir.clone() else { return Ok(()) };
         let next = self.generation + 1;
-        let bytes = self.encode_snapshot(next);
-        write_atomic(&dir.join("snapshot.bin"), &bytes)?;
-        self.wal = Some(Wal::open(&dir.join(format!("wal-{next}.log")), 0)?);
+        let keep = segment_name(next);
+        let wal = Wal::replace(&dir.join(&keep), self.state_events())?;
+        self.compacted_bytes = wal.size();
+        self.wal = Some(wal);
         self.generation = next;
-        self.snapshot_bytes = bytes.len() as u64;
-        // Older segments are now dead weight (their state is inside the
-        // snapshot); sweep them, tolerating crash-left strays.
-        if let Ok(entries) = std::fs::read_dir(&dir) {
-            let keep = format!("wal-{next}.log");
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if name.starts_with("wal-") && name.ends_with(".log") && name != keep {
-                    let _ = std::fs::remove_file(entry.path());
-                }
+        for entry in std::fs::read_dir(&dir).into_iter().flatten().flatten() {
+            let name = entry.file_name();
+            if name.to_string_lossy().starts_with("wal-") && name != keep.as_str() {
+                let _ = std::fs::remove_file(entry.path());
             }
         }
         Ok(())
     }
 
-    /// The snapshot bytes: what the log alone rebuilds (see the module
-    /// docs).
-    fn encode_snapshot(&self, generation: u64) -> Vec<u8> {
-        let mut w = Writer(Vec::new());
-        w.bytes(&SNAP_MAGIC);
-        w.u8(SNAP_VERSION);
-        w.u64(generation);
-        w.u64(self.sessions.boot_epoch);
-        w.u64(self.registry.next_device);
-
-        let devices: Vec<_> = self.registry.devices().collect();
-        w.u64(devices.len() as u64);
-        for d in devices {
-            w.u64(d.id.0);
-            w.u32(d.op.0);
-            w.u64(d.key_seed);
-            w.u64(d.epoch);
-            match d.last_verified {
-                Some(n) => {
-                    w.u8(1);
-                    w.u64(n);
-                }
-                None => w.u8(0),
+    /// The events that rebuild this shard's durable state, in compaction
+    /// order. A device's counters leave out the verdicts of its retained
+    /// sessions, which their own records count again on replay.
+    fn state_events(&self) -> impl Iterator<Item = StateEvent> + '_ {
+        let mut retained: HashMap<DeviceId, (u64, u64)> = HashMap::new();
+        for s in self.sessions.sessions() {
+            let tally = retained.entry(s.device).or_default();
+            match s.state {
+                SessionState::Verified => tally.0 += 1,
+                SessionState::Rejected => tally.1 += 1,
+                _ => {}
             }
-            w.u64(d.verified);
-            w.u64(d.rejected);
         }
-
-        let resolved: Vec<_> = self
-            .sessions
-            .sessions()
-            .filter_map(|s| s.report.as_ref().map(|report| (s, report)))
-            .collect();
-        w.u64(resolved.len() as u64);
-        for (s, report) in resolved {
-            w.u64(s.id.0);
-            w.u64(s.device.0);
-            w.u32(s.op.0);
-            w.u64(s.nonce);
-            w.u64(s.issued_at);
-            w.u64(s.deadline);
-            encode_report_fields(&mut w, report);
-        }
-        w.0
-    }
-
-    /// Restores state from snapshot bytes, returning the generation the
-    /// snapshot was taken at. Total decode: any malformation yields an
-    /// error (and the caller falls back to the empty state, unless the
-    /// error is the header's [`WireError::UnsupportedVersion`]).
-    fn load_snapshot(&mut self, bytes: &[u8]) -> Result<u64, WireError> {
-        let mut r = Reader::new(bytes);
-        if r.take(SNAP_MAGIC.len())? != SNAP_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let version = r.u8()?;
-        if version != SNAP_VERSION {
-            return Err(WireError::UnsupportedVersion(version));
-        }
-        let generation = r.u64()?;
-        let boot_epoch = r.u64()?;
-
-        let mut registry = Registry::new();
-        registry.next_device = r.u64()?;
-        let devices = r.usize64("device count")?;
-        for _ in 0..devices {
-            let id = DeviceId(r.u64()?);
-            let op = OpId(r.u32()?);
-            let key_seed = r.u64()?;
-            let epoch = r.u64()?;
-            registry.install_device(id, op, key_seed, epoch);
-            let rec = registry.device_mut(id).expect("just installed");
-            rec.last_verified = if r.bool()? { Some(r.u64()?) } else { None };
-            rec.verified = r.u64()?;
-            rec.rejected = r.u64()?;
-        }
-
-        let mut sessions = Vec::new();
-        for _ in 0..r.usize64("session count")? {
-            let id = SessionId(r.u64()?);
-            let device = DeviceId(r.u64()?);
-            let op = OpId(r.u32()?);
-            let nonce = r.u64()?;
-            let issued_at = r.u64()?;
-            let deadline = r.u64()?;
-            let report = decode_report_fields(&mut r)?;
-            sessions.push((id, device, op, nonce, issued_at, deadline, report));
-        }
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
-
-        // Everything decoded — install (challenges re-derive from the
-        // label + device + nonce, exactly as at issue time).
-        self.registry = registry;
-        self.sessions.boot_epoch = boot_epoch;
-        for (id, device, op, nonce, issued_at, deadline, report) in sessions {
-            self.sessions.install(id, device, op, nonce, issued_at, deadline);
-            self.sessions.apply_verdict(id, report);
-        }
-        Ok(generation)
+        let boot = StateEvent::BootEpoch { epoch: self.sessions.boot_epoch };
+        let devices = self.registry.devices().flat_map(move |d| {
+            let registered = StateEvent::DeviceRegistered {
+                device: d.id,
+                op: d.op,
+                key_seed: d.key_seed,
+                epoch: d.epoch,
+            };
+            let (verified, rejected) = retained.get(&d.id).copied().unwrap_or_default();
+            let counters = (d.verified + d.rejected > 0).then(|| StateEvent::DeviceCounters {
+                device: d.id,
+                last_verified: d.last_verified,
+                verified: d.verified.saturating_sub(verified),
+                rejected: d.rejected.saturating_sub(rejected),
+            });
+            std::iter::once(registered).chain(counters)
+        });
+        let mark = StateEvent::DeviceIdMark { next: self.registry.next_device };
+        let verdicts = self.sessions.sessions().filter_map(|s| {
+            Some(StateEvent::VerdictRecorded {
+                session: s.id,
+                device: s.device,
+                op: s.op,
+                nonce: s.nonce,
+                issued_at: s.issued_at,
+                deadline: s.deadline,
+                report: s.report.clone()?,
+            })
+        });
+        std::iter::once(boot).chain(devices).chain([mark]).chain(verdicts)
     }
 }
 
-/// Snapshot file magic: "Dialed SNaPshot".
-const SNAP_MAGIC: [u8; 4] = *b"DSNP";
-/// Current snapshot-format version. Version 3 holds the boot epoch, the
-/// device-id high-water mark and resolved sessions only: no open
-/// sessions, proofs, ingest queue, nonces or replay windows.
-pub(crate) const SNAP_VERSION: u8 = 3;
+/// The file name of segment `generation`.
+fn segment_name(generation: u64) -> String {
+    format!("wal-{generation}.log")
+}
+
+/// The generation of the newest `wal-<g>.log` in `dir` (0 if none).
+fn newest_segment(dir: &Path) -> io::Result<u64> {
+    let mut newest = 0;
+    for entry in std::fs::read_dir(dir)?.flatten() {
+        let name = entry.file_name();
+        let generation = name.to_str().and_then(|n| n.strip_prefix("wal-")?.strip_suffix(".log"));
+        if let Some(g) = generation.and_then(|g| g.parse().ok()) {
+            newest = newest.max(g);
+        }
+    }
+    Ok(newest)
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::OpId;
     use crate::session::EPOCH_SHIFT;
-    use crate::store::encode_event;
     use apex::{PoxConfig, PoxProof};
     use dialed::attest::DialedProof;
     use dialed::report::Report;
-    use std::collections::HashMap;
 
     fn params() -> ShardParams {
         ShardParams { label: b"shard-test".to_vec(), ttl: 64, window_cap: 8 }
@@ -592,12 +522,25 @@ mod tests {
         }
     }
 
-    /// The shard's durable state, as its snapshot encodes it, without the
-    /// boot epoch (which every reopening advances).
-    fn state_of(shard: &Shard) -> Vec<u8> {
-        let mut bytes = shard.encode_snapshot(0);
-        bytes.drain(13..21);
-        bytes
+    /// The shard's durable state, read field by field: its devices with
+    /// their keys and counters, the device-id high-water mark, and its
+    /// resolved sessions (without the boot epoch, which every reopening
+    /// advances).
+    fn state_of(shard: &Shard) -> String {
+        let devices: Vec<_> = shard
+            .registry
+            .devices()
+            .map(|d| (d.id, d.op, d.key_seed, d.epoch, d.last_verified, d.verified, d.rejected))
+            .collect();
+        let sessions: Vec<_> = shard
+            .sessions
+            .sessions()
+            .filter(|s| s.report.is_some())
+            .map(|s| {
+                (s.id, s.device, s.nonce, s.challenge, s.issued_at, s.deadline, s.state, &s.report)
+            })
+            .collect();
+        format!("{devices:?} {} {sessions:?}", shard.registry.next_device)
     }
 
     fn register(shard: &mut Shard, device: DeviceId, key_seed: u64, epoch: u64) {
@@ -717,36 +660,50 @@ mod tests {
     #[test]
     fn snapshot_rotation_preserves_state_and_bounds_segments() {
         let dir = tmp_dir("rotate");
-        let dev = DeviceId(5);
+        let (dev, gone) = (DeviceId(5), DeviceId(8));
         let before = {
             let mut shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
             register(&mut shard, dev, 9, 2);
-            // Snapshots after rounds 1 and 4, and one between an accepted
-            // proof and its verdict: the snapshot leaves the open session
-            // out and the verdict record in the next segment rebuilds it.
+            register(&mut shard, gone, 4, 2);
+            // Compactions after rounds 1 and 4, and one between an accepted
+            // proof and its verdict: the compaction leaves the open session
+            // out and the verdict record appended after it rebuilds it.
             for r in 0..6u64 {
                 let sid = accept(&mut shard, dev, dummy_proof(r as u8));
                 if r == 3 {
-                    shard.snapshot().unwrap();
+                    shard.compact().unwrap();
                 }
                 settle(&mut shard, sid);
-                if r == 1 || r == 4 {
-                    shard.snapshot().unwrap();
+                if r == 1 {
+                    shard.compact().unwrap();
+                }
+                if r == 2 {
+                    // Pruned history lives on in the device's counters only.
+                    assert_eq!(shard.prune(70), 3);
+                }
+                if r == 4 {
+                    // The highest id stays taken once its device is gone.
+                    shard.commit(StateEvent::DeviceDeregistered { device: gone });
+                    shard.compact().unwrap();
                 }
             }
             assert_eq!(shard.generation, 3);
             state_of(&shard)
         };
-        // Exactly one WAL segment remains after rotations.
+        // Exactly one WAL segment remains after compactions.
         assert_eq!(segments(&dir), 1);
 
         let shard = Shard::recover(&dir, 1, 3, &params()).unwrap();
         assert_eq!(state_of(&shard), before);
         assert_eq!(shard.sessions.boot_epoch, 1);
+        // Three retained verdicts replay on top of counters that leave them
+        // out: each is counted once.
+        assert_eq!(shard.sessions.len(), 3);
         let rec = shard.registry().device(dev).unwrap();
         assert_eq!(rec.verified, 6);
         assert_eq!(rec.last_verified, Some(5));
         assert_eq!(rec.epoch(), 2);
+        assert_eq!(shard.registry.next_device, 9);
         assert_eq!(shard.sessions().next_nonce(dev), 1 << EPOCH_SHIFT);
         // Strided ids survive: next id ≡ 1 (mod 3).
         assert_eq!(shard.sessions().peek_next_id().0 % 3, 1);
@@ -764,26 +721,32 @@ mod tests {
         };
         let mut rounds = 0;
         while shard.generation == 0 {
-            assert!(rounds < 20_000, "1 MiB of log never rotated");
+            assert!(rounds < 20_000, "1 MiB of log never compacted");
             round(&mut shard, rounds);
             rounds += 1;
         }
-        let wal = shard.wal.as_ref().unwrap();
-        assert!(wal.size() < ROTATE_FLOOR, "the rotating commit starts a fresh segment");
-        assert!(shard.snapshot_bytes > 0 && shard.snapshot_bytes < ROTATE_FLOOR);
+        // The compacting commit starts a segment holding just the state.
+        let size = |s: &Shard| s.wal.as_ref().unwrap().size();
+        assert!(shard.compacted_bytes > 0);
+        assert_eq!(size(&shard), shard.compacted_bytes);
         // A few more rounds land in the new segment, then the shard
-        // recovers to the same state from snapshot + segment, and appends
-        // its boot record to that segment.
+        // recovers to the same state from it. Every verdict is retained,
+        // so the reopened segment is past the floor: it counts as all log,
+        // and the recovered shard compacts at once.
         for n in 0..3 {
             round(&mut shard, rounds + n);
         }
         assert_eq!(segments(&dir), 1);
+        assert!(size(&shard) > ROTATE_FLOOR);
         let recovered = Shard::recover(&dir, 0, 1, &params()).unwrap();
         assert_eq!(state_of(&recovered), state_of(&shard));
-        assert_eq!(recovered.snapshot_bytes, shard.snapshot_bytes);
-        let boot = 8 + encode_event(&StateEvent::BootEpoch { epoch: 1 }).len() as u64;
-        let sizes = [&recovered, &shard].map(|s| s.wal.as_ref().unwrap().size());
-        assert_eq!(sizes[0], sizes[1] + boot);
+        assert_eq!(recovered.registry().device(dev).unwrap().verified, rounds + 3);
+        assert_eq!(recovered.generation, shard.generation + 1);
+        assert_eq!(size(&recovered), recovered.compacted_bytes);
+        assert_eq!(segments(&dir), 1);
+        // Its boot record leads the new segment.
+        let (events, _) = read_events(&dir.join(segment_name(recovered.generation))).unwrap();
+        assert_eq!(events[0], StateEvent::BootEpoch { epoch: 1 });
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! The durable store: versioned state events, the write-ahead log they
-//! append to, and the atomic-write helper snapshots go through.
+//! The durable store: versioned state events and the write-ahead log they
+//! append to, which a compaction replaces atomically.
 //!
 //! Every durable mutation of fleet state is a [`StateEvent`]; issuing a
 //! challenge and accepting a proof are not durable (see the durability
 //! model below). The live path and crash recovery share one `apply` code
 //! path (in [`crate::shard`]): a mutation is first encoded and appended to
 //! the shard's WAL, then applied to the in-memory state; recovery replays
-//! the same events through the same apply. What is persisted is therefore
+//! the same events through the same apply. A compaction writes the state
+//! back out as events too ([`Wal::replace`]), so what is persisted is
 //! exactly what is executed — there is no separate serialization of "the
 //! state" that could drift from the state machine.
 //!
@@ -52,7 +53,8 @@
 //! forgotten session fails as unknown and the device re-attests under a
 //! fresh challenge; a captured pre-crash proof fails on the MAC in any
 //! new session. There is no per-record `fsync`: power loss may rewind to
-//! the last snapshot's `fsync` point.
+//! the last compaction, which `fsync`s its log and, after the rename,
+//! the directory.
 //!
 //! # Corruption tolerance
 //!
@@ -89,8 +91,9 @@ pub const EVENT_VERSION: u8 = 3;
 /// WAL file magic: "Dialed WAL".
 pub const WAL_MAGIC: [u8; 4] = *b"DWAL";
 
-/// Current WAL file-format version.
-pub const WAL_VERSION: u8 = 1;
+/// Current WAL file-format version. Version 2 logs are a shard's only
+/// durable file: compaction rewrites them as events.
+pub const WAL_VERSION: u8 = 2;
 
 /// Bytes of the file header: magic plus version.
 const WAL_HEADER_LEN: usize = WAL_MAGIC.len() + 1;
@@ -171,6 +174,23 @@ pub enum StateEvent {
         /// Prune time.
         now: u64,
     },
+    /// Compaction only: a device's counters, less the verdicts that
+    /// [`StateEvent::VerdictRecorded`] records later in the log count.
+    DeviceCounters {
+        /// The device.
+        device: DeviceId,
+        /// Highest nonce the device has a verified proof for.
+        last_verified: Option<u64>,
+        /// Verified sessions no later record counts.
+        verified: u64,
+        /// Rejected sessions no later record counts.
+        rejected: u64,
+    },
+    /// Compaction only: no device id below `next` is issued again.
+    DeviceIdMark {
+        /// One past the highest device id the shard ever installed.
+        next: u64,
+    },
 }
 
 const TAG_SHARD_LAYOUT: u8 = 1;
@@ -181,6 +201,8 @@ const TAG_DEVICE_DEREGISTERED: u8 = 5;
 const TAG_BOOT_EPOCH: u8 = 6;
 const TAG_VERDICT_RECORDED: u8 = 7;
 const TAG_PRUNE_SWEEP: u8 = 8;
+const TAG_DEVICE_COUNTERS: u8 = 9;
+const TAG_DEVICE_ID_MARK: u8 = 10;
 
 fn encode_mode(w: &mut Writer, mode: InstrumentMode) {
     w.u8(match mode {
@@ -256,6 +278,18 @@ fn encode_event_into(w: &mut Writer, ev: &StateEvent) {
             w.u8(TAG_PRUNE_SWEEP);
             w.u64(*now);
         }
+        StateEvent::DeviceCounters { device, last_verified, verified, rejected } => {
+            w.u8(TAG_DEVICE_COUNTERS);
+            w.u64(device.0);
+            w.u8(u8::from(last_verified.is_some()));
+            w.u64(last_verified.unwrap_or(0));
+            w.u64(*verified);
+            w.u64(*rejected);
+        }
+        StateEvent::DeviceIdMark { next } => {
+            w.u8(TAG_DEVICE_ID_MARK);
+            w.u64(*next);
+        }
     }
 }
 
@@ -298,6 +332,13 @@ pub fn decode_event(bytes: &[u8]) -> Result<StateEvent, WireError> {
             report: decode_report_fields(&mut r)?,
         },
         TAG_PRUNE_SWEEP => StateEvent::PruneSweep { now: r.u64()? },
+        TAG_DEVICE_COUNTERS => StateEvent::DeviceCounters {
+            device: DeviceId(r.u64()?),
+            last_verified: r.bool()?.then_some(r.u64()?),
+            verified: r.u64()?,
+            rejected: r.u64()?,
+        },
+        TAG_DEVICE_ID_MARK => StateEvent::DeviceIdMark { next: r.u64()? },
         tag => return Err(WireError::UnknownTag { what: "state event", tag }),
     };
     if r.remaining() != 0 {
@@ -334,7 +375,6 @@ pub(crate) fn record_sum(bytes: &[u8]) -> u32 {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// Records staged for the next write; reused so appends do not
     /// allocate per event.
     staged: Vec<u8>,
@@ -364,13 +404,7 @@ impl Wal {
             file.write_all(&[WAL_VERSION])?;
             len = WAL_HEADER_LEN as u64;
         }
-        Ok(Self { file, path: path.to_path_buf(), staged: Vec::new(), len })
-    }
-
-    /// The log's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(Self { file, staged: Vec::new(), len })
     }
 
     /// Bytes in the log file, header included.
@@ -421,6 +455,36 @@ impl Wal {
     pub fn append(&mut self, ev: &StateEvent) -> io::Result<()> {
         self.stage(ev);
         self.flush()
+    }
+
+    /// Writes a log holding exactly `events` to `<path>.tmp`, `fsync`s it,
+    /// renames it to `path` and `fsync`s the directory; returns it open for
+    /// appending. A crash leaves the old file at `path` or the whole new
+    /// one, and once this returns the rename survives power loss.
+    ///
+    /// # Errors
+    ///
+    /// Propagates file-system errors.
+    pub fn replace(path: &Path, events: impl IntoIterator<Item = StateEvent>) -> io::Result<Self> {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let mut wal = Self::open(&tmp, 0)?;
+        for ev in events {
+            wal.stage(&ev);
+        }
+        if let Err(e) = wal.flush().and_then(|()| wal.sync()) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
+        }
+        // Appends stage one batch at a time: drop the whole log's buffer.
+        wal.staged = Vec::new();
+        std::fs::rename(&tmp, path)?;
+        // fsync(2): syncing a file does not persist its directory entry.
+        // Without this, power loss could keep a later delete of the old
+        // log and lose the rename.
+        File::open(path.parent().unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(wal)
     }
 
     /// Forces appended records to stable storage.
@@ -494,25 +558,6 @@ pub fn read_events(path: &Path) -> Result<(Vec<StateEvent>, u64), RecoverError> 
     Ok((events, pos as u64))
 }
 
-/// Writes `bytes` to `path` atomically: write to a sibling temp file,
-/// `fsync`, then `rename` into place. Readers either see the old file or
-/// the complete new one, never a torn snapshot.
-///
-/// # Errors
-///
-/// Propagates file-system errors (the temp file is removed on failure).
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp)?;
-    let written = f.write_all(bytes).and_then(|()| f.sync_data());
-    drop(f);
-    if let Err(e) = written {
-        let _ = std::fs::remove_file(&tmp);
-        return Err(e);
-    }
-    std::fs::rename(&tmp, path)
-}
-
 /// Recovery failures for [`Fleet::recover`](crate::Fleet::recover).
 #[derive(Debug)]
 pub enum RecoverError {
@@ -530,7 +575,7 @@ pub enum RecoverError {
     /// directory was written by another format and is refused rather than
     /// recovered as empty.
     Format {
-        /// The log or snapshot file.
+        /// The log file.
         file: PathBuf,
         /// Version found in it.
         found: u8,
@@ -617,6 +662,19 @@ mod tests {
                 }),
             },
             StateEvent::PruneSweep { now: 200 },
+            StateEvent::DeviceCounters {
+                device: DeviceId(7),
+                last_verified: Some(2 << 40),
+                verified: 5,
+                rejected: 1,
+            },
+            StateEvent::DeviceCounters {
+                device: DeviceId(8),
+                last_verified: None,
+                verified: 0,
+                rejected: 3,
+            },
+            StateEvent::DeviceIdMark { next: 9 },
         ]
     }
 
@@ -763,12 +821,14 @@ mod tests {
 
     #[test]
     fn atomic_write_replaces_whole_file() {
-        let dir = tmp_path("atomic");
-        let path = dir.parent().unwrap().join("snapshot.bin");
-        write_atomic(&path, b"first").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"first");
-        write_atomic(&path, b"second, longer contents").unwrap();
-        assert_eq!(std::fs::read(&path).unwrap(), b"second, longer contents");
-        assert!(!path.with_extension("tmp").exists());
+        let path = tmp_path("atomic");
+        drop(write_log(&path, &sample_events()));
+        let mut wal = Wal::replace(&path, [StateEvent::BootEpoch { epoch: 4 }]).unwrap();
+        assert_eq!(events_of(&path), [StateEvent::BootEpoch { epoch: 4 }]);
+        assert!(!path.with_file_name("wal.log.tmp").exists(), "the temp file is renamed away");
+        // The replacement stays open for appending, at its own end.
+        wal.append(&StateEvent::PruneSweep { now: 1 }).unwrap();
+        assert_eq!(wal.size(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!(events_of(&path).len(), 2);
     }
 }

@@ -447,7 +447,7 @@ fn encode_finding(w: &mut Writer, finding: &Finding) {
 
 /// Encodes a full [`Report`] (verdict + findings + stats) — shared with
 /// the durable store, which persists verdicts inside `VerdictRecorded`
-/// events and snapshots.
+/// events.
 pub(crate) fn encode_report_fields(w: &mut Writer, report: &Report) {
     encode_verdict(w, report.verdict);
     w.u32(u32::try_from(report.findings.len()).expect("finding count"));

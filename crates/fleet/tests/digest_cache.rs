@@ -2,8 +2,8 @@
 //! the verifier is built: once at registration, once more when recovery
 //! rebuilds the op table, and never on a drain. These rounds pin that
 //! honest proofs keep verifying around everything that touches that
-//! lifecycle: snapshots between drains, a provisioning-epoch rotation, and
-//! a crash recovered from snapshot + WAL.
+//! lifecycle: compactions between drains, a provisioning-epoch rotation,
+//! and a crash recovered from a compacted WAL segment.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -70,7 +70,7 @@ fn er_digest_is_computed_once_per_invalidation_cycle() {
     fleet.rotate_provisioning_epoch();
     round(&mut fleet, &mut devices, 100);
 
-    // Crash + recovery from snapshot + WAL: the rebuilt verifiers accept
+    // Crash + recovery from a compacted segment: the rebuilt verifiers accept
     // the same devices' proofs.
     fleet.snapshot().unwrap();
     round(&mut fleet, &mut devices, 150);

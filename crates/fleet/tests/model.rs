@@ -1,8 +1,8 @@
 //! Lockstep model test. [`Model`] is a reference for the registry, the
 //! session state machine and anti-replay, in plain maps: no shards, log,
 //! batching or sockets. Seeded random schedules drive it and a real
-//! [`Fleet`] with the same operations: in memory, and durable with
-//! snapshots and crash-recoveries at random points. Any difference in a
+//! [`Fleet`] with the same operations: in memory, and durable with forced
+//! compactions and crash-recoveries at random points. Any difference in a
 //! verdict, a `SessionError`, a `RejectClass`, a session state or a device
 //! counter fails the schedule, which its seed replays.
 

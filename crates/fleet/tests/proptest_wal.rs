@@ -2,8 +2,10 @@
 //! at an arbitrary byte offset must never panic recovery. Recovery
 //! always yields a fleet representing some valid prefix of the committed
 //! history — counters never exceed what was committed — and that fleet
-//! keeps serving. Each case snapshots its history at generated points, so
-//! mutations hit snapshots and live WAL segments in varying proportions.
+//! keeps serving. Each case compacts its history at generated points, so
+//! mutations hit compacted state and appended records in varying
+//! proportions; since a shard keeps one segment, every file mutated is a
+//! live log.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -32,8 +34,9 @@ fn catalog() -> impl fleet::OpCatalog {
 
 /// Builds the canonical durable state in a fresh per-case directory: 3
 /// devices, 3 verified rounds each, plus one accepted-but-undrained
-/// submission (which recovery forgets). Bit `i` of `snaps` snapshots every shard at the `i`-th of
-/// the history's 13 points (after each submission and each drain).
+/// submission (which recovery forgets). Bit `i` of `snaps` compacts every
+/// shard at the `i`-th of the history's 13 points (after each submission
+/// and each drain).
 fn build_state(name: &str, snaps: u16) -> PathBuf {
     static CASE: AtomicUsize = AtomicUsize::new(0);
     let case = CASE.fetch_add(1, Ordering::Relaxed);

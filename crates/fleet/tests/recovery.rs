@@ -5,15 +5,17 @@
 //! replay window (which lives in memory only) is gone. Fresh boot-epoch
 //! nonces make every pre-crash proof fail on the MAC instead.
 //!
-//! Snapshots are taken at every subset of a few chosen points, so the
-//! crash lands with history split between snapshots and live WAL segments
-//! in every arrangement those points allow.
+//! Compactions are forced at every subset of a few chosen points, so the
+//! crash lands with history split between compacted state and appended
+//! records in every arrangement those points allow. A crash inside a
+//! compaction, before its rename or before its sweep of the older segment,
+//! recovers the pre-crash state exactly.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{Finding, RejectReason};
-use fleet::{CatalogFn, Fleet, FleetConfig, SessionError, SessionId};
-use std::path::PathBuf;
+use fleet::{CatalogFn, DeviceId, Fleet, FleetConfig, SessionError, SessionId};
+use std::path::{Path, PathBuf};
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -37,7 +39,7 @@ fn catalog() -> impl fleet::OpCatalog {
     })
 }
 
-/// Snapshots every shard if bit `point` of `mask` is set.
+/// Compacts every shard if bit `point` of `mask` is set.
 fn snapshot_at(fleet: &mut Fleet, mask: u32, point: u32) {
     if mask & (1 << point) != 0 {
         fleet.snapshot().unwrap();
@@ -46,9 +48,9 @@ fn snapshot_at(fleet: &mut Fleet, mask: u32, point: u32) {
 
 #[test]
 fn replayed_proof_is_rejected_across_a_crash() {
-    // Snapshot points: after registration, after the first drain, and
-    // between the second submission and the crash (the snapshot then
-    // holds the undrained proof).
+    // Compaction points: after registration, after the first drain, and
+    // between the second submission and the crash (the compacted segment
+    // then leaves out the undrained proof).
     for mask in 0..8 {
         replay_across_crash(mask);
     }
@@ -141,8 +143,8 @@ fn counters_stay_monotone_across_repeated_restarts() {
     }
 
     // Each generation: recover, run one honest round per device, crash.
-    // A snapshot after a different device's submission each generation,
-    // and after the drain in the middle one, puts snapshot boundaries
+    // A compaction after a different device's submission each generation,
+    // and after the drain in the middle one, puts compaction boundaries
     // inside rounds as well as between restarts.
     let mut device_ids = Vec::new();
     let mut verified_nonce = std::collections::HashMap::new();
@@ -189,4 +191,105 @@ fn counters_stay_monotone_across_repeated_restarts() {
         let rec = fleet.device(dev).unwrap();
         assert_eq!((rec.verified, rec.last_verified), (3, verified_nonce.get(&dev).copied()));
     }
+}
+
+/// Submits `device`'s proof for a fresh challenge at `now`, its MAC
+/// broken if `forge`, and returns the session.
+fn attest(fleet: &mut Fleet, device: DeviceId, now: u64, forge: bool) -> SessionId {
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    let mut sim = DialedDevice::new(op, fleet.device_keystore(device).unwrap());
+    sim.invoke(&[0; 8]);
+    let chal = fleet.issue(device, now).unwrap();
+    let mut proof = sim.prove(&chal.challenge);
+    proof.pox.tag[0] ^= u8::from(forge);
+    fleet.submit(SessionId(chal.session), device, proof, now + 1).unwrap();
+    SessionId(chal.session)
+}
+
+/// A durable fleet with history: two rounds over four devices, the
+/// second with one forged proof, the first round pruned, and one forced
+/// compaction between them, so every shard's live segment is `wal-1.log`.
+/// Returns the fleet and every session it issued.
+fn compacted_history(dir: &Path) -> (Fleet, Vec<SessionId>) {
+    let mut fleet = Fleet::durable(dir, config()).unwrap();
+    let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+    let op_id = fleet.register_op("adder", op, vec![]);
+    let devs: Vec<_> = (0..4).map(|seed| fleet.register_device(op_id, seed).unwrap()).collect();
+    let mut sids = Vec::new();
+    for (round, now) in [0u64, 100].into_iter().enumerate() {
+        for (i, &dev) in devs.iter().enumerate() {
+            sids.push(attest(&mut fleet, dev, now, round == 1 && i == 2));
+        }
+        fleet.drain(now + 2);
+        if round == 0 {
+            fleet.snapshot().unwrap();
+        }
+    }
+    assert_eq!(fleet.prune_resolved(100), 4);
+    (fleet, sids)
+}
+
+/// Every device's counters and every retained session's state and report.
+fn durable_state(fleet: &Fleet, sids: &[SessionId]) -> String {
+    let devices: Vec<_> =
+        fleet.devices().map(|d| (d.id, d.verified, d.rejected, d.last_verified)).collect();
+    let sessions: Vec<_> =
+        sids.iter().map(|&sid| fleet.session(sid).map(|s| (s.state, s.report.clone()))).collect();
+    format!("{devices:?} {sessions:?}")
+}
+
+/// The `shard-<i>` directories of `dir`.
+fn shard_dirs(dir: &Path) -> Vec<PathBuf> {
+    (0..config().shards).map(|i| dir.join(format!("shard-{i}"))).collect()
+}
+
+#[test]
+fn a_crash_inside_a_compaction_recovers_the_state_exactly() {
+    // Crash before the rename: a half-written `wal-2.log.tmp` beside the
+    // live segment is ignored, and the next compaction sweeps it.
+    let dir = tmp_dir("crash-before-rename");
+    let (fleet, sids) = compacted_history(&dir);
+    let before = durable_state(&fleet, &sids);
+    drop(fleet);
+    for shard in shard_dirs(&dir) {
+        let live = std::fs::read(shard.join("wal-1.log")).unwrap();
+        std::fs::write(shard.join("wal-2.log.tmp"), &live[..live.len() / 2]).unwrap();
+    }
+    let mut fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
+    assert_eq!(durable_state(&fleet, &sids), before);
+    fleet.snapshot().unwrap();
+    for shard in shard_dirs(&dir) {
+        let names: Vec<_> = std::fs::read_dir(&shard)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, ["wal-2.log"], "{}", shard.display());
+    }
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Crash before the sweep: the complete `wal-2.log` beside the
+    // `wal-1.log` it supersedes (here kept past one more verdict, which
+    // only the new segment holds). Recovery replays the newest only, so
+    // no verdict is lost or counted twice.
+    let dir = tmp_dir("crash-before-sweep");
+    let (mut fleet, mut sids) = compacted_history(&dir);
+    let old: Vec<_> =
+        shard_dirs(&dir).iter().map(|s| std::fs::read(s.join("wal-1.log")).unwrap()).collect();
+    fleet.snapshot().unwrap();
+    sids.push(attest(&mut fleet, DeviceId(0), 200, false));
+    fleet.drain(202);
+    let before = durable_state(&fleet, &sids);
+    drop(fleet);
+    for (shard, old) in shard_dirs(&dir).iter().zip(old) {
+        assert!(shard.join("wal-2.log").exists());
+        std::fs::write(shard.join("wal-1.log"), old).unwrap();
+    }
+    let fleet = Fleet::recover(&dir, config(), &catalog()).unwrap();
+    assert_eq!(durable_state(&fleet, &sids), before);
+    let mut counts: Vec<_> = fleet.devices().map(|d| (d.id.0, d.verified, d.rejected)).collect();
+    counts.sort_unstable();
+    assert_eq!(counts, [(0, 3, 0), (1, 2, 0), (2, 1, 1), (3, 2, 0)]);
+    drop(fleet);
+    let _ = std::fs::remove_dir_all(&dir);
 }
