@@ -685,10 +685,37 @@ mod tests {
         dir.join("wal.log")
     }
 
+    /// `sample_events()` as bytes, in hex: a codec change that moves a
+    /// single byte of any record kind fails here, not at recovery.
+    const PINNED_EVENTS: [&str; 12] = [
+        "030104000000",
+        "0302000000000d0000006e61c3af76652d6f7020e29c9302",
+        "03030300000000000000",
+        "030407000000000000000000000009000000000000000300000000000000",
+        "03050700000000000000",
+        "03060200000000000000",
+        "03070b0000000000000007000000000000000000000000000000000200000500\
+         0000000000004500000000000000010100000000040000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000",
+        "03070c0000000000000007000000000000000000000001000000000200000600\
+         0000000000004600000000000000000000000001000000000000000000000000\
+         000000000000000000000000000000000000000000000000000000",
+        "0308c800000000000000",
+        "0309070000000000000001000000000002000005000000000000000100000000\
+         000000",
+        "0309080000000000000000000000000000000000000000000000000300000000\
+         000000",
+        "030a0900000000000000",
+    ];
+
     #[test]
     fn every_event_round_trips() {
-        for ev in sample_events() {
+        let events = sample_events();
+        assert_eq!(events.len(), PINNED_EVENTS.len());
+        for (ev, pinned) in events.into_iter().zip(PINNED_EVENTS) {
             let bytes = encode_event(&ev);
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{ev:?}");
             assert_eq!(decode_event(&bytes).as_ref(), Ok(&ev), "{ev:?}");
             // And every truncation errors, never panics.
             for cut in 0..bytes.len() {

@@ -953,10 +953,65 @@ mod tests {
         ]
     }
 
+    /// `sample_messages()` as bytes, in hex: a codec change that moves a
+    /// single byte of any message fails here, not in a peer.
+    const PINNED_FRAMES: [&str; 9] = [
+        "4457040140000000010000000000000002000000000000000300000000000000\
+         0400000000000000b8c94e02a48287c1ee086a6c0e1d27c3f357efd552c12ac9\
+         6d1fdcb11014e79c",
+        "445704024201000007000000000000002a0000000000000000e0ffe0fee00006\
+         ff060100010000010000000102030405060708090a0b0c0d0e0f101112131415\
+         161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435\
+         363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455\
+         565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475\
+         767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495\
+         969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5\
+         b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5\
+         d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5\
+         f6f7f8f9fafbfcfdfeffa5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5\
+         a5a5a5a5a5a5a5a5a5a5",
+        "44570403a600000009000000000000000d00000000000000020a000000000814\
+         0000006e61c3af766520e28094205554462d3820e29c93000400060000000000\
+         0100000101000200030002000605000600030700080004600000000000000100\
+         0009000000000000000508000000000000000900000000000000060701000000\
+         7001000000640100000000000000020000000000000003000000000000000400\
+         0000000000000500000000000000",
+        "44570405100000000b000000000000002a00000000000000",
+        "44570406480000000c0000000000000005000000000000002a00000000000000\
+         060000000000000007000000000000009b27c3a4c6c6e8ec229aebdf366c9303\
+         7d475353c3d385d0a903dc841ee849fc",
+        "445704074a0100000d0000000000000007000000000000002a00000000000000\
+         00e0ffe0fee00006ff060100010000010000000102030405060708090a0b0c0d\
+         0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d\
+         2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d\
+         4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d\
+         6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d\
+         8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacad\
+         aeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccd\
+         cecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebeced\
+         eeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeffa5a5a5a5a5a5a5a5a5a5a5a5a5a5\
+         a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5",
+        "44570408ae0000000e0000000000000009000000000000000d00000000000000\
+         020a0000000008140000006e61c3af766520e28094205554462d3820e29c9300\
+         0400060000000000010000010100020003000200060500060003070008000460\
+         0000000000000100000900000000000000050800000000000000090000000000\
+         0000060701000000700100000064010000000000000002000000000000000300\
+         00000000000004000000000000000500000000000000",
+        "44570409110000000f000000000000000a0000000002000000",
+        "44570409170000001000000000000000070a000000746f726e206672616d65",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
     #[test]
     fn all_message_types_round_trip() {
-        for msg in sample_messages() {
+        let msgs = sample_messages();
+        assert_eq!(msgs.len(), PINNED_FRAMES.len());
+        for (msg, pinned) in msgs.into_iter().zip(PINNED_FRAMES) {
             let bytes = encode(&msg);
+            assert_eq!(hex(&bytes), pinned, "{msg:?}");
             assert_eq!(decode(&bytes).as_ref(), Ok(&msg), "{msg:?}");
         }
     }

@@ -11,9 +11,12 @@ use simdev::replay::{replay_in_process, replay_over_net, DEVICES_PER_SCENARIO};
 use simdev::ReplayStats;
 use std::path::PathBuf;
 
+fn corpus_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus")
+}
+
 fn committed_corpus() -> Vec<CorpusCase> {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-    load_dir(&root).expect("committed corpus must decode cleanly")
+    load_dir(&corpus_root()).expect("committed corpus must decode cleanly")
 }
 
 /// Scenarios in the corpus (one directory each).
@@ -76,5 +79,10 @@ fn corpus_cases_are_unique_and_well_formed() {
         assert_eq!(case.challenge.session, case.submit.body.session, "{}", case.id());
         assert_eq!(case.challenge.device, case.submit.body.device, "{}", case.id());
         assert!(!case.expect.is_empty(), "{}: no recorded expectation", case.id());
+        // The codec is canonical and its bytes are pinned: re-encoding a
+        // decoded case reproduces its file exactly.
+        let file = corpus_root().join(&case.scenario).join(format!("{}.case", case.name));
+        let bytes = std::fs::read(&file).unwrap();
+        assert!(case.encode() == bytes, "{}: re-encodes to other bytes", case.id());
     }
 }
