@@ -13,12 +13,13 @@
 //!
 //! # Framing
 //!
-//! Events are encoded with the same total-decode, length-prefixed
-//! discipline as the wire codec in [`crate::wire`] (they share its
-//! `Writer`/`Reader` internals and its report encoding): little-endian
-//! integers, `u32` length-prefixed byte strings, and no announced length
-//! able to drive an allocation past the input size plus one 64 KiB output
-//! region. A log file is:
+//! Events use the wire codec's machinery in [`crate::wire`]: the
+//! `codec!` table below states each [`StateEvent`] variant's tag byte and
+//! field order once, and the fields go through the same `Codec` impls as
+//! the wire messages (a verdict's report is encoded exactly as in a
+//! `Verdict` frame). So: little-endian integers, `u32` length-prefixed
+//! strings, and no announced length able to drive an allocation past the
+//! input size plus one 64 KiB output region. A log file is:
 //!
 //! ```text
 //! [ b"DWAL" ][ version u8 ]            file header
@@ -75,7 +76,7 @@
 
 use crate::registry::{DeviceId, OpId};
 use crate::session::SessionId;
-use crate::wire::{decode_report_fields, encode_report_fields, Reader, WireError, Writer};
+use crate::wire::{codec, Codec, Reader, WireError, Writer};
 use dialed::pipeline::InstrumentMode;
 use dialed::report::Report;
 use std::fmt;
@@ -193,33 +194,22 @@ pub enum StateEvent {
     },
 }
 
-const TAG_SHARD_LAYOUT: u8 = 1;
-const TAG_OP_REGISTERED: u8 = 2;
-const TAG_EPOCH_BUMPED: u8 = 3;
-const TAG_DEVICE_REGISTERED: u8 = 4;
-const TAG_DEVICE_DEREGISTERED: u8 = 5;
-const TAG_BOOT_EPOCH: u8 = 6;
-const TAG_VERDICT_RECORDED: u8 = 7;
-const TAG_PRUNE_SWEEP: u8 = 8;
-const TAG_DEVICE_COUNTERS: u8 = 9;
-const TAG_DEVICE_ID_MARK: u8 = 10;
-
-fn encode_mode(w: &mut Writer, mode: InstrumentMode) {
-    w.u8(match mode {
-        InstrumentMode::Original => 0,
-        InstrumentMode::CfaOnly => 1,
-        InstrumentMode::Full => 2,
-    });
-}
-
-fn decode_mode(r: &mut Reader<'_>) -> Result<InstrumentMode, WireError> {
-    match r.u8()? {
-        0 => Ok(InstrumentMode::Original),
-        1 => Ok(InstrumentMode::CfaOnly),
-        2 => Ok(InstrumentMode::Full),
-        tag => Err(WireError::UnknownTag { what: "instrument mode", tag }),
-    }
-}
+codec!(OpId(_));
+codec!(DeviceId(_));
+codec!(SessionId(_));
+codec!(enum InstrumentMode as "instrument mode" { 0 => Original, 1 => CfaOnly, 2 => Full });
+codec!(enum StateEvent as "state event" {
+    1 => ShardLayout { shards },
+    2 => OpRegistered { op, name, mode },
+    3 => EpochBumped { epoch },
+    4 => DeviceRegistered { device, op, key_seed, epoch },
+    5 => DeviceDeregistered { device },
+    6 => BootEpoch { epoch },
+    7 => VerdictRecorded { session, device, op, nonce, issued_at, deadline, report },
+    8 => PruneSweep { now },
+    9 => DeviceCounters { device, last_verified, verified, rejected },
+    10 => DeviceIdMark { next },
+});
 
 /// Encodes one event as a versioned payload (no record framing — the WAL
 /// adds length and checksum when appending).
@@ -233,64 +223,8 @@ pub fn encode_event(ev: &StateEvent) -> Vec<u8> {
 /// [`encode_event`] into an existing writer (the WAL's reusable record
 /// buffer).
 fn encode_event_into(w: &mut Writer, ev: &StateEvent) {
-    w.u8(EVENT_VERSION);
-    match ev {
-        StateEvent::ShardLayout { shards } => {
-            w.u8(TAG_SHARD_LAYOUT);
-            w.u32(*shards);
-        }
-        StateEvent::OpRegistered { op, name, mode } => {
-            w.u8(TAG_OP_REGISTERED);
-            w.u32(op.0);
-            w.string(name);
-            encode_mode(w, *mode);
-        }
-        StateEvent::EpochBumped { epoch } => {
-            w.u8(TAG_EPOCH_BUMPED);
-            w.u64(*epoch);
-        }
-        StateEvent::DeviceRegistered { device, op, key_seed, epoch } => {
-            w.u8(TAG_DEVICE_REGISTERED);
-            w.u64(device.0);
-            w.u32(op.0);
-            w.u64(*key_seed);
-            w.u64(*epoch);
-        }
-        StateEvent::DeviceDeregistered { device } => {
-            w.u8(TAG_DEVICE_DEREGISTERED);
-            w.u64(device.0);
-        }
-        StateEvent::BootEpoch { epoch } => {
-            w.u8(TAG_BOOT_EPOCH);
-            w.u64(*epoch);
-        }
-        StateEvent::VerdictRecorded { session, device, op, nonce, issued_at, deadline, report } => {
-            w.u8(TAG_VERDICT_RECORDED);
-            w.u64(session.0);
-            w.u64(device.0);
-            w.u32(op.0);
-            w.u64(*nonce);
-            w.u64(*issued_at);
-            w.u64(*deadline);
-            encode_report_fields(w, report);
-        }
-        StateEvent::PruneSweep { now } => {
-            w.u8(TAG_PRUNE_SWEEP);
-            w.u64(*now);
-        }
-        StateEvent::DeviceCounters { device, last_verified, verified, rejected } => {
-            w.u8(TAG_DEVICE_COUNTERS);
-            w.u64(device.0);
-            w.u8(u8::from(last_verified.is_some()));
-            w.u64(last_verified.unwrap_or(0));
-            w.u64(*verified);
-            w.u64(*rejected);
-        }
-        StateEvent::DeviceIdMark { next } => {
-            w.u8(TAG_DEVICE_ID_MARK);
-            w.u64(*next);
-        }
-    }
+    w.bytes(&[EVENT_VERSION]);
+    ev.put(w);
 }
 
 /// Decodes one event payload. Total: any malformed input yields a
@@ -301,50 +235,12 @@ fn encode_event_into(w: &mut Writer, ev: &StateEvent) {
 /// Fails on an unknown version or tag, any truncation, or trailing bytes.
 pub fn decode_event(bytes: &[u8]) -> Result<StateEvent, WireError> {
     let mut r = Reader::new(bytes);
-    let version = r.u8()?;
+    let version = u8::get(&mut r)?;
     if version != EVENT_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let tag = r.u8()?;
-    let ev = match tag {
-        TAG_SHARD_LAYOUT => StateEvent::ShardLayout { shards: r.u32()? },
-        TAG_OP_REGISTERED => StateEvent::OpRegistered {
-            op: OpId(r.u32()?),
-            name: r.string()?,
-            mode: decode_mode(&mut r)?,
-        },
-        TAG_EPOCH_BUMPED => StateEvent::EpochBumped { epoch: r.u64()? },
-        TAG_DEVICE_REGISTERED => StateEvent::DeviceRegistered {
-            device: DeviceId(r.u64()?),
-            op: OpId(r.u32()?),
-            key_seed: r.u64()?,
-            epoch: r.u64()?,
-        },
-        TAG_DEVICE_DEREGISTERED => StateEvent::DeviceDeregistered { device: DeviceId(r.u64()?) },
-        TAG_BOOT_EPOCH => StateEvent::BootEpoch { epoch: r.u64()? },
-        TAG_VERDICT_RECORDED => StateEvent::VerdictRecorded {
-            session: SessionId(r.u64()?),
-            device: DeviceId(r.u64()?),
-            op: OpId(r.u32()?),
-            nonce: r.u64()?,
-            issued_at: r.u64()?,
-            deadline: r.u64()?,
-            report: decode_report_fields(&mut r)?,
-        },
-        TAG_PRUNE_SWEEP => StateEvent::PruneSweep { now: r.u64()? },
-        TAG_DEVICE_COUNTERS => StateEvent::DeviceCounters {
-            device: DeviceId(r.u64()?),
-            last_verified: r.bool()?.then_some(r.u64()?),
-            verified: r.u64()?,
-            rejected: r.u64()?,
-        },
-        TAG_DEVICE_ID_MARK => StateEvent::DeviceIdMark { next: r.u64()? },
-        tag => return Err(WireError::UnknownTag { what: "state event", tag }),
-    };
-    if r.remaining() != 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
-    Ok(ev)
+    let ev = StateEvent::get(&mut r)?;
+    r.finish(ev)
 }
 
 /// The record checksum: FNV-1a/64 over 8-byte little-endian chunks

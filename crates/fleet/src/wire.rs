@@ -28,6 +28,13 @@
 //! starting with 0 is refused and `encode(decode(b)) == b` for every
 //! accepted `b`.
 //!
+//! Each encoded type states its layout once, in one `codec!` table entry
+//! (a struct's fields in wire order, or an enum's tag bytes and each
+//! variant's fields) that generates both its encoder and its decoder.
+//! Types with a check or a layout of their own (integers, strings, counted
+//! lists, region metadata, the proof body) implement the crate-private
+//! `Codec` trait by hand.
+//!
 //! Every decode path is **total**: malformed, truncated, corrupted or
 //! hostile input yields a [`WireError`], never a panic, and no length
 //! field can drive an allocation larger than the input plus
@@ -288,252 +295,17 @@ const TAG_VERDICT: u8 = 8;
 const TAG_REJECT: u8 = 9;
 
 // ---------------------------------------------------------------------------
-// Encoding
+// The codec
 
 /// Little-endian byte-string builder shared by the wire codec and the
 /// durable store ([`crate::store`]): both speak the same framing dialect.
 pub(crate) struct Writer(pub(crate) Vec<u8>);
 
 impl Writer {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
     pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.0.extend_from_slice(v);
     }
-    /// Length-prefixed byte string (`u32` length).
-    pub(crate) fn lp_bytes(&mut self, v: &[u8]) {
-        self.u32(u32::try_from(v.len()).expect("field longer than u32::MAX"));
-        self.bytes(v);
-    }
-    pub(crate) fn string(&mut self, v: &str) {
-        self.lp_bytes(v.as_bytes());
-    }
 }
-
-fn encode_challenge(w: &mut Writer, m: &ChallengeMsg) {
-    w.u64(m.session);
-    w.u64(m.device);
-    w.u64(m.nonce);
-    w.u64(m.deadline);
-    w.bytes(m.challenge.as_bytes());
-}
-
-/// Length of the leading run of zero bytes. Whole 64-byte blocks are
-/// tested with a branch-free OR, which the compiler can vectorise; only
-/// the block holding the first non-zero byte is searched byte by byte.
-fn zero_prefix(bytes: &[u8]) -> usize {
-    const BLOCK: usize = 64;
-    let zero_blocks =
-        bytes.chunks_exact(BLOCK).take_while(|b| b.iter().fold(0, |acc, &x| acc | x) == 0).count();
-    let start = zero_blocks * BLOCK;
-    start + bytes[start..].iter().take_while(|&&b| b == 0).count()
-}
-
-/// Encodes the proof body alone (see the module docs for its layout).
-///
-/// # Panics
-///
-/// Panics if the output region is longer than [`MAX_OR_LEN`]: no decoder
-/// would accept it back. Decoded proofs never are.
-fn encode_dialed_proof(w: &mut Writer, proof: &DialedProof) {
-    let pox = &proof.pox;
-    assert!(pox.or_data.len() <= MAX_OR_LEN, "output region longer than the address space");
-    w.bytes(&pox.cfg.to_metadata_bytes());
-    w.u8(u8::from(pox.exec));
-    let zeros = zero_prefix(&pox.or_data);
-    w.u32(pox.or_data.len() as u32);
-    w.u32(zeros as u32);
-    w.bytes(&pox.or_data[zeros..]);
-    w.bytes(&pox.tag);
-}
-
-fn encode_proof(w: &mut Writer, m: &ProofMsg) {
-    w.u64(m.session);
-    w.u64(m.device);
-    encode_dialed_proof(w, &m.proof);
-}
-
-fn encode_verdict(w: &mut Writer, v: Verdict) {
-    w.u8(match v {
-        Verdict::Clean => 0,
-        Verdict::Rejected => 1,
-        Verdict::Attack => 2,
-    });
-}
-
-fn encode_reject_reason(w: &mut Writer, reason: &RejectReason) {
-    match reason {
-        RejectReason::RegionMismatch => w.u8(0),
-        RejectReason::ExecClear => w.u8(1),
-        RejectReason::ErLengthMismatch => w.u8(2),
-        RejectReason::OrLengthMismatch => w.u8(3),
-        RejectReason::MacMismatch => w.u8(4),
-        RejectReason::NotFullyInstrumented => w.u8(5),
-        RejectReason::UnknownKey { device } => {
-            w.u8(6);
-            w.u64(*device);
-        }
-        RejectReason::MalformedSubmission { detail } => {
-            w.u8(7);
-            w.string(detail);
-        }
-        RejectReason::SessionViolation { detail } => {
-            w.u8(8);
-            w.string(detail);
-        }
-        RejectReason::UnknownPrincipal { detail } => {
-            w.u8(9);
-            w.string(detail);
-        }
-        RejectReason::Overloaded { pending } => {
-            w.u8(10);
-            w.u64(*pending);
-        }
-    }
-}
-
-fn encode_finding(w: &mut Writer, finding: &Finding) {
-    match finding {
-        Finding::PoxRejected { reason } => {
-            w.u8(0);
-            encode_reject_reason(w, reason);
-        }
-        Finding::ReturnHijack { at, expected, actual } => {
-            w.u8(1);
-            w.u16(*at);
-            w.u16(*expected);
-            w.u16(*actual);
-        }
-        Finding::LogDivergence { addr, device, emulated } => {
-            w.u8(2);
-            w.u16(*addr);
-            w.u16(*device);
-            w.u16(*emulated);
-        }
-        Finding::OutOfBoundsWrite { pc, addr } => {
-            w.u8(3);
-            w.u16(*pc);
-            w.u16(*addr);
-        }
-        Finding::ActuationViolation { port, cycles, max } => {
-            w.u8(4);
-            w.u16(*port);
-            w.u64(*cycles);
-            w.u64(*max);
-        }
-        Finding::OrHeadTruncated { capacity, required } => {
-            w.u8(5);
-            w.u64(*capacity as u64);
-            w.u64(*required as u64);
-        }
-        Finding::EmulationStuck => w.u8(6),
-        Finding::PolicyViolation { policy, detail } => {
-            w.u8(7);
-            w.string(policy);
-            w.string(detail);
-        }
-    }
-}
-
-/// Encodes a full [`Report`] (verdict + findings + stats) — shared with
-/// the durable store, which persists verdicts inside `VerdictRecorded`
-/// events.
-pub(crate) fn encode_report_fields(w: &mut Writer, report: &Report) {
-    encode_verdict(w, report.verdict);
-    w.u32(u32::try_from(report.findings.len()).expect("finding count"));
-    for finding in &report.findings {
-        encode_finding(w, finding);
-    }
-    let s = &report.stats;
-    w.u64(s.emulated_insns as u64);
-    w.u64(s.log_bytes_used as u64);
-    w.u64(s.cf_entries as u64);
-    w.u64(s.input_entries as u64);
-    w.u64(s.arg_entries as u64);
-}
-
-fn encode_report(w: &mut Writer, m: &ReportMsg) {
-    w.u64(m.session);
-    w.u64(m.device);
-    encode_report_fields(w, &m.report);
-}
-
-/// Encodes a message as one framed byte string.
-#[must_use]
-pub fn encode(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::with_capacity(128);
-    encode_into(&mut out, msg);
-    out
-}
-
-/// Appends one framed message to `out`, leaving its existing bytes as they
-/// are — a sender batching many frames into one buffer allocates nothing
-/// per frame once the buffer has grown.
-pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
-    // The payload is written straight after a header whose tag and length
-    // are back-filled: one buffer, no copy.
-    let start = out.len();
-    let mut w = Writer(std::mem::take(out));
-    w.bytes(&MAGIC);
-    w.u8(WIRE_VERSION);
-    w.bytes(&[0; 5]);
-    let tag = match msg {
-        Message::Challenge(m) => {
-            encode_challenge(&mut w, m);
-            TAG_CHALLENGE
-        }
-        Message::Proof(m) => {
-            encode_proof(&mut w, m);
-            TAG_PROOF
-        }
-        Message::Report(m) => {
-            encode_report(&mut w, m);
-            TAG_REPORT
-        }
-        Message::Issue(m) => {
-            w.u64(m.request);
-            w.u64(m.device);
-            TAG_ISSUE
-        }
-        Message::Grant(m) => {
-            w.u64(m.request);
-            encode_challenge(&mut w, &m.body);
-            TAG_GRANT
-        }
-        Message::Submit(m) => {
-            w.u64(m.request);
-            encode_proof(&mut w, &m.body);
-            TAG_SUBMIT
-        }
-        Message::Verdict(m) => {
-            w.u64(m.request);
-            encode_report(&mut w, &m.body);
-            TAG_VERDICT
-        }
-        Message::Reject(m) => {
-            w.u64(m.request);
-            encode_reject_reason(&mut w, &m.reason);
-            TAG_REJECT
-        }
-    };
-    *out = w.0;
-    let len = u32::try_from(out.len() - start - HEADER_LEN).expect("payload longer than u32::MAX");
-    out[start + 3] = tag;
-    out[start + 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
 
 /// Total-decode cursor shared by the wire codec and the durable store —
 /// every read is bounds-checked and no announced length can drive an
@@ -562,173 +334,334 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    /// `v`, if decoding it used up the input.
+    pub(crate) fn finish<T>(&self, v: T) -> Result<T, WireError> {
+        match self.remaining() {
+            0 => Ok(v),
+            n => Err(WireError::TrailingBytes(n)),
+        }
     }
+}
 
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
+/// A type with one byte layout: `put` appends it, `get` reads it back and
+/// never panics. Structs, newtypes and tagged enums get both directions
+/// from one [`codec!`] table entry; the impls written out here are the
+/// ones with a check or a layout of their own.
+pub(crate) trait Codec: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! le_ints {
+    ($($t:ty),*) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut Writer) {
+                w.bytes(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let b = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("sized slice")))
+            }
+        }
+    )*};
+}
+
+le_ints!(u8, u16, u32, u64);
+
+/// As a `u64`.
+impl Codec for usize {
+    fn put(&self, w: &mut Writer) {
+        (*self as u64).put(w);
     }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::try_from(u64::get(r)?).map_err(|_| WireError::Overflow("u64 count"))
     }
+}
 
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
+/// One byte, 0 or 1.
+impl Codec for bool {
+    fn put(&self, w: &mut Writer) {
+        u8::from(*self).put(w);
     }
-
-    pub(crate) fn usize64(&mut self, what: &'static str) -> Result<usize, WireError> {
-        usize::try_from(self.u64()?).map_err(|_| WireError::Overflow(what))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match u8::get(r)? {
             0 => Ok(false),
             1 => Ok(true),
             b => Err(WireError::BadBool(b)),
         }
     }
+}
 
-    /// A length-prefixed byte string. The announced length is checked
-    /// against the remaining input *before* any allocation, so a hostile
-    /// length cannot make the decoder allocate more than the input size.
-    pub(crate) fn lp_bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let n = usize::try_from(self.u32()?).map_err(|_| WireError::Overflow("byte string"))?;
-        Ok(self.take(n)?.to_vec())
+fn put_len(w: &mut Writer, n: usize) {
+    u32::try_from(n).expect("field longer than u32::MAX").put(w);
+}
+
+fn get_len(r: &mut Reader<'_>) -> Result<usize, WireError> {
+    usize::try_from(u32::get(r)?).map_err(|_| WireError::Overflow("u32 length"))
+}
+
+/// A `u32` byte length, then UTF-8. The length is checked against the
+/// remaining input before anything is allocated.
+impl Codec for String {
+    fn put(&self, w: &mut Writer) {
+        put_len(w, self.len());
+        w.bytes(self.as_bytes());
     }
-
-    pub(crate) fn string(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.lp_bytes()?).map_err(|_| WireError::BadUtf8)
-    }
-
-    pub(crate) fn digest(&mut self) -> Result<Digest, WireError> {
-        Ok(self.take(DIGEST_LEN)?.try_into().expect("digest-sized slice"))
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = get_len(r)?;
+        std::str::from_utf8(r.take(n)?).map(str::to_owned).map_err(|_| WireError::BadUtf8)
     }
 }
 
-fn decode_challenge(r: &mut Reader<'_>) -> Result<ChallengeMsg, WireError> {
-    Ok(ChallengeMsg {
-        session: r.u64()?,
-        device: r.u64()?,
-        nonce: r.u64()?,
-        deadline: r.u64()?,
-        challenge: Challenge::from_bytes(r.digest()?),
-    })
-}
-
-fn decode_config(r: &mut Reader<'_>) -> Result<PoxConfig, WireError> {
-    let (er_min, er_max, er_exit) = (r.u16()?, r.u16()?, r.u16()?);
-    let (or_min, or_max) = (r.u16()?, r.u16()?);
-    PoxConfig::new(er_min, er_max, er_exit, or_min, or_max)
-        .map_err(|_| WireError::BadConfig("region bounds rejected"))
-}
-
-/// Decodes a proof body alone (the inverse of [`encode_dialed_proof`]),
-/// re-validating the embedded [`PoxConfig`] exactly as the wire path does.
-/// Both counts are bounded before anything is allocated.
-fn decode_dialed_proof(r: &mut Reader<'_>) -> Result<DialedProof, WireError> {
-    let cfg = decode_config(r)?;
-    let exec = r.bool()?;
-    let (len, zeros) = (r.u32()? as usize, r.u32()? as usize);
-    if len > MAX_OR_LEN {
-        return Err(WireError::BadOutputRegion("length past the 64 KiB address space"));
+/// A `u32` count, then the elements.
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        put_len(w, self.len());
+        for v in self {
+            v.put(w);
+        }
     }
-    if zeros > len {
-        return Err(WireError::BadOutputRegion("zero prefix longer than the region"));
-    }
-    let tail = r.take(len - zeros)?;
-    if tail.first() == Some(&0) {
-        return Err(WireError::BadOutputRegion("zero prefix not maximal"));
-    }
-    let mut or_data = Vec::with_capacity(len);
-    or_data.resize(zeros, 0);
-    or_data.extend_from_slice(tail);
-    let tag = r.digest()?;
-    Ok(DialedProof { pox: PoxProof { cfg, exec, or_data, tag } })
-}
-
-fn decode_proof(r: &mut Reader<'_>) -> Result<ProofMsg, WireError> {
-    let session = r.u64()?;
-    let device = r.u64()?;
-    let proof = decode_dialed_proof(r)?;
-    Ok(ProofMsg { session, device, proof })
-}
-
-fn decode_verdict(r: &mut Reader<'_>) -> Result<Verdict, WireError> {
-    match r.u8()? {
-        0 => Ok(Verdict::Clean),
-        1 => Ok(Verdict::Rejected),
-        2 => Ok(Verdict::Attack),
-        tag => Err(WireError::UnknownTag { what: "verdict", tag }),
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let count = get_len(r)?;
+        // Every element costs at least one byte, so a count beyond the
+        // remaining input is unsatisfiable — reject before reserving.
+        if count > r.remaining() {
+            return Err(WireError::Truncated { need: count, have: r.remaining() });
+        }
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
     }
 }
 
-fn decode_reject_reason(r: &mut Reader<'_>) -> Result<RejectReason, WireError> {
-    match r.u8()? {
-        0 => Ok(RejectReason::RegionMismatch),
-        1 => Ok(RejectReason::ExecClear),
-        2 => Ok(RejectReason::ErLengthMismatch),
-        3 => Ok(RejectReason::OrLengthMismatch),
-        4 => Ok(RejectReason::MacMismatch),
-        5 => Ok(RejectReason::NotFullyInstrumented),
-        6 => Ok(RejectReason::UnknownKey { device: r.u64()? }),
-        7 => Ok(RejectReason::MalformedSubmission { detail: r.string()? }),
-        8 => Ok(RejectReason::SessionViolation { detail: r.string()? }),
-        9 => Ok(RejectReason::UnknownPrincipal { detail: r.string()? }),
-        10 => Ok(RejectReason::Overloaded { pending: r.u64()? }),
-        tag => Err(WireError::UnknownTag { what: "reject reason", tag }),
+/// A presence flag, then the value or 0.
+impl Codec for Option<u64> {
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        self.unwrap_or(0).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(bool::get(r)?.then_some(u64::get(r)?))
     }
 }
 
-fn decode_finding(r: &mut Reader<'_>) -> Result<Finding, WireError> {
-    match r.u8()? {
-        0 => Ok(Finding::PoxRejected { reason: decode_reject_reason(r)? }),
-        1 => Ok(Finding::ReturnHijack { at: r.u16()?, expected: r.u16()?, actual: r.u16()? }),
-        2 => Ok(Finding::LogDivergence { addr: r.u16()?, device: r.u16()?, emulated: r.u16()? }),
-        3 => Ok(Finding::OutOfBoundsWrite { pc: r.u16()?, addr: r.u16()? }),
-        4 => Ok(Finding::ActuationViolation { port: r.u16()?, cycles: r.u64()?, max: r.u64()? }),
-        5 => Ok(Finding::OrHeadTruncated {
-            capacity: r.usize64("finding capacity")?,
-            required: r.usize64("finding required")?,
-        }),
-        6 => Ok(Finding::EmulationStuck),
-        7 => Ok(Finding::PolicyViolation { policy: r.string()?, detail: r.string()? }),
-        tag => Err(WireError::UnknownTag { what: "finding", tag }),
+impl Codec for Digest {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(DIGEST_LEN)?.try_into().expect("digest-sized slice"))
     }
 }
 
-/// Decodes a full [`Report`] (the inverse of [`encode_report_fields`]).
-pub(crate) fn decode_report_fields(r: &mut Reader<'_>) -> Result<Report, WireError> {
-    let verdict = decode_verdict(r)?;
-    let count = usize::try_from(r.u32()?).map_err(|_| WireError::Overflow("finding count"))?;
-    // Every finding costs at least its one tag byte, so a count beyond the
-    // remaining input is unsatisfiable — reject before reserving anything.
-    if count > r.remaining() {
-        return Err(WireError::Truncated { need: count, have: r.remaining() });
+impl Codec for Challenge {
+    fn put(&self, w: &mut Writer) {
+        self.as_bytes().put(w);
     }
-    let mut findings = Vec::with_capacity(count);
-    for _ in 0..count {
-        findings.push(decode_finding(r)?);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(Challenge::from_bytes(Digest::get(r)?))
     }
-    let stats = VerifyStats {
-        emulated_insns: r.usize64("emulated_insns")?,
-        log_bytes_used: r.usize64("log_bytes_used")?,
-        cf_entries: r.usize64("cf_entries")?,
-        input_entries: r.usize64("input_entries")?,
-        arg_entries: r.usize64("arg_entries")?,
+}
+
+/// The region metadata, re-validated on the way in: a region the verifier
+/// would crash on (e.g. an even `or_max`) stops at the wire boundary.
+impl Codec for PoxConfig {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(&self.to_metadata_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let (er_min, er_max, er_exit) = (u16::get(r)?, u16::get(r)?, u16::get(r)?);
+        let (or_min, or_max) = (u16::get(r)?, u16::get(r)?);
+        PoxConfig::new(er_min, er_max, er_exit, or_min, or_max)
+            .map_err(|_| WireError::BadConfig("region bounds rejected"))
+    }
+}
+
+/// Length of the leading run of zero bytes. Whole 64-byte blocks are
+/// tested with a branch-free OR, which the compiler can vectorise; only
+/// the block holding the first non-zero byte is searched byte by byte.
+fn zero_prefix(bytes: &[u8]) -> usize {
+    const BLOCK: usize = 64;
+    let zero_blocks =
+        bytes.chunks_exact(BLOCK).take_while(|b| b.iter().fold(0, |acc, &x| acc | x) == 0).count();
+    let start = zero_blocks * BLOCK;
+    start + bytes[start..].iter().take_while(|&&b| b == 0).count()
+}
+
+/// The proof body (see the module docs for its layout). Both OR counts
+/// are bounded before anything is allocated.
+impl Codec for DialedProof {
+    /// # Panics
+    ///
+    /// Panics if the output region is longer than [`MAX_OR_LEN`]: no
+    /// decoder would accept it back. Decoded proofs never are.
+    fn put(&self, w: &mut Writer) {
+        let pox = &self.pox;
+        assert!(pox.or_data.len() <= MAX_OR_LEN, "output region longer than the address space");
+        let zeros = zero_prefix(&pox.or_data);
+        pox.cfg.put(w);
+        pox.exec.put(w);
+        (pox.or_data.len() as u32).put(w);
+        (zeros as u32).put(w);
+        w.bytes(&pox.or_data[zeros..]);
+        pox.tag.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let cfg = PoxConfig::get(r)?;
+        let exec = bool::get(r)?;
+        let (len, zeros) = (u32::get(r)? as usize, u32::get(r)? as usize);
+        if len > MAX_OR_LEN {
+            return Err(WireError::BadOutputRegion("length past the 64 KiB address space"));
+        }
+        if zeros > len {
+            return Err(WireError::BadOutputRegion("zero prefix longer than the region"));
+        }
+        let tail = r.take(len - zeros)?;
+        if tail.first() == Some(&0) {
+            return Err(WireError::BadOutputRegion("zero prefix not maximal"));
+        }
+        let mut or_data = Vec::with_capacity(len);
+        or_data.resize(zeros, 0);
+        or_data.extend_from_slice(tail);
+        let tag = Digest::get(r)?;
+        Ok(DialedProof { pox: PoxProof { cfg, exec, or_data, tag } })
+    }
+}
+
+/// Implements [`Codec`] for a type from its one field list, so both
+/// directions follow the same order and tag bytes. Three forms:
+///
+/// - `codec!(T { a, b })`: a struct, as its fields in wire order;
+/// - `codec!(T(_))`: a newtype, as its one field;
+/// - `codec!(enum T as "what" { 0 => A, 1 => B { x, y } })`: a tag byte,
+///   then that variant's fields in wire order. Any other tag decodes to
+///   [`WireError::UnknownTag`] with `what`.
+macro_rules! codec {
+    ($t:ident { $($f:ident),* $(,)? }) => {
+        const _: () = {
+            use $crate::wire::{Codec, Reader, WireError, Writer};
+            impl Codec for $t {
+                fn put(&self, w: &mut Writer) {
+                    $(self.$f.put(w);)*
+                }
+                fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                    Ok(Self { $($f: Codec::get(r)?),* })
+                }
+            }
+        };
     };
-    Ok(Report { verdict, findings, stats })
+    ($t:ident(_)) => {
+        const _: () = {
+            use $crate::wire::{Codec, Reader, WireError, Writer};
+            impl Codec for $t {
+                fn put(&self, w: &mut Writer) {
+                    self.0.put(w);
+                }
+                fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                    Ok(Self(Codec::get(r)?))
+                }
+            }
+        };
+    };
+    (enum $t:ident as $what:literal {
+        $($tag:literal => $v:ident $({ $($f:ident),* $(,)? })?),* $(,)?
+    }) => {
+        const _: () = {
+            use $crate::wire::{Codec, Reader, WireError, Writer};
+            impl Codec for $t {
+                fn put(&self, w: &mut Writer) {
+                    match self {
+                        $($t::$v $({ $($f),* })? => {
+                            w.bytes(&[$tag]);
+                            $($(Codec::put($f, w);)*)?
+                        })*
+                    }
+                }
+                fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                    Ok(match u8::get(r)? {
+                        $($tag => $t::$v $({ $($f: Codec::get(r)?),* })?,)*
+                        tag => return Err(WireError::UnknownTag { what: $what, tag }),
+                    })
+                }
+            }
+        };
+    };
+}
+pub(crate) use codec;
+
+codec!(ChallengeMsg { session, device, nonce, deadline, challenge });
+codec!(ProofMsg { session, device, proof });
+codec!(ReportMsg { session, device, report });
+codec!(IssueMsg { request, device });
+codec!(GrantMsg { request, body });
+codec!(SubmitMsg { request, body });
+codec!(VerdictMsg { request, body });
+codec!(RejectMsg { request, reason });
+codec!(Report { verdict, findings, stats });
+codec!(VerifyStats { emulated_insns, log_bytes_used, cf_entries, input_entries, arg_entries });
+codec!(enum Verdict as "verdict" { 0 => Clean, 1 => Rejected, 2 => Attack });
+codec!(enum RejectReason as "reject reason" {
+    0 => RegionMismatch,
+    1 => ExecClear,
+    2 => ErLengthMismatch,
+    3 => OrLengthMismatch,
+    4 => MacMismatch,
+    5 => NotFullyInstrumented,
+    6 => UnknownKey { device },
+    7 => MalformedSubmission { detail },
+    8 => SessionViolation { detail },
+    9 => UnknownPrincipal { detail },
+    10 => Overloaded { pending },
+});
+codec!(enum Finding as "finding" {
+    0 => PoxRejected { reason },
+    1 => ReturnHijack { at, expected, actual },
+    2 => LogDivergence { addr, device, emulated },
+    3 => OutOfBoundsWrite { pc, addr },
+    4 => ActuationViolation { port, cycles, max },
+    5 => OrHeadTruncated { capacity, required },
+    6 => EmulationStuck,
+    7 => PolicyViolation { policy, detail },
+});
+
+/// Encodes a message as one framed byte string.
+#[must_use]
+pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    encode_into(&mut out, msg);
+    out
 }
 
-fn decode_report(r: &mut Reader<'_>) -> Result<ReportMsg, WireError> {
-    let session = r.u64()?;
-    let device = r.u64()?;
-    let report = decode_report_fields(r)?;
-    Ok(ReportMsg { session, device, report })
+/// Appends one framed message to `out`, leaving its existing bytes as they
+/// are — a sender batching many frames into one buffer allocates nothing
+/// per frame once the buffer has grown.
+pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
+    // The payload is written straight after a header whose tag and length
+    // are back-filled: one buffer, no copy.
+    fn body(w: &mut Writer, tag: u8, m: &impl Codec) -> u8 {
+        m.put(w);
+        tag
+    }
+    let start = out.len();
+    let mut w = Writer(std::mem::take(out));
+    w.bytes(&MAGIC);
+    w.bytes(&[WIRE_VERSION, 0, 0, 0, 0, 0]);
+    let tag = match msg {
+        Message::Challenge(m) => body(&mut w, TAG_CHALLENGE, m),
+        Message::Proof(m) => body(&mut w, TAG_PROOF, m),
+        Message::Report(m) => body(&mut w, TAG_REPORT, m),
+        Message::Issue(m) => body(&mut w, TAG_ISSUE, m),
+        Message::Grant(m) => body(&mut w, TAG_GRANT, m),
+        Message::Submit(m) => body(&mut w, TAG_SUBMIT, m),
+        Message::Verdict(m) => body(&mut w, TAG_VERDICT, m),
+        Message::Reject(m) => body(&mut w, TAG_REJECT, m),
+    };
+    *out = w.0;
+    let len = u32::try_from(out.len() - start - HEADER_LEN).expect("payload longer than u32::MAX");
+    out[start + 3] = tag;
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Decodes one framed message.
@@ -742,36 +675,28 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
     if r.take(2)? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = r.u8()?;
+    let version = u8::get(&mut r)?;
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let tag = r.u8()?;
-    let announced = usize::try_from(r.u32()?).map_err(|_| WireError::Overflow("payload length"))?;
+    let tag = u8::get(&mut r)?;
+    let announced = get_len(&mut r)?;
     if announced != r.remaining() {
         return Err(WireError::LengthMismatch { announced, present: r.remaining() });
     }
+    let r = &mut r;
     let msg = match tag {
-        TAG_CHALLENGE => Message::Challenge(decode_challenge(&mut r)?),
-        TAG_PROOF => Message::Proof(decode_proof(&mut r)?),
-        TAG_REPORT => Message::Report(decode_report(&mut r)?),
-        TAG_ISSUE => Message::Issue(IssueMsg { request: r.u64()?, device: r.u64()? }),
-        TAG_GRANT => {
-            Message::Grant(GrantMsg { request: r.u64()?, body: decode_challenge(&mut r)? })
-        }
-        TAG_SUBMIT => Message::Submit(SubmitMsg { request: r.u64()?, body: decode_proof(&mut r)? }),
-        TAG_VERDICT => {
-            Message::Verdict(VerdictMsg { request: r.u64()?, body: decode_report(&mut r)? })
-        }
-        TAG_REJECT => {
-            Message::Reject(RejectMsg { request: r.u64()?, reason: decode_reject_reason(&mut r)? })
-        }
+        TAG_CHALLENGE => Message::Challenge(Codec::get(r)?),
+        TAG_PROOF => Message::Proof(Codec::get(r)?),
+        TAG_REPORT => Message::Report(Codec::get(r)?),
+        TAG_ISSUE => Message::Issue(Codec::get(r)?),
+        TAG_GRANT => Message::Grant(Codec::get(r)?),
+        TAG_SUBMIT => Message::Submit(Codec::get(r)?),
+        TAG_VERDICT => Message::Verdict(Codec::get(r)?),
+        TAG_REJECT => Message::Reject(Codec::get(r)?),
         tag => return Err(WireError::UnknownTag { what: "message", tag }),
     };
-    if r.remaining() != 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
-    Ok(msg)
+    r.finish(msg)
 }
 
 // ---------------------------------------------------------------------------
