@@ -93,16 +93,6 @@ impl IngestQueue {
         self.batches.values().map(Vec::len).sum()
     }
 
-    /// Queue depth — the load-shedding signal. Identical to
-    /// [`pending`](Self::pending) today, but named for its role: the
-    /// network frontend compares this against its shed watermark before
-    /// accepting a submission, so its meaning is "work a drain must chew
-    /// through", not merely "entries stored".
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.pending()
-    }
-
     /// Pending sessions for one operation.
     #[must_use]
     pub fn pending_for(&self, op: OpId) -> usize {
@@ -132,7 +122,6 @@ mod tests {
         q.enqueue(OpId(1), SessionId(2));
         q.enqueue(OpId(0), SessionId(3));
         assert_eq!(q.pending(), 3);
-        assert_eq!(q.depth(), 3);
         assert_eq!(q.pending_for(OpId(0)), 2);
 
         q.discard(OpId(0), SessionId(1));

@@ -565,7 +565,7 @@ impl Fleet {
     /// Per-shard ingest queue depths, indexed like [`shards`](Self::shards).
     #[must_use]
     pub fn ingest_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::ingest_depth).collect()
+        self.shards.iter().map(Shard::pending).collect()
     }
 
     /// Ingest queue depth of the shard that owns `session`. This is the
@@ -575,7 +575,7 @@ impl Fleet {
     /// queueing work it cannot verify in time.
     #[must_use]
     pub fn ingest_depth_of(&self, session: SessionId) -> usize {
-        self.shards[self.shard_of_session(session)].ingest_depth()
+        self.shards[self.shard_of_session(session)].pending()
     }
 
     /// Evicts resolved sessions whose deadline lies before `now` so a

@@ -44,8 +44,9 @@
 //!   The core never waits on a socket; the same two knobs cut off a peer
 //!   that does not read.
 //! * **Load shedding.** Before accepting a submission the core compares
-//!   the target shard's [`ingest_depth`](crate::Shard::ingest_depth)
-//!   against [`NetConfig::shed_watermark`] and answers
+//!   the target shard's queue depth
+//!   ([`Fleet::ingest_depth_of`](crate::Fleet::ingest_depth_of)) against
+//!   [`NetConfig::shed_watermark`] and answers
 //!   [`RejectReason::Overloaded`] — explicit backpressure instead of
 //!   unbounded queueing.
 //! * **Wall clock → logical clock.** The fleet's deadlines are logical

@@ -236,13 +236,6 @@ impl Shard {
             .sum()
     }
 
-    /// This shard's ingest queue depth (see [`IngestQueue::depth`]) — the
-    /// signal a network frontend's load-shedding watermark reads.
-    #[must_use]
-    pub fn ingest_depth(&self) -> usize {
-        self.ingest.depth()
-    }
-
     /// Makes `ev` durable with one `write`, then applies it. Fail-stop on
     /// a WAL append error: a mutation that cannot be persisted must not
     /// happen, or the next recovery would silently lose it.
