@@ -1,16 +1,18 @@
 //! The TCP frontend, end to end over loopback: honest round trips with
-//! request multiplexing, load shedding at the ingest watermark, graceful
-//! drain flushing every in-flight verdict, verdicts that do not wait for
-//! a timer, and wall-clock session expiry.
+//! request multiplexing, load shedding at the ingest watermark and at the
+//! connection cap, graceful drain flushing every in-flight verdict,
+//! verdicts that do not wait for a timer, and wall-clock session expiry.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use dialed::report::{RejectClass, RejectReason, Verdict};
-use fleet::wire::Message;
+use fleet::wire::{self, Message, RejectMsg};
 use fleet::{
     DeviceId, Fleet, FleetConfig, NetClient, NetConfig, NetServer, NetServerHandle, SessionId,
 };
 use std::collections::HashMap;
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -200,6 +202,51 @@ fn submissions_past_the_watermark_are_shed() {
     assert_eq!(shed, past, "every submission past the watermark is shed");
     flushed.sort_unstable();
     assert_eq!(flushed, accepted, "exactly the accepted submissions get verdicts");
+}
+
+#[test]
+fn connections_past_the_cap_are_shed() {
+    let (fleet, devices) = fleet_with_devices(
+        3,
+        FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() },
+    );
+    let handle =
+        NetServer::spawn(fleet, NetConfig { max_conns: 2, ..NetConfig::default() }).unwrap();
+    let connect_and_issue = |device: DeviceId| {
+        let mut client = NetClient::connect(handle.addr()).unwrap();
+        client.request_challenge(device.0).unwrap().expect("an accepted connection is served");
+        client
+    };
+
+    let first = connect_and_issue(devices[0].0);
+    let _second = connect_and_issue(devices[1].0);
+    assert_eq!(handle.active_conns(), 2);
+
+    // Past the cap: exactly one connection-level `Overloaded` reject
+    // naming the live connections, then EOF.
+    let mut third = TcpStream::connect(handle.addr()).unwrap();
+    third.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut bytes = Vec::new();
+    third.read_to_end(&mut bytes).expect("a connection past the cap is closed");
+    let shed =
+        Message::Reject(RejectMsg { request: 0, reason: RejectReason::Overloaded { pending: 2 } });
+    assert_eq!(wire::decode(&bytes), Ok(shed));
+    let stats = handle.stats();
+    assert_eq!(stats.conns_shed, 1);
+    assert_eq!(stats.rejects_for(RejectClass::Overloaded), 1);
+
+    // A slot freed by a closed connection is handed out again.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.active_conns() > 1 {
+        assert!(Instant::now() < deadline, "the closed connection never released its slot");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let _fourth = connect_and_issue(devices[2].0);
+
+    let (_, stats) = handle.shutdown().expect("no server thread may panic");
+    assert_eq!((stats.conns_accepted, stats.conns_shed), (3, 1));
+    assert_eq!(stats.rejects_for(RejectClass::Overloaded), 1);
 }
 
 #[test]

@@ -5,7 +5,10 @@
 use apex::{PoxConfig, PoxProof};
 use dialed::attest::DialedProof;
 use dialed::report::{Finding, RejectReason, Report, Verdict, VerifyStats};
-use fleet::wire::{self, ChallengeMsg, Message, ProofMsg, ReportMsg};
+use fleet::wire::{
+    self, ChallengeMsg, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg, ReportMsg, SubmitMsg,
+    VerdictMsg,
+};
 use proptest::prelude::*;
 use vrased::Challenge;
 
@@ -18,7 +21,7 @@ fn verdict_from(tag: u8) -> Verdict {
 }
 
 fn reject_from(tag: u8, a: u16, text: &str) -> RejectReason {
-    match tag % 10 {
+    match tag % 11 {
         0 => RejectReason::RegionMismatch,
         1 => RejectReason::ExecClear,
         2 => RejectReason::ErLengthMismatch,
@@ -28,7 +31,8 @@ fn reject_from(tag: u8, a: u16, text: &str) -> RejectReason {
         6 => RejectReason::UnknownKey { device: u64::from(a) << 32 },
         7 => RejectReason::MalformedSubmission { detail: text.to_string() },
         8 => RejectReason::SessionViolation { detail: text.to_string() },
-        _ => RejectReason::UnknownPrincipal { detail: text.to_string() },
+        9 => RejectReason::UnknownPrincipal { detail: text.to_string() },
+        _ => RejectReason::Overloaded { pending: u64::from(a) << 40 },
     }
 }
 
@@ -67,6 +71,57 @@ fn or_region(len: usize, zeros: usize, fill: &[u8]) -> Vec<u8> {
     or
 }
 
+fn challenge_msg(session: u64, device: u64, nonce: u64, deadline: u64, label: u64) -> ChallengeMsg {
+    ChallengeMsg { session, device, nonce, deadline, challenge: Challenge::derive(b"prop", label) }
+}
+
+/// A proof whose output region is `cfg`'s length, filled with `fill`.
+fn proof_msg(
+    session: u64,
+    device: u64,
+    cfg: PoxConfig,
+    exec: bool,
+    fill: u8,
+    tag: [u8; 8],
+) -> ProofMsg {
+    let mut digest = [0u8; 32];
+    digest[..8].copy_from_slice(&tag);
+    ProofMsg {
+        session,
+        device,
+        proof: DialedProof {
+            pox: PoxProof { cfg, exec, or_data: vec![fill; cfg.or_len()], tag: digest },
+        },
+    }
+}
+
+/// A report with one finding per entry of `tags`, over every variant.
+fn report_msg(
+    session: u64,
+    device: u64,
+    verdict: u8,
+    tags: &[u8],
+    a: u16,
+    b: u16,
+    insns: u32,
+) -> ReportMsg {
+    ReportMsg {
+        session,
+        device,
+        report: Report {
+            verdict: verdict_from(verdict),
+            findings: tags.iter().map(|&t| finding_from(t, a, b, "détail ✓")).collect(),
+            stats: VerifyStats {
+                emulated_insns: insns as usize,
+                log_bytes_used: a.into(),
+                cf_entries: b.into(),
+                input_entries: 1,
+                arg_entries: 9,
+            },
+        },
+    }
+}
+
 /// A proof frame carrying `or_data` over a config whose region is
 /// `or_len` bytes — lengths may disagree, as truncate/extend mutants do.
 fn proof_frame(or_len: u16, or_data: Vec<u8>) -> Message {
@@ -86,10 +141,7 @@ proptest! {
     fn challenge_round_trips(session in any::<u64>(), device in any::<u64>(),
                              nonce in any::<u64>(), deadline in any::<u64>(),
                              label in any::<u64>()) {
-        let msg = Message::Challenge(ChallengeMsg {
-            session, device, nonce, deadline,
-            challenge: Challenge::derive(b"prop", label),
-        });
+        let msg = Message::Challenge(challenge_msg(session, device, nonce, deadline, label));
         let decoded = wire::decode(&wire::encode(&msg));
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
     }
@@ -101,16 +153,7 @@ proptest! {
                          exec in any::<bool>(),
                          fill in any::<u8>(), tag in proptest::array::uniform8(any::<u8>())) {
         let cfg = config_from(er_len, or_len, exit);
-        let mut digest = [0u8; 32];
-        digest[..8].copy_from_slice(&tag);
-        let msg = Message::Proof(ProofMsg {
-            session, device,
-            proof: DialedProof { pox: PoxProof {
-                cfg, exec,
-                or_data: vec![fill; cfg.or_len()],
-                tag: digest,
-            }},
-        });
+        let msg = Message::Proof(proof_msg(session, device, cfg, exec, fill, tag));
         let decoded = wire::decode(&wire::encode(&msg));
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
     }
@@ -125,21 +168,7 @@ proptest! {
                           a in any::<u16>(), b in any::<u16>(),
                           insns in any::<u32>(),
                           prefix in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let findings = tags.iter().map(|&t| finding_from(t, a, b, "détail ✓")).collect();
-        let msg = Message::Report(ReportMsg {
-            session, device,
-            report: Report {
-                verdict: verdict_from(verdict),
-                findings,
-                stats: VerifyStats {
-                    emulated_insns: insns as usize,
-                    log_bytes_used: a.into(),
-                    cf_entries: b.into(),
-                    input_entries: 1,
-                    arg_entries: 9,
-                },
-            },
-        });
+        let msg = Message::Report(report_msg(session, device, verdict, &tags, a, b, insns));
         let encoded = wire::encode(&msg);
         let decoded = wire::decode(&encoded);
         prop_assert_eq!(decoded.as_ref(), Ok(&msg));
@@ -147,6 +176,40 @@ proptest! {
         wire::encode_into(&mut out, &msg);
         prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
         prop_assert_eq!(&out[prefix.len()..], &encoded[..]);
+    }
+
+    /// decode(encode(x)) == x for the five networked envelopes, each
+    /// wrapped around the generators above.
+    #[test]
+    fn envelopes_round_trip(request in any::<u64>(), session in any::<u64>(),
+                            device in any::<u64>(), word in any::<u64>(),
+                            cfg in proptest::array::uniform8(any::<u16>()),
+                            tag in proptest::array::uniform8(any::<u8>()),
+                            tags in proptest::collection::vec(any::<u8>(), 0..12)) {
+        // `cfg` also feeds the byte-sized choices and the finding fields.
+        let [er_len, or_len, exit, a, b, exec, fill, choice] = cfg;
+        let (verdict, reason) = (choice as u8, (choice >> 8) as u8);
+        let msgs = [
+            Message::Issue(IssueMsg { request, device }),
+            Message::Grant(GrantMsg {
+                request,
+                body: challenge_msg(session, device, word, !word, word),
+            }),
+            Message::Submit(SubmitMsg {
+                request,
+                body: proof_msg(session, device, config_from(er_len, or_len, exit),
+                                exec % 2 == 0, fill as u8, tag),
+            }),
+            Message::Verdict(VerdictMsg {
+                request,
+                body: report_msg(session, device, verdict, &tags, a, b, word as u32),
+            }),
+            Message::Reject(RejectMsg { request, reason: reject_from(reason, a, "détail ✓") }),
+        ];
+        for msg in msgs {
+            let decoded = wire::decode(&wire::encode(&msg));
+            prop_assert_eq!(decoded.as_ref(), Ok(&msg));
+        }
     }
 
     /// Totality: decoding arbitrary bytes never panics.
