@@ -477,8 +477,9 @@ impl Fleet {
     }
 
     /// Flips every `Issued` session whose deadline lies before `now` to
-    /// `Expired`, returning how many flipped. Scans every retained
-    /// session: a frontend runs it on a clock, not per submission.
+    /// `Expired`, returning how many flipped. Touches only the sessions
+    /// whose deadline has passed; a frontend runs it on a clock, not per
+    /// submission.
     pub fn expire(&mut self, now: u64) -> usize {
         self.shards.iter_mut().map(|s| s.sessions.expire_due(now)).sum()
     }

@@ -51,10 +51,12 @@
 //!   unbounded queueing.
 //! * **Wall clock → logical clock.** The fleet's deadlines are logical
 //!   ticks; the core derives `now` from elapsed wall time
-//!   ([`NetConfig::tick`]). Every [`NetConfig::drain_interval`] — traffic
-//!   or none — a housekeeping pass expires overdue challenges, answers
-//!   in-flight submissions whose device was deregistered under them, and
-//!   prunes resolved history: the work that scans every session runs on
+//!   ([`NetConfig::tick`]), starting at the latest issuance among the
+//!   sessions the served fleet already holds. Every
+//!   [`NetConfig::drain_interval`] — traffic or none — a housekeeping pass
+//!   expires overdue challenges, answers in-flight submissions whose device
+//!   was deregistered under them, and prunes resolved history. Expiry and
+//!   pruning touch only the sessions whose deadline has passed, and run on
 //!   the clock, never per verdict.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
 //!   acceptor, quiesces readers, lets the core chew through the command

@@ -126,17 +126,29 @@ struct Core {
     /// The sessions the last verify pass settled; kept so a pass reuses
     /// its capacity instead of allocating.
     settled: Vec<SessionId>,
+    /// The logical time at `start`: the latest issuance among the sessions
+    /// the fleet already holds (0 for a fresh one), so a recovered or
+    /// in-process-driven fleet keeps the clock its deadlines count on.
+    origin: u64,
     start: Instant,
 }
 
 impl Core {
     fn new(fleet: Fleet, shared: Arc<Shared>) -> Self {
+        let origin = fleet
+            .shards()
+            .iter()
+            .flat_map(|shard| shard.sessions().sessions())
+            .map(|s| s.issued_at)
+            .max()
+            .unwrap_or(0);
         Self {
             fleet,
             shared,
             conns: HashMap::new(),
             inflight: HashMap::new(),
             settled: Vec::new(),
+            origin,
             start: Instant::now(),
         }
     }
@@ -144,7 +156,8 @@ impl Core {
     /// Wall clock → logical ticks (the unit of session deadlines).
     fn now(&self) -> u64 {
         let tick = self.shared.cfg.tick.as_nanos().max(1);
-        u64::try_from(self.start.elapsed().as_nanos() / tick).unwrap_or(u64::MAX)
+        let ticks = u64::try_from(self.start.elapsed().as_nanos() / tick).unwrap_or(u64::MAX);
+        self.origin.saturating_add(ticks)
     }
 
     /// Processes commands until every sender is gone, then flushes what
@@ -294,10 +307,11 @@ impl Core {
         self.settled = settled;
     }
 
-    /// The O(sessions) chores, on the `drain_interval` clock: expire
-    /// overdue challenges, answer in-flight submissions that can no longer
-    /// get a verdict (device deregistered under them), prune resolved
-    /// history.
+    /// The chores on the `drain_interval` clock: expire overdue
+    /// challenges, answer in-flight submissions that can no longer get a
+    /// verdict (device deregistered under them), prune resolved history.
+    /// Expiry and pruning touch only the sessions whose deadline has
+    /// passed; the in-flight table is walked whole.
     fn housekeeping(&mut self) {
         let now = self.now();
         self.fleet.expire(now);

@@ -45,8 +45,9 @@ use crate::registry::{DeviceId, OpId};
 use dialed::attest::DialedProof;
 use dialed::report::Report;
 use hacl::{Digest, Sha256};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use vrased::Challenge;
 
 /// Identifies one session within a fleet.
@@ -155,6 +156,13 @@ pub struct Session {
     pub(crate) proof: Option<DialedProof>,
 }
 
+impl Session {
+    /// Whether the session still awaits a proof or a verdict.
+    fn is_open(&self) -> bool {
+        matches!(self.state, SessionState::Issued | SessionState::Submitted)
+    }
+}
+
 /// Sliding window of recently accepted proof tags for one device.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ReplayWindow {
@@ -182,6 +190,35 @@ pub(crate) struct DeviceSessions {
     pub(crate) window: ReplayWindow,
 }
 
+/// A multiplicative hash for the integer ids this crate keys maps by.
+/// Session ids are strided by the shard count and carry the boot epoch at
+/// bit [`EPOCH_SHIFT`], so their low bits alone would cluster: the
+/// product's high half is folded into the low half the table indexes by.
+/// Not collision-resistant, and it need not be: every key is an id the
+/// service assigned itself — a peer can name one in a lookup but never
+/// make the service insert one of its choosing, so there is no HashDoS.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A `HashMap` keyed by service-assigned ids (see [`IdHasher`]).
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// Low bits of a nonce or a session-id step that count within one boot
 /// epoch; the bits above hold the epoch. One boot issues at most 2^40
 /// challenges per device and 2^40 sessions per shard.
@@ -198,8 +235,16 @@ pub struct SessionManager {
     stride: u64,
     /// The boot epoch nonces and ids are issued under (0 in memory).
     pub(crate) boot_epoch: u64,
-    pub(crate) sessions: BTreeMap<u64, Session>,
-    per_device: HashMap<DeviceId, DeviceSessions>,
+    /// Retained sessions, packed in no particular order: a table of
+    /// 224-byte values grows by copying only what it holds, where a hash
+    /// table of them would hold each one twice while it rehashes.
+    sessions: Vec<Session>,
+    /// Session id → its index in `sessions`.
+    slot: IdMap<u64, usize>,
+    /// `(deadline, id)` of every retained session: expiry and pruning walk
+    /// only the prefix whose deadline has passed.
+    due: BTreeSet<(u64, u64)>,
+    per_device: IdMap<DeviceId, DeviceSessions>,
 }
 
 impl SessionManager {
@@ -225,8 +270,10 @@ impl SessionManager {
             first,
             stride: stride.max(1),
             boot_epoch: 0,
-            sessions: BTreeMap::new(),
-            per_device: HashMap::new(),
+            sessions: Vec::new(),
+            slot: IdMap::default(),
+            due: BTreeSet::new(),
+            per_device: IdMap::default(),
         }
     }
 
@@ -267,7 +314,7 @@ impl SessionManager {
     /// issuance, driven both by the live [`SessionManager::issue`] path
     /// and by the replay of a logged verdict. Counters advance past the
     /// installed values so ids and nonces stay monotonic whichever path
-    /// ran.
+    /// ran. A session already held under `id` is replaced.
     pub(crate) fn install(
         &mut self,
         id: SessionId,
@@ -283,22 +330,27 @@ impl SessionManager {
         if id.0 >= self.next_id {
             self.next_id = id.0.saturating_add(self.stride);
         }
-        self.sessions.insert(
-            id.0,
-            Session {
-                id,
-                device,
-                op,
-                nonce,
-                challenge,
-                issued_at,
-                deadline,
-                state: SessionState::Issued,
-                report: None,
-                proof: None,
-            },
-        );
-        &self.sessions[&id.0]
+        let session = Session {
+            id,
+            device,
+            op,
+            nonce,
+            challenge,
+            issued_at,
+            deadline,
+            state: SessionState::Issued,
+            report: None,
+            proof: None,
+        };
+        let i = *self.slot.entry(id.0).or_insert(self.sessions.len());
+        if i == self.sessions.len() {
+            self.sessions.push(session);
+        } else {
+            let old = std::mem::replace(&mut self.sessions[i], session);
+            self.due.remove(&(old.deadline, id.0));
+        }
+        self.due.insert((deadline, id.0));
+        &self.sessions[i]
     }
 
     /// Issues a fresh challenge to `device` for `op` at logical time
@@ -333,7 +385,7 @@ impl SessionManager {
         tag: &Digest,
         now: u64,
     ) -> Result<OpId, SessionError> {
-        let s = self.sessions.get(&session.0).ok_or(SessionError::UnknownSession(session))?;
+        let s = self.session(session).ok_or(SessionError::UnknownSession(session))?;
         if s.device != device {
             return Err(SessionError::DeviceMismatch { expected: s.device, got: device });
         }
@@ -367,18 +419,20 @@ impl SessionManager {
     ) -> Result<OpId, SessionError> {
         let op = self.check_submit(session, device, &proof.pox.tag, now)?;
         self.per_device.entry(device).or_default().window.push(proof.pox.tag, self.window_cap);
-        let s = self.sessions.get_mut(&session.0).expect("checked above");
+        let s = self.session_mut(session).expect("checked above");
         s.state = SessionState::Submitted;
         s.proof = Some(proof);
         Ok(op)
     }
 
     /// Expires every `Issued` session whose deadline lies before `now`.
-    /// Returns how many sessions flipped to `Expired`.
+    /// Returns how many sessions flipped to `Expired`. Touches only the
+    /// sessions whose deadline has passed.
     pub fn expire_due(&mut self, now: u64) -> usize {
         let mut flipped = 0;
-        for s in self.sessions.values_mut() {
-            if s.state == SessionState::Issued && now > s.deadline {
+        for (_, id) in self.due.range(..(now, 0)) {
+            let s = &mut self.sessions[self.slot[id]];
+            if s.state == SessionState::Issued {
                 s.state = SessionState::Expired;
                 flipped += 1;
             }
@@ -392,10 +446,8 @@ impl SessionManager {
     /// purge any ingest-queue entries.
     pub(crate) fn expire_open_for(&mut self, device: DeviceId) -> Vec<(OpId, SessionId)> {
         let mut flipped = Vec::new();
-        for s in self.sessions.values_mut() {
-            if s.device == device
-                && matches!(s.state, SessionState::Issued | SessionState::Submitted)
-            {
+        for s in &mut self.sessions {
+            if s.device == device && s.is_open() {
                 s.state = SessionState::Expired;
                 s.proof = None;
                 flipped.push((s.op, s.id));
@@ -407,7 +459,7 @@ impl SessionManager {
     /// Resolves a session with the verifier's verdict — the apply half of
     /// draining. An unknown session is ignored.
     pub(crate) fn apply_verdict(&mut self, session: SessionId, report: Report) {
-        let Some(s) = self.sessions.get_mut(&session.0) else { return };
+        let Some(s) = self.session_mut(session) else { return };
         s.state = if report.is_clean() { SessionState::Verified } else { SessionState::Rejected };
         s.proof = None;
         s.report = Some(report);
@@ -415,42 +467,53 @@ impl SessionManager {
 
     /// How many resolved sessions a prune at `now` would evict (pure peek).
     #[must_use]
-    pub fn prunable(&self, now: u64) -> usize {
-        self.sessions
-            .values()
-            .filter(|s| {
-                !matches!(s.state, SessionState::Issued | SessionState::Submitted)
-                    && s.deadline < now
-            })
-            .count()
+    pub(crate) fn prunable(&self, now: u64) -> usize {
+        self.due.range(..(now, 0)).filter(|(_, id)| !self.sessions[self.slot[id]].is_open()).count()
     }
 
     /// Evicts resolved sessions (`Verified`/`Rejected`/`Expired`) whose
     /// deadline lies before `now`, returning how many were removed. A
     /// long-running service calls this periodically so the session store
     /// stays proportional to the *open* rounds, not to history; session
-    /// ids are never reused.
+    /// ids are never reused. Touches only the sessions whose deadline has
+    /// passed.
     pub fn prune_resolved(&mut self, now: u64) -> usize {
+        let later = self.due.split_off(&(now, 0));
+        let passed = std::mem::replace(&mut self.due, later);
         let before = self.sessions.len();
-        self.sessions.retain(|_, s| {
-            matches!(s.state, SessionState::Issued | SessionState::Submitted) || s.deadline >= now
-        });
+        for key in passed {
+            let i = self.slot[&key.1];
+            if self.sessions[i].is_open() {
+                self.due.insert(key);
+            } else {
+                // The last session moves into the freed slot.
+                self.slot.remove(&key.1);
+                self.sessions.swap_remove(i);
+                if let Some(moved) = self.sessions.get(i) {
+                    self.slot.insert(moved.id.0, i);
+                }
+            }
+        }
         before - self.sessions.len()
     }
 
     /// Looks up a session.
     #[must_use]
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.sessions.get(&id.0)
+        self.slot.get(&id.0).map(|&i| &self.sessions[i])
     }
 
+    /// A session to update in place. Its deadline is indexed and must not
+    /// change.
     pub(crate) fn session_mut(&mut self, id: SessionId) -> Option<&mut Session> {
-        self.sessions.get_mut(&id.0)
+        let i = *self.slot.get(&id.0)?;
+        Some(&mut self.sessions[i])
     }
 
-    /// All retained sessions in issuance order.
+    /// All retained sessions in (deadline, id) order, which is issuance
+    /// order under a monotone clock.
     pub fn sessions(&self) -> impl Iterator<Item = &Session> {
-        self.sessions.values()
+        self.due.iter().map(|(_, id)| &self.sessions[self.slot[id]])
     }
 
     /// Retained session count (open rounds plus not-yet-pruned history).
@@ -476,6 +539,7 @@ impl SessionManager {
 mod tests {
     use super::*;
     use apex::{PoxConfig, PoxProof};
+    use std::collections::BTreeMap;
 
     fn dummy_proof(tag_byte: u8) -> DialedProof {
         let cfg = PoxConfig::new(0xE000, 0xE00F, 0xE00E, 0x0600, 0x06FF).unwrap();
@@ -693,6 +757,134 @@ mod tests {
         assert!(mgr.session(pending).unwrap().proof.is_none(), "held proof dropped");
         assert_eq!(mgr.session(done).unwrap().state, SessionState::Verified);
         assert_eq!(mgr.session(other).unwrap().state, SessionState::Issued);
+    }
+
+    /// A session's observable bookkeeping: device, deadline and state.
+    type View = BTreeMap<u64, (DeviceId, u64, SessionState)>;
+
+    fn view(mgr: &SessionManager) -> View {
+        let view: View =
+            mgr.sessions().map(|s| (s.id.0, (s.device, s.deadline, s.state))).collect();
+        assert_eq!(view.len(), mgr.len(), "sessions() yields each retained session once");
+        view
+    }
+
+    fn is_open(state: SessionState) -> bool {
+        matches!(state, SessionState::Issued | SessionState::Submitted)
+    }
+
+    #[test]
+    fn expiry_and_pruning_match_a_full_scan_under_any_clock() {
+        let mut mgr = SessionManager::with_ids(b"t", 8, 4, 1, 3);
+        // A resolved session behind an open one with an earlier id: a walk
+        // that stops at the first open session never reaches it.
+        let open = mgr.issue(DEV, OP, 0).id;
+        let done = mgr.issue(DEV, OP, 0).id;
+        mgr.submit(done, DEV, dummy_proof(1), 0).unwrap();
+        mgr.apply_verdict(done, Report::clean(Default::default()));
+        assert_eq!((mgr.prunable(20), mgr.prune_resolved(20)), (1, 1));
+        assert!(mgr.session(done).is_none());
+        assert_eq!(mgr.session(open).unwrap().state, SessionState::Issued);
+
+        // A seeded walk whose clock mostly advances and sometimes jumps
+        // back, with replay-style installs in non-id order. Every call is
+        // checked against a full scan of sessions() taken just before it.
+        let mut seed = 0x5EED_u64;
+        let mut rand = |n: u64| {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let (mut now, mut tag) = (0u64, 0u64);
+        for step in 0..2000 {
+            now = if rand(10) == 0 { now.saturating_sub(rand(60)) } else { now + rand(4) };
+            let before = view(&mgr);
+            let mut want = before.clone();
+            let ids: Vec<u64> = before.keys().copied().collect();
+            let pick = |r: u64| ids.get(r as usize % ids.len().max(1)).copied();
+            match rand(9) {
+                0 | 1 => {
+                    let device = DeviceId(rand(4));
+                    let s = mgr.issue(device, OP, now);
+                    assert!(!before.contains_key(&s.id.0), "step {step}: id reused");
+                    want.insert(s.id.0, (device, now + 8, SessionState::Issued));
+                }
+                2 => {
+                    // Replay installs: ids far ahead of or among the live
+                    // ones, deadlines unrelated to id order; sometimes
+                    // over a retained id.
+                    let id = match pick(rand(1 << 20)) {
+                        Some(id) if rand(4) == 0 => id,
+                        _ => 1 + 3 * (mgr.peek_next_id().0 / 3 + rand(50)),
+                    };
+                    let (device, issued_at) = (DeviceId(rand(4)), rand(200));
+                    let deadline = issued_at + rand(16);
+                    mgr.install(SessionId(id), device, OP, tag, issued_at, deadline);
+                    tag += 1;
+                    want.insert(id, (device, deadline, SessionState::Issued));
+                }
+                3 | 4 => {
+                    let Some(id) = pick(rand(1 << 20)) else { continue };
+                    let (device, deadline, state) = before[&id];
+                    let mut bytes = [0u8; 32];
+                    bytes[..8].copy_from_slice(&tag.to_le_bytes());
+                    tag += 1;
+                    let mut proof = dummy_proof(0);
+                    proof.pox.tag = bytes;
+                    let ok = mgr.submit(SessionId(id), device, proof, now).is_ok();
+                    let accept = state == SessionState::Issued && now <= deadline;
+                    assert_eq!(ok, accept, "step {step}: submit {id} at {now}");
+                    if accept {
+                        want.insert(id, (device, deadline, SessionState::Submitted));
+                    }
+                }
+                5 => {
+                    let Some(id) = pick(rand(1 << 20)) else { continue };
+                    let clean = rand(2) == 0;
+                    let report = if clean {
+                        Report::clean(Default::default())
+                    } else {
+                        Report::rejected(SessionError::ReplayedProof)
+                    };
+                    mgr.apply_verdict(SessionId(id), report);
+                    let state = if clean { SessionState::Verified } else { SessionState::Rejected };
+                    want.get_mut(&id).unwrap().2 = state;
+                }
+                6 => {
+                    let mut flipped = 0;
+                    for (_, deadline, state) in want.values_mut() {
+                        if *state == SessionState::Issued && *deadline < now {
+                            *state = SessionState::Expired;
+                            flipped += 1;
+                        }
+                    }
+                    assert_eq!(mgr.expire_due(now), flipped, "step {step}: expire at {now}");
+                }
+                7 => {
+                    if rand(8) == 0 {
+                        let device = DeviceId(rand(4));
+                        let flipped = mgr.expire_open_for(device).len();
+                        let mut open = 0;
+                        for (d, _, state) in want.values_mut() {
+                            if *d == device && is_open(*state) {
+                                *state = SessionState::Expired;
+                                open += 1;
+                            }
+                        }
+                        assert_eq!(flipped, open, "step {step}: deregister {device}");
+                    }
+                }
+                _ => {
+                    want.retain(|_, (_, deadline, state)| is_open(*state) || *deadline >= now);
+                    let evicted = before.len() - want.len();
+                    assert_eq!(mgr.prunable(now), evicted, "step {step}: prunable at {now}");
+                    assert_eq!(mgr.prune_resolved(now), evicted, "step {step}: prune at {now}");
+                }
+            }
+            assert_eq!(view(&mgr), want, "step {step} at t={now}");
+        }
     }
 
     #[test]

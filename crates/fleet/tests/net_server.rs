@@ -496,3 +496,39 @@ fn deregistration_races_an_open_networked_session() {
         "the session-layer reject is accounted by class: {stats}"
     );
 }
+
+#[test]
+fn a_served_fleet_resumes_the_clock_its_sessions_were_issued_under() {
+    // A fleet driven in process to t = 1_000_000, then served with 1 ms
+    // ticks: the server's clock resumes at the latest issuance, so the
+    // retained session dies on its own TTL and new grants sort after it.
+    let cfg = FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() };
+    let ttl = cfg.challenge_ttl;
+    let (mut fleet, mut devices) = fleet_with_devices(1, cfg);
+    let (id, device) = &mut devices[0];
+    let t = 1_000_000;
+    let chal = fleet.issue(*id, t).unwrap();
+    let old = SessionId(chal.session);
+    fleet.submit(old, *id, proof_for(device, &chal).proof, t).unwrap();
+    fleet.drain(t);
+    assert!(fleet.session(old).unwrap().report.is_some(), "verified in process");
+
+    let handle = NetServer::spawn(
+        fleet,
+        NetConfig { tick: Duration::from_millis(1), ..NetConfig::default() },
+    )
+    .unwrap();
+    let start = Instant::now();
+    while handle.admin(move |f| f.session(old).is_some()).expect("server alive") {
+        assert!(start.elapsed() < Duration::from_secs(2), "{old} outlived its TTL by 2 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = NetClient::connect(handle.addr()).unwrap();
+    let fresh = client.request_challenge(id.0).unwrap().expect("grant");
+    assert!(
+        fresh.deadline >= t + ttl,
+        "fresh deadline {} predates the retained one",
+        fresh.deadline
+    );
+    handle.shutdown().expect("no server thread may panic");
+}
