@@ -60,6 +60,8 @@ impl fmt::Display for DrainStats {
 }
 
 /// The pending-submission queue of one state shard, keyed by operation.
+/// An operation's batch keeps its buffer across drains, so once it has
+/// grown to a round's size, queueing a submission allocates nothing.
 #[derive(Debug, Default)]
 pub struct IngestQueue {
     batches: BTreeMap<OpId, Vec<SessionId>>,
@@ -81,9 +83,6 @@ impl IngestQueue {
     pub fn discard(&mut self, op: OpId, session: SessionId) {
         if let Some(batch) = self.batches.get_mut(&op) {
             batch.retain(|&s| s != session);
-            if batch.is_empty() {
-                self.batches.remove(&op);
-            }
         }
     }
 
@@ -99,15 +98,25 @@ impl IngestQueue {
         self.batches.get(&op).map_or(0, Vec::len)
     }
 
-    /// Pending sessions per operation.
+    /// Pending sessions per operation, for each operation with any.
     pub(crate) fn depths(&self) -> impl Iterator<Item = (OpId, usize)> + '_ {
-        self.batches.iter().map(|(&op, sids)| (op, sids.len()))
+        self.batches.iter().filter(|(_, sids)| !sids.is_empty()).map(|(&op, sids)| (op, sids.len()))
     }
 
-    /// Takes every queued batch, leaving the queue empty — the first step
-    /// of a shard drain.
-    pub(crate) fn take_all(&mut self) -> BTreeMap<OpId, Vec<SessionId>> {
-        std::mem::take(&mut self.batches)
+    /// Takes the batch of the lowest operation at or above `from` that has
+    /// one — a shard drain walks operations in ascending order this way.
+    /// Hand the batch back with [`IngestQueue::give_back`].
+    pub(crate) fn take_next(&mut self, from: OpId) -> Option<(OpId, Vec<SessionId>)> {
+        let (&op, batch) = self.batches.range_mut(from..).find(|(_, sids)| !sids.is_empty())?;
+        Some((op, std::mem::take(batch)))
+    }
+
+    /// Returns a taken batch's buffer, emptied, to the slot
+    /// [`IngestQueue::take_next`] left, so the next round queues into it
+    /// without allocating.
+    pub(crate) fn give_back(&mut self, op: OpId, mut batch: Vec<SessionId>) {
+        batch.clear();
+        self.batches.insert(op, batch);
     }
 }
 
@@ -126,14 +135,39 @@ mod tests {
 
         q.discard(OpId(0), SessionId(1));
         assert_eq!(q.pending_for(OpId(0)), 1);
-        // Discarding the last entry of a batch removes the batch.
+        // Discarding the last entry of a batch leaves nothing to drain.
         q.discard(OpId(1), SessionId(2));
         assert_eq!(q.pending_for(OpId(1)), 0);
+        assert_eq!(q.depths().collect::<Vec<_>>(), vec![(OpId(0), 1)]);
 
-        let taken = q.take_all();
+        let (op, taken) = q.take_next(OpId(0)).unwrap();
+        assert_eq!((op, &taken[..]), (OpId(0), &[SessionId(3)][..]));
         assert_eq!(q.pending(), 0);
-        assert_eq!(taken.len(), 1);
-        assert_eq!(taken[&OpId(0)], vec![SessionId(3)]);
+        assert!(q.take_next(OpId(0)).is_none(), "the empty batch of op 1 is skipped");
+
+        // The buffer handed back is the one the next round queues into.
+        let buffer = taken.as_ptr();
+        q.give_back(op, taken);
+        q.enqueue(OpId(0), SessionId(4));
+        let (_, again) = q.take_next(OpId(0)).unwrap();
+        assert_eq!((again.as_ptr(), &again[..]), (buffer, &[SessionId(4)][..]));
+    }
+
+    #[test]
+    fn drain_order_is_op_ascending() {
+        let mut q = IngestQueue::new();
+        for op in [2, 0, 1] {
+            q.enqueue(OpId(op), SessionId(u64::from(op)));
+        }
+        let mut from = OpId(0);
+        let mut order = Vec::new();
+        while let Some((op, batch)) = q.take_next(from) {
+            order.push(op);
+            from = OpId(op.0 + 1);
+            q.give_back(op, batch);
+        }
+        assert_eq!(order, [OpId(0), OpId(1), OpId(2)]);
+        assert_eq!(q.pending(), 0);
     }
 
     #[test]

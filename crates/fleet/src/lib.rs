@@ -80,6 +80,7 @@ pub use wire::{
 
 use crate::shard::ShardParams;
 use crate::store::Wal;
+use crate::wire::PackedProof;
 use dialed::attest::DialedProof;
 use dialed::pipeline::InstrumentedOp;
 use dialed::policy::Policy;
@@ -440,29 +441,45 @@ impl Fleet {
         proof: DialedProof,
         now: u64,
     ) -> Result<(), SessionError> {
+        self.submit_packed(session, device, PackedProof::pack(&proof.pox), now)
+    }
+
+    /// [`Fleet::submit`] for a proof in the packed form a session holds.
+    fn submit_packed(
+        &mut self,
+        session: SessionId,
+        device: DeviceId,
+        proof: PackedProof,
+        now: u64,
+    ) -> Result<(), SessionError> {
         let idx = self.shard_of_session(session);
         let shard = &mut self.shards[idx];
-        let op = shard.sessions.submit(session, device, proof, now)?;
+        let op = shard.sessions.submit_packed(session, device, proof, now)?;
         shard.ingest.enqueue(op, session);
         Ok(())
     }
 
     /// [`Fleet::submit`] from an encoded [`ProofMsg`] frame, as received
-    /// off the network.
+    /// off the network. The proof is decoded straight into the packed form
+    /// its session holds, so its output region is never built here.
     ///
     /// # Errors
     ///
     /// `Err(Ok(session_error))` for session-layer rejection,
     /// `Err(Err(wire_error))` for undecodable bytes (including non-proof
-    /// messages).
+    /// messages), the same error [`wire::decode`] gives for them.
     pub fn submit_wire(&mut self, bytes: &[u8], now: u64) -> SubmitWireResult {
-        let msg = match wire::decode(bytes) {
-            Ok(Message::Proof(m)) => m,
-            Ok(_) => return Err(Err(WireError::UnexpectedMessage { expected: "proof" })),
+        let (session, device, proof) = match wire::decode_packed_proof(bytes) {
+            Ok(Some((session, device, proof))) => (SessionId(session), DeviceId(device), proof),
+            Ok(None) => {
+                return Err(Err(match wire::decode(bytes) {
+                    Ok(_) => WireError::UnexpectedMessage { expected: "proof" },
+                    Err(e) => e,
+                }))
+            }
             Err(e) => return Err(Err(e)),
         };
-        let (session, device) = (SessionId(msg.session), DeviceId(msg.device));
-        match self.submit(session, device, msg.proof, now) {
+        match self.submit_packed(session, device, proof, now) {
             Ok(()) => Ok(session),
             Err(e) => Err(Ok(e)),
         }

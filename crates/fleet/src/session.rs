@@ -42,6 +42,7 @@
 //! seconds.
 
 use crate::registry::{DeviceId, OpId};
+use crate::wire::PackedProof;
 use dialed::attest::DialedProof;
 use dialed::report::Report;
 use hacl::{Digest, Sha256};
@@ -152,8 +153,11 @@ pub struct Session {
     pub state: SessionState,
     /// The verifier's report once the session resolved.
     pub report: Option<Report>,
-    /// The submitted proof, held until ingest consumes it.
-    pub(crate) proof: Option<DialedProof>,
+    /// The submitted proof, held until its drain verifies it. It is held
+    /// packed, as the wire carries it: the output region's leading zero
+    /// run is a count, so a PoX-only proof holds no region bytes, and the
+    /// drain expands each proof into one buffer it reuses.
+    pub(crate) proof: Option<PackedProof>,
 }
 
 impl Session {
@@ -236,7 +240,7 @@ pub struct SessionManager {
     /// The boot epoch nonces and ids are issued under (0 in memory).
     pub(crate) boot_epoch: u64,
     /// Retained sessions, packed in no particular order: a table of
-    /// 224-byte values grows by copying only what it holds, where a hash
+    /// 232-byte values grows by copying only what it holds, where a hash
     /// table of them would hold each one twice while it rehashes.
     sessions: Vec<Session>,
     /// Session id → its index in `sessions`.
@@ -417,8 +421,19 @@ impl SessionManager {
         proof: DialedProof,
         now: u64,
     ) -> Result<OpId, SessionError> {
-        let op = self.check_submit(session, device, &proof.pox.tag, now)?;
-        self.per_device.entry(device).or_default().window.push(proof.pox.tag, self.window_cap);
+        self.submit_packed(session, device, PackedProof::pack(&proof.pox), now)
+    }
+
+    /// [`SessionManager::submit`] for a proof already in its packed form.
+    pub(crate) fn submit_packed(
+        &mut self,
+        session: SessionId,
+        device: DeviceId,
+        proof: PackedProof,
+        now: u64,
+    ) -> Result<OpId, SessionError> {
+        let op = self.check_submit(session, device, &proof.tag, now)?;
+        self.per_device.entry(device).or_default().window.push(proof.tag, self.window_cap);
         let s = self.session_mut(session).expect("checked above");
         s.state = SessionState::Submitted;
         s.proof = Some(proof);

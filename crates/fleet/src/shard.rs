@@ -45,7 +45,7 @@
 //! replays at most about two compactions' worth (or the floor).
 
 use crate::ingest::{DrainStats, IngestQueue};
-use crate::registry::{DeviceId, OpRecord, OpTable, Registry};
+use crate::registry::{DeviceId, OpId, OpRecord, OpTable, Registry};
 use crate::session::{SessionId, SessionManager, SessionState};
 use crate::store::{read_events, RecoverError, StateEvent, Wal};
 use dialed::request::{PerDevice, VerifyRequest};
@@ -146,6 +146,8 @@ pub struct Shard {
     /// owns its workspaces outright and they stay warm whichever thread
     /// drains it next.
     workspaces: Vec<EmuWorkspace>,
+    /// The output-region buffer a drain expands each held proof into.
+    or_buf: Vec<u8>,
 }
 
 impl Shard {
@@ -167,6 +169,7 @@ impl Shard {
             generation: 0,
             compacted_bytes: 0,
             workspaces: Vec::new(),
+            or_buf: Vec::new(),
         }
     }
 
@@ -345,63 +348,86 @@ impl Shard {
     }
 
     /// Drains this shard's queue through the fleet's operation verifiers,
+    /// operation by operation in ascending [`OpId`] order,
     /// committing each operation's verdicts in one WAL write and appending
-    /// every session it settled to `settled`. `ops` is borrowed read-only,
-    /// so shards drain concurrently.
+    /// every session it settled to `settled`. Each held proof is expanded
+    /// from its packed form into one region buffer that every proof of the
+    /// pass reuses, so the region being verified stays in cache. `ops` is
+    /// borrowed read-only, so shards drain concurrently.
     pub(crate) fn drain(&mut self, ops: &OpTable, settled: &mut Vec<SessionId>) -> DrainStats {
         let mut stats = DrainStats::default();
-        for (op, sids) in self.ingest.take_all() {
-            let Ok(record) = ops.op(op) else { continue };
-            let slot = op.0 as usize;
-            if self.workspaces.len() <= slot {
-                self.workspaces.resize_with(slot + 1, EmuWorkspace::new);
+        let mut from = OpId(0);
+        while let Some((op, sids)) = self.ingest.take_next(from) {
+            from = OpId(op.0.saturating_add(1));
+            if let Ok(record) = ops.op(op) {
+                self.drain_batch(record, &sids, &mut stats, settled);
             }
-            let ws = &mut self.workspaces[slot];
-            // Per-device keys resolve by borrow out of this shard's registry.
-            let reg = &self.registry;
-            let keys = PerDevice::new(|device| Some(reg.device(DeviceId(device)).ok()?.ra()));
-            let mut verdicts = Vec::with_capacity(sids.len());
-            for sid in sids {
-                let Some(s) = self.sessions.session_mut(sid) else { continue };
-                if s.state != SessionState::Submitted {
-                    continue;
-                }
-                // The session's held proof is consumed.
-                let Some(proof) = s.proof.take() else { continue };
-                let (device, challenge) = (s.device, s.challenge);
-                let (nonce, issued_at, deadline) = (s.nonce, s.issued_at, s.deadline);
-                if reg.device(device).is_err() {
-                    continue;
-                }
-                let req = VerifyRequest::new(&proof, &challenge).for_device(device.0).keys(&keys);
-                let report = record.verifier.verify_in(ws, &req);
-                stats.drained += 1;
-                if report.is_clean() {
-                    stats.verified += 1;
-                } else {
-                    stats.rejected += 1;
-                }
-                settled.push(sid);
-                verdicts.push(StateEvent::VerdictRecorded {
-                    session: sid,
-                    device,
-                    op,
-                    nonce,
-                    issued_at,
-                    deadline,
-                    report,
-                });
-            }
-            if verdicts.is_empty() {
-                continue;
-            }
-            stats.batches += 1;
-            self.commit_batch(verdicts);
+            self.ingest.give_back(op, sids);
         }
         if stats.drained > 0 {
             stats.shards = 1;
         }
         stats
+    }
+
+    /// Verifies the queued sessions `sids` of one operation and commits
+    /// their verdicts in one WAL write (see [`Shard::drain`]).
+    fn drain_batch(
+        &mut self,
+        record: &OpRecord,
+        sids: &[SessionId],
+        stats: &mut DrainStats,
+        settled: &mut Vec<SessionId>,
+    ) {
+        let op = record.id;
+        let slot = op.0 as usize;
+        if self.workspaces.len() <= slot {
+            self.workspaces.resize_with(slot + 1, EmuWorkspace::new);
+        }
+        let ws = &mut self.workspaces[slot];
+        // Per-device keys resolve by borrow out of this shard's registry.
+        let reg = &self.registry;
+        let keys = PerDevice::new(|device| Some(reg.device(DeviceId(device)).ok()?.ra()));
+        let mut or_buf = std::mem::take(&mut self.or_buf);
+        let mut verdicts = Vec::with_capacity(sids.len());
+        for &sid in sids {
+            let Some(s) = self.sessions.session_mut(sid) else { continue };
+            if s.state != SessionState::Submitted {
+                continue;
+            }
+            // The session's held proof is consumed.
+            let Some(packed) = s.proof.take() else { continue };
+            let (device, challenge) = (s.device, s.challenge);
+            let (nonce, issued_at, deadline) = (s.nonce, s.issued_at, s.deadline);
+            if reg.device(device).is_err() {
+                continue;
+            }
+            let proof = packed.unpack_into(or_buf);
+            let req = VerifyRequest::new(&proof, &challenge).for_device(device.0).keys(&keys);
+            let report = record.verifier.verify_in(ws, &req);
+            or_buf = proof.pox.or_data;
+            stats.drained += 1;
+            if report.is_clean() {
+                stats.verified += 1;
+            } else {
+                stats.rejected += 1;
+            }
+            settled.push(sid);
+            verdicts.push(StateEvent::VerdictRecorded {
+                session: sid,
+                device,
+                op,
+                nonce,
+                issued_at,
+                deadline,
+                report,
+            });
+        }
+        self.or_buf = or_buf;
+        if !verdicts.is_empty() {
+            stats.batches += 1;
+            self.commit_batch(verdicts);
+        }
     }
 
     // -- compaction ---------------------------------------------------------
@@ -498,7 +524,6 @@ fn newest_segment(dir: &Path) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::OpId;
     use crate::session::EPOCH_SHIFT;
     use apex::{PoxConfig, PoxProof};
     use dialed::attest::DialedProof;

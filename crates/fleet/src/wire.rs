@@ -26,7 +26,11 @@
 //! unwritten low end is zero and travels as a count, not as bytes. The
 //! encoding is canonical: `z` is the whole leading zero run, so a tail
 //! starting with 0 is refused and `encode(decode(b)) == b` for every
-//! accepted `b`.
+//! accepted `b`. The service holds a submitted proof in this form too (the
+//! crate-private `PackedProof`, whose codec is the one definition of the
+//! layout): `Fleet::submit_wire` decodes a `Proof` frame straight into it,
+//! and a shard expands the zero run only while it verifies the proof, into
+//! one buffer every proof of its drain reuses.
 //!
 //! Each encoded type states its layout once, in one `codec!` table entry
 //! (a struct's fields in wire order, or an enum's tag bytes and each
@@ -38,7 +42,8 @@
 //! Every decode path is **total**: malformed, truncated, corrupted or
 //! hostile input yields a [`WireError`], never a panic, and no length
 //! field can drive an allocation larger than the input plus
-//! [`MAX_OR_LEN`] per proof (a zero prefix expands on decode). Decoding
+//! [`MAX_OR_LEN`] per proof (a zero prefix expands when [`decode`] builds
+//! a [`DialedProof`]; the packed form never expands it). Decoding
 //! also re-validates embedded [`PoxConfig`] bounds, so a region that the
 //! verifier would crash on (e.g. an even `or_max`) is rejected at the
 //! wire boundary.
@@ -310,7 +315,8 @@ impl Writer {
 /// Total-decode cursor shared by the wire codec and the durable store —
 /// every read is bounds-checked and no announced length can drive an
 /// allocation larger than the input itself (a proof's zero prefix, capped
-/// at [`MAX_OR_LEN`], is the one count that expands).
+/// at [`MAX_OR_LEN`], is the one count that expands, and only when a
+/// [`DialedProof`] is built from it).
 pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -490,43 +496,104 @@ fn zero_prefix(bytes: &[u8]) -> usize {
     start + bytes[start..].iter().take_while(|&&b| b == 0).count()
 }
 
-/// The proof body (see the module docs for its layout). Both OR counts
-/// are bounded before anything is allocated.
-impl Codec for DialedProof {
-    /// # Panics
-    ///
-    /// Panics if the output region is longer than [`MAX_OR_LEN`]: no
-    /// decoder would accept it back. Decoded proofs never are.
-    fn put(&self, w: &mut Writer) {
-        let pox = &self.pox;
-        assert!(pox.or_data.len() <= MAX_OR_LEN, "output region longer than the address space");
+/// A proof body as the wire carries it (see the module docs): the output
+/// region's leading zero run is a count, and only the written tail is
+/// stored. A submitted proof waits for its drain in this form, so a
+/// PoX-only proof, whose region is all zeros, holds no region bytes at all.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub(crate) struct PackedProof {
+    cfg: PoxConfig,
+    exec: bool,
+    /// Output-region length; the first `or_len - tail.len()` bytes are 0.
+    or_len: usize,
+    /// The region from its first non-zero byte on (empty if all zero).
+    tail: Vec<u8>,
+    pub(crate) tag: Digest,
+}
+
+impl PackedProof {
+    /// Packs `pox`, keeping only the region's tail after its zero run.
+    pub(crate) fn pack(pox: &PoxProof) -> Self {
         let zeros = zero_prefix(&pox.or_data);
-        pox.cfg.put(w);
-        pox.exec.put(w);
-        (pox.or_data.len() as u32).put(w);
-        (zeros as u32).put(w);
-        w.bytes(&pox.or_data[zeros..]);
-        pox.tag.put(w);
+        PackedProof {
+            cfg: pox.cfg,
+            exec: pox.exec,
+            or_len: pox.or_data.len(),
+            tail: pox.or_data[zeros..].to_vec(),
+            tag: pox.tag,
+        }
+    }
+
+    /// The proof with its region expanded into `or`, whose old contents
+    /// are dropped and whose capacity is reused: a drain passes the same
+    /// buffer back for every proof it verifies.
+    pub(crate) fn unpack_into(&self, mut or: Vec<u8>) -> DialedProof {
+        or.clear();
+        or.resize(self.or_len - self.tail.len(), 0);
+        or.extend_from_slice(&self.tail);
+        DialedProof { pox: PoxProof { cfg: self.cfg, exec: self.exec, or_data: or, tag: self.tag } }
+    }
+}
+
+/// Writes one proof body: the region is `or_len` bytes, all zero but for
+/// `tail` at its end. Both proof forms encode through this.
+///
+/// # Panics
+///
+/// Panics if the region is longer than [`MAX_OR_LEN`]: no decoder would
+/// accept it back. Decoded proofs never are.
+fn put_proof_body(
+    w: &mut Writer,
+    cfg: &PoxConfig,
+    exec: bool,
+    or_len: usize,
+    tail: &[u8],
+    tag: &Digest,
+) {
+    assert!(or_len <= MAX_OR_LEN, "output region longer than the address space");
+    cfg.put(w);
+    exec.put(w);
+    (or_len as u32).put(w);
+    ((or_len - tail.len()) as u32).put(w);
+    w.bytes(tail);
+    tag.put(w);
+}
+
+/// The proof-body layout. Both OR counts are bounded before anything is
+/// allocated, and the tail is the only allocation.
+impl Codec for PackedProof {
+    fn put(&self, w: &mut Writer) {
+        put_proof_body(w, &self.cfg, self.exec, self.or_len, &self.tail, &self.tag);
     }
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let cfg = PoxConfig::get(r)?;
         let exec = bool::get(r)?;
-        let (len, zeros) = (u32::get(r)? as usize, u32::get(r)? as usize);
-        if len > MAX_OR_LEN {
+        let (or_len, zeros) = (u32::get(r)? as usize, u32::get(r)? as usize);
+        if or_len > MAX_OR_LEN {
             return Err(WireError::BadOutputRegion("length past the 64 KiB address space"));
         }
-        if zeros > len {
+        if zeros > or_len {
             return Err(WireError::BadOutputRegion("zero prefix longer than the region"));
         }
-        let tail = r.take(len - zeros)?;
+        let tail = r.take(or_len - zeros)?;
         if tail.first() == Some(&0) {
             return Err(WireError::BadOutputRegion("zero prefix not maximal"));
         }
-        let mut or_data = Vec::with_capacity(len);
-        or_data.resize(zeros, 0);
-        or_data.extend_from_slice(tail);
-        let tag = Digest::get(r)?;
-        Ok(DialedProof { pox: PoxProof { cfg, exec, or_data, tag } })
+        let tail = tail.to_vec();
+        Ok(PackedProof { cfg, exec, or_len, tail, tag: Digest::get(r)? })
+    }
+}
+
+/// A [`PackedProof`], expanded on decode.
+impl Codec for DialedProof {
+    fn put(&self, w: &mut Writer) {
+        let pox = &self.pox;
+        let tail = &pox.or_data[zero_prefix(&pox.or_data)..];
+        put_proof_body(w, &pox.cfg, pox.exec, pox.or_data.len(), tail, &pox.tag);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let packed = PackedProof::get(r)?;
+        Ok(packed.unpack_into(Vec::with_capacity(packed.or_len)))
     }
 }
 
@@ -671,19 +738,7 @@ pub fn encode_into(out: &mut Vec<u8>, msg: &Message) {
 /// Returns a [`WireError`] for any input that is not exactly one
 /// well-formed frame; never panics.
 pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut r = Reader::new(bytes);
-    if r.take(2)? != MAGIC {
-        return Err(WireError::BadMagic);
-    }
-    let version = u8::get(&mut r)?;
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let tag = u8::get(&mut r)?;
-    let announced = get_len(&mut r)?;
-    if announced != r.remaining() {
-        return Err(WireError::LengthMismatch { announced, present: r.remaining() });
-    }
+    let (tag, mut r) = open_frame(bytes)?;
     let r = &mut r;
     let msg = match tag {
         TAG_CHALLENGE => Message::Challenge(Codec::get(r)?),
@@ -697,6 +752,46 @@ pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
         tag => return Err(WireError::UnknownTag { what: "message", tag }),
     };
     r.finish(msg)
+}
+
+/// Checks a frame's header — magic, version, and a payload length that
+/// matches the bytes present — and returns its message tag and a reader
+/// over the payload.
+fn open_frame(bytes: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
+    let mut r = Reader::new(bytes);
+    if r.take(2)? != MAGIC {
+        return Err(WireError::BadMagic);
+    }
+    let version = u8::get(&mut r)?;
+    if version != WIRE_VERSION {
+        return Err(WireError::UnsupportedVersion(version));
+    }
+    let tag = u8::get(&mut r)?;
+    let announced = get_len(&mut r)?;
+    if announced != r.remaining() {
+        return Err(WireError::LengthMismatch { announced, present: r.remaining() });
+    }
+    Ok((tag, r))
+}
+
+/// Decodes a `Proof` frame's session, device and proof, the proof left
+/// packed: [`decode`] without building the output region. `Ok(None)` for
+/// a frame whose header is sound but whose tag is not `Proof`; [`decode`]
+/// tells what such a frame is.
+///
+/// # Errors
+///
+/// Exactly the [`WireError`] that [`decode`] returns for the same bytes.
+pub(crate) fn decode_packed_proof(
+    bytes: &[u8],
+) -> Result<Option<(u64, u64, PackedProof)>, WireError> {
+    let (tag, mut r) = open_frame(bytes)?;
+    if tag != TAG_PROOF {
+        return Ok(None);
+    }
+    let r = &mut r;
+    let proof = (u64::get(r)?, u64::get(r)?, PackedProof::get(r)?);
+    r.finish(Some(proof))
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,6 +1259,160 @@ mod tests {
             reader.poll(),
             Err(WireError::FrameTooLarge { announced: u32::MAX as usize, max: 1 << 20 })
         );
+    }
+
+    /// A region buffer a drain has already used for a longer proof: the
+    /// unpack must not leave any of it behind.
+    fn dirty_buffer() -> Vec<u8> {
+        vec![0xEE; 3000]
+    }
+
+    /// Decoding `bytes` straight into the packed form and unpacking it
+    /// gives exactly what [`decode`] gives: the same proof, the same
+    /// error, or — for a frame of another kind — `None`.
+    fn assert_packed_decode_agrees(bytes: &[u8]) {
+        match (decode_packed_proof(bytes), decode(bytes)) {
+            (Ok(Some((session, device, packed))), Ok(Message::Proof(m))) => {
+                assert_eq!((session, device), (m.session, m.device));
+                assert_eq!(packed, PackedProof::pack(&m.proof.pox));
+                assert_eq!(packed.unpack_into(dirty_buffer()), m.proof);
+            }
+            (Ok(None), Ok(m)) => assert!(!matches!(m, Message::Proof(_))),
+            (Ok(None), Err(_)) => assert_ne!(bytes[3], TAG_PROOF),
+            (Err(packed), Err(full)) => assert_eq!(packed, full),
+            (packed, full) => panic!("packed decode {packed:?}, decode {full:?}"),
+        }
+    }
+
+    /// `frame` with `extra` bytes appended to its payload and the length
+    /// field grown to match.
+    fn with_trailing(mut frame: Vec<u8>, extra: &[u8]) -> Vec<u8> {
+        frame.extend_from_slice(extra);
+        let payload = (frame.len() - HEADER_LEN) as u32;
+        frame[4..HEADER_LEN].copy_from_slice(&payload.to_le_bytes());
+        frame
+    }
+
+    /// A `Submit` frame's proof as the `Proof` frame a device would send:
+    /// the request id dropped.
+    fn submit_as_proof_frame(submit: &[u8]) -> Vec<u8> {
+        let mut frame = submit[..HEADER_LEN].to_vec();
+        frame[3] = TAG_PROOF;
+        with_trailing(frame, &submit[HEADER_LEN + 8..])
+    }
+
+    /// Every frame of every committed corpus case file.
+    fn corpus_frames() -> Vec<Vec<u8>> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        let mut frames = Vec::new();
+        for app in std::fs::read_dir(root).unwrap().flatten() {
+            for case in std::fs::read_dir(app.path()).unwrap().flatten() {
+                let mut reader = FrameReader::new(1 << 20);
+                let bytes = std::fs::read(case.path()).unwrap();
+                reader.feed(&bytes);
+                let mut at = 0;
+                while let Some(msg) = reader.poll().unwrap() {
+                    let len = encode(&msg).len();
+                    frames.push(bytes[at..at + len].to_vec());
+                    at += len;
+                }
+                assert_eq!(at, bytes.len(), "{:?} is whole frames", case.path());
+            }
+        }
+        frames
+    }
+
+    #[test]
+    fn packed_decode_agrees_on_pinned_and_corpus_frames() {
+        let pinned = PINNED_FRAMES.iter().map(|h| {
+            let h: String = h.split_whitespace().collect();
+            (0..h.len()).step_by(2).map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap()).collect()
+        });
+        let corpus = corpus_frames();
+        let submits = corpus.iter().filter(|f| f[3] == TAG_SUBMIT).count();
+        assert!(submits >= 40, "the corpus holds one submission per case, found {submits}");
+        let mut proofs = 0;
+        for frame in pinned.chain(corpus).collect::<Vec<Vec<u8>>>() {
+            let frame = if frame[3] == TAG_SUBMIT { submit_as_proof_frame(&frame) } else { frame };
+            assert_packed_decode_agrees(&frame);
+            if frame[3] == TAG_PROOF {
+                proofs += 1;
+                assert!(decode_packed_proof(&frame).unwrap().is_some());
+                for cut in 0..frame.len() {
+                    assert_packed_decode_agrees(&frame[..cut]);
+                }
+                assert_packed_decode_agrees(&with_trailing(frame, &[0]));
+            }
+        }
+        assert_eq!(proofs, 2 + submits);
+    }
+
+    #[test]
+    fn pack_then_unpack_is_the_identity() {
+        let cfg = sample_proof().proof.pox.cfg;
+        let mut shapes = vec![Vec::new(), vec![0xFF; 2048], vec![0; MAX_OR_LEN]];
+        // A zero run of every length up to the whole region (every length
+        // mod 64 several times over), then a written tail.
+        for zeros in 0..=2048 {
+            let mut or: Vec<u8> = (0..2048).map(|i| (i % 251) as u8).collect();
+            or[..zeros].fill(0);
+            if let Some(b) = or.get_mut(zeros) {
+                *b = 0x80;
+            }
+            shapes.push(or);
+        }
+        let mut last = vec![0; MAX_OR_LEN];
+        last[MAX_OR_LEN - 1] = 1;
+        shapes.push(last);
+        let mut buf = dirty_buffer();
+        for or_data in shapes {
+            let pox = PoxProof { cfg, exec: true, or_data, tag: [3; DIGEST_LEN] };
+            let packed = PackedProof::pack(&pox);
+            let zeros = zero_prefix(&pox.or_data);
+            assert_eq!(packed.tail, pox.or_data[zeros..]);
+            let proof = packed.unpack_into(buf);
+            assert_eq!(proof.pox, pox);
+            // Through the wire too: both proof forms encode alike.
+            let mut w = Writer(Vec::new());
+            packed.put(&mut w);
+            let mut direct = Writer(Vec::new());
+            proof.put(&mut direct);
+            assert_eq!(w.0, direct.0);
+            assert_eq!(PackedProof::get(&mut Reader::new(&w.0)).as_ref(), Ok(&packed));
+            buf = proof.pox.or_data;
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Generated proof frames, their truncations, byte overwrites and
+        /// trailing payload bytes: the packed decode agrees with `decode`.
+        #[test]
+        fn packed_decode_agrees_on_generated_frames(
+            or_len in 0usize..300,
+            zeros in 0usize..320,
+            fill in proptest::array::uniform8(proptest::prelude::any::<u8>()),
+            exec in proptest::prelude::any::<bool>(),
+            pos in proptest::prelude::any::<usize>(),
+            byte in proptest::prelude::any::<u8>(),
+            cut in proptest::prelude::any::<usize>(),
+        ) {
+            let mut or: Vec<u8> = (0..or_len).map(|i| fill[i % 8]).collect();
+            or[..zeros.min(or_len)].fill(0);
+            let mut msg = sample_proof();
+            msg.proof.pox.or_data = or;
+            msg.proof.pox.exec = exec;
+            let frame = encode(&Message::Proof(msg));
+            assert_packed_decode_agrees(&frame);
+            assert_packed_decode_agrees(&frame[..cut % frame.len()]);
+            assert_packed_decode_agrees(&with_trailing(frame.clone(), &fill[..1 + pos % 8]));
+            // Aim at the header and the OR counts half of the time.
+            let pos = if pos % 2 == 0 { pos / 2 % (OR_LEN_OFF + 8) } else { pos % frame.len() };
+            let mut bad = frame;
+            bad[pos] = byte;
+            assert_packed_decode_agrees(&bad);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use fleet::wire::{
     self, ChallengeMsg, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg, ReportMsg, SubmitMsg,
     VerdictMsg,
 };
+use fleet::{Fleet, FleetConfig, SessionError, SessionId, WireError};
 use proptest::prelude::*;
 use vrased::Challenge;
 
@@ -133,8 +134,57 @@ fn proof_frame(or_len: u16, or_data: Vec<u8>) -> Message {
     })
 }
 
+/// `Fleet::submit_wire` decodes a `Proof` frame straight into the packed
+/// form a session holds; whatever it makes of `bytes` must be what
+/// `wire::decode` makes of them. On a fleet that holds no session, a frame
+/// that decodes as a proof fails on the session id it carries.
+fn submit_wire_agrees_with_decode(fleet: &mut Fleet, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let want = match wire::decode(bytes) {
+        Ok(Message::Proof(m)) => Ok(SessionError::UnknownSession(SessionId(m.session))),
+        Ok(_) => Err(WireError::UnexpectedMessage { expected: "proof" }),
+        Err(e) => Err(e),
+    };
+    prop_assert_eq!(fleet.submit_wire(bytes, 0), Err(want), "frame {:02x?}", bytes);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Proof, challenge and submit frames, whole, cut short and with one
+    /// byte overwritten: `submit_wire` refuses each exactly as `decode`
+    /// classifies it — the same `WireError`, `UnexpectedMessage` for a
+    /// sound frame of another kind, or the session layer for a proof.
+    #[test]
+    fn submit_wire_refuses_frames_as_decode_reads_them(
+        kind in 0u8..3,
+        session in any::<u64>(),
+        or_len in 0u16..64,
+        zeros in 0usize..140,
+        fill in proptest::array::uniform8(any::<u8>()),
+        cut in any::<usize>(),
+        pos in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let n = config_from(64, or_len, 0).or_len();
+        let Message::Proof(mut proof) = proof_frame(or_len, or_region(n, zeros, &fill)) else {
+            unreachable!()
+        };
+        proof.session = session;
+        let msg = match kind {
+            0 => Message::Proof(proof),
+            1 => Message::Submit(SubmitMsg { request: 3, body: proof }),
+            _ => Message::Challenge(challenge_msg(session, 6, 7, 8, 9)),
+        };
+        let bytes = wire::encode(&msg);
+        let mut fleet = Fleet::new(FleetConfig::default());
+        submit_wire_agrees_with_decode(&mut fleet, &bytes)?;
+        submit_wire_agrees_with_decode(&mut fleet, &bytes[..cut % bytes.len()])?;
+        let mut bad = bytes;
+        let pos = pos % bad.len();
+        bad[pos] = byte;
+        submit_wire_agrees_with_decode(&mut fleet, &bad)?;
+    }
 
     /// decode(encode(x)) == x for arbitrary challenge messages.
     #[test]
