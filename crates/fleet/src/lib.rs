@@ -7,7 +7,7 @@
 //! ```text
 //!                  ┌───────────────── [`Fleet`] ─────────────────┐
 //!                  │  [`OpTable`]: ops + one verifier per op     │
-//!                  │  [`HashRing`]: DeviceId → shard             │
+//!                  │  route: id mod N → shard                    │
 //!                  └──────┬───────────────┬──────────────┬───────┘
 //!                  ┌──────▼─────┐  ┌──────▼─────┐  ┌─────▼──────┐
 //!                  │ [`Shard`] 0│  │ [`Shard`] 1│  │ [`Shard`] N│
@@ -33,8 +33,8 @@
 //!   per-operation batches through that operation's verifier, on a warm
 //!   workspace the shard keeps per operation.
 //! * [`store`] — durable [`StateEvent`]s and the write-ahead log.
-//! * [`shard`] — the consistent-hash ring and the shard state machine
-//!   tying the above together.
+//! * [`shard`] — the shard state machine tying the above together; a
+//!   device and its sessions live on shard `id mod N`.
 //!
 //! # Durability
 //!
@@ -71,7 +71,7 @@ pub use ingest::{DrainStats, IngestQueue};
 pub use net::{NetClient, NetConfig, NetServer, NetServerHandle, NetStats};
 pub use registry::{DeviceId, DeviceRecord, OpId, OpRecord, OpTable, Registry, RegistryError};
 pub use session::{Session, SessionError, SessionId, SessionManager, SessionState};
-pub use shard::{HashRing, Shard};
+pub use shard::Shard;
 pub use store::{RecoverError, StateEvent};
 pub use wire::{
     ChallengeMsg, FrameReader, GrantMsg, IssueMsg, Message, ProofMsg, RejectMsg, ReportMsg,
@@ -164,12 +164,12 @@ where
     }
 }
 
-/// The attestation service: a consistent-hash router over durable state
-/// shards, sharing one operation table.
+/// The attestation service: `N` durable state shards sharing one
+/// operation table, shard `s` owning the devices and sessions whose id is
+/// `s mod N`.
 #[derive(Debug)]
 pub struct Fleet {
     ops: OpTable,
-    ring: HashRing,
     shards: Vec<Shard>,
     /// Next fleet-global device id.
     next_device: u64,
@@ -190,7 +190,6 @@ impl Fleet {
         let params = config.shard_params();
         Self {
             ops: OpTable::new(),
-            ring: HashRing::new(n),
             shards: (0..n).map(|i| Shard::in_memory(i, n as u64, &params)).collect(),
             next_device: 0,
             epoch: 0,
@@ -290,7 +289,6 @@ impl Fleet {
         }
         Ok(Self {
             ops,
-            ring: HashRing::new(n),
             shards,
             next_device,
             epoch,
@@ -323,8 +321,7 @@ impl Fleet {
     /// Registers a device bound to `op` with its provisioning key seed.
     /// The effective key mixes the seed with the current provisioning
     /// epoch (see [`Fleet::rotate_provisioning_epoch`]); the id is
-    /// fleet-global and the record lands on the shard the hash ring
-    /// assigns it.
+    /// fleet-global and the record lands on shard `id mod N`.
     ///
     /// # Errors
     ///
@@ -334,7 +331,7 @@ impl Fleet {
         let device = DeviceId(self.next_device);
         self.next_device += 1;
         let epoch = self.epoch;
-        let idx = self.ring.route(device);
+        let idx = self.shard_of(device.0);
         self.shards[idx].commit(StateEvent::DeviceRegistered { device, op, key_seed, epoch });
         self.ops.op_mut(op).expect("checked above").devices += 1;
         Ok(device)
@@ -351,7 +348,7 @@ impl Fleet {
     ///
     /// Fails if the device is unknown (or already deregistered).
     pub fn deregister_device(&mut self, device: DeviceId) -> Result<usize, RegistryError> {
-        let idx = self.ring.route(device);
+        let idx = self.shard_of(device.0);
         let shard = &mut self.shards[idx];
         let op = shard.registry.device(device)?.op;
         let open = shard
@@ -407,7 +404,8 @@ impl Fleet {
     ///
     /// Fails if the device is unknown.
     pub fn issue(&mut self, device: DeviceId, now: u64) -> Result<ChallengeMsg, RegistryError> {
-        let shard = &mut self.shards[self.ring.route(device)];
+        let idx = self.shard_of(device.0);
+        let shard = &mut self.shards[idx];
         let op = shard.registry.device(device)?.op;
         let s = shard.sessions.issue(device, op, now);
         Ok(ChallengeMsg {
@@ -419,10 +417,11 @@ impl Fleet {
         })
     }
 
-    /// The shard owning `session` (ids are strided: shard `s` of `N`
-    /// mints `s, s+N, s+2N, …`).
-    fn shard_of_session(&self, session: SessionId) -> usize {
-        (session.0 % self.shards.len() as u64) as usize
+    /// The shard owning the device or session `id`: of `N` shards,
+    /// device `d` lives on shard `d mod N`, and shard `s` mints session ids
+    /// `s, s+N, s+2N, …`.
+    fn shard_of(&self, id: u64) -> usize {
+        (id % self.shards.len() as u64) as usize
     }
 
     /// Accepts a device's proof for a session and queues it on the
@@ -452,7 +451,7 @@ impl Fleet {
         proof: PackedProof,
         now: u64,
     ) -> Result<(), SessionError> {
-        let idx = self.shard_of_session(session);
+        let idx = self.shard_of(session.0);
         let shard = &mut self.shards[idx];
         let op = shard.sessions.submit_packed(session, device, proof, now)?;
         shard.ingest.enqueue(op, session);
@@ -593,7 +592,7 @@ impl Fleet {
     /// queueing work it cannot verify in time.
     #[must_use]
     pub fn ingest_depth_of(&self, session: SessionId) -> usize {
-        self.shards[self.shard_of_session(session)].pending()
+        self.shards[self.shard_of(session.0)].pending()
     }
 
     /// Evicts resolved sessions whose deadline lies before `now` so a
@@ -620,7 +619,7 @@ impl Fleet {
     /// Looks up a session.
     #[must_use]
     pub fn session(&self, id: SessionId) -> Option<&Session> {
-        self.shards[self.shard_of_session(id)].sessions().session(id)
+        self.shards[self.shard_of(id.0)].sessions().session(id)
     }
 
     /// The wire-ready report message for a resolved session, if any.
@@ -636,7 +635,7 @@ impl Fleet {
     ///
     /// Fails if the device is unknown.
     pub fn device(&self, id: DeviceId) -> Result<&DeviceRecord, RegistryError> {
-        self.shards[self.ring.route(id)].registry().device(id)
+        self.shards[self.shard_of(id.0)].registry().device(id)
     }
 
     /// All registered devices, shard by shard.
@@ -995,6 +994,50 @@ mod tests {
         assert_eq!(fleet.device(dev).unwrap().last_verified, Some(chal.nonce));
     }
 
+    /// Checks that device `d` lives on shard `d mod n`, with `per_shard`
+    /// devices on each, and that the sessions issued to it are minted and
+    /// found there, with ids `≡ d (mod n)`.
+    fn assert_routed_by_id(fleet: &mut Fleet, n: usize, per_shard: usize) {
+        assert_eq!(fleet.shards().len(), n);
+        for (s, shard) in fleet.shards().iter().enumerate() {
+            let ids: Vec<u64> = shard.registry().devices().map(|d| d.id.0).collect();
+            assert_eq!(ids.len(), per_shard, "{n} shards: shard {s} holds {ids:?}");
+            assert!(ids.iter().all(|&d| d % n as u64 == s as u64), "{n} shards: {s} {ids:?}");
+        }
+        let devices: Vec<DeviceId> = fleet.devices().map(|d| d.id).collect();
+        for d in devices {
+            for now in 0..2 {
+                let sid = SessionId(fleet.issue(d, now).unwrap().session);
+                assert_eq!(sid.0 % n as u64, d.0 % n as u64, "{n} shards: {d} got {sid}");
+                let home = &fleet.shards()[d.0 as usize % n];
+                assert_eq!(home.sessions().session(sid).map(|s| s.device), Some(d));
+            }
+        }
+    }
+
+    #[test]
+    fn devices_and_their_sessions_route_by_id() {
+        let build = || InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+        let catalog = CatalogFn(|name: &str| (name == "adder").then(|| (build(), vec![])));
+        let per_shard = 4;
+        for n in [1, 3, 4] {
+            let config = FleetConfig { shards: n, workers: Some(1), ..FleetConfig::default() };
+            let dir = tmp_dir(&format!("routing-{n}"));
+            let mut memory = Fleet::new(config.clone());
+            let mut durable = Fleet::durable(&dir, config.clone()).unwrap();
+            for fleet in [&mut memory, &mut durable] {
+                let op_id = fleet.register_op("adder", build(), vec![]);
+                for seed in 0..(n * per_shard) as u64 {
+                    fleet.register_device(op_id, seed).unwrap();
+                }
+                assert_routed_by_id(fleet, n, per_shard);
+            }
+            drop(durable);
+            let mut recovered = Fleet::recover(&dir, config, &catalog).unwrap();
+            assert_routed_by_id(&mut recovered, n, per_shard);
+        }
+    }
+
     /// Every file under `dir` with its length.
     fn file_lengths(dir: &Path) -> Vec<(PathBuf, u64)> {
         let mut files = Vec::new();
@@ -1105,6 +1148,17 @@ mod tests {
         let v1 = [&store::WAL_MAGIC[..], &[1]].concat();
         std::fs::write(dir.join("shard-0").join("wal-3.log"), v1).unwrap();
         assert_eq!(refused_as(&dir, "shard-0/wal-3.log", 1), store::WAL_VERSION);
+    }
+
+    #[test]
+    fn wal_v2_meta_log_is_refused() {
+        // A WAL-v2 directory placed devices by a hash ring; read as version
+        // 3, each shard would recover devices it no longer owns.
+        let dir = fresh_durable("wal-v2-meta");
+        let mut v2 = log_of_version(&[StateEvent::ShardLayout { shards: 1 }], store::EVENT_VERSION);
+        v2[store::WAL_MAGIC.len()] = 2;
+        std::fs::write(dir.join("meta.log"), v2).unwrap();
+        assert_eq!(refused_as(&dir, "meta.log", 2), store::WAL_VERSION);
     }
 
     #[test]

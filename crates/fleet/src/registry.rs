@@ -10,10 +10,10 @@
 //!   shard's drain. The table is immutable during a drain, so shards
 //!   draining on different threads borrow it without locking.
 //! * [`Registry`] — one per shard, holding the [`DeviceRecord`]s the
-//!   shard's consistent-hash slice of the device space routes to. Device
-//!   state is pure data (seed, epoch, counters) and is what the shard's
-//!   write-ahead log persists; the derived key schedule is
-//!   rebuilt from `seed ⊕ f(epoch)` on install, never serialized.
+//!   shard owns: device `d` of a fleet of `N` shards lives on shard
+//!   `d mod N`. Device state is pure data (seed, epoch, counters) and is
+//!   what the shard's write-ahead log persists; the derived key schedule
+//!   is rebuilt from `seed ⊕ f(epoch)` on install, never serialized.
 //!
 //! Verified verdicts flow back in from the ingest stage, advancing each
 //! device's last-verified counter.
@@ -265,8 +265,8 @@ impl DeviceRecord {
 }
 
 /// One shard's slice of the device space. Device ids are fleet-global
-/// (allocated by the facade's router); each shard only ever sees the ids
-/// the consistent-hash ring maps to it, so the map is sparse by design.
+/// and dense (allocated by the [`Fleet`](crate::Fleet)); of `N` shards,
+/// shard `s` only ever sees the ids `s, s+N, s+2N, …`.
 #[derive(Debug, Default)]
 pub struct Registry {
     devices: BTreeMap<u64, DeviceRecord>,

@@ -1,4 +1,4 @@
-//! State shards and the consistent-hash ring that routes devices to them.
+//! State shards: one independent slice of fleet state each.
 //!
 //! A [`Shard`] owns one slice of the fleet's mutable state — a device
 //! [`Registry`], a [`SessionManager`] minting strided session ids, and an
@@ -11,12 +11,13 @@
 //! fleet-global [`OpTable`] read-only (verifiers take `&self`), so shards
 //! drain on different threads with no cross-shard locking.
 //!
-//! Routing is consistent hashing by [`DeviceId`]: each shard projects a
-//! fixed set of virtual nodes onto a hash ring and a device belongs to
-//! the shard owning the first point at or clockwise of the device's hash.
-//! The placement depends only on `(device, shard count)` — it is stable
+//! Routing is by id, for every id the service assigns: of `N` shards,
+//! device `d` lives on shard `d mod N`, and shard `s` mints session ids
+//! `s, s+N, s+2N, …`, so a device's sessions live on its own shard. The
+//! fleet numbers its devices densely and pins `N` when a durable fleet is
+//! first created, so placement depends only on the id: it is stable
 //! across restarts, which is what lets each shard recover its own WAL
-//! segment independently.
+//! segment independently, and a contiguous run of devices splits evenly.
 //!
 //! # Durability layout
 //!
@@ -57,65 +58,6 @@ use std::path::{Path, PathBuf};
 /// Live-segment bytes below which a shard never compacts, however small
 /// its state: below this, replay is cheap and a compaction is not.
 pub const ROTATE_FLOOR: u64 = 1 << 20;
-
-/// Virtual nodes each shard projects onto the ring. More points smooth
-/// the split of the device space between shards.
-const VNODES_PER_SHARD: u32 = 64;
-
-/// FNV-1a/64 — the ring's placement hash (stable, dependency-free; this
-/// is load balancing, not cryptography).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// A consistent-hash ring mapping [`DeviceId`]s to shard indices.
-#[derive(Clone, Debug)]
-pub struct HashRing {
-    /// `(point, shard)` pairs sorted by point.
-    points: Vec<(u64, u32)>,
-    shards: usize,
-}
-
-impl HashRing {
-    /// A ring over `shards` shards (at least one).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        let mut points = Vec::with_capacity(shards * VNODES_PER_SHARD as usize);
-        for shard in 0..shards as u32 {
-            for vnode in 0..VNODES_PER_SHARD {
-                let mut key = [0u8; 12];
-                key[..4].copy_from_slice(&shard.to_le_bytes());
-                key[4..8].copy_from_slice(&vnode.to_le_bytes());
-                key[8..].copy_from_slice(b"ring");
-                points.push((fnv1a64(&key), shard));
-            }
-        }
-        points.sort_unstable();
-        Self { points, shards }
-    }
-
-    /// Number of shards on the ring.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The shard `device` routes to: the owner of the first ring point at
-    /// or clockwise of the device's hash.
-    #[must_use]
-    pub fn route(&self, device: DeviceId) -> usize {
-        let h = fnv1a64(&device.0.to_le_bytes());
-        let idx = self.points.partition_point(|&(p, _)| p < h);
-        let (_, shard) = self.points[idx % self.points.len()];
-        shard as usize
-    }
-}
 
 /// The session-layer parameters every shard of one fleet shares.
 #[derive(Clone, Debug)]
@@ -608,36 +550,6 @@ mod tests {
             std::env::temp_dir().join(format!("dialed-shard-test-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn ring_routes_deterministically_and_spreads_load() {
-        let ring = HashRing::new(4);
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for id in 0..4000u64 {
-            let shard = ring.route(DeviceId(id));
-            assert!(shard < 4);
-            assert_eq!(shard, ring.route(DeviceId(id)), "routing must be stable");
-            *counts.entry(shard).or_default() += 1;
-        }
-        // Consistent hashing is not perfectly uniform, but with 64 vnodes
-        // per shard no shard should be starved or hog the space.
-        for shard in 0..4 {
-            let n = counts.get(&shard).copied().unwrap_or(0);
-            assert!((400..=2200).contains(&n), "shard {shard} got {n} of 4000");
-        }
-        // A single-shard ring routes everything to shard 0.
-        let solo = HashRing::new(1);
-        assert!((0..100).all(|id| solo.route(DeviceId(id)) == 0));
-    }
-
-    #[test]
-    fn ring_placement_is_stable_across_instances() {
-        let a = HashRing::new(8);
-        let b = HashRing::new(8);
-        for id in 0..500u64 {
-            assert_eq!(a.route(DeviceId(id)), b.route(DeviceId(id)));
-        }
     }
 
     #[test]

@@ -92,9 +92,12 @@ pub const EVENT_VERSION: u8 = 3;
 /// WAL file magic: "Dialed WAL".
 pub const WAL_MAGIC: [u8; 4] = *b"DWAL";
 
-/// Current WAL file-format version. Version 2 logs are a shard's only
-/// durable file: compaction rewrites them as events.
-pub const WAL_VERSION: u8 = 2;
+/// Current WAL file-format version. Since version 2 a shard's log is its
+/// only durable file: compaction rewrites it as events. Version 3 places
+/// device `d` on shard `d mod N`; a version-2 directory placed devices by
+/// a hash ring, so its segments hold other devices than their shard now
+/// owns, and it is refused rather than migrated.
+pub const WAL_VERSION: u8 = 3;
 
 /// Bytes of the file header: magic plus version.
 const WAL_HEADER_LEN: usize = WAL_MAGIC.len() + 1;

@@ -12,7 +12,7 @@
 use apps::Scenario;
 use dialed::attest::DialedDevice;
 use dialed::pipeline::InstrumentMode;
-use fleet::{DeviceId, DrainStats, Fleet, FleetConfig, HashRing, SessionId};
+use fleet::{DeviceId, DrainStats, Fleet, FleetConfig, SessionId};
 use msp430::process_superblock_stats;
 
 /// Issues one challenge to every device and submits the proof of one
@@ -69,14 +69,14 @@ fn a_second_identical_drain_stitches_no_superblock() {
     let mut fleet =
         Fleet::new(FleetConfig { shards: 2, workers: Some(2), ..FleetConfig::default() });
     let op_id = fleet.register_op(scenario.name, op.clone(), (scenario.policies)());
-    let ring = HashRing::new(2);
     let mut per_shard: [Vec<(DeviceId, DialedDevice)>; 2] = [Vec::new(), Vec::new()];
     let mut seed = 0;
     while per_shard.iter().any(|devices| devices.len() < 32) {
         let id = fleet.register_device(op_id, 1000 + seed).unwrap();
         seed += 1;
         let dev = DialedDevice::new(op.clone(), fleet.device_keystore(id).unwrap());
-        per_shard[ring.route(id)].push((id, dev));
+        let shard = fleet.shards().iter().position(|s| s.registry().device(id).is_ok()).unwrap();
+        per_shard[shard].push((id, dev));
     }
     for devices in &mut per_shard {
         submit_round(&mut fleet, &mut devices[..1], &scenario);
