@@ -468,8 +468,8 @@ impl Fleet {
     /// `Err(Err(wire_error))` for undecodable bytes (including non-proof
     /// messages), the same error [`wire::decode`] gives for them.
     pub fn submit_wire(&mut self, bytes: &[u8], now: u64) -> SubmitWireResult {
-        let (session, device, proof) = match wire::decode_packed_proof(bytes) {
-            Ok(Some((session, device, proof))) => (SessionId(session), DeviceId(device), proof),
+        let (session, device, proof) = match wire::decode_packed_proof(bytes, wire::TAG_PROOF) {
+            Ok(Some((_, session, device, proof))) => (SessionId(session), DeviceId(device), proof),
             Ok(None) => {
                 return Err(Err(match wire::decode(bytes) {
                     Ok(_) => WireError::UnexpectedMessage { expected: "proof" },
@@ -579,12 +579,6 @@ impl Fleet {
         self.shards.iter().map(Shard::pending).sum()
     }
 
-    /// Per-shard ingest queue depths, indexed like [`shards`](Self::shards).
-    #[must_use]
-    pub fn ingest_depths(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::pending).collect()
-    }
-
     /// Ingest queue depth of the shard that owns `session`. This is the
     /// backpressure signal: a frontend compares it against its shed
     /// watermark before accepting a submission and answers
@@ -662,19 +656,6 @@ impl Fleet {
     #[must_use]
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// Maps a failed [`Fleet::submit_wire`] outcome into a rejected
-    /// [`Report`](dialed::report::Report) carrying the structured
-    /// [`RejectReason`](dialed::report::RejectReason), so pre-verification
-    /// failures (undecodable bytes, session violations) travel to
-    /// operators through the same codec as cryptographic rejections.
-    #[must_use]
-    pub fn rejection_report(err: Result<SessionError, WireError>) -> dialed::report::Report {
-        match err {
-            Ok(session) => dialed::report::Report::rejected(session),
-            Err(wire) => dialed::report::Report::rejected(wire),
-        }
     }
 }
 
@@ -897,7 +878,7 @@ mod tests {
             wire::encode(&Message::Proof(ProofMsg { session: chal.session, device: dev.0, proof }));
         let err = fleet.submit_wire(&frame, 1).unwrap_err();
         assert_eq!(err, Ok(SessionError::NotAwaitingProof(SessionState::Expired)));
-        let report = Fleet::rejection_report(err);
+        let report = dialed::report::Report::rejected(err.unwrap());
         assert!(matches!(
             report.findings.first(),
             Some(dialed::report::Finding::PoxRejected {

@@ -8,7 +8,8 @@
 //! number of devices.
 
 use super::{bump, CoreMsg, NetConfig, Shared, StatsInner};
-use crate::wire::{self, FrameReader, Message};
+use crate::wire::{self, FrameReader, Message, WireError};
+use crate::{DeviceId, SessionId};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
@@ -69,29 +70,20 @@ fn read_loop(
             Ok(n) => {
                 frames.feed(&buf[..n]);
                 loop {
-                    let msg = match frames.poll() {
-                        Ok(Some(msg)) => msg,
+                    let cmd = match frames.poll_with(|frame| request(conn, frame)) {
+                        Ok(Some(cmd)) => cmd,
                         Ok(None) => break,
                         Err(e) => return violation(e.to_string()),
                     };
                     bump(&shared.stats.frames_in);
-                    let cmd = match msg {
-                        Message::Issue(m) => {
-                            CoreMsg::Issue { conn, request: m.request, device: m.device }
+                    match cmd {
+                        Ok(cmd) => {
+                            let _ = core_tx.send(cmd);
                         }
-                        Message::Submit(m) => {
-                            CoreMsg::Submit { conn, request: m.request, body: m.body }
+                        Err(kind) => {
+                            return violation(format!("unexpected {kind} message from client"))
                         }
-                        // Server-to-client and bare (pre-envelope) messages
-                        // are not valid requests on this frontend.
-                        other => {
-                            return violation(format!(
-                                "unexpected {} message from client",
-                                other.name()
-                            ))
-                        }
-                    };
-                    let _ = core_tx.send(cmd);
+                    }
                 }
                 partial_since = if frames.buffered() > 0 {
                     partial_since.or_else(|| Some(Instant::now()))
@@ -110,6 +102,24 @@ fn read_loop(
             Err(_) => return Some(CoreMsg::ConnClosed { conn }),
         }
     }
+}
+
+/// Reads one frame as a request: a `Submit` with its proof left packed
+/// (its output region is never built here), anything else through
+/// [`wire::decode`]. `Ok(Err(kind))` names a well-formed message that is
+/// not a request: server-to-client and bare (pre-envelope) messages are
+/// not valid on this frontend.
+fn request(conn: u64, frame: &[u8]) -> Result<Result<CoreMsg, &'static str>, WireError> {
+    if let Some((request, session, device, proof)) =
+        wire::decode_packed_proof(frame, wire::TAG_SUBMIT)?
+    {
+        let (session, device) = (SessionId(session), DeviceId(device));
+        return Ok(Ok(CoreMsg::Submit { conn, request, session, device, proof }));
+    }
+    Ok(match wire::decode(frame)? {
+        Message::Issue(m) => Ok(CoreMsg::Issue { conn, request: m.request, device: m.device }),
+        other => Err(other.name()),
+    })
 }
 
 /// The core's half of a connection: replies are encoded straight into

@@ -79,7 +79,8 @@ pub use client::NetClient;
 pub use drain::NetServerHandle;
 pub use server::NetServer;
 
-use crate::wire::ProofMsg;
+use crate::wire::PackedProof;
+use crate::{DeviceId, SessionId};
 use dialed::report::{RejectClass, RejectReason};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -307,8 +308,9 @@ pub(crate) enum CoreMsg {
     Register { conn: u64, sock: TcpStream },
     /// A device asks for a challenge.
     Issue { conn: u64, request: u64, device: u64 },
-    /// A device submits a proof for an open session.
-    Submit { conn: u64, request: u64, body: ProofMsg },
+    /// A device submits a proof for an open session, held packed as the
+    /// frame carried it.
+    Submit { conn: u64, request: u64, session: SessionId, device: DeviceId, proof: PackedProof },
     /// The peer broke the protocol: the core answers with a structured
     /// reject, then closes the connection as for [`ConnClosed`](Self::ConnClosed).
     Violation { conn: u64, detail: String },

@@ -265,22 +265,21 @@ impl Core {
                     }
                 }
             }
-            CoreMsg::Submit { conn, request, body } => {
+            CoreMsg::Submit { conn, request, session, device, proof } => {
                 // Backpressure before acceptance: if the target shard is
                 // already past the watermark, shedding now (with the
                 // observed depth) beats queueing work the next pass
                 // cannot chew through in time.
-                let (session, device) = (SessionId(body.session), DeviceId(body.device));
                 let depth = self.fleet.ingest_depth_of(session);
                 if depth >= self.shared.cfg.shed_watermark {
                     bump(&self.shared.stats.shed);
                     self.reject(conn, request, RejectReason::Overloaded { pending: depth as u64 });
                     return;
                 }
-                match self.fleet.submit(session, device, body.proof, now) {
+                match self.fleet.submit_packed(session, device, proof, now) {
                     Ok(()) => {
                         bump(&self.shared.stats.submitted);
-                        self.inflight.insert(body.session, (conn, request));
+                        self.inflight.insert(session.0, (conn, request));
                     }
                     Err(e) => {
                         bump(&self.shared.stats.session_rejects);
@@ -385,7 +384,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::ProofMsg;
+    use crate::wire::PackedProof;
     use crate::FleetConfig;
     use dialed::attest::DialedDevice;
     use dialed::pipeline::{BuildOptions, InstrumentedOp};
@@ -409,8 +408,7 @@ mod tests {
         let mut device = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
         let chal = fleet.issue(dev, 0).unwrap();
         device.invoke(&[0; 8]);
-        let body =
-            ProofMsg { session: chal.session, device: dev.0, proof: device.prove(&chal.challenge) };
+        let (session, proof) = (SessionId(chal.session), device.prove(&chal.challenge));
 
         // A loopback pair: the core writes to the accepted side, the test
         // reads what arrived at the other.
@@ -422,7 +420,8 @@ mod tests {
         // applied in one piece, in this order.
         let (tx, rx) = mpsc::channel();
         tx.send(CoreMsg::Register { conn: 1, sock }).unwrap();
-        tx.send(CoreMsg::Submit { conn: 1, request: 7, body }).unwrap();
+        let proof = PackedProof::pack(&proof.pox);
+        tx.send(CoreMsg::Submit { conn: 1, request: 7, session, device: dev, proof }).unwrap();
         tx.send(CoreMsg::Admin(Box::new(move |f| {
             assert_eq!(f.deregister_device(dev), Ok(1), "the in-flight session is open");
         })))

@@ -178,8 +178,14 @@ impl ReplayWindow {
         self.tags.iter().any(|t| t == tag)
     }
 
+    /// Remembers `tag`, forgetting the oldest beyond `cap`. The first push
+    /// sizes the window for `cap` tags, so it never grows after that.
     fn push(&mut self, tag: Digest, cap: usize) {
-        while self.tags.len() >= cap.max(1) {
+        let cap = cap.max(1);
+        if self.tags.capacity() == 0 {
+            self.tags.reserve_exact(cap);
+        }
+        while self.tags.len() >= cap {
             self.tags.pop_front();
         }
         self.tags.push_back(tag);

@@ -29,8 +29,9 @@
 //! accepted `b`. The service holds a submitted proof in this form too (the
 //! crate-private `PackedProof`, whose codec is the one definition of the
 //! layout): `Fleet::submit_wire` decodes a `Proof` frame straight into it,
-//! and a shard expands the zero run only while it verifies the proof, into
-//! one buffer every proof of its drain reuses.
+//! as [`crate::net`]'s readers do each `Submit` frame, and a shard expands
+//! the zero run only while it verifies the proof, into one buffer every
+//! proof of its drain reuses.
 //!
 //! Each encoded type states its layout once, in one `codec!` table entry
 //! (a struct's fields in wire order, or an enum's tag bytes and each
@@ -289,13 +290,13 @@ pub enum Message {
 }
 
 const TAG_CHALLENGE: u8 = 1;
-const TAG_PROOF: u8 = 2;
+pub(crate) const TAG_PROOF: u8 = 2;
 const TAG_REPORT: u8 = 3;
 // Tag 4 (a batch summary) is retired and must never be reassigned: a peer
 // that still sends it is refused as an unknown tag.
 const TAG_ISSUE: u8 = 5;
 const TAG_GRANT: u8 = 6;
-const TAG_SUBMIT: u8 = 7;
+pub(crate) const TAG_SUBMIT: u8 = 7;
 const TAG_VERDICT: u8 = 8;
 const TAG_REJECT: u8 = 9;
 
@@ -774,23 +775,27 @@ fn open_frame(bytes: &[u8]) -> Result<(u8, Reader<'_>), WireError> {
     Ok((tag, r))
 }
 
-/// Decodes a `Proof` frame's session, device and proof, the proof left
-/// packed: [`decode`] without building the output region. `Ok(None)` for
-/// a frame whose header is sound but whose tag is not `Proof`; [`decode`]
-/// tells what such a frame is.
+/// Decodes a frame tagged `want` — a `Proof`, or a `Submit`, whose payload
+/// is a request id and then a `Proof` payload — with its proof left packed:
+/// [`decode`] without building the output region. Returns the request id
+/// (0 for a `Proof`), session, device and proof. `Ok(None)` for a frame
+/// whose header is sound but whose tag is not `want`; [`decode`] tells
+/// what such a frame is.
 ///
 /// # Errors
 ///
 /// Exactly the [`WireError`] that [`decode`] returns for the same bytes.
 pub(crate) fn decode_packed_proof(
     bytes: &[u8],
-) -> Result<Option<(u64, u64, PackedProof)>, WireError> {
+    want: u8,
+) -> Result<Option<(u64, u64, u64, PackedProof)>, WireError> {
     let (tag, mut r) = open_frame(bytes)?;
-    if tag != TAG_PROOF {
+    if tag != want {
         return Ok(None);
     }
     let r = &mut r;
-    let proof = (u64::get(r)?, u64::get(r)?, PackedProof::get(r)?);
+    let request = if tag == TAG_SUBMIT { u64::get(r)? } else { 0 };
+    let proof = (request, u64::get(r)?, u64::get(r)?, PackedProof::get(r)?);
     r.finish(Some(proof))
 }
 
@@ -853,6 +858,15 @@ impl FrameReader {
     /// magic or version, an over-cap length announcement, or a complete
     /// frame whose payload fails to decode.
     pub fn poll(&mut self) -> Result<Option<Message>, WireError> {
+        self.poll_with(decode)
+    }
+
+    /// [`poll`](Self::poll) with each complete frame read by `read`
+    /// instead of [`decode`]; an error from `read` is stream-fatal too.
+    pub(crate) fn poll_with<T>(
+        &mut self,
+        read: impl FnOnce(&[u8]) -> Result<T, WireError>,
+    ) -> Result<Option<T>, WireError> {
         // Fail fast on the fixed prefix, byte by byte, before waiting for
         // a full header.
         for (i, &expect) in MAGIC.iter().enumerate() {
@@ -879,7 +893,7 @@ impl FrameReader {
         if self.buf.len() < total {
             return Ok(None);
         }
-        let msg = decode(&self.buf[..total])?;
+        let msg = read(&self.buf[..total])?;
         self.buf.drain(..total);
         Ok(Some(msg))
     }
@@ -1267,20 +1281,28 @@ mod tests {
         vec![0xEE; 3000]
     }
 
-    /// Decoding `bytes` straight into the packed form and unpacking it
-    /// gives exactly what [`decode`] gives: the same proof, the same
-    /// error, or — for a frame of another kind — `None`.
+    /// Decoding `bytes` straight into the packed form, as a `Proof` or as
+    /// a `Submit` frame, and unpacking it gives exactly what [`decode`]
+    /// gives: the same ids and proof, the same error, or — for a frame of
+    /// another kind — `None`.
     fn assert_packed_decode_agrees(bytes: &[u8]) {
-        match (decode_packed_proof(bytes), decode(bytes)) {
-            (Ok(Some((session, device, packed))), Ok(Message::Proof(m))) => {
-                assert_eq!((session, device), (m.session, m.device));
-                assert_eq!(packed, PackedProof::pack(&m.proof.pox));
-                assert_eq!(packed.unpack_into(dirty_buffer()), m.proof);
+        for want in [TAG_PROOF, TAG_SUBMIT] {
+            let full = decode(bytes).map(|msg| match msg {
+                Message::Proof(m) if want == TAG_PROOF => Some((0, m)),
+                Message::Submit(m) if want == TAG_SUBMIT => Some((m.request, m.body)),
+                _ => None,
+            });
+            match (decode_packed_proof(bytes, want), full) {
+                (Ok(Some((request, session, device, packed))), Ok(Some((r, m)))) => {
+                    assert_eq!((request, session, device), (r, m.session, m.device));
+                    assert_eq!(packed, PackedProof::pack(&m.proof.pox));
+                    assert_eq!(packed.unpack_into(dirty_buffer()), m.proof);
+                }
+                (Ok(None), Ok(None)) => {}
+                (Ok(None), Err(_)) => assert_ne!(bytes[3], want),
+                (Err(packed), Err(full)) => assert_eq!(packed, full),
+                (packed, full) => panic!("packed decode {packed:?}, decode {full:?}"),
             }
-            (Ok(None), Ok(m)) => assert!(!matches!(m, Message::Proof(_))),
-            (Ok(None), Err(_)) => assert_ne!(bytes[3], TAG_PROOF),
-            (Err(packed), Err(full)) => assert_eq!(packed, full),
-            (packed, full) => panic!("packed decode {packed:?}, decode {full:?}"),
         }
     }
 
@@ -1331,20 +1353,28 @@ mod tests {
         let corpus = corpus_frames();
         let submits = corpus.iter().filter(|f| f[3] == TAG_SUBMIT).count();
         assert!(submits >= 40, "the corpus holds one submission per case, found {submits}");
-        let mut proofs = 0;
+        let mut carriers = 0;
         for frame in pinned.chain(corpus).collect::<Vec<Vec<u8>>>() {
-            let frame = if frame[3] == TAG_SUBMIT { submit_as_proof_frame(&frame) } else { frame };
-            assert_packed_decode_agrees(&frame);
-            if frame[3] == TAG_PROOF {
-                proofs += 1;
-                assert!(decode_packed_proof(&frame).unwrap().is_some());
-                for cut in 0..frame.len() {
-                    assert_packed_decode_agrees(&frame[..cut]);
+            let frames = if frame[3] == TAG_SUBMIT {
+                assert!(decode_packed_proof(&frame, TAG_SUBMIT).unwrap().is_some());
+                vec![submit_as_proof_frame(&frame), frame]
+            } else {
+                vec![frame]
+            };
+            for frame in frames {
+                assert_packed_decode_agrees(&frame);
+                if frame[3] == TAG_PROOF || frame[3] == TAG_SUBMIT {
+                    carriers += 1;
+                    for cut in 0..frame.len() {
+                        assert_packed_decode_agrees(&frame[..cut]);
+                    }
+                    assert_packed_decode_agrees(&with_trailing(frame, &[0]));
                 }
-                assert_packed_decode_agrees(&with_trailing(frame, &[0]));
             }
         }
-        assert_eq!(proofs, 2 + submits);
+        // The pinned proof, the pinned submit (twice) and each corpus submit
+        // (twice).
+        assert_eq!(carriers, 3 + 2 * submits);
     }
 
     #[test]
@@ -1386,8 +1416,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(256))]
 
-        /// Generated proof frames, their truncations, byte overwrites and
-        /// trailing payload bytes: the packed decode agrees with `decode`.
+        /// Generated proof and submit frames, their truncations, byte
+        /// overwrites and trailing payload bytes: the packed decode agrees
+        /// with `decode`.
         #[test]
         fn packed_decode_agrees_on_generated_frames(
             or_len in 0usize..300,
@@ -1403,15 +1434,17 @@ mod tests {
             let mut msg = sample_proof();
             msg.proof.pox.or_data = or;
             msg.proof.pox.exec = exec;
-            let frame = encode(&Message::Proof(msg));
-            assert_packed_decode_agrees(&frame);
-            assert_packed_decode_agrees(&frame[..cut % frame.len()]);
-            assert_packed_decode_agrees(&with_trailing(frame.clone(), &fill[..1 + pos % 8]));
-            // Aim at the header and the OR counts half of the time.
-            let pos = if pos % 2 == 0 { pos / 2 % (OR_LEN_OFF + 8) } else { pos % frame.len() };
-            let mut bad = frame;
-            bad[pos] = byte;
-            assert_packed_decode_agrees(&bad);
+            let submit = Message::Submit(SubmitMsg { request: pos as u64, body: msg.clone() });
+            for (frame, or_at) in [(encode(&Message::Proof(msg)), OR_LEN_OFF), (encode(&submit), OR_LEN_OFF + 8)] {
+                assert_packed_decode_agrees(&frame);
+                assert_packed_decode_agrees(&frame[..cut % frame.len()]);
+                assert_packed_decode_agrees(&with_trailing(frame.clone(), &fill[..1 + pos % 8]));
+                // Aim at the header and the OR counts half of the time.
+                let pos = if pos % 2 == 0 { pos / 2 % (or_at + 8) } else { pos % frame.len() };
+                let mut bad = frame;
+                bad[pos] = byte;
+                assert_packed_decode_agrees(&bad);
+            }
         }
     }
 

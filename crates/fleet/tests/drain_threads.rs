@@ -10,7 +10,8 @@ use dialed::attest::{DialedDevice, DialedProof};
 use dialed::pipeline::{BuildOptions, InstrumentMode, InstrumentedOp};
 use dialed::report::{Finding, RejectClass};
 use fleet::{
-    DeviceId, DrainStats, Fleet, FleetConfig, OpId, SessionId, SessionState, PARALLEL_MIN_WORK_NS,
+    DeviceId, DrainStats, Fleet, FleetConfig, OpId, SessionId, SessionState, Shard,
+    PARALLEL_MIN_WORK_NS,
 };
 use vrased::Challenge;
 
@@ -42,7 +43,7 @@ fn queue(fleet: &mut Fleet, op_id: OpId, op: &InstrumentedOp, devices: u64, roun
 
 /// Drains everything queued; every submission must verify.
 fn drain(fleet: &mut Fleet, expect: usize) -> (DrainStats, usize) {
-    let busy = fleet.ingest_depths().iter().filter(|&&d| d > 0).count();
+    let busy = fleet.shards().iter().map(Shard::pending).filter(|&d| d > 0).count();
     let (stats, _) = fleet.drain(2);
     assert_eq!((stats.drained, stats.verified), (expect, expect), "{stats}");
     (stats, busy)

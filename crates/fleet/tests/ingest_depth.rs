@@ -1,15 +1,20 @@
-//! Per-shard ingest queue depths: [`Fleet::ingest_depth_of`] (one entry of
-//! [`Fleet::ingest_depths`]) is the load-shedding signal the network
+//! Per-shard ingest queue depths: [`Fleet::ingest_depth_of`] (the
+//! [`Shard::pending`] of the session's shard) is the load-shedding signal the network
 //! frontend reads, so its accounting must track submissions exactly — one
 //! increment on the submitted session's target shard, back to zero after a
 //! drain.
 
 use dialed::attest::DialedDevice;
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
-use fleet::{DeviceId, Fleet, FleetConfig, SessionId};
+use fleet::{DeviceId, Fleet, FleetConfig, SessionId, Shard};
 
 const OP_SRC: &str = "\
     .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
+
+/// Each shard's queue depth, in shard order.
+fn depths(fleet: &Fleet) -> Vec<usize> {
+    fleet.shards().iter().map(Shard::pending).collect()
+}
 
 #[test]
 fn ingest_depths_track_submissions_per_shard() {
@@ -25,7 +30,7 @@ fn ingest_depths_track_submissions_per_shard() {
         })
         .collect();
 
-    assert_eq!(fleet.ingest_depths(), vec![0; shards], "fresh fleet queues nothing");
+    assert_eq!(depths(&fleet), vec![0; shards], "fresh fleet queues nothing");
 
     // Submit every device and check the depth accounting after each one:
     // exactly the target shard (sessions route by id modulo shard count)
@@ -38,11 +43,11 @@ fn ingest_depths_track_submissions_per_shard() {
         fleet.submit(SessionId(chal.session), *id, proof, 1).unwrap();
         let shard = usize::try_from(chal.session).unwrap() % shards;
         expected[shard] += 1;
-        assert_eq!(fleet.ingest_depths(), expected);
+        assert_eq!(depths(&fleet), expected);
         assert_eq!(fleet.ingest_depth_of(SessionId(chal.session)), expected[shard]);
     }
     assert_eq!(
-        fleet.ingest_depths().iter().sum::<usize>(),
+        depths(&fleet).iter().sum::<usize>(),
         fleet.pending(),
         "depths sum to the fleet-wide pending count"
     );
@@ -50,5 +55,5 @@ fn ingest_depths_track_submissions_per_shard() {
     // A drain consumes every queue.
     let (stats, _) = fleet.drain(2);
     assert_eq!(stats.drained, devices.len());
-    assert_eq!(fleet.ingest_depths(), vec![0; shards], "drain empties every queue");
+    assert_eq!(depths(&fleet), vec![0; shards], "drain empties every queue");
 }

@@ -261,10 +261,26 @@ fn a_peer_that_never_reads_is_cut_off() {
     // Another connection is served meanwhile.
     honest_round_trip(&handle, id, &mut device);
 
-    // Once the flood is over, the hog's reading side finds the server
-    // gone: its buffered grants, then EOF or a reset — not a socket that
-    // stays open with nothing more to say.
+    // The flood is written once the server's socket buffers hold it, not
+    // once the server has read it: the hog starts reading only when the
+    // server has stopped taking requests in — it read the whole flood, or
+    // cut the hog off first — and has answered every one it took. (A hog
+    // that read sooner would be a slow reader, which is kept.)
     let _ = flood.join();
+    let mut last = None;
+    while Instant::now() < deadline {
+        let stats = handle.stats();
+        let seen = Some((stats.frames_in, stats.session_rejects));
+        if seen == last {
+            break;
+        }
+        last = seen;
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    // Then the hog's reading side finds the server gone: its buffered
+    // grants, then EOF or a reset — not a socket that stays open with
+    // nothing more to say.
     hog.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
     let mut buf = vec![0u8; 64 * 1024];
     let closed = loop {

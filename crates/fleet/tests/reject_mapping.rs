@@ -101,7 +101,7 @@ fn failed_submissions_become_wire_ready_rejection_reports() {
 
     // Garbage bytes die at the wire layer…
     let err = fleet.submit_wire(b"junk", 0).unwrap_err();
-    let report = Fleet::rejection_report(err);
+    let report = Report::rejected(err.unwrap_err());
     assert_eq!(report.verdict, Verdict::Rejected);
     let Finding::PoxRejected { reason } = &report.findings[0] else {
         panic!("rejection report must carry a PoxRejected finding");
@@ -115,7 +115,7 @@ fn failed_submissions_become_wire_ready_rejection_reports() {
     assert_eq!(decoded, Ok(Message::Report(msg)));
 
     // A session-layer failure maps to its own class.
-    let session_report = Fleet::rejection_report(Ok(SessionError::ReplayedProof));
+    let session_report = Report::rejected(SessionError::ReplayedProof);
     assert_eq!(
         session_report.findings,
         vec![Finding::PoxRejected {

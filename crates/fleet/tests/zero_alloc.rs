@@ -22,12 +22,13 @@ include!("../../msp430/tests/support/counting_alloc.rs");
 const DEVICES: u64 = 8;
 
 /// Rounds before the measured ones: the first grows the ingest batches
-/// and the session table, and each device's anti-replay window grows
-/// until it holds `FleetConfig::default().replay_window` (32) tags.
-const WARM_ROUNDS: u64 = 32;
+/// and sizes each device's anti-replay window for
+/// `FleetConfig::default().replay_window` (32) tags.
+const WARM_ROUNDS: u64 = 1;
 
-/// Measured rounds.
-const ROUNDS: u64 = 3;
+/// Measured rounds: enough for every device's window to fill, so a window
+/// that grew as tags arrived would show here.
+const ROUNDS: u64 = 32;
 
 /// Runs without the libtest harness (see `Cargo.toml`): the measurement
 /// must be the only thing executing in the process, since harness threads

@@ -12,7 +12,7 @@
 use apps::Scenario;
 use dialed::attest::DialedDevice;
 use dialed::pipeline::InstrumentMode;
-use fleet::{DeviceId, DrainStats, Fleet, FleetConfig, SessionId};
+use fleet::{DeviceId, DrainStats, Fleet, FleetConfig, SessionId, Shard};
 use msp430::process_superblock_stats;
 
 /// Issues one challenge to every device and submits the proof of one
@@ -54,7 +54,8 @@ fn a_second_identical_drain_stitches_no_superblock() {
     let mut drains = Vec::new();
     for round in 0..2 {
         submit_round(&mut fleet, &mut devices, &scenario);
-        assert!(fleet.ingest_depths().iter().all(|&d| d > 0), "round {round}: every shard busy");
+        let busy = fleet.shards().iter().map(Shard::pending).all(|d| d > 0);
+        assert!(busy, "round {round}: every shard busy");
         drains.push(drain_counting_misses(&mut fleet, devices.len()));
     }
     let [(first, first_misses), (again, misses)] = drains[..] else { unreachable!() };
