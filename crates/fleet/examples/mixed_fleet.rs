@@ -1,7 +1,7 @@
 //! A mixed fleet on the durable, sharded attestation service: one
 //! PoX-only operation and one full-DIALED operation, individually keyed
-//! devices, consistent-hash state shards with write-ahead logs — and a
-//! crash in the middle.
+//! devices, state shards (device `d` on shard `d mod N`) with write-ahead
+//! logs — and a crash in the middle.
 //!
 //! The fire sensor ships a `CfaOnly` image — no I-Log, so the best the
 //! server can do is the cryptographic proof of execution. The syringe
