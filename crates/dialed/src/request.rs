@@ -179,12 +179,6 @@ impl<'a> VerifyRequest<'a> {
         self.device
     }
 
-    /// The key-source override, if any.
-    #[must_use]
-    pub fn key_source(&self) -> Option<&'a dyn KeySource> {
-        self.keys
-    }
-
     /// Resolves the RA verifier this request must be checked under:
     /// `Ok(None)` means "use the verifier's embedded key" (no source set),
     /// `Ok(Some(ra))` is the source's answer for this device.

@@ -44,33 +44,15 @@ impl ConnThreads {
 /// panics — call `shutdown` for the graceful path.
 #[derive(Debug)]
 pub struct NetServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    threads: Arc<Mutex<ConnThreads>>,
-    core_tx: Option<Sender<CoreMsg>>,
-    acceptor: Option<JoinHandle<()>>,
-    core: Option<JoinHandle<Fleet>>,
+    pub(super) addr: SocketAddr,
+    pub(super) shared: Arc<Shared>,
+    pub(super) threads: Arc<Mutex<ConnThreads>>,
+    pub(super) core_tx: Option<Sender<CoreMsg>>,
+    pub(super) acceptor: Option<JoinHandle<()>>,
+    pub(super) core: Option<JoinHandle<Fleet>>,
 }
 
 impl NetServerHandle {
-    pub(crate) fn new(
-        addr: SocketAddr,
-        shared: Arc<Shared>,
-        threads: Arc<Mutex<ConnThreads>>,
-        core_tx: Sender<CoreMsg>,
-        acceptor: JoinHandle<()>,
-        core: JoinHandle<Fleet>,
-    ) -> Self {
-        Self {
-            addr,
-            shared,
-            threads,
-            core_tx: Some(core_tx),
-            acceptor: Some(acceptor),
-            core: Some(core),
-        }
-    }
-
     /// The bound address (resolves port 0 binds).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {

@@ -5,8 +5,8 @@
 //!
 //! # Architecture
 //!
-//! No async runtime exists in this build environment, so the server is
-//! plain threads over blocking-with-timeout sockets:
+//! Plain threads over blocking-with-timeout sockets (no async runtime),
+//! around a core that does no I/O:
 //!
 //! ```text
 //!            ┌───────────┐   nonblocking accept loop
@@ -17,63 +17,55 @@
 //!   │ conn 0 │ │ conn 1 │ │ conn N │      connection; requests and
 //!   │   rd   │ │   rd   │ │   rd   │      violations go to the core (mpsc)
 //!   └──┬──▲──┘ └──┬──▲──┘ └──┬──▲──┘
-//!      │  └───────┼──┴───────┼──┴─── reply bytes, written by the core:
-//!      └──────────▼──────────▼────┐  one write per socket per pass
-//!                 │   core thread │  owns the Fleet: issues, submits,
-//!                 │  (sole owner) │  sheds, verifies, emits verdicts
+//!      │  └───────┼──┴───────┼──┴─── reply bytes: one write per socket
+//!      └──────────▼──────────▼────┐  per pass, never waiting
+//!                 │  core driver  │  channel, sockets, wall clock
+//!                 │ ┌───────────┐ │
+//!                 │ │ CoreState │ │  owns the Fleet: issues, submits,
+//!                 │ └───────────┘ │  sheds, verifies, owes, cuts off
 //!                 └───────────────┘
 //! ```
 //!
-//! * **Multiplexing.** Many devices share one connection; every request
-//!   carries a client-chosen `request` id and every reply echoes it, so
-//!   batch verdicts can return out of order, interleaved with other
-//!   devices' traffic on the same socket.
+//! * **Sans-I/O core.** `CoreState` decides in pure steps given the time
+//!   since start; the core thread only feeds it the channel, the wall
+//!   clock and each `write`'s result, and sends the FIN or cut-off it
+//!   returns. A seeded simulation drives the same steps with no socket.
+//! * **Multiplexing.** Many devices share one connection; a reply echoes
+//!   its request's client-chosen id, so verdicts return in any order.
 //! * **Work-conserving verification.** The core applies every command
-//!   already queued, then verifies as soon as the command channel runs dry
-//!   (or 512 submissions are pending) and replies for exactly the
-//!   sessions that pass settled. An idle server therefore answers a lone
-//!   submission in one round trip; a saturated one still batches, because
-//!   whatever arrives during a verify pass forms the next batch. No timer
+//!   already queued, then verifies (or once 512 submissions are pending)
+//!   and replies for exactly the sessions that pass settled: no timer
 //!   sits between a submission and its verdict.
-//! * **Hostile-input defense.** Each connection reads through a
-//!   [`FrameReader`](crate::wire::FrameReader) with a frame-size cap
+//! * **Hostile input.** Each reader has a frame-size cap
 //!   ([`NetConfig::max_frame`]) and a stalled-frame deadline
-//!   ([`NetConfig::idle_frame_timeout`], the slow-loris defense). Every
+//!   ([`NetConfig::idle_frame_timeout`], the slow-loris defense); every
 //!   violation is answered with a structured
 //!   [`RejectMsg`](crate::wire::RejectMsg) before the connection closes.
-//!   The core never waits on a socket; the same two knobs cut off a peer
-//!   that does not read.
-//! * **Load shedding.** Before accepting a submission the core compares
-//!   the target shard's queue depth
-//!   ([`Fleet::ingest_depth_of`](crate::Fleet::ingest_depth_of)) against
-//!   [`NetConfig::shed_watermark`] and answers
-//!   [`RejectReason::Overloaded`] — explicit backpressure instead of
-//!   unbounded queueing.
-//! * **Wall clock → logical clock.** The fleet's deadlines are logical
-//!   ticks; the core derives `now` from elapsed wall time
-//!   ([`NetConfig::tick`]), starting at the latest issuance among the
-//!   sessions the served fleet already holds. Every
-//!   [`NetConfig::drain_interval`] — traffic or none — a housekeeping pass
-//!   expires overdue challenges, answers in-flight submissions whose device
-//!   was deregistered under them, and prunes resolved history. Expiry and
-//!   pruning touch only the sessions whose deadline has passed, and run on
-//!   the clock, never per verdict.
+//!   The same two knobs cut off a peer that does not read.
+//! * **Load shedding.** A submission whose shard's queue depth
+//!   ([`Fleet::ingest_depth_of`](crate::Fleet::ingest_depth_of)) is at
+//!   [`NetConfig::shed_watermark`] is answered
+//!   [`RejectReason::Overloaded`] instead of queued.
+//! * **Logical clock.** Deadlines count [`NetConfig::tick`]s from the
+//!   latest issuance the served fleet already holds. Every
+//!   [`NetConfig::drain_interval`] a housekeeping pass expires overdue
+//!   challenges, answers submissions whose device was deregistered under
+//!   them, and prunes resolved history.
 //! * **Graceful drain.** [`NetServerHandle::shutdown`] stops the
-//!   acceptor, quiesces readers, lets the core chew through the command
-//!   backlog and verify what it accepted, and write to each peer until it
-//!   has taken everything, then FIN — no accepted submission loses its
-//!   verdict to a peer that keeps up; one the stall clock catches is cut
-//!   off instead of holding shutdown. The `Fleet` comes back out.
+//!   acceptor and readers, lets the core apply and verify the backlog and
+//!   write to each peer until it has taken everything, then FIN (or cut
+//!   off one the stall clock catches). The `Fleet` comes back out.
 //!
-//! The module family: [`server`](self) core + acceptor live in
-//! `server.rs`, reader threads and reply buffers in `conn.rs`, the
-//! shutdown lifecycle in `drain.rs`, and a small blocking [`NetClient`]
-//! (tests, benches, soak harnesses) in `client.rs`.
+//! Modules: `state.rs` the core's decisions, `server.rs` the acceptor and
+//! the core's driver, `conn.rs` the readers and the socket write,
+//! `drain.rs` shutdown, `client.rs` a blocking [`NetClient`], and
+//! `sim.rs` (tests only) the seeded simulation of the core.
 
 mod client;
 mod conn;
 mod drain;
 mod server;
+mod state;
 
 pub use client::NetClient;
 pub use drain::NetServerHandle;
@@ -278,7 +270,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 }
 
 /// State shared by the acceptor, every connection thread, and the core.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Shared {
     pub(crate) cfg: NetConfig,
     pub(crate) stop: AtomicBool,
@@ -287,15 +279,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn new(cfg: NetConfig) -> Self {
-        Self {
-            cfg,
-            stop: AtomicBool::new(false),
-            active_conns: AtomicU64::new(0),
-            stats: StatsInner::default(),
-        }
-    }
-
     pub(crate) fn stopping(&self) -> bool {
         self.stop.load(Ordering::Acquire)
     }
@@ -304,8 +287,9 @@ impl Shared {
 /// Commands from connection readers (and the handle) to the core thread,
 /// the sole owner of the [`Fleet`](crate::Fleet) and sole writer of replies.
 pub(crate) enum CoreMsg {
-    /// A connection came up; the core writes its replies through `sock`.
-    Register { conn: u64, sock: TcpStream },
+    /// A connection came up; the driver takes `sock` out and writes the
+    /// connection's replies through it.
+    Register { conn: u64, sock: Option<TcpStream> },
     /// A device asks for a challenge.
     Issue { conn: u64, request: u64, device: u64 },
     /// A device submits a proof for an open session, held packed as the
@@ -325,3 +309,6 @@ pub(crate) enum CoreMsg {
     /// [`NetServerHandle::admin`].
     Admin(Box<dyn FnOnce(&mut crate::Fleet) + Send>),
 }
+
+#[cfg(test)]
+mod sim;

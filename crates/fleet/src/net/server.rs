@@ -1,20 +1,22 @@
-//! The acceptor loop and the core thread — the half of the frontend that
-//! owns the [`Fleet`].
+//! The acceptor loop and the core thread: a thin driver that owns the
+//! sockets, the wall clock and the command channel, around the
+//! [`CoreState`] that owns the [`Fleet`] and decides.
 
-use super::conn::{self, Outbox};
+use super::conn;
 use super::drain::{ConnThreads, NetServerHandle};
+use super::state::CoreState;
 use super::{bump, CoreMsg, NetConfig, Shared};
-use crate::wire::{self, GrantMsg, Message, RejectMsg, VerdictMsg};
-use crate::{DeviceId, Fleet, SessionId, SessionState};
+use crate::session::IdMap;
+use crate::wire::{self, Message, RejectMsg};
+use crate::Fleet;
 use dialed::report::RejectReason;
-use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The TCP frontend. A unit struct: [`spawn`](NetServer::spawn) is the
 /// whole API — it consumes a [`Fleet`] and returns a running server.
@@ -34,7 +36,7 @@ impl NetServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
-        let shared = Arc::new(Shared::new(cfg));
+        let shared = Arc::new(Shared { cfg, ..Shared::default() });
         let threads = Arc::new(Mutex::new(ConnThreads::default()));
         let (core_tx, core_rx) = mpsc::channel::<CoreMsg>();
 
@@ -49,12 +51,13 @@ impl NetServer {
 
         let core = {
             let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("fleet-net-core".into())
-                .spawn(move || Core::new(fleet, shared).run(&core_rx))?
+            thread::Builder::new().name("fleet-net-core".into()).spawn(move || {
+                drive(CoreState::new(fleet, Arc::clone(&shared)), &shared.cfg, &core_rx)
+            })?
         };
 
-        Ok(NetServerHandle::new(addr, shared, threads, core_tx, acceptor, core))
+        let (core_tx, acceptor, core) = (Some(core_tx), Some(acceptor), Some(core));
+        Ok(NetServerHandle { addr, shared, threads, core_tx, acceptor, core })
     }
 }
 
@@ -114,282 +117,105 @@ fn shed_connection(mut sock: TcpStream, active: u64, shared: &Arc<Shared>) {
 /// answers in bounded batches; what arrived meanwhile forms the next one.
 const BATCH_CAP: usize = 512;
 
-/// The core: sole owner of the [`Fleet`], fed by every reader thread.
-struct Core {
-    fleet: Fleet,
-    shared: Arc<Shared>,
-    /// Reply buffers of live connections, keyed by connection id.
-    conns: HashMap<u64, Outbox>,
-    /// Accepted-but-unresolved submissions: session id → who gets the
-    /// verdict. Every entry is owed exactly one reply frame.
-    inflight: HashMap<u64, (u64, u64)>,
-    /// The sessions the last verify pass settled; kept so a pass reuses
-    /// its capacity instead of allocating.
-    settled: Vec<SessionId>,
-    /// The logical time at `start`: the latest issuance among the sessions
-    /// the fleet already holds (0 for a fresh one), so a recovered or
-    /// in-process-driven fleet keeps the clock its deadlines count on.
-    origin: u64,
-    start: Instant,
-}
-
-impl Core {
-    fn new(fleet: Fleet, shared: Arc<Shared>) -> Self {
-        let origin = fleet
-            .shards()
-            .iter()
-            .flat_map(|shard| shard.sessions().sessions())
-            .map(|s| s.issued_at)
-            .max()
-            .unwrap_or(0);
-        Self {
-            fleet,
-            shared,
-            conns: HashMap::new(),
-            inflight: HashMap::new(),
-            settled: Vec::new(),
-            origin,
-            start: Instant::now(),
+/// The core thread: a thin driver that feeds [`CoreState`] the commands,
+/// the wall clock and what each socket took, and carries out what it
+/// decides. Work-conserving: it applies every command already queued (up
+/// to [`BATCH_CAP`] pending submissions), then verifies — an idle server
+/// answers a lone submission at once, a busy one batches what piled up
+/// during the last pass. The `drain_interval` clock paces housekeeping
+/// only; parked output is retried every `poll_interval`.
+fn drive(mut state: CoreState, cfg: &NetConfig, rx: &Receiver<CoreMsg>) -> Fleet {
+    let start = Instant::now();
+    let mut socks = IdMap::default();
+    let mut housekeeping_due = start + cfg.drain_interval;
+    let mut parked = false;
+    loop {
+        let mut wait = housekeeping_due.saturating_duration_since(Instant::now());
+        if parked {
+            wait = wait.min(cfg.poll_interval);
         }
-    }
-
-    /// Wall clock → logical ticks (the unit of session deadlines).
-    fn now(&self) -> u64 {
-        let tick = self.shared.cfg.tick.as_nanos().max(1);
-        let ticks = u64::try_from(self.start.elapsed().as_nanos() / tick).unwrap_or(u64::MAX);
-        self.origin.saturating_add(ticks)
-    }
-
-    /// Processes commands until every sender is gone, then flushes what
-    /// is still owed and returns the fleet to the shutdown path.
-    ///
-    /// Work-conserving: after a command arrives, everything already queued
-    /// behind it is applied too (up to [`BATCH_CAP`] pending submissions)
-    /// and then a verify pass runs — an idle server answers a lone
-    /// submission at once, a busy one batches whatever piled up during the
-    /// previous pass. The `drain_interval` clock drives housekeeping only;
-    /// parked output is retried every `poll_interval`.
-    fn run(mut self, rx: &Receiver<CoreMsg>) -> Fleet {
-        let interval = self.shared.cfg.drain_interval;
-        let mut housekeeping_due = Instant::now() + interval;
-        let mut parked = false;
-        loop {
-            let mut wait = housekeeping_due.saturating_duration_since(Instant::now());
-            if parked {
-                wait = wait.min(self.shared.cfg.poll_interval);
-            }
-            match rx.recv_timeout(wait) {
-                Ok(msg) => {
-                    let now = self.now();
-                    self.handle(msg, now);
-                    while self.fleet.pending() < BATCH_CAP {
-                        let Ok(msg) = rx.try_recv() else { break };
-                        self.handle(msg, now);
+        match rx.recv_timeout(wait) {
+            Ok(msg) => {
+                let now = start.elapsed();
+                let mut next = Some(msg);
+                while let Some(mut msg) = next {
+                    if let CoreMsg::Register { conn, sock } = &mut msg {
+                        socks.extend(sock.take().map(|sock| (*conn, sock)));
                     }
-                    if self.fleet.pending() > 0 {
-                        // The burst's grants and rejects go out now, not
-                        // behind the verify pass.
-                        self.flush();
-                        self.verify_pass();
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                // All senders gone: the acceptor, every reader, and the
-                // handle have dropped theirs — and the channel is empty,
-                // so the whole backlog has been applied. Shut down.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-            if Instant::now() >= housekeeping_due {
-                self.housekeeping();
-                housekeeping_due = Instant::now() + interval;
-            }
-            parked = self.flush();
-        }
-        // Every accepted submission was verified by the pass that followed
-        // its command; what can still be owed is an expiry reject. Then each
-        // connection gets FIN once it has taken all it is owed.
-        self.housekeeping();
-        debug_assert!(self.inflight.is_empty(), "shutdown left verdicts unemitted");
-        self.conns.values_mut().for_each(|out| out.closing = true);
-        while self.flush() {
-            thread::sleep(self.shared.cfg.poll_interval);
-        }
-        self.fleet
-    }
-
-    /// One `write` to every connection owed bytes, dropping those done,
-    /// gone or cut off. Returns whether any output is still parked.
-    fn flush(&mut self) -> bool {
-        let (cfg, stats) = (&self.shared.cfg, &self.shared.stats);
-        let mut parked = false;
-        self.conns.retain(|_, out| {
-            let alive = out.flush(cfg, stats);
-            parked |= alive && out.parked() > 0;
-            alive
-        });
-        parked
-    }
-
-    /// Forgets a connection: FIN once it has taken what it is owed so far;
-    /// in-flight verdicts for it are undeliverable.
-    fn close(&mut self, conn: u64) {
-        if let Some(out) = self.conns.get_mut(&conn) {
-            out.closing = true;
-        }
-        self.inflight.retain(|_, &mut (c, _)| c != conn);
-    }
-
-    fn handle(&mut self, msg: CoreMsg, now: u64) {
-        match msg {
-            CoreMsg::Register { conn, sock } => {
-                self.conns.insert(conn, Outbox::new(sock));
-            }
-            CoreMsg::Violation { conn, detail } => {
-                // `request` 0: the error belongs to the connection, not to
-                // any request.
-                bump(&self.shared.stats.protocol_errors);
-                self.reject(conn, 0, RejectReason::MalformedSubmission { detail });
-                self.close(conn);
-            }
-            CoreMsg::ConnClosed { conn } => self.close(conn),
-            CoreMsg::Admin(f) => f(&mut self.fleet),
-            CoreMsg::Issue { conn, request, device } => {
-                match self.fleet.issue(DeviceId(device), now) {
-                    Ok(body) => {
-                        bump(&self.shared.stats.granted);
-                        self.send(conn, &Message::Grant(GrantMsg { request, body }));
-                    }
-                    Err(e) => {
-                        bump(&self.shared.stats.session_rejects);
-                        self.reject(conn, request, e.into());
-                    }
-                }
-            }
-            CoreMsg::Submit { conn, request, session, device, proof } => {
-                // Backpressure before acceptance: if the target shard is
-                // already past the watermark, shedding now (with the
-                // observed depth) beats queueing work the next pass
-                // cannot chew through in time.
-                let depth = self.fleet.ingest_depth_of(session);
-                if depth >= self.shared.cfg.shed_watermark {
-                    bump(&self.shared.stats.shed);
-                    self.reject(conn, request, RejectReason::Overloaded { pending: depth as u64 });
-                    return;
-                }
-                match self.fleet.submit_packed(session, device, proof, now) {
-                    Ok(()) => {
-                        bump(&self.shared.stats.submitted);
-                        self.inflight.insert(session.0, (conn, request));
-                    }
-                    Err(e) => {
-                        bump(&self.shared.stats.session_rejects);
-                        self.reject(conn, request, e.into());
-                    }
-                }
-            }
-        }
-    }
-
-    /// Verifies every queued submission and replies for exactly the
-    /// sessions that settled — work proportional to the batch, not to the
-    /// session store or the in-flight table.
-    fn verify_pass(&mut self) {
-        let mut settled = std::mem::take(&mut self.settled);
-        settled.clear();
-        let _ = self.fleet.verify_pending(&mut settled);
-        bump(&self.shared.stats.drains);
-        for &session in &settled {
-            if let Some((conn, request)) = self.inflight.remove(&session.0) {
-                self.resolve(session, conn, request);
-            }
-        }
-        self.settled = settled;
-    }
-
-    /// The chores on the `drain_interval` clock: expire overdue
-    /// challenges, answer in-flight submissions that can no longer get a
-    /// verdict (device deregistered under them), prune resolved history.
-    /// Expiry and pruning touch only the sessions whose deadline has
-    /// passed; the in-flight table is walked whole.
-    fn housekeeping(&mut self) {
-        let now = self.now();
-        self.fleet.expire(now);
-        let mut inflight = std::mem::take(&mut self.inflight);
-        inflight.retain(|&session, &mut (conn, request)| {
-            !self.resolve(SessionId(session), conn, request)
-        });
-        self.inflight = inflight;
-        self.fleet.prune_resolved(now);
-        bump(&self.shared.stats.drains);
-    }
-
-    /// Sends the one reply an in-flight submission is owed, if its session
-    /// has resolved: a verdict frame if a verify pass settled it, an
-    /// expiry reject if it was expired first. Returns whether the entry is
-    /// finished (replied to, or pruned with nothing left to report).
-    fn resolve(&mut self, session: SessionId, conn: u64, request: u64) -> bool {
-        let Some((state, deadline)) = self.fleet.session(session).map(|s| (s.state, s.deadline))
-        else {
-            return true;
-        };
-        let stats = &self.shared.stats;
-        match state {
-            SessionState::Issued | SessionState::Submitted => false,
-            SessionState::Verified | SessionState::Rejected => {
-                if let Some(body) = self.fleet.report_msg(session) {
-                    bump(&stats.verdicts);
-                    // A rejected verdict is a reject the server produced:
-                    // bucket it under the verifier's own reason class so
-                    // network replays can account for every expected
-                    // rejection exactly.
-                    if state == SessionState::Rejected {
-                        if let Some(reason) = body.report.findings.iter().find_map(|f| match f {
-                            dialed::report::Finding::PoxRejected { reason } => Some(reason),
-                            _ => None,
-                        }) {
-                            stats.note_reject(reason);
+                    // The early flush of a connection taken past `max_frame`.
+                    if let Some(conn) = state.on_msg(msg, now) {
+                        if socks.get(&conn).is_some_and(|s| !write_owed(&mut state, conn, s, now)) {
+                            socks.remove(&conn);
                         }
                     }
-                    self.send(conn, &Message::Verdict(VerdictMsg { request, body }));
+                    let room = state.pending() < BATCH_CAP;
+                    next = if room { rx.try_recv().ok() } else { None };
                 }
-                true
+                if state.pending() > 0 {
+                    // The burst's grants and rejects go out now, not
+                    // behind the verify pass.
+                    flush(&mut state, &mut socks, start.elapsed());
+                    state.end_of_burst();
+                }
             }
-            SessionState::Expired => {
-                bump(&stats.expired);
-                let reason = RejectReason::from(crate::SessionError::Expired { deadline });
-                self.reject(conn, request, reason);
-                true
-            }
+            Err(RecvTimeoutError::Timeout) => {}
+            // Every sender (acceptor, readers, handle) dropped its end and
+            // the whole backlog has been applied: shut down.
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-    }
-
-    /// Encodes a reply into its connection's buffer for the pass's flush
-    /// (a burst past the parked-output cap is flushed early).
-    fn send(&mut self, conn: u64, msg: &Message) {
-        let (cfg, stats) = (&self.shared.cfg, &self.shared.stats);
-        if let Some(out) = self.conns.get_mut(&conn) {
-            out.push(msg);
-            if out.parked() > cfg.max_frame && !out.flush(cfg, stats) {
-                self.conns.remove(&conn);
-            }
+        if Instant::now() >= housekeeping_due {
+            state.housekeeping(start.elapsed());
+            housekeeping_due = Instant::now() + cfg.drain_interval;
         }
+        parked = flush(&mut state, &mut socks, start.elapsed());
     }
+    // What can still be owed is an expiry reject.
+    state.housekeeping(start.elapsed());
+    state.closing();
+    while flush(&mut state, &mut socks, start.elapsed()) {
+        thread::sleep(cfg.poll_interval);
+    }
+    state.into_fleet()
+}
 
-    fn reject(&mut self, conn: u64, request: u64, reason: RejectReason) {
-        self.shared.stats.note_reject(&reason);
-        self.send(conn, &Message::Reject(RejectMsg { request, reason }));
-    }
+/// One `write` to every connection owed bytes, dropping those done, gone
+/// or cut off. Returns whether any output is still parked.
+fn flush(state: &mut CoreState, socks: &mut IdMap<u64, TcpStream>, now: Duration) -> bool {
+    let mut parked = false;
+    socks.retain(|&conn, sock| {
+        let kept = write_owed(state, conn, sock, now);
+        parked |= kept && !state.owed(conn).is_empty();
+        kept
+    });
+    parked
+}
+
+/// Offers `conn`'s socket what it is owed in one `write` that never
+/// waits, tells the state what was taken, and carries out its decision.
+/// Returns whether the connection stays.
+fn write_owed(state: &mut CoreState, conn: u64, sock: &TcpStream, now: Duration) -> bool {
+    let end = match state.owed(conn) {
+        [] => state.took(conn, 0, now),
+        owed => match conn::write_now(sock, owed) {
+            Ok(n) => state.took(conn, n, now),
+            Err(e) if conn::timed_out(&e) => state.took(conn, 0, now),
+            Err(_) => state.gone(conn),
+        },
+    };
+    let Some(how) = end else { return true };
+    let _ = sock.shutdown(how);
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::PackedProof;
-    use crate::FleetConfig;
+    use crate::{FleetConfig, SessionId};
     use dialed::attest::DialedDevice;
     use dialed::pipeline::{BuildOptions, InstrumentedOp};
     use dialed::report::RejectClass;
-    use std::io::Read;
+    use std::net::Shutdown;
 
     const OP_SRC: &str = "\
         .org 0xE000\nop:\n mov r15, r10\n add r14, r10\n mov r10, &0x0060\n ret\n";
@@ -397,7 +223,8 @@ mod tests {
     /// A submission is accepted and its device deregistered in the same
     /// burst of commands, before any verify pass can run. No verify pass
     /// will ever settle that session; the housekeeping pass owes the
-    /// submitter its expiry reject.
+    /// submitter its expiry reject. The core's steps are driven as the
+    /// core thread drives them, on logical time.
     #[test]
     fn deregistration_under_an_inflight_submission_is_answered_by_housekeeping() {
         let mut fleet =
@@ -410,30 +237,31 @@ mod tests {
         device.invoke(&[0; 8]);
         let (session, proof) = (SessionId(chal.session), device.prove(&chal.challenge));
 
-        // A loopback pair: the core writes to the accepted side, the test
-        // reads what arrived at the other.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (sock, _) = listener.accept().unwrap();
-
-        // The whole burst is queued before the core starts, so it is
-        // applied in one piece, in this order.
-        let (tx, rx) = mpsc::channel();
-        tx.send(CoreMsg::Register { conn: 1, sock }).unwrap();
+        // One burst, applied in one piece, in this order.
+        let shared = Arc::new(Shared::default());
+        let mut state = CoreState::new(fleet, Arc::clone(&shared));
+        let now = Duration::ZERO;
         let proof = PackedProof::pack(&proof.pox);
-        tx.send(CoreMsg::Submit { conn: 1, request: 7, session, device: dev, proof }).unwrap();
-        tx.send(CoreMsg::Admin(Box::new(move |f| {
-            assert_eq!(f.deregister_device(dev), Ok(1), "the in-flight session is open");
-        })))
-        .unwrap();
-        drop(tx);
+        let burst = [
+            CoreMsg::Register { conn: 1, sock: None },
+            CoreMsg::Submit { conn: 1, request: 7, session, device: dev, proof },
+            CoreMsg::Admin(Box::new(move |f| {
+                assert_eq!(f.deregister_device(dev), Ok(1), "the in-flight session is open");
+            })),
+        ];
+        for msg in burst {
+            assert_eq!(state.on_msg(msg, now), None);
+        }
+        assert_eq!(state.pending(), 0, "no verify pass follows the burst");
+        assert!(state.owed(1).is_empty(), "nothing is owed before housekeeping");
 
-        let shared = Arc::new(Shared::new(NetConfig::default()));
-        let fleet = Core::new(fleet, Arc::clone(&shared)).run(&rx);
+        // Shutdown: the last housekeeping, then FIN once all is taken.
+        state.housekeeping(now);
+        state.closing();
+        let bytes = state.owed(1).to_vec();
+        assert_eq!(state.took(1, bytes.len(), now), Some(Shutdown::Write), "FIN");
+        let fleet = state.into_fleet();
 
-        // The core sent FIN on its way out: read to EOF.
-        let mut bytes = Vec::new();
-        peer.read_to_end(&mut bytes).unwrap();
         let mut frames = wire::FrameReader::new(1 << 20);
         frames.feed(&bytes);
         let mut replies = Vec::new();

@@ -292,14 +292,6 @@ fn resolve(
     }
 }
 
-/// Word size in bytes of one lowered instruction as pass 1 would size it —
-/// exposed for the instrumentation passes' cost accounting.
-#[must_use]
-pub fn insn_size_bytes(t: &Template) -> u16 {
-    let (words, _) = size_of(t, &BTreeMap::new(), 0);
-    words * 2
-}
-
 /// Internal sizing probe shared with the listing generator.
 pub(crate) fn size_probe(t: &Template, symbols: &BTreeMap<String, u16>, here: u16) -> (u16, bool) {
     size_of(t, symbols, here)

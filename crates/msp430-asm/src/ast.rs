@@ -339,24 +339,6 @@ impl Program {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of non-synthetic instruction lines.
-    #[must_use]
-    pub fn original_insn_count(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| !l.synthetic && matches!(l.item, Item::Stmt(Stmt::Insn(_))))
-            .count()
-    }
-
-    /// Number of instruction lines inserted by instrumentation.
-    #[must_use]
-    pub fn synthetic_insn_count(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| l.synthetic && matches!(l.item, Item::Stmt(Stmt::Insn(_))))
-            .count()
-    }
 }
 
 #[cfg(test)]

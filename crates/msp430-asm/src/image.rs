@@ -93,20 +93,6 @@ impl Image {
         out
     }
 
-    /// Loads the image into any byte-addressable target via a store closure.
-    pub fn write_to(&self, mut store: impl FnMut(u16, u8)) {
-        for (a, b) in &self.bytes {
-            store(*a, *b);
-        }
-    }
-
-    /// Loads into a [`msp430::mem::Ram`].
-    pub fn load_into_ram(&self, ram: &mut msp430::mem::Ram) {
-        for (start, bytes) in self.runs() {
-            ram.load_bytes(start, &bytes);
-        }
-    }
-
     /// The image as maximal contiguous `(start, bytes)` runs.
     ///
     /// Repeated loading (the DIALED verifier re-images its RAM for every

@@ -281,11 +281,6 @@ impl Cpu {
         self.pending_irq = Some(vec);
     }
 
-    /// Clears any pending interrupt request.
-    pub fn clear_irq(&mut self) {
-        self.pending_irq = None;
-    }
-
     /// Executes one instruction (or takes one interrupt): fetch, plain
     /// decode, execute. The reference semantics, with no cache involved.
     ///

@@ -234,31 +234,6 @@ impl Operand {
             Operand::Indexed(..) | Operand::Symbolic(_) | Operand::Absolute(_) => 1,
         }
     }
-
-    /// Does this operand need an extension word when encoded as a
-    /// destination?
-    #[must_use]
-    pub fn dst_ext_words(&self) -> u16 {
-        match self {
-            Operand::Reg(_) => 0,
-            _ => 1,
-        }
-    }
-
-    /// True for operands that reference memory (as opposed to a register or
-    /// an immediate). Used by the DIALED instrumentation pass to find read
-    /// instructions that may consume *data inputs*.
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Operand::Indexed(..)
-                | Operand::Symbolic(_)
-                | Operand::Absolute(_)
-                | Operand::Indirect(_)
-                | Operand::IndirectInc(_)
-        )
-    }
 }
 
 impl fmt::Display for Operand {
@@ -521,12 +496,6 @@ impl Insn {
                     }
             }
         }
-    }
-
-    /// Encoded length in bytes.
-    #[must_use]
-    pub fn len_bytes(&self) -> u16 {
-        self.len_words() * 2
     }
 
     /// Builds a jump from `at` to `target`.

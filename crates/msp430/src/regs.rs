@@ -83,13 +83,6 @@ impl Reg {
     pub fn from_index(idx: u16) -> Reg {
         Reg::ALL[usize::from(idx) & 0xF]
     }
-
-    /// True for `r0` (whose indirect/indexed semantics are PC-relative and
-    /// whose auto-increment mode encodes immediates).
-    #[must_use]
-    pub fn is_pc(self) -> bool {
-        self == Reg::PC
-    }
 }
 
 impl fmt::Display for Reg {

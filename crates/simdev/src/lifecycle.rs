@@ -87,12 +87,6 @@ impl DeviceSim {
         &self.v2
     }
 
-    /// Rounds completed so far.
-    #[must_use]
-    pub fn rounds_done(&self) -> usize {
-        self.round
-    }
-
     /// OTA update: reboot into the V2 image. The attestation key survives
     /// the reflash (it lives in ROM per the VRASED model); RAM does not.
     pub fn flash_v2(&mut self) {

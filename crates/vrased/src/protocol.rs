@@ -63,20 +63,6 @@ impl RaVerifier {
         constant_time::eq(&want, response)
     }
 
-    /// Checks a response that bound extra metadata (used by APEX).
-    #[must_use]
-    pub fn check_with_extra(
-        &self,
-        expected: &Platform,
-        challenge: &Challenge,
-        regions: &[(u16, u16)],
-        extra: &[u8],
-        response: &Digest,
-    ) -> bool {
-        let want = self.swatt.attest_with_extra(expected, challenge, regions, extra);
-        constant_time::eq(&want, response)
-    }
-
     /// Checks a response against expected region contents given directly
     /// as `(start, end, bytes)` slices — no 64 KiB expected-memory image is
     /// materialised, keeping the per-proof verifier path allocation-light.
