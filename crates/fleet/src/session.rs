@@ -584,6 +584,46 @@ mod tests {
         assert_eq!(mgr.next_nonce(DEV), 2);
     }
 
+    /// The challenge bytes of `H(label ‖ device)` bound with the nonce,
+    /// pinned in hex: a memo or a rewrite of the derivation must keep them.
+    #[test]
+    fn challenge_derivation_known_answers() {
+        let mgr = SessionManager::new(b"dialed-fleet", 10, 4);
+        let hex =
+            |c: Challenge| -> String { c.as_bytes().iter().map(|b| format!("{b:02x}")).collect() };
+        let late = (3 << EPOCH_SHIFT) + 7;
+        let cases = [
+            (0, 0, "a624e6ee3eeb44a93c82a98c71d74090605d92464cd64ccd614d731718142701"),
+            (0, late, "2d595b6e909762b98b9d0cf2d7cd5f113e377d08d12fb9d0989c9a76d96365ce"),
+            (12345, 0, "6062fd2da79429948287ddd07b23142c97d88e56c258ff4bc61559f418e5c475"),
+            (12345, late, "4fb1e53cae567173b5926a28251903d08cdc42505b802ebdb85e84a439d73cf7"),
+        ];
+        for (device, nonce, want) in cases {
+            let got = hex(mgr.derive_challenge(DeviceId(device), nonce));
+            assert_eq!(got, want, "device {device}, nonce {nonce}");
+        }
+    }
+
+    /// Every session issued live, or rebuilt by the replay of a verdict,
+    /// carries exactly the reference derivation's challenge, across boot
+    /// epochs.
+    #[test]
+    fn issued_and_replayed_challenges_match_the_reference() {
+        let mut live = SessionManager::with_ids(b"dialed-fleet", 10, 4, 1, 3);
+        let mut replayed = SessionManager::with_ids(b"dialed-fleet", 10, 4, 1, 3);
+        for epoch in 0..3 {
+            live.start_boot_epoch(epoch);
+            replayed.start_boot_epoch(epoch);
+            for i in 0..1500u64 {
+                let device = DeviceId((i * 7919) % 97);
+                let s = live.issue(device, OP, i).clone();
+                assert_eq!(s.challenge, live.derive_challenge(device, s.nonce), "issue {i}");
+                let r = replayed.install(s.id, device, OP, s.nonce, s.issued_at, s.deadline);
+                assert_eq!(r.challenge, s.challenge, "replay {i}");
+            }
+        }
+    }
+
     #[test]
     fn strided_ids_encode_the_shard() {
         // Shard 2 of 5: ids 2, 7, 12, … — id % 5 routes back to the shard.
