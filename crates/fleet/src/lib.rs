@@ -1019,6 +1019,31 @@ mod tests {
         }
     }
 
+    #[test]
+    fn each_device_is_found_on_exactly_one_shard() {
+        let mut fleet =
+            Fleet::new(FleetConfig { shards: 4, workers: Some(1), ..FleetConfig::default() });
+        let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+        let op_id = fleet.register_op("adder", op, vec![]);
+        for seed in 0..23 {
+            fleet.register_device(op_id, seed).unwrap();
+        }
+        fleet.deregister_device(DeviceId(9)).unwrap();
+        // Every shard is asked about every id, as a per-shard census does.
+        let homes = |id: u64| -> Vec<usize> {
+            let shards = fleet.shards().iter().enumerate();
+            shards
+                .filter(|(_, s)| s.registry().device(DeviceId(id)).is_ok())
+                .map(|(i, _)| i)
+                .collect()
+        };
+        for id in 0..40 {
+            let want: Vec<usize> = if id < 23 && id != 9 { vec![id as usize % 4] } else { vec![] };
+            assert_eq!(homes(id), want, "{}", DeviceId(id));
+        }
+        assert_eq!(fleet.shards().iter().map(|s| s.registry().len()).sum::<usize>(), 22);
+    }
+
     /// Every file under `dir` with its length.
     fn file_lengths(dir: &Path) -> Vec<(PathBuf, u64)> {
         let mut files = Vec::new();

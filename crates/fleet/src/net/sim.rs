@@ -13,6 +13,8 @@
 //!   in the pass that settled it, a deregistered device's expiry reject
 //!   at the next housekeeping), unless its connection closed first; and a
 //!   closed connection is owed nothing new;
+//! * a request on a connection the core cut off, sent FIN or was told
+//!   closed applies nothing: it grants no session and accepts no proof;
 //! * no live connection holds more than `max_frame` parked bytes;
 //! * a peer is cut off exactly when the stall rule, re-implemented here
 //!   on absolute byte offsets, says it broke, or when its parked bytes
@@ -31,7 +33,7 @@ use dialed::attest::{DialedDevice, DialedProof};
 use dialed::pipeline::{BuildOptions, InstrumentedOp};
 use std::collections::BTreeMap;
 use std::net::Shutdown;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -295,21 +297,29 @@ impl Sim {
     /// One command from a reader (or the handle), applied as the driver
     /// applies it, with the early flush it may call for.
     fn command(&mut self) {
-        let open: Vec<usize> =
-            (0..self.peers.len()).filter(|&i| self.peers[i].closed.is_none()).collect();
+        let (open, closed): (Vec<usize>, Vec<usize>) =
+            (0..self.peers.len()).partition(|&i| self.peers[i].closed.is_none());
         if open.is_empty() || (self.peers.len() < MAX_PEERS && self.rng.one_in(12)) {
             return self.register();
         }
-        let i = open[self.rng.below(open.len())];
+        // Now and then a request reaches the core after its connection
+        // closed: the core must apply nothing for it.
+        let late = !closed.is_empty() && self.rng.one_in(8);
+        let i = if late {
+            closed[self.rng.below(closed.len())]
+        } else {
+            open[self.rng.below(open.len())]
+        };
         let conn = self.peers[i].conn;
         // A reader whose socket the core shut down sees EOF soon.
-        if self.peers[i].done && self.rng.one_in(2) {
+        if !late && self.peers[i].done && self.rng.one_in(2) {
             return self.end(i, CoreMsg::ConnClosed { conn });
         }
         let request = self.peers[i].next_request;
         self.peers[i].next_request += 1;
-        let submitted = self.shared.stats.submitted.load(Ordering::Relaxed);
-        let msg = match self.rng.below(100) {
+        let before = self.applied();
+        let roll = if late { 5 + self.rng.below(95) } else { self.rng.below(100) };
+        let msg = match roll {
             0 => {
                 let dev = self.devices[self.rng.below(DEVICES)].0;
                 self.deregistered.push(dev);
@@ -338,9 +348,17 @@ impl Sim {
                 CoreMsg::Issue { conn, request, device }
             }
         };
+        let gone =
+            !self.peers[i].live() && matches!(msg, CoreMsg::Issue { .. } | CoreMsg::Submit { .. });
         let early = self.state.on_msg(msg, self.now);
         self.observe();
-        let accepted = self.shared.stats.submitted.load(Ordering::Relaxed) > submitted;
+        let after = self.applied();
+        assert!(
+            !gone || after == before,
+            "conn {conn} was cut, FIN'd or closed, yet its request {request} was applied: \
+             (sessions, granted, submitted) {before:?} -> {after:?}"
+        );
+        let accepted = after.2 > before.2;
         let peer = &mut self.peers[i];
         if let Some(Awaits::Verdict { accepted: a, .. }) = peer.awaiting.get_mut(&request) {
             *a = accepted;
@@ -353,6 +371,14 @@ impl Sim {
             );
         }
         self.early_flush(early);
+    }
+
+    /// What the core's requests move: the fleet's sessions, and the grants
+    /// and accepted submissions it counted.
+    fn applied(&self) -> (usize, u64, u64) {
+        let stats = &self.shared.stats;
+        let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (self.state.sessions(), count(&stats.granted), count(&stats.submitted))
     }
 
     /// A submission against a granted session: the device's honest proof,

@@ -102,6 +102,11 @@ impl CoreState {
                 self.close(conn);
                 conn
             }
+            // A request of a connection the core no longer holds, or is
+            // closing, is owed no reply: apply nothing for it.
+            CoreMsg::Issue { conn, .. } | CoreMsg::Submit { conn, .. } if !self.serves(conn) => {
+                return None;
+            }
             CoreMsg::Issue { conn, request, device } => {
                 match self.fleet.issue(DeviceId(device), now) {
                     Ok(body) => {
@@ -170,6 +175,11 @@ impl CoreState {
         self.inflight = inflight;
         self.fleet.prune_resolved(now);
         bump(&self.shared.stats.drains);
+    }
+
+    /// Whether `conn` is held and not closing: its requests get replies.
+    fn serves(&self, conn: u64) -> bool {
+        self.conns.get(&conn).is_some_and(|out| !out.closing)
     }
 
     /// The bytes owed to `conn` that its peer has not taken yet.
@@ -288,5 +298,10 @@ impl CoreState {
     /// Bytes `conn`'s buffer holds, taken or not.
     pub(super) fn buffered(&self, conn: u64) -> usize {
         self.conns.get(&conn).map_or(0, |out| out.out.len())
+    }
+
+    /// Sessions the fleet holds, over all shards.
+    pub(super) fn sessions(&self) -> usize {
+        self.fleet.shards().iter().map(|shard| shard.sessions().len()).sum()
     }
 }

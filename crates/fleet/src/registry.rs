@@ -11,9 +11,11 @@
 //!   draining on different threads borrow it without locking.
 //! * [`Registry`] — one per shard, holding the [`DeviceRecord`]s the
 //!   shard owns: device `d` of a fleet of `N` shards lives on shard
-//!   `d mod N`. Device state is pure data (seed, epoch, counters) and is
-//!   what the shard's write-ahead log persists; the derived key schedule
-//!   is rebuilt from `seed ⊕ f(epoch)` on install, never serialized.
+//!   `d mod N`, in slot `d / N` of a dense table, so a lookup is one
+//!   index and a check of the slot's id. Device state is pure data (seed,
+//!   epoch, counters) and is what the shard's write-ahead log persists;
+//!   the derived key schedule is rebuilt from `seed ⊕ f(epoch)` on
+//!   install, never serialized.
 //!
 //! Verified verdicts flow back in from the ingest stage, advancing each
 //! device's last-verified counter.
@@ -23,7 +25,6 @@ use dialed::policy::Policy;
 use dialed::report::RejectReason;
 use dialed::request::Verifier;
 use dialed::DialedVerifier;
-use std::collections::BTreeMap;
 use std::fmt;
 use vrased::{KeyStore, RaVerifier};
 
@@ -266,50 +267,81 @@ impl DeviceRecord {
 
 /// One shard's slice of the device space. Device ids are fleet-global
 /// and dense (allocated by the [`Fleet`](crate::Fleet)); of `N` shards,
-/// shard `s` only ever sees the ids `s, s+N, s+2N, …`.
-#[derive(Debug, Default)]
+/// shard `s` only ever sees the ids `s, s+N, s+2N, …`, so `d / N` is a
+/// dense index: device `d` sits in slot `d / N` of one table.
+#[derive(Debug)]
 pub struct Registry {
-    devices: BTreeMap<u64, DeviceRecord>,
+    /// Slot `d / stride` holds device `d`, or nothing. A lookup checks the
+    /// slot's id, so an id another shard owns, or one past the end, is
+    /// unknown here; a lookup never grows the table.
+    slots: Vec<Option<DeviceRecord>>,
+    stride: u64,
+    /// Occupied slots.
+    len: usize,
     /// One past the highest device id ever installed here, deregistered
     /// ones included, so a recovered fleet never issues an id twice.
     pub(crate) next_device: u64,
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Registry {
-    /// An empty registry.
+    /// An empty registry holding every id (one shard of one).
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::strided(1)
+    }
+
+    /// An empty registry for one shard of `stride`.
+    pub(crate) fn strided(stride: u64) -> Self {
+        Self { slots: Vec::new(), stride: stride.max(1), len: 0, next_device: 0 }
+    }
+
+    /// The slot device `id` would occupy.
+    fn slot(&self, id: DeviceId) -> usize {
+        usize::try_from(id.0 / self.stride).unwrap_or(usize::MAX)
     }
 
     /// Installs a device record — the apply half of registration, driven
-    /// both live and by event replay. The key schedule is (re)derived from
-    /// the durable `(key_seed, epoch)` pair, so a recovered device checks
-    /// MACs under exactly the key it was provisioned with.
+    /// both live and by event replay, in any id order. The key schedule is
+    /// (re)derived from the durable `(key_seed, epoch)` pair, so a
+    /// recovered device checks MACs under exactly the key it was
+    /// provisioned with.
     pub(crate) fn install_device(&mut self, id: DeviceId, op: OpId, key_seed: u64, epoch: u64) {
         let keystore = KeyStore::from_seed(effective_seed(key_seed, epoch));
         let ra = RaVerifier::new(keystore.clone());
         self.next_device = self.next_device.max(id.0 + 1);
-        self.devices.insert(
-            id.0,
-            DeviceRecord {
-                id,
-                op,
-                last_verified: None,
-                verified: 0,
-                rejected: 0,
-                key_seed,
-                epoch,
-                keystore,
-                ra,
-            },
-        );
+        let i = self.slot(id);
+        if self.slots.len() <= i {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let record = DeviceRecord {
+            id,
+            op,
+            last_verified: None,
+            verified: 0,
+            rejected: 0,
+            key_seed,
+            epoch,
+            keystore,
+            ra,
+        };
+        if self.slots[i].replace(record).is_none() {
+            self.len += 1;
+        }
     }
 
     /// Removes a device, returning its record (the apply half of
     /// deregistration).
     pub(crate) fn remove_device(&mut self, id: DeviceId) -> Option<DeviceRecord> {
-        self.devices.remove(&id.0)
+        self.device_mut(id).ok()?;
+        self.len -= 1;
+        let i = self.slot(id);
+        self.slots[i].take()
     }
 
     /// Looks up a device.
@@ -319,28 +351,35 @@ impl Registry {
     /// Fails if the device is unknown (never registered, routed to a
     /// different shard, or deregistered).
     pub fn device(&self, id: DeviceId) -> Result<&DeviceRecord, RegistryError> {
-        self.devices.get(&id.0).ok_or(RegistryError::UnknownDevice(id))
+        match self.slots.get(self.slot(id)) {
+            Some(Some(rec)) if rec.id == id => Ok(rec),
+            _ => Err(RegistryError::UnknownDevice(id)),
+        }
     }
 
     pub(crate) fn device_mut(&mut self, id: DeviceId) -> Result<&mut DeviceRecord, RegistryError> {
-        self.devices.get_mut(&id.0).ok_or(RegistryError::UnknownDevice(id))
+        let i = self.slot(id);
+        match self.slots.get_mut(i) {
+            Some(Some(rec)) if rec.id == id => Ok(rec),
+            _ => Err(RegistryError::UnknownDevice(id)),
+        }
     }
 
     /// All devices on this shard, in id order.
     pub fn devices(&self) -> impl Iterator<Item = &DeviceRecord> {
-        self.devices.values()
+        self.slots.iter().flatten()
     }
 
     /// Number of devices on this shard.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.len
     }
 
     /// Whether this shard holds no devices.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.len == 0
     }
 
     /// Records a verdict for `device`: bumps its counters and, for a
@@ -401,6 +440,53 @@ mod tests {
         assert!(reg.device(DeviceId(3)).is_ok());
         assert!(reg.remove_device(DeviceId(3)).is_some());
         assert_eq!(reg.device(DeviceId(3)).unwrap_err(), RegistryError::UnknownDevice(DeviceId(3)));
+    }
+
+    #[test]
+    fn foreign_and_out_of_range_ids_are_unknown_and_never_grow_the_table() {
+        // Shard 2 of 4 holds 2, 6, 10 in slots 0, 1, 2.
+        let mut reg = Registry::strided(4);
+        for d in [2, 6, 10] {
+            reg.install_device(DeviceId(d), OpId(0), d, 0);
+        }
+        let unknown = |id: u64| Err(RegistryError::UnknownDevice(DeviceId(id)));
+        // 3 and 5 index occupied slots but are another shard's; 14 and
+        // u64::MAX lie past the end.
+        for id in [3, 5, 14, u64::MAX] {
+            assert_eq!(reg.device(DeviceId(id)).map(|r| r.id), unknown(id));
+            assert!(reg.device_mut(DeviceId(id)).is_err());
+            assert!(reg.remove_device(DeviceId(id)).is_none());
+            reg.record_verdict(DeviceId(id), 9, true);
+        }
+        assert_eq!((reg.len(), reg.slots.len()), (3, 3));
+        assert!(reg.devices().all(|d| d.verified == 0), "no verdict reached a neighbour");
+    }
+
+    #[test]
+    fn out_of_order_installs_iterate_in_id_order() {
+        // Recovery replays registrations in log order, which after a
+        // compaction and a few live registrations need not be id order.
+        let mut reg = Registry::strided(3);
+        for d in [13, 1, 7, 4, 10] {
+            reg.install_device(DeviceId(d), OpId(0), d, 0);
+        }
+        let ids: Vec<u64> = reg.devices().map(|d| d.id.0).collect();
+        assert_eq!(ids, [1, 4, 7, 10, 13]);
+        assert_eq!((reg.len(), reg.next_device), (5, 14));
+    }
+
+    #[test]
+    fn a_deregistration_leaves_a_hole_that_iteration_skips() {
+        let mut reg = Registry::strided(2);
+        for d in [0, 2, 4, 6] {
+            reg.install_device(DeviceId(d), OpId(0), d, 0);
+        }
+        assert_eq!(reg.remove_device(DeviceId(2)).map(|r| r.id), Some(DeviceId(2)));
+        assert!(reg.remove_device(DeviceId(2)).is_none(), "a hole is removed once");
+        let ids: Vec<u64> = reg.devices().map(|d| d.id.0).collect();
+        assert_eq!(ids, [0, 4, 6]);
+        assert_eq!((reg.len(), reg.next_device), (3, 7));
+        assert!(reg.device(DeviceId(2)).is_err());
     }
 
     #[test]

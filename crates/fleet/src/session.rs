@@ -193,11 +193,23 @@ impl ReplayWindow {
 }
 
 /// Per-device session-layer state, in memory only.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub(crate) struct DeviceSessions {
+    /// `H(fleet label ‖ device id)`, the part of every challenge the nonce
+    /// does not change: hashed once, when the entry is created.
+    base: Digest,
     /// Next challenge nonce — strictly monotonic, never reused.
     pub(crate) next_nonce: u64,
     pub(crate) window: ReplayWindow,
+}
+
+/// `H(fleet label ‖ device id)`: what every challenge of `device` binds its
+/// nonce to.
+fn challenge_base(label: &[u8], device: DeviceId) -> Digest {
+    let mut h = Sha256::new();
+    h.update(label);
+    h.update(&device.0.to_le_bytes());
+    h.finalize()
 }
 
 /// A multiplicative hash for the integer ids this crate keys maps by.
@@ -311,13 +323,22 @@ impl SessionManager {
     /// The challenge `device` answers under for `nonce`:
     /// `H(fleet label ‖ device id)` bound with the nonce — unique per
     /// (fleet, device, round), and re-derivable at recovery so events
-    /// never need to persist challenge bytes.
-    #[must_use]
+    /// never need to persist challenge bytes. The reference for
+    /// [`SessionManager::install`], which keeps the first half per device.
+    #[cfg(test)]
     pub(crate) fn derive_challenge(&self, device: DeviceId, nonce: u64) -> Challenge {
-        let mut h = Sha256::new();
-        h.update(&self.label);
-        h.update(&device.0.to_le_bytes());
-        Challenge::derive(&h.finalize(), nonce)
+        Challenge::derive(&challenge_base(&self.label, device), nonce)
+    }
+
+    /// `device`'s session-layer state, created with its challenge base on
+    /// the device's first issue, replayed verdict or submission since boot.
+    fn per_device_mut(&mut self, device: DeviceId) -> &mut DeviceSessions {
+        let label = &self.label;
+        self.per_device.entry(device).or_insert_with(|| DeviceSessions {
+            base: challenge_base(label, device),
+            next_nonce: 0,
+            window: ReplayWindow::default(),
+        })
     }
 
     /// Installs a session with explicit coordinates — the apply half of
@@ -334,9 +355,9 @@ impl SessionManager {
         issued_at: u64,
         deadline: u64,
     ) -> &Session {
-        let challenge = self.derive_challenge(device, nonce);
-        let per = self.per_device.entry(device).or_default();
+        let per = self.per_device_mut(device);
         per.next_nonce = per.next_nonce.max(nonce.saturating_add(1));
+        let challenge = Challenge::derive(&per.base, nonce);
         if id.0 >= self.next_id {
             self.next_id = id.0.saturating_add(self.stride);
         }
@@ -439,7 +460,8 @@ impl SessionManager {
         now: u64,
     ) -> Result<OpId, SessionError> {
         let op = self.check_submit(session, device, &proof.tag, now)?;
-        self.per_device.entry(device).or_default().window.push(proof.tag, self.window_cap);
+        let cap = self.window_cap;
+        self.per_device_mut(device).window.push(proof.tag, cap);
         let s = self.session_mut(session).expect("checked above");
         s.state = SessionState::Submitted;
         s.proof = Some(proof);

@@ -97,7 +97,7 @@ impl Shard {
     pub(crate) fn in_memory(index: usize, stride: u64, params: &ShardParams) -> Self {
         Self {
             index,
-            registry: Registry::new(),
+            registry: Registry::strided(stride),
             sessions: SessionManager::with_ids(
                 &params.label,
                 params.ttl,
