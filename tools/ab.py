@@ -6,8 +6,8 @@ one, so a single run per side decides nothing. This script runs the
 protocol every performance claim uses:
 
 * builds the parent (`--base`, checked out in a `git worktree`, or an
-  existing checkout given with `--parent-dir`) and the change (the working
-  tree, or `--head-dir`), each into its own target directory;
+  existing checkout given with `--parent-dir`) and the change (this
+  working tree), each into its own target directory;
 * for k = first .. first + pairs - 1 runs `e2e repeat 1 --seed k` (or one
   workload with `--workload`) for each side, the parent first for odd k and
   the change first for even k; `--aa` adds a second parent leg per k, so the
@@ -22,7 +22,7 @@ protocol every performance claim uses:
   side's runs fall in two clusters, whose median then says little.
 
 Usage:
-  tools/ab.py run --base <rev> [--parent-dir DIR] [--head-dir DIR] [--pairs 10]
+  tools/ab.py run --base <rev> [--parent-dir DIR] [--pairs 10]
                   [--first-seed 1] [--seconds 20] [--workload NAME] [--aa]
                   [--out BENCH_<n>] [--work DIR]
   tools/ab.py report <parent.json> <change.json> [--aa]
@@ -270,10 +270,14 @@ def report(base, head, aa=False, out=sys.stdout):
             hits["claim rule"] += c["claim"] != "-"
             change = (c["head_median"] - c["base_median"]) / c["base_median"] * 100 \
                 if c["base_median"] else 0.0
-            ratio = c["gap"] / c["quartile_distance"] if c["quartile_distance"] else math.inf
+            bimodal = ",".join(second if side == "change" else side for side in c["bimodal"])
+            if c["quartile_distance"]:
+                ratio = c["gap"] / c["quartile_distance"]
+            else:
+                ratio = math.copysign(math.inf, c["gap"]) if c["gap"] else 0.0
             print(f"{workload:<16} {name:<24} {c['base_median']:>12.4f} {c['head_median']:>12.4f} "
                   f"{change:>+7.2f}% {c['wins']:>3}/{c['pairs']:<2} {c['p']:>7.3f} {ratio:>+8.2f} "
-                  f"{c['claim']:>6} {verdict:>10}  {','.join(c['bimodal']) or '-'}", file=out)
+                  f"{c['claim']:>6} {verdict:>10}  {bimodal or '-'}", file=out)
     print("wins: pairs where the change is better; gap/IQR: median gap in the better "
           "direction over the parent's quartile distance; claim: >= 9/10 pairs and gap/IQR > 1",
           file=out)
@@ -339,7 +343,7 @@ def cmd_run(args):
     try:
         targets = {"parent": work / "parent-target", "change": work / "change-target"}
         bins = {"parent": build(parent, targets["parent"]),
-                "change": build(args.head_dir, targets["change"])}
+                "change": build(ROOT, targets["change"])}
         # The A/A leg runs the parent's binary again.
         targets["aa"], bins["aa"] = targets["parent"], bins["parent"]
         runs = {side: [] for side in bins}
@@ -476,7 +480,6 @@ def main():
     r = sub.add_parser("run", help="build both sides and run the interleaved pairs")
     r.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
     r.add_argument("--parent-dir", help="an existing checkout of the parent, instead of a worktree")
-    r.add_argument("--head-dir", default=str(ROOT), help="the change's checkout (default: this one)")
     r.add_argument("--pairs", type=int, default=10)
     r.add_argument("--first-seed", type=int, default=1)
     r.add_argument("--seconds", type=float, default=20)
