@@ -17,6 +17,13 @@
 //!   the derived key schedule is rebuilt from `seed ⊕ f(epoch)` on
 //!   install, never serialized.
 //!
+//! The dense table relies on ids being dense and never retired: its
+//! length follows the highest id ever installed, not the live devices. A
+//! deregistration leaves an empty slot (the size of a record, ≈ 160 B)
+//! that stays for good, and [`Registry::devices`] and compaction walk it,
+//! so a fleet that keeps registering and deregistering devices grows
+//! without bound. No benchmark workload deregisters a device.
+//!
 //! Verified verdicts flow back in from the ingest stage, advancing each
 //! device's last-verified counter.
 
@@ -271,9 +278,10 @@ impl DeviceRecord {
 /// dense index: device `d` sits in slot `d / N` of one table.
 #[derive(Debug)]
 pub struct Registry {
-    /// Slot `d / stride` holds device `d`, or nothing. A lookup checks the
-    /// slot's id, so an id another shard owns, or one past the end, is
-    /// unknown here; a lookup never grows the table.
+    /// Slot `d / stride` holds device `d`, or nothing (never installed
+    /// here, or deregistered: ids are not reused, so the hole stays). A
+    /// lookup checks the slot's id, so an id another shard owns, or one
+    /// past the end, is unknown here; a lookup never grows the table.
     slots: Vec<Option<DeviceRecord>>,
     stride: u64,
     /// Occupied slots.
@@ -330,8 +338,13 @@ impl Registry {
             keystore,
             ra,
         };
-        if self.slots[i].replace(record).is_none() {
-            self.len += 1;
+        match self.slots[i].replace(record) {
+            None => self.len += 1,
+            Some(previous) => debug_assert_eq!(
+                previous.id, id,
+                "two ids share slot {i} of a stride-{} table: routing is broken",
+                self.stride
+            ),
         }
     }
 
@@ -487,6 +500,17 @@ mod tests {
         assert_eq!(ids, [0, 4, 6]);
         assert_eq!((reg.len(), reg.next_device), (3, 7));
         assert!(reg.device(DeviceId(2)).is_err());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two ids share slot 1")]
+    fn two_ids_in_one_slot_fail_loudly() {
+        // 4 and 5 both map to slot 1 of a stride-4 table; only routing
+        // keeps them apart, so a second install must not drop the first.
+        let mut reg = Registry::strided(4);
+        reg.install_device(DeviceId(4), OpId(0), 4, 0);
+        reg.install_device(DeviceId(5), OpId(0), 5, 0);
     }
 
     #[test]

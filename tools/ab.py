@@ -5,13 +5,13 @@ The box this repository is measured on drifts between sessions and within
 one, so a single run per side decides nothing. This script runs the
 protocol every performance claim uses:
 
-* builds the parent (`--base`, checked out in a `git worktree`, or an
-  existing checkout given with `--parent-dir`) and the change (this
-  working tree), each into its own target directory;
-* for k = first .. first + pairs - 1 runs `e2e repeat 1 --seed k` (or one
-  workload with `--workload`) for each side, the parent first for odd k and
-  the change first for even k; `--aa` adds a second parent leg per k, so the
-  same run doubles as an A/A check of the decision rules;
+* exports the parent (`--base`) with `git archive` and builds it and the
+  change (this working tree), each into its own target directory;
+* for k = first .. first + 9 runs `e2e repeat 1 --seed k` (or one workload
+  with `--workload`) for each side, at e2e's own run length, the parent
+  first for odd k and the change first for even k; `--aa` adds a second
+  parent leg per k, so the same run doubles as an A/A check of the
+  decision rules;
 * merges each side's runs with the harness's summary rules (nearest-rank
   median, exclusive quartiles) into `<out>.json` and `<out>_parent.json`
   (and `<out>_aa.json`), in the harness's own result format;
@@ -19,13 +19,13 @@ protocol every performance claim uses:
   change won, a two-sided sign-test p-value, the median gap against the
   parent's quartile distance, the claim rule (at least 9 of 10 pairs and a
   median gap wider than that distance), and a bimodality flag where a
-  side's runs fall in two clusters, whose median then says little.
+  side's runs fall in two clusters, whose median then says little;
+* with `--aa`, counts each rule's false positives on the A/A pair, taking
+  `e2e diff`'s own verdicts for its rule.
 
 Usage:
-  tools/ab.py run --base <rev> [--parent-dir DIR] [--pairs 10]
-                  [--first-seed 1] [--seconds 20] [--workload NAME] [--aa]
+  tools/ab.py run --base <rev> [--first-seed 1] [--workload NAME] [--aa]
                   [--out BENCH_<n>] [--work DIR]
-  tools/ab.py report <parent.json> <change.json> [--aa]
   tools/ab.py selftest
 
 Standard library only. Run it from the repository root; a full ten-pair run
@@ -34,14 +34,21 @@ else on the box meanwhile.
 """
 
 import argparse
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Interleaved pairs per run: the claim rule asks for at least 9 of 10.
+PAIRS = 10
 
 # ---------------------------------------------------------------------------
 # The harness's summary rules (bench_e2e/src/stats.rs, suite.rs `Summary`).
@@ -119,7 +126,7 @@ def merge(docs):
     return {
         "nproc": first.get("nproc", os.cpu_count()),
         "seed": first.get("seed", 0),
-        "seconds": first.get("seconds", 0),
+        "seconds": first.get("seconds"),
         "traced": False,
         "runs": len(docs),
         "attempted": sum(d.get("attempted", 0) for d in docs),
@@ -142,9 +149,9 @@ def load(path):
 
 
 def end_to_end():
-    """(name, lower_is_better, bound) of each gated metric in BENCHMARK.json."""
+    """(name, lower_is_better) of each gated metric in BENCHMARK.json."""
     doc = load(ROOT / "BENCHMARK.json")
-    return [(m["name"], m["better"] == "lower", m["bound"]) for m in doc["end_to_end"]]
+    return [(m["name"], m["better"] == "lower") for m in doc["end_to_end"]]
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +228,26 @@ def compare(base_values, head_values, lower_is_better):
     }
 
 
-def judge_diff(a, b, lower_is_better, bound):
-    """`e2e diff`'s verdict (bench_e2e/src/suite.rs `judge`), for counting
-    how often it calls an A/A metric better or worse."""
-    def flip(s):
-        if lower_is_better:
-            return s
-        return {"median": -s["median"], "min": -s["max"], "max": -s["min"], "iqr": s["iqr"]}
-
-    a, b = flip(a), flip(b)
-    scale = abs(a["median"])
-    worse_by = (b["median"] - a["median"]) / scale if scale > 0 else 0.0
-    if a["iqr"] > bound or b["iqr"] > bound:
-        if b["max"] < a["min"]:
-            return "better"
-        if b["min"] > a["max"] and worse_by > bound:
-            return "worse"
-        return "unresolved"
-    if worse_by > bound:
-        return "worse"
-    if b["median"] < a["median"] and b["max"] < a["min"]:
-        return "better"
-    return "within"
-
-
 def report(base, head, aa=False, out=sys.stdout):
-    """Prints the per-metric table; returns the false-positive counts of
-    each rule (meaningful when both files measure the same tree)."""
+    """Prints the per-metric table; returns how often the sign test and the
+    claim rule fire, and over how many metrics (false positives when both
+    files measure the same tree)."""
     label = "A/A" if aa else "A/B"
     print(f"{label}: {base.get('runs')} pairs; failed operations parent {base.get('failed')} "
           f"of {base.get('attempted')}, change {head.get('failed')} of {head.get('attempted')}",
           file=out)
     second = "parent'" if aa else "change"
     print(f"{'workload':<16} {'metric':<24} {'parent':>12} {second:>12} {'change%':>8} "
-          f"{'wins':>6} {'sign p':>7} {'gap/IQR':>8} {'claim':>6} {'diff':>10}  bimodal", file=out)
-    hits = {"e2e diff": 0, "sign test p<0.05": 0, "claim rule": 0}
+          f"{'wins':>6} {'sign p':>7} {'gap/IQR':>8} {'claim':>6}  bimodal", file=out)
+    hits = {"sign test p<0.05": 0, "claim rule": 0}
     metrics = 0
     for workload, metrics_of in base["workloads"].items():
-        for name, lower, bound in end_to_end():
+        for name, lower in end_to_end():
             if name not in metrics_of or name not in head["workloads"].get(workload, {}):
                 continue
             a, b = metrics_of[name], head["workloads"][workload][name]
             c = compare(a["values"], b["values"], lower)
-            verdict = judge_diff(a, b, lower, bound)
             metrics += 1
-            hits["e2e diff"] += verdict in ("better", "worse")
             hits["sign test p<0.05"] += c["p"] < 0.05
             hits["claim rule"] += c["claim"] != "-"
             change = (c["head_median"] - c["base_median"]) / c["base_median"] * 100 \
@@ -277,13 +259,10 @@ def report(base, head, aa=False, out=sys.stdout):
                 ratio = math.copysign(math.inf, c["gap"]) if c["gap"] else 0.0
             print(f"{workload:<16} {name:<24} {c['base_median']:>12.4f} {c['head_median']:>12.4f} "
                   f"{change:>+7.2f}% {c['wins']:>3}/{c['pairs']:<2} {c['p']:>7.3f} {ratio:>+8.2f} "
-                  f"{c['claim']:>6} {verdict:>10}  {bimodal or '-'}", file=out)
+                  f"{c['claim']:>6}  {bimodal or '-'}", file=out)
     print("wins: pairs where the change is better; gap/IQR: median gap in the better "
           "direction over the parent's quartile distance; claim: >= 9/10 pairs and gap/IQR > 1",
           file=out)
-    if aa:
-        counts = ", ".join(f"{rule} {n}" for rule, n in hits.items())
-        print(f"A/A false positives over {metrics} metrics: {counts}", file=out)
     return hits, metrics
 
 
@@ -305,6 +284,17 @@ def sh(cmd, **kw):
     return subprocess.run(cmd, check=True, **kw)
 
 
+def export(rev, dest):
+    """The committed files of `rev`, as `git archive` gives them, at `dest`."""
+    if dest.exists():
+        shutil.rmtree(dest)
+    dest.mkdir(parents=True)
+    tar = sh(["git", "-C", ROOT, "archive", "--format=tar", rev], stdout=subprocess.PIPE).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest)
+    return dest
+
+
 def build(src, target):
     """Builds `src`'s harness into `target` and returns the binary."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
@@ -313,65 +303,69 @@ def build(src, target):
     return Path(target) / "release" / "e2e"
 
 
-def run_leg(binary, target, k, args, dest):
+def run_leg(binary, target, k, workload, dest):
     """One leg: the suite once (or one workload) with seed k, saved to `dest`."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
-    if args.workload:
-        cmd = [binary, "--workload", args.workload, "--seed", k, "--seconds", args.seconds,
-               "--trace", 0]
+    if workload:
+        cmd = [binary, "--workload", workload, "--seed", k, "--trace", 0]
         out = sh([str(c) for c in cmd], env=env, cwd=ROOT, stdout=subprocess.PIPE, text=True)
         doc = json.loads(out.stdout.strip().splitlines()[-1])
-        doc.setdefault("workload", args.workload)
-        doc.update(seed=k, seconds=args.seconds, nproc=os.cpu_count())
+        doc.update(workload=workload, seed=k, nproc=os.cpu_count())
         write(dest, doc)
     else:
-        cmd = [binary, "repeat", 1, "--seed", k, "--seconds", args.seconds, "--out", dest]
+        cmd = [binary, "repeat", 1, "--seed", k, "--out", dest]
         sh([str(c) for c in cmd], env=env, cwd=ROOT, stdout=subprocess.DEVNULL)
 
 
 def cmd_run(args):
     work = Path(args.work).resolve()
     work.mkdir(parents=True, exist_ok=True)
-    worktree = None
-    parent = args.parent_dir
-    if parent is None:
-        worktree = work / "parent-src"
-        if worktree.exists():
-            sh(["git", "-C", ROOT, "worktree", "remove", "--force", worktree])
-        sh(["git", "-C", ROOT, "worktree", "add", "--detach", worktree, args.base])
-        parent = worktree
-    try:
-        targets = {"parent": work / "parent-target", "change": work / "change-target"}
-        bins = {"parent": build(parent, targets["parent"]),
-                "change": build(ROOT, targets["change"])}
-        # The A/A leg runs the parent's binary again.
-        targets["aa"], bins["aa"] = targets["parent"], bins["parent"]
-        runs = {side: [] for side in bins}
-        for k in range(args.first_seed, args.first_seed + args.pairs):
-            for side in order(k, args.aa):
-                dest = work / f"{side}-{k}.json"
-                run_leg(bins[side], targets[side], k, args, dest)
-                runs[side].append(load(dest))
-    finally:
-        if worktree is not None:
-            sh(["git", "-C", ROOT, "worktree", "remove", "--force", worktree])
+    targets = {"parent": work / "parent-target", "change": work / "change-target"}
+    bins = {"parent": build(export(args.base, work / "parent-src"), targets["parent"]),
+            "change": build(ROOT, targets["change"])}
+    # The A/A leg runs the parent's binary again.
+    targets["aa"], bins["aa"] = targets["parent"], bins["parent"]
+    runs = {side: [] for side in bins}
+    for k in range(args.first_seed, args.first_seed + PAIRS):
+        for side in order(k, args.aa):
+            dest = work / f"{side}-{k}.json"
+            run_leg(bins[side], targets[side], k, args.workload, dest)
+            runs[side].append(load(dest))
     merged = {side: merge(docs) for side, docs in runs.items() if docs}
     paths = {"parent": f"{args.out}_parent.json", "change": f"{args.out}.json",
              "aa": f"{args.out}_aa.json"}
     for side, doc in merged.items():
         write(ROOT / paths[side], doc)
         print(f"ab: wrote {paths[side]}", file=sys.stderr)
-    print_diff(bins["change"], paths["parent"], paths["change"])
+    e2e_diff(bins["change"], paths["parent"], paths["change"])
     report(merged["parent"], merged["change"])
     if "aa" in merged:
         print()
-        report(merged["parent"], merged["aa"], aa=True)
+        verdicts = e2e_diff(bins["change"], paths["parent"], paths["aa"])
+        hits, metrics = report(merged["parent"], merged["aa"], aa=True)
+        if verdicts is not None:
+            hits = {"e2e diff": verdicts["better"] + verdicts["worse"], **hits}
+        counts = ", ".join(f"{rule} {n}" for rule, n in hits.items())
+        print(f"A/A false positives over {metrics} metrics: {counts}")
 
 
-def print_diff(binary, a, b):
-    """`e2e diff`, which needs all four workloads in both files."""
-    if all(w in load(ROOT / a)["workloads"] for w in ("inproc_full", "net_full_paced")):
-        subprocess.run([str(binary), "diff", a, b], cwd=ROOT, check=False)
+def e2e_diff(binary, a, b):
+    """Prints `e2e diff a b` and returns its verdict counts; None unless both
+    files hold every workload, which `e2e diff` needs."""
+    if not all(w in load(ROOT / a)["workloads"] for w in ("inproc_full", "net_full_paced")):
+        return None
+    out = subprocess.run([str(binary), "diff", a, b], cwd=ROOT, stdout=subprocess.PIPE,
+                         text=True, check=False)
+    print(out.stdout, end="")
+    return diff_verdicts(out.stdout)
+
+
+def diff_verdicts(text):
+    """The verdict counts of `e2e diff`'s closing summary line."""
+    found = re.search(r"(\d+) better, (\d+) within, (\d+) worse, (\d+) unresolved", text)
+    if found is None:
+        raise SystemExit("ab: e2e diff printed no summary line")
+    return dict(zip(("better", "within", "worse", "unresolved"), map(int, found.groups())))
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +444,10 @@ def selftest():
     assert bimodal_gap([1.0, 2.0, 3.0, 4.0, 5.0]) is None, "too few runs for two clusters"
     assert not is_bimodal([1.0] * 10)
 
-    # `e2e diff`'s rule (bench_e2e/src/suite.rs tests), lower is better, 10 %.
-    def side(median, lo, hi):
-        return {"median": median, "min": lo, "max": hi, "iqr": (hi - lo) / 2.0 / median}
-    assert judge_diff(side(100, 98, 102), side(104, 102, 106), True, 0.10) == "within"
-    assert judge_diff(side(100, 98, 102), side(115, 113, 117), True, 0.10) == "worse"
-    assert judge_diff(side(100, 98, 102), side(90, 88, 92), True, 0.10) == "better"
-    assert judge_diff(side(100, 98, 102), side(115, 113, 117), False, 0.10) == "better"
-    assert judge_diff(side(100, 85, 115), side(104, 95, 120), True, 0.10) == "unresolved"
-    assert judge_diff(side(100, 85, 115), side(70, 60, 80), True, 0.10) == "better"
+    # `e2e diff`'s verdicts are read from its summary line.
+    line = "ok_share: A 1 B 1; 6 better, 8 within, 0 worse, 2 unresolved\n"
+    assert diff_verdicts("table\n" + line) == {"better": 6, "within": 8, "worse": 0,
+                                                "unresolved": 2}
 
     # The schedule: the parent and the change swap places every k, and the
     # A/A leg visits each position.
@@ -467,7 +456,7 @@ def selftest():
     firsts = {order(k, True)[0] for k in range(1, 7)}
     assert firsts == {"parent", "change", "aa"}
 
-    # An A/A of identical files reports no false positive under any rule.
+    # An A/A of identical files: neither the sign test nor the claim rule fires.
     with open(os.devnull, "w") as null:
         hits, n = report(merged, merged, aa=True, out=null)
     assert n == 2 and sum(hits.values()) == 0, hits
@@ -478,27 +467,16 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = p.add_subparsers(dest="cmd", required=True)
     r = sub.add_parser("run", help="build both sides and run the interleaved pairs")
-    r.add_argument("--base", default="HEAD~1", help="parent revision (default HEAD~1)")
-    r.add_argument("--parent-dir", help="an existing checkout of the parent, instead of a worktree")
-    r.add_argument("--pairs", type=int, default=10)
+    r.add_argument("--base", required=True, help="the parent revision")
     r.add_argument("--first-seed", type=int, default=1)
-    r.add_argument("--seconds", type=float, default=20)
     r.add_argument("--workload", help="run one workload per leg instead of the suite")
     r.add_argument("--aa", action="store_true", help="add a second parent leg per pair")
     r.add_argument("--out", default="BENCH_ab", help="result file prefix")
     r.add_argument("--work", default=str(ROOT / "target" / "ab"), help="builds and per-run files")
-    rep = sub.add_parser("report", help="the per-metric table of two merged files")
-    rep.add_argument("parent")
-    rep.add_argument("change")
-    rep.add_argument("--aa", action="store_true", help="count each rule's false positives")
     sub.add_parser("selftest", help="check the merge and the rules on synthetic data")
     args = p.parse_args()
     if args.cmd == "run":
-        if args.seconds == int(args.seconds):
-            args.seconds = int(args.seconds)
         cmd_run(args)
-    elif args.cmd == "report":
-        report(load(args.parent), load(args.change), aa=args.aa)
     else:
         selftest()
 
