@@ -92,12 +92,6 @@ impl IngestQueue {
         self.batches.values().map(Vec::len).sum()
     }
 
-    /// Pending sessions for one operation.
-    #[must_use]
-    pub fn pending_for(&self, op: OpId) -> usize {
-        self.batches.get(&op).map_or(0, Vec::len)
-    }
-
     /// Pending sessions per operation, for each operation with any.
     pub(crate) fn depths(&self) -> impl Iterator<Item = (OpId, usize)> + '_ {
         self.batches.iter().filter(|(_, sids)| !sids.is_empty()).map(|(&op, sids)| (op, sids.len()))
@@ -131,14 +125,13 @@ mod tests {
         q.enqueue(OpId(1), SessionId(2));
         q.enqueue(OpId(0), SessionId(3));
         assert_eq!(q.pending(), 3);
-        assert_eq!(q.pending_for(OpId(0)), 2);
+        assert_eq!(q.depths().collect::<Vec<_>>(), [(OpId(0), 2), (OpId(1), 1)]);
 
         q.discard(OpId(0), SessionId(1));
-        assert_eq!(q.pending_for(OpId(0)), 1);
+        assert_eq!(q.depths().collect::<Vec<_>>(), [(OpId(0), 1), (OpId(1), 1)]);
         // Discarding the last entry of a batch leaves nothing to drain.
         q.discard(OpId(1), SessionId(2));
-        assert_eq!(q.pending_for(OpId(1)), 0);
-        assert_eq!(q.depths().collect::<Vec<_>>(), vec![(OpId(0), 1)]);
+        assert_eq!(q.depths().collect::<Vec<_>>(), [(OpId(0), 1)]);
 
         let (op, taken) = q.take_next(OpId(0)).unwrap();
         assert_eq!((op, &taken[..]), (OpId(0), &[SessionId(3)][..]));

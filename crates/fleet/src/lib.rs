@@ -22,7 +22,8 @@
 //!
 //! * [`registry`] — who exists: the fleet-global operation table
 //!   (instrumented images + one verifier per operation) and per-shard device
-//!   records (individual keys, bound operation, last-verified counters).
+//!   records (key seed and epoch, bound operation, last-verified counters;
+//!   a device's key schedule is derived on its first challenge).
 //! * [`session`] — challenge lifecycle: (boot epoch, counter) nonces, the
 //!   `Issued → Submitted → Verified/Rejected/Expired` state machine,
 //!   deadline expiry, duplicate- and replay-rejection *before* any
@@ -379,12 +380,6 @@ impl Fleet {
         epoch
     }
 
-    /// The current provisioning-key epoch.
-    #[must_use]
-    pub fn provisioning_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The attestation key a registered device was provisioned with (the
     /// device side of a simulation installs the same key).
     ///
@@ -392,13 +387,14 @@ impl Fleet {
     ///
     /// Fails if the device is unknown.
     pub fn device_keystore(&self, device: DeviceId) -> Result<KeyStore, RegistryError> {
-        Ok(self.device(device)?.keystore().clone())
+        Ok(self.device(device)?.keystore())
     }
 
     /// Issues a challenge to `device` at logical time `now`, returning the
     /// wire-ready challenge message. Writes nothing: the nonce is the
     /// shard's (boot epoch, counter) pair, fresh across crashes without a
-    /// log record.
+    /// log record. A device's first challenge derives its key schedule
+    /// (see [`registry`]), so only devices that attest hold one.
     ///
     /// # Errors
     ///
@@ -406,7 +402,9 @@ impl Fleet {
     pub fn issue(&mut self, device: DeviceId, now: u64) -> Result<ChallengeMsg, RegistryError> {
         let idx = self.shard_of(device.0);
         let shard = &mut self.shards[idx];
-        let op = shard.registry.device(device)?.op;
+        let rec = shard.registry.device_mut(device)?;
+        rec.derive_ra();
+        let op = rec.op;
         let s = shard.sessions.issue(device, op, now);
         Ok(ChallengeMsg {
             session: s.id.0,
@@ -896,7 +894,7 @@ mod tests {
     fn epoch_rotation_changes_new_keys_only() {
         let (mut fleet, op_id) = full_fleet();
         let before = fleet.register_device(op_id, 50).unwrap();
-        assert_eq!(fleet.provisioning_epoch(), 0);
+        assert_eq!(fleet.epoch, 0);
         assert_eq!(fleet.rotate_provisioning_epoch(), 1);
         let after = fleet.register_device(op_id, 50).unwrap();
         assert_eq!(fleet.device(before).unwrap().epoch(), 0);
@@ -1180,5 +1178,109 @@ mod tests {
         };
         std::fs::write(dir.join("shard-0").join("wal-0.log"), log_of_version(&[ev], 2)).unwrap();
         assert_eq!(refused_as(&dir, "shard-0/wal-0.log", 2), store::EVENT_VERSION);
+    }
+
+    /// Key schedules are derived on a device's first challenge, not at
+    /// registration or recovery.
+    mod deferred_keys {
+        use super::*;
+        use crate::registry::effective_seed;
+        use vrased::{Challenge, RaVerifier, SwAtt};
+
+        fn catalog() -> impl OpCatalog {
+            CatalogFn(|name: &str| {
+                (name == "adder").then(|| {
+                    (InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap(), vec![])
+                })
+            })
+        }
+
+        /// Runs `device` and submits its proof for a fresh challenge to
+        /// `dev`, then drains: the session's verdict.
+        fn attest(fleet: &mut Fleet, dev: DeviceId, device: &mut DialedDevice) -> Verdict {
+            let chal = fleet.issue(dev, 0).unwrap();
+            device.invoke(&[0; 8]);
+            let proof = device.prove(&chal.challenge);
+            fleet.submit(SessionId(chal.session), dev, proof, 1).unwrap();
+            fleet.drain(2);
+            let s = fleet.session(SessionId(chal.session)).unwrap();
+            s.report.as_ref().unwrap().verdict
+        }
+
+        #[test]
+        fn registration_and_recovery_derive_no_schedule() {
+            let dir = tmp_dir("deferred-recover");
+            let config = FleetConfig { workers: Some(1), shards: 3, ..FleetConfig::default() };
+            {
+                let mut fleet = Fleet::durable(&dir, config.clone()).unwrap();
+                let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+                let op_id = fleet.register_op("adder", op, vec![]);
+                for seed in 0..9 {
+                    fleet.register_device(op_id, seed).unwrap();
+                }
+                assert!(fleet.devices().all(|d| d.ra().is_none()), "registration derived a key");
+                fleet.issue(DeviceId(4), 0).unwrap();
+            }
+            let fleet = Fleet::recover(&dir, config, &catalog()).unwrap();
+            assert_eq!(fleet.devices().count(), 9);
+            assert!(fleet.devices().all(|d| d.ra().is_none()), "recovery derived a key");
+        }
+
+        #[test]
+        fn the_first_issue_derives_the_schedule_and_later_ones_keep_it() {
+            let (mut fleet, op_id) = full_fleet();
+            let (dev, idle) = (
+                fleet.register_device(op_id, 7).unwrap(),
+                fleet.register_device(op_id, 8).unwrap(),
+            );
+            fleet.issue(dev, 0).unwrap();
+            let first: *const RaVerifier = fleet.device(dev).unwrap().ra().expect("derived");
+            fleet.issue(dev, 1).unwrap();
+            let second: *const RaVerifier = fleet.device(dev).unwrap().ra().unwrap();
+            assert!(std::ptr::eq(first, second), "a second issue re-derived the schedule");
+            assert!(fleet.device(idle).unwrap().ra().is_none(), "only the issued device has one");
+        }
+
+        #[test]
+        fn a_rotated_device_recovered_from_disk_verifies_on_its_first_issue() {
+            let dir = tmp_dir("deferred-rotated");
+            let config = FleetConfig { workers: Some(1), shards: 2, ..FleetConfig::default() };
+            let dev = {
+                let mut fleet = Fleet::durable(&dir, config.clone()).unwrap();
+                let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+                let op_id = fleet.register_op("adder", op, vec![]);
+                fleet.rotate_provisioning_epoch();
+                fleet.register_device(op_id, 60).unwrap()
+            };
+            let mut fleet = Fleet::recover(&dir, config, &catalog()).unwrap();
+            assert_eq!(fleet.device(dev).unwrap().epoch(), 1);
+            assert!(fleet.device(dev).unwrap().ra().is_none());
+            let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+            let mut honest = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
+            assert_eq!(attest(&mut fleet, dev, &mut honest), Verdict::Clean);
+            // The same seed's epoch-0 key no longer satisfies it.
+            let mut stale = DialedDevice::new(op, KeyStore::from_seed(effective_seed(60, 0)));
+            assert_ne!(attest(&mut fleet, dev, &mut stale), Verdict::Clean);
+        }
+
+        #[test]
+        fn device_keystore_macs_as_the_provisioning_key() {
+            let (mut fleet, op_id) = full_fleet();
+            let mut devices = vec![(fleet.register_device(op_id, 3).unwrap(), 3, 0)];
+            fleet.rotate_provisioning_epoch();
+            fleet.rotate_provisioning_epoch();
+            devices.push((fleet.register_device(op_id, 3).unwrap(), 3, 2));
+            devices.push((fleet.register_device(op_id, u64::MAX).unwrap(), u64::MAX, 2));
+            let chal = Challenge::derive(b"deferred-keys", 5);
+            let regions: &[(u16, u16, &[u8])] = &[(0x10, 0x13, &[1, 2, 3, 4])];
+            let mac = |ks: KeyStore| SwAtt::new(ks).attest_region_bytes(&chal, regions, b"x");
+            for (dev, seed, epoch) in devices {
+                let want = mac(KeyStore::from_seed(effective_seed(seed, epoch)));
+                assert_eq!(mac(fleet.device_keystore(dev).unwrap()), want, "{dev}");
+                fleet.issue(dev, 0).unwrap();
+                let ra = fleet.device(dev).unwrap().ra().unwrap();
+                assert!(ra.check_region_bytes(&chal, regions, b"x", &want), "{dev}");
+            }
+        }
     }
 }

@@ -13,13 +13,15 @@
 //!   shard owns: device `d` of a fleet of `N` shards lives on shard
 //!   `d mod N`, in slot `d / N` of a dense table, so a lookup is one
 //!   index and a check of the slot's id. Device state is pure data (seed,
-//!   epoch, counters) and is what the shard's write-ahead log persists;
-//!   the derived key schedule is rebuilt from `seed ⊕ f(epoch)` on
-//!   install, never serialized.
+//!   epoch, counters) and is what the shard's write-ahead log persists.
+//!   The derived key schedule is neither logged nor built on install: it
+//!   is derived from `seed ⊕ f(epoch)` on the device's first challenge
+//!   ([`Fleet::issue`](crate::Fleet::issue)), so a registration or a
+//!   recovery costs no hashing, and only devices that attest hold one.
 //!
 //! The dense table relies on ids being dense and never retired: its
 //! length follows the highest id ever installed, not the live devices. A
-//! deregistration leaves an empty slot (the size of a record, ≈ 160 B)
+//! deregistration leaves an empty slot (the size of a record, ≈ 72 B)
 //! that stays for good, and [`Registry::devices`] and compaction walk it,
 //! so a fleet that keeps registering and deregistering devices grows
 //! without bound. No benchmark workload deregisters a device.
@@ -240,29 +242,38 @@ pub struct DeviceRecord {
     pub(crate) key_seed: u64,
     /// The key-rotation epoch the device was provisioned under.
     pub(crate) epoch: u64,
-    /// The device's individual attestation key, derived from
-    /// `effective_seed(key_seed, epoch)` at install time.
-    pub(crate) keystore: KeyStore,
-    /// The precomputed verification-side key schedule — built once at
-    /// install so drains resolve keys by borrow, with no per-proof
-    /// HMAC-pad recomputation.
-    pub(crate) ra: RaVerifier,
+    /// The verification-side key schedule, derived from
+    /// `effective_seed(key_seed, epoch)` on the device's first challenge
+    /// and kept, so drains resolve keys by borrow with no per-proof
+    /// HMAC-pad recomputation. `None` until the device is first issued a
+    /// challenge; never logged.
+    pub(crate) ra: Option<Box<RaVerifier>>,
 }
 
 impl DeviceRecord {
-    /// The device's attestation key — needed by provisioning (to install
-    /// the same key on the physical device) and by ingest (to check MACs).
+    /// The device's attestation key — what provisioning installs on the
+    /// physical device. Derived on each call from the durable
+    /// `(key_seed, epoch)` pair.
     #[must_use]
-    pub fn keystore(&self) -> &KeyStore {
-        &self.keystore
+    pub fn keystore(&self) -> KeyStore {
+        KeyStore::from_seed(effective_seed(self.key_seed, self.epoch))
     }
 
     /// The verifier-side key schedule proofs from this device are checked
     /// under (the [`KeySource`](dialed::request::KeySource) answer for
-    /// this device).
+    /// this device), or `None` before its first challenge.
     #[must_use]
-    pub fn ra(&self) -> &RaVerifier {
-        &self.ra
+    pub fn ra(&self) -> Option<&RaVerifier> {
+        self.ra.as_deref()
+    }
+
+    /// Derives the key schedule if this device has none yet: the first
+    /// [`Fleet::issue`](crate::Fleet::issue) to a device calls it, so every
+    /// session a drain verifies finds its device's schedule.
+    pub(crate) fn derive_ra(&mut self) {
+        if self.ra.is_none() {
+            self.ra = Some(Box::new(RaVerifier::new(self.keystore())));
+        }
     }
 
     /// The key-rotation epoch this device was provisioned under.
@@ -315,13 +326,11 @@ impl Registry {
     }
 
     /// Installs a device record — the apply half of registration, driven
-    /// both live and by event replay, in any id order. The key schedule is
-    /// (re)derived from the durable `(key_seed, epoch)` pair, so a
-    /// recovered device checks MACs under exactly the key it was
-    /// provisioned with.
+    /// both live and by event replay, in any id order. It keeps only the
+    /// durable `(key_seed, epoch)` pair: the key schedule is derived from
+    /// it on the device's first challenge, so a recovered device checks
+    /// MACs under exactly the key it was provisioned with.
     pub(crate) fn install_device(&mut self, id: DeviceId, op: OpId, key_seed: u64, epoch: u64) {
-        let keystore = KeyStore::from_seed(effective_seed(key_seed, epoch));
-        let ra = RaVerifier::new(keystore.clone());
         self.next_device = self.next_device.max(id.0 + 1);
         let i = self.slot(id);
         if self.slots.len() <= i {
@@ -335,8 +344,7 @@ impl Registry {
             rejected: 0,
             key_seed,
             epoch,
-            keystore,
-            ra,
+            ra: None,
         };
         match self.slots[i].replace(record) {
             None => self.len += 1,
@@ -537,6 +545,9 @@ mod tests {
         let mut reg = Registry::new();
         reg.install_device(DeviceId(0), OpId(0), 42, 0);
         reg.install_device(DeviceId(1), OpId(0), 42, 1);
+        for id in [0, 1] {
+            reg.device_mut(DeviceId(id)).unwrap().derive_ra();
+        }
         // Same seed, different epoch ⇒ different key schedule; epoch 0 is
         // the identity so pre-rotation fleets keep their original keys.
         assert_eq!(effective_seed(42, 0), 42);
@@ -554,11 +565,61 @@ mod tests {
             .device(DeviceId(1))
             .unwrap()
             .ra()
+            .unwrap()
             .check_region_bytes(&chal, regions, b"", &resp));
         assert!(!reg
             .device(DeviceId(0))
             .unwrap()
             .ra()
+            .unwrap()
             .check_region_bytes(&chal, regions, b"", &resp));
+    }
+
+    #[test]
+    fn footprint_of_a_slot_is_at_most_72_bytes() {
+        // Every slot of the dense table, a hole included, costs this much;
+        // a derived key schedule lives behind the record's one pointer.
+        let slot = std::mem::size_of::<Option<DeviceRecord>>();
+        assert!(slot <= 72, "Option<DeviceRecord> is {slot} B");
+    }
+
+    #[test]
+    fn churn_probe_holes_grow_with_ids_ever_issued() {
+        // A fleet of 4 shards keeps 256 devices live: each round registers
+        // 64 new ones and deregisters the 64 oldest. Ids are never reused,
+        // so every shard's table follows the ids ever issued, not the live
+        // devices, and each deregistration leaves a hole.
+        const SHARDS: u64 = 4;
+        const LIVE: u64 = 256;
+        const CHURN: u64 = 64;
+        let mut shards: Vec<Registry> = (0..SHARDS).map(|_| Registry::strided(SHARDS)).collect();
+        let shard = |d: u64| (d % SHARDS) as usize;
+        for d in 0..LIVE {
+            shards[shard(d)].install_device(DeviceId(d), OpId(0), d, 0);
+        }
+        let hole = std::mem::size_of::<Option<DeviceRecord>>();
+        let mut issued = LIVE;
+        for round in 1..=8 {
+            for d in issued..issued + CHURN {
+                shards[shard(d)].install_device(DeviceId(d), OpId(0), d, 0);
+            }
+            for d in issued - LIVE..issued - LIVE + CHURN {
+                assert!(shards[shard(d)].remove_device(DeviceId(d)).is_some());
+            }
+            issued += CHURN;
+            let live: usize = shards.iter().map(Registry::len).sum();
+            let slots: usize = shards.iter().map(|r| r.slots.len()).sum();
+            let holes = slots - live;
+            println!(
+                "churn round {round}: {issued} ids issued, {live} live, {slots} slots, \
+                 {holes} holes × {hole} B = {} B",
+                holes * hole
+            );
+            assert_eq!(live as u64, LIVE);
+            // The current bound: no slot is ever reclaimed.
+            for r in &shards {
+                assert_eq!(r.slots.len() as u64, issued / SHARDS);
+            }
+        }
     }
 }

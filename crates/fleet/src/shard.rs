@@ -47,11 +47,10 @@
 
 use crate::ingest::{DrainStats, IngestQueue};
 use crate::registry::{DeviceId, OpId, OpRecord, OpTable, Registry};
-use crate::session::{SessionId, SessionManager, SessionState};
+use crate::session::{IdMap, SessionId, SessionManager, SessionState};
 use crate::store::{read_events, RecoverError, StateEvent, Wal};
 use dialed::request::{PerDevice, VerifyRequest};
 use dialed::EmuWorkspace;
-use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -327,9 +326,10 @@ impl Shard {
             self.workspaces.resize_with(slot + 1, EmuWorkspace::new);
         }
         let ws = &mut self.workspaces[slot];
-        // Per-device keys resolve by borrow out of this shard's registry.
+        // Per-device keys resolve by borrow out of this shard's registry; a
+        // device with no schedule yet answers `None`, an unknown key.
         let reg = &self.registry;
-        let keys = PerDevice::new(|device| Some(reg.device(DeviceId(device)).ok()?.ra()));
+        let keys = PerDevice::new(|device| reg.device(DeviceId(device)).ok()?.ra());
         let mut or_buf = std::mem::take(&mut self.or_buf);
         let mut verdicts = Vec::with_capacity(sids.len());
         for &sid in sids {
@@ -341,9 +341,8 @@ impl Shard {
             let Some(packed) = s.proof.take() else { continue };
             let (device, challenge) = (s.device, s.challenge);
             let (nonce, issued_at, deadline) = (s.nonce, s.issued_at, s.deadline);
-            if reg.device(device).is_err() {
-                continue;
-            }
+            let Ok(rec) = reg.device(device) else { continue };
+            debug_assert!(rec.ra().is_some(), "{device} was never issued a challenge");
             let proof = packed.unpack_into(or_buf);
             let req = VerifyRequest::new(&proof, &challenge).for_device(device.0).keys(&keys);
             let report = record.verifier.verify_in(ws, &req);
@@ -403,7 +402,7 @@ impl Shard {
     /// order. A device's counters leave out the verdicts of its retained
     /// sessions, which their own records count again on replay.
     fn state_events(&self) -> impl Iterator<Item = StateEvent> + '_ {
-        let mut retained: HashMap<DeviceId, (u64, u64)> = HashMap::new();
+        let mut retained: IdMap<DeviceId, (u64, u64)> = IdMap::default();
         for s in self.sessions.sessions() {
             let tally = retained.entry(s.device).or_default();
             match s.state {
