@@ -393,8 +393,8 @@ impl Fleet {
     /// Issues a challenge to `device` at logical time `now`, returning the
     /// wire-ready challenge message. Writes nothing: the nonce is the
     /// shard's (boot epoch, counter) pair, fresh across crashes without a
-    /// log record. A device's first challenge derives its key schedule
-    /// (see [`registry`]), so only devices that attest hold one.
+    /// log record. A device's first challenge since boot derives its key
+    /// schedule (see [`registry`]), so only devices that attest hold one.
     ///
     /// # Errors
     ///
@@ -402,17 +402,17 @@ impl Fleet {
     pub fn issue(&mut self, device: DeviceId, now: u64) -> Result<ChallengeMsg, RegistryError> {
         let idx = self.shard_of(device.0);
         let shard = &mut self.shards[idx];
-        let rec = shard.registry.device_mut(device)?;
-        rec.derive_ra();
-        let op = rec.op;
-        let s = shard.sessions.issue(device, op, now);
-        Ok(ChallengeMsg {
+        let rec = shard.registry.device(device)?;
+        let s = shard.sessions.issue(device, rec.op, now);
+        let msg = ChallengeMsg {
             session: s.id.0,
             device: device.0,
             nonce: s.nonce,
             deadline: s.deadline,
             challenge: s.challenge,
-        })
+        };
+        shard.sessions.derive_keys(device, || rec.keystore());
+        Ok(msg)
     }
 
     /// The shard owning the device or session `id`: of `N` shards,
@@ -1195,6 +1195,11 @@ mod tests {
             })
         }
 
+        /// The key schedule `dev`'s shard holds for it since boot.
+        fn schedule(fleet: &Fleet, dev: DeviceId) -> Option<&RaVerifier> {
+            fleet.shards[fleet.shard_of(dev.0)].sessions.device_state(dev)?.ra.as_ref()
+        }
+
         /// Runs `device` and submits its proof for a fresh challenge to
         /// `dev`, then drains: the session's verdict.
         fn attest(fleet: &mut Fleet, dev: DeviceId, device: &mut DialedDevice) -> Verdict {
@@ -1218,12 +1223,18 @@ mod tests {
                 for seed in 0..9 {
                     fleet.register_device(op_id, seed).unwrap();
                 }
-                assert!(fleet.devices().all(|d| d.ra().is_none()), "registration derived a key");
+                assert!(
+                    fleet.devices().all(|d| schedule(&fleet, d.id).is_none()),
+                    "registration derived a key"
+                );
                 fleet.issue(DeviceId(4), 0).unwrap();
             }
             let fleet = Fleet::recover(&dir, config, &catalog()).unwrap();
             assert_eq!(fleet.devices().count(), 9);
-            assert!(fleet.devices().all(|d| d.ra().is_none()), "recovery derived a key");
+            assert!(
+                fleet.devices().all(|d| schedule(&fleet, d.id).is_none()),
+                "recovery derived a key"
+            );
         }
 
         #[test]
@@ -1234,11 +1245,11 @@ mod tests {
                 fleet.register_device(op_id, 8).unwrap(),
             );
             fleet.issue(dev, 0).unwrap();
-            let first: *const RaVerifier = fleet.device(dev).unwrap().ra().expect("derived");
+            let first: *const RaVerifier = schedule(&fleet, dev).expect("derived");
             fleet.issue(dev, 1).unwrap();
-            let second: *const RaVerifier = fleet.device(dev).unwrap().ra().unwrap();
+            let second: *const RaVerifier = schedule(&fleet, dev).unwrap();
             assert!(std::ptr::eq(first, second), "a second issue re-derived the schedule");
-            assert!(fleet.device(idle).unwrap().ra().is_none(), "only the issued device has one");
+            assert!(schedule(&fleet, idle).is_none(), "only the issued device has one");
         }
 
         #[test]
@@ -1254,7 +1265,7 @@ mod tests {
             };
             let mut fleet = Fleet::recover(&dir, config, &catalog()).unwrap();
             assert_eq!(fleet.device(dev).unwrap().epoch(), 1);
-            assert!(fleet.device(dev).unwrap().ra().is_none());
+            assert!(schedule(&fleet, dev).is_none());
             let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
             let mut honest = DialedDevice::new(op.clone(), fleet.device_keystore(dev).unwrap());
             assert_eq!(attest(&mut fleet, dev, &mut honest), Verdict::Clean);
@@ -1278,9 +1289,25 @@ mod tests {
                 let want = mac(KeyStore::from_seed(effective_seed(seed, epoch)));
                 assert_eq!(mac(fleet.device_keystore(dev).unwrap()), want, "{dev}");
                 fleet.issue(dev, 0).unwrap();
-                let ra = fleet.device(dev).unwrap().ra().unwrap();
+                let ra = schedule(&fleet, dev).unwrap();
                 assert!(ra.check_region_bytes(&chal, regions, b"x", &want), "{dev}");
             }
+        }
+
+        #[test]
+        fn deregistration_frees_the_devices_session_state() {
+            let (mut fleet, op_id) = full_fleet();
+            let dev = fleet.register_device(op_id, 5).unwrap();
+            let op = InstrumentedOp::build(OP_SRC, "op", &BuildOptions::default()).unwrap();
+            let mut honest = DialedDevice::new(op, fleet.device_keystore(dev).unwrap());
+            assert_eq!(attest(&mut fleet, dev, &mut honest), Verdict::Clean);
+            let shard = fleet.shard_of(dev.0);
+            assert!(fleet.shards[shard].sessions.device_state(dev).is_some());
+            fleet.deregister_device(dev).unwrap();
+            assert!(
+                fleet.shards[shard].sessions.device_state(dev).is_none(),
+                "a deregistered device keeps its nonce, replay window and key schedule"
+            );
         }
     }
 }

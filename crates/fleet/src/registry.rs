@@ -12,16 +12,16 @@
 //! * [`Registry`] — one per shard, holding the [`DeviceRecord`]s the
 //!   shard owns: device `d` of a fleet of `N` shards lives on shard
 //!   `d mod N`, in slot `d / N` of a dense table, so a lookup is one
-//!   index and a check of the slot's id. Device state is pure data (seed,
-//!   epoch, counters) and is what the shard's write-ahead log persists.
-//!   The derived key schedule is neither logged nor built on install: it
-//!   is derived from `seed ⊕ f(epoch)` on the device's first challenge
-//!   ([`Fleet::issue`](crate::Fleet::issue)), so a registration or a
-//!   recovery costs no hashing, and only devices that attest hold one.
+//!   index and a check of the slot's id. A record is exactly what the
+//!   shard's write-ahead log persists (op, seed, epoch, counters). The key
+//!   schedule derived from `seed ⊕ f(epoch)` is per-boot state: the
+//!   device's first challenge ([`Fleet::issue`](crate::Fleet::issue))
+//!   builds it into the session layer, beside the device's nonce and
+//!   replay window, so a registration or a recovery costs no hashing.
 //!
 //! The dense table relies on ids being dense and never retired: its
 //! length follows the highest id ever installed, not the live devices. A
-//! deregistration leaves an empty slot (the size of a record, ≈ 72 B)
+//! deregistration leaves an empty slot (the size of a record, ≤ 64 B)
 //! that stays for good, and [`Registry::devices`] and compaction walk it,
 //! so a fleet that keeps registering and deregistering devices grows
 //! without bound. No benchmark workload deregisters a device.
@@ -35,7 +35,7 @@ use dialed::report::RejectReason;
 use dialed::request::Verifier;
 use dialed::DialedVerifier;
 use std::fmt;
-use vrased::{KeyStore, RaVerifier};
+use vrased::KeyStore;
 
 /// Identifies one registered operation within a fleet.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -222,7 +222,7 @@ impl OpTable {
     }
 }
 
-/// Per-device registry state.
+/// Per-device registry state: exactly the fields the shard's WAL holds.
 #[derive(Clone, Debug)]
 pub struct DeviceRecord {
     /// The device's id.
@@ -242,12 +242,6 @@ pub struct DeviceRecord {
     pub(crate) key_seed: u64,
     /// The key-rotation epoch the device was provisioned under.
     pub(crate) epoch: u64,
-    /// The verification-side key schedule, derived from
-    /// `effective_seed(key_seed, epoch)` on the device's first challenge
-    /// and kept, so drains resolve keys by borrow with no per-proof
-    /// HMAC-pad recomputation. `None` until the device is first issued a
-    /// challenge; never logged.
-    pub(crate) ra: Option<Box<RaVerifier>>,
 }
 
 impl DeviceRecord {
@@ -257,23 +251,6 @@ impl DeviceRecord {
     #[must_use]
     pub fn keystore(&self) -> KeyStore {
         KeyStore::from_seed(effective_seed(self.key_seed, self.epoch))
-    }
-
-    /// The verifier-side key schedule proofs from this device are checked
-    /// under (the [`KeySource`](dialed::request::KeySource) answer for
-    /// this device), or `None` before its first challenge.
-    #[must_use]
-    pub fn ra(&self) -> Option<&RaVerifier> {
-        self.ra.as_deref()
-    }
-
-    /// Derives the key schedule if this device has none yet: the first
-    /// [`Fleet::issue`](crate::Fleet::issue) to a device calls it, so every
-    /// session a drain verifies finds its device's schedule.
-    pub(crate) fn derive_ra(&mut self) {
-        if self.ra.is_none() {
-            self.ra = Some(Box::new(RaVerifier::new(self.keystore())));
-        }
     }
 
     /// The key-rotation epoch this device was provisioned under.
@@ -336,16 +313,8 @@ impl Registry {
         if self.slots.len() <= i {
             self.slots.resize_with(i + 1, || None);
         }
-        let record = DeviceRecord {
-            id,
-            op,
-            last_verified: None,
-            verified: 0,
-            rejected: 0,
-            key_seed,
-            epoch,
-            ra: None,
-        };
+        let record =
+            DeviceRecord { id, op, last_verified: None, verified: 0, rejected: 0, key_seed, epoch };
         match self.slots[i].replace(record) {
             None => self.len += 1,
             Some(previous) => debug_assert_eq!(
@@ -540,14 +509,19 @@ mod tests {
 
     #[test]
     fn epoch_rotates_the_derived_key() {
+        use crate::session::SessionManager;
         use vrased::{Challenge, SwAtt};
 
         let mut reg = Registry::new();
         reg.install_device(DeviceId(0), OpId(0), 42, 0);
         reg.install_device(DeviceId(1), OpId(0), 42, 1);
+        let mut sessions = SessionManager::new(b"epoch-test", 10, 4);
         for id in [0, 1] {
-            reg.device_mut(DeviceId(id)).unwrap().derive_ra();
+            let rec = reg.device(DeviceId(id)).unwrap();
+            sessions.issue(rec.id, rec.op, 0);
+            sessions.derive_keys(rec.id, || rec.keystore());
         }
+        let ra = |id| sessions.device_state(DeviceId(id)).unwrap().ra.as_ref().unwrap();
         // Same seed, different epoch ⇒ different key schedule; epoch 0 is
         // the identity so pre-rotation fleets keep their original keys.
         assert_eq!(effective_seed(42, 0), 42);
@@ -561,26 +535,17 @@ mod tests {
         let chal = Challenge::derive(b"epoch-test", 0);
         let regions: &[(u16, u16, &[u8])] = &[(0, 1, &[0xAA, 0xBB])];
         let resp = device_side.attest_region_bytes(&chal, regions, b"");
-        assert!(reg
-            .device(DeviceId(1))
-            .unwrap()
-            .ra()
-            .unwrap()
-            .check_region_bytes(&chal, regions, b"", &resp));
-        assert!(!reg
-            .device(DeviceId(0))
-            .unwrap()
-            .ra()
-            .unwrap()
-            .check_region_bytes(&chal, regions, b"", &resp));
+        assert!(ra(1).check_region_bytes(&chal, regions, b"", &resp));
+        assert!(!ra(0).check_region_bytes(&chal, regions, b"", &resp));
     }
 
     #[test]
-    fn footprint_of_a_slot_is_at_most_72_bytes() {
-        // Every slot of the dense table, a hole included, costs this much;
-        // a derived key schedule lives behind the record's one pointer.
+    fn footprint_of_a_slot_is_at_most_64_bytes() {
+        // Every slot of the dense table, a hole included, costs this much:
+        // a record holds only what the WAL holds, and a derived key
+        // schedule lives in the session layer.
         let slot = std::mem::size_of::<Option<DeviceRecord>>();
-        assert!(slot <= 72, "Option<DeviceRecord> is {slot} B");
+        assert!(slot <= 64, "Option<DeviceRecord> is {slot} B");
     }
 
     #[test]

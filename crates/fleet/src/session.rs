@@ -49,7 +49,7 @@ use hacl::{Digest, Sha256};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use vrased::Challenge;
+use vrased::{Challenge, KeyStore, RaVerifier};
 
 /// Identifies one session within a fleet.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -192,7 +192,8 @@ impl ReplayWindow {
     }
 }
 
-/// Per-device session-layer state, in memory only.
+/// One device's state for the current boot, in memory only (its durable
+/// half is its [`DeviceRecord`](crate::registry::DeviceRecord)).
 #[derive(Clone, Debug)]
 pub(crate) struct DeviceSessions {
     /// `H(fleet label ‖ device id)`, the part of every challenge the nonce
@@ -201,6 +202,10 @@ pub(crate) struct DeviceSessions {
     /// Next challenge nonce — strictly monotonic, never reused.
     pub(crate) next_nonce: u64,
     pub(crate) window: ReplayWindow,
+    /// The key schedule a drain checks this device's proofs under, derived
+    /// by [`Fleet::issue`](crate::Fleet::issue) on its first challenge;
+    /// `None` in an entry a replayed verdict made.
+    pub(crate) ra: Option<RaVerifier>,
 }
 
 /// `H(fleet label ‖ device id)`: what every challenge of `device` binds its
@@ -338,7 +343,13 @@ impl SessionManager {
             base: challenge_base(label, device),
             next_nonce: 0,
             window: ReplayWindow::default(),
+            ra: None,
         })
+    }
+
+    /// `device`'s per-boot state, if it has any since boot.
+    pub(crate) fn device_state(&self, device: DeviceId) -> Option<&DeviceSessions> {
+        self.per_device.get(&device)
     }
 
     /// Installs a session with explicit coordinates — the apply half of
@@ -390,6 +401,13 @@ impl SessionManager {
         let id = SessionId(self.next_id);
         let nonce = self.next_nonce(device);
         self.install(id, device, op, nonce, now, now.saturating_add(self.ttl))
+    }
+
+    /// Derives the key schedule of an issued `device` that has none yet.
+    pub(crate) fn derive_keys(&mut self, device: DeviceId, keystore: impl FnOnce() -> KeyStore) {
+        if let Some(per) = self.per_device.get_mut(&device) {
+            per.ra.get_or_insert_with(|| RaVerifier::new(keystore()));
+        }
     }
 
     /// Validates a submission without mutating anything: the state
@@ -483,11 +501,12 @@ impl SessionManager {
         flipped
     }
 
-    /// Expires every open (`Issued`/`Submitted`) session of `device` —
-    /// the session-layer half of deregistration. Held proofs are dropped.
-    /// Returns the flipped sessions as `(op, id)` pairs so the caller can
-    /// purge any ingest-queue entries.
-    pub(crate) fn expire_open_for(&mut self, device: DeviceId) -> Vec<(OpId, SessionId)> {
+    /// The session-layer half of deregistration: drops `device`'s per-boot
+    /// state (ids are never reused) and expires its open sessions, dropping
+    /// held proofs. Returns the flipped sessions as `(op, id)` pairs so the
+    /// caller can purge any ingest-queue entries.
+    pub(crate) fn remove_device(&mut self, device: DeviceId) -> Vec<(OpId, SessionId)> {
+        self.per_device.remove(&device);
         let mut flipped = Vec::new();
         for s in &mut self.sessions {
             if s.device == device && s.is_open() {
@@ -571,9 +590,9 @@ impl SessionManager {
         self.sessions.is_empty()
     }
 
-    /// The next nonce `device` would be issued (diagnostics/tests).
+    /// The next nonce `device` would be issued.
     #[must_use]
-    pub fn next_nonce(&self, device: DeviceId) -> u64 {
+    pub(crate) fn next_nonce(&self, device: DeviceId) -> u64 {
         self.per_device.get(&device).map_or(self.boot_epoch << EPOCH_SHIFT, |p| p.next_nonce)
     }
 }
@@ -832,7 +851,7 @@ mod tests {
         mgr.submit(pending, DEV, dummy_proof(2), 3).unwrap();
         let other = mgr.issue(DeviceId(9), OP, 2).id;
 
-        let flipped = mgr.expire_open_for(DEV);
+        let flipped = mgr.remove_device(DEV);
         assert_eq!(flipped.len(), 2);
         assert!(flipped.iter().any(|&(_, sid)| sid == pending));
         assert_eq!(mgr.session(open).unwrap().state, SessionState::Expired);
@@ -948,7 +967,7 @@ mod tests {
                 7 => {
                     if rand(8) == 0 {
                         let device = DeviceId(rand(4));
-                        let flipped = mgr.expire_open_for(device).len();
+                        let flipped = mgr.remove_device(device).len();
                         let mut open = 0;
                         for (d, _, state) in want.values_mut() {
                             if *d == device && is_open(*state) {

@@ -237,7 +237,7 @@ impl Shard {
             }
             StateEvent::DeviceDeregistered { device } => {
                 let _ = self.registry.remove_device(device);
-                for (op, sid) in self.sessions.expire_open_for(device) {
+                for (op, sid) in self.sessions.remove_device(device) {
                     self.ingest.discard(op, sid);
                 }
             }
@@ -326,10 +326,6 @@ impl Shard {
             self.workspaces.resize_with(slot + 1, EmuWorkspace::new);
         }
         let ws = &mut self.workspaces[slot];
-        // Per-device keys resolve by borrow out of this shard's registry; a
-        // device with no schedule yet answers `None`, an unknown key.
-        let reg = &self.registry;
-        let keys = PerDevice::new(|device| reg.device(DeviceId(device)).ok()?.ra());
         let mut or_buf = std::mem::take(&mut self.or_buf);
         let mut verdicts = Vec::with_capacity(sids.len());
         for &sid in sids {
@@ -341,8 +337,10 @@ impl Shard {
             let Some(packed) = s.proof.take() else { continue };
             let (device, challenge) = (s.device, s.challenge);
             let (nonce, issued_at, deadline) = (s.nonce, s.issued_at, s.deadline);
-            let Ok(rec) = reg.device(device) else { continue };
-            debug_assert!(rec.ra().is_some(), "{device} was never issued a challenge");
+            // Keys resolve by borrow from the session layer, now that the
+            // proof is taken; a device with no schedule answers `None`.
+            let sessions = &self.sessions;
+            let keys = PerDevice::new(|d| sessions.device_state(DeviceId(d))?.ra.as_ref());
             let proof = packed.unpack_into(or_buf);
             let req = VerifyRequest::new(&proof, &challenge).for_device(device.0).keys(&keys);
             let report = record.verifier.verify_in(ws, &req);

@@ -4,6 +4,10 @@
 //! a PoX-only region — is a count, and each shard's ingest batch keeps its
 //! buffer from one drain to the next.
 //!
+//! A device's first challenge since boot allocates no more than a repeat
+//! one, apart from the growth of the per-device map: its key schedule is
+//! derived inline into the device's session-layer entry, not boxed.
+//!
 //! The workspace otherwise denies `unsafe_code`; this test binary opts out
 //! locally because the shared counting-allocator harness (see
 //! `crates/msp430/tests/support/counting_alloc.rs`) implements
@@ -35,7 +39,41 @@ const ROUNDS: u64 = 32;
 /// allocate concurrently and would pollute the counters.
 fn main() {
     pox_only_submissions_are_allocation_free();
+    a_first_issue_allocates_no_key_schedule();
     println!("zero_alloc: ok");
+}
+
+/// Fresh devices issued once, then issued again.
+const FRESH: u64 = 256;
+
+fn a_first_issue_allocates_no_key_schedule() {
+    let config = FleetConfig { workers: Some(1), shards: 1, ..FleetConfig::default() };
+    let mut fleet = Fleet::new(config);
+    let scenario = &apps::scenarios()[0];
+    let op_id = fleet.register_op(
+        scenario.name,
+        scenario.build(InstrumentMode::Original),
+        (scenario.policies)(),
+    );
+    let ids: Vec<DeviceId> =
+        (0..FRESH).map(|seed| fleet.register_device(op_id, seed).unwrap()).collect();
+    let mut issue_all = |now: u64| {
+        let before = allocations();
+        for &id in &ids {
+            fleet.issue(id, now).unwrap();
+        }
+        allocations() - before
+    };
+    let first = issue_all(0);
+    let repeat = issue_all(1);
+    // Both passes grow the session tables; only the first grows the
+    // per-device map, by a rehash per doubling. One allocation per
+    // device (a boxed key schedule) would put the gap at FRESH or more.
+    assert!(
+        first.saturating_sub(repeat) < FRESH / 8,
+        "{FRESH} first issues allocated {first} times, {FRESH} repeat issues {repeat} times"
+    );
+    println!("zero_alloc: {FRESH} first issues {first} allocations, repeat issues {repeat}");
 }
 
 fn pox_only_submissions_are_allocation_free() {
